@@ -1,4 +1,4 @@
-"""Graded subspaces of a direct sum of C^{n_k} and invariance machinery.
+"""Graded subspaces of a direct sum of C^{n_k} and the stability engine.
 
 A graded subspace assigns a Subspace of C^{dims[k]} to every key k.  A
 collection of maps (src key, dst key, matrix) is "respected" by a
@@ -6,6 +6,11 @@ graded subspace when every map sends the src component into the dst
 component.  The two closure operators below are the graded versions of
 the ones in linalg; the candidate lattice feeds the heuristic
 (un)stability falsifiers.
+
+find_destabilizer is the one kernel/image stability test.  Framed quiver
+points (Nakajima) and bow points both reduce to it: a bow adds, per
+x-point, a link A that must restrict to an isomorphism on the subspace
+(kernel clause) or descend to one on the quotients (image clause).
 """
 
 from __future__ import annotations
@@ -18,7 +23,10 @@ from .linalg import (
     DEFAULT_TOL,
     Subspace,
     Tolerances,
+    image_basis,
     kernel_basis,
+    rank,
+    snap_small_to_zero,
     subspace_image,
     subspace_intersection,
     subspace_preimage,
@@ -27,14 +35,18 @@ from .linalg import (
 
 __all__ = [
     "GradedSubspace",
-    "zero_graded",
-    "full_graded",
-    "graded_dims",
+    "StabilityVerdict",
+    "Exact01Unavailable",
     "is_invariant",
     "largest_invariant_graded",
     "smallest_invariant_graded",
     "candidate_lattice",
+    "find_destabilizer",
 ]
+
+
+class Exact01Unavailable(ValueError):
+    """exact01 mode was requested but some graded piece has dimension above 1."""
 
 
 @dataclass(frozen=True)
@@ -50,16 +62,34 @@ class GradedSubspace:
         return sum(s.dim for s in self.parts.values())
 
 
-def zero_graded(dims: dict) -> GradedSubspace:
-    return GradedSubspace({k: Subspace.zero(n) for k, n in dims.items()})
+@dataclass(frozen=True)
+class StabilityVerdict:
+    """Outcome of a (semi)stability test.
+
+    kind: "semistable" (definitive), "unstable" (witness attached), or
+        "not-falsified" (heuristic search found no destabilizing
+        subspace; NOT a proof of semistability).
+    witness: destabilizing graded subspace when kind == "unstable".
+    clause: "kernel" when the witness sits inside the kernel maps'
+        kernels with positive pairing, "image" when it contains the
+        image maps' images with negative copairing.
+    """
+
+    kind: str
+    witness: GradedSubspace | None = None
+    clause: str | None = None
+
+    def __post_init__(self):
+        if self.kind not in ("semistable", "unstable", "not-falsified"):
+            raise ValueError(f"unknown verdict kind {self.kind!r}")
+        if (self.kind == "unstable") != (self.witness is not None):
+            raise ValueError("unstable verdicts carry a witness, others do not")
 
 
-def full_graded(dims: dict) -> GradedSubspace:
-    return GradedSubspace({k: Subspace.full(n) for k, n in dims.items()})
-
-
-def graded_dims(g: GradedSubspace) -> tuple:
-    return tuple(sorted((repr(k), s.dim) for k, s in g.parts.items()))
+def _support(dims: dict, support) -> GradedSubspace:
+    """Full at the keys in support, zero elsewhere."""
+    return GradedSubspace({k: Subspace.full(n) if k in support else Subspace.zero(n)
+                           for k, n in dims.items()})
 
 
 def is_invariant(g: GradedSubspace, maps, tol: Tolerances = DEFAULT_TOL) -> bool:
@@ -178,7 +208,7 @@ def candidate_lattice(dims: dict, maps, seeds, endos=(), depth: int = 3,
     the candidate count; the consumers are falsifiers, so an incomplete
     lattice is safe.
     """
-    pool = [zero_graded(dims), full_graded(dims)]
+    pool = [_support(dims, ()), _support(dims, dims)]
     pool.extend(seeds)
     pool.extend(_eigenspace_seeds(dims, endos, tol))
 
@@ -213,3 +243,122 @@ def candidate_lattice(dims: dict, maps, seeds, endos=(), depth: int = 3,
             break
         frontier = new_frontier
     return unique
+
+
+# --- the kernel/image stability engine ------------------------------------------
+
+
+def _restricts_iso(a, lo: Subspace, hi: Subspace, tol: Tolerances) -> bool:
+    """a maps lo isomorphically onto hi."""
+    if lo.dim != hi.dim:
+        return False
+    return lo.dim == 0 or rank(a @ lo.basis, tol) == lo.dim
+
+
+def _descends_iso(a, lo: Subspace, hi: Subspace, tol: Tolerances) -> bool:
+    """a induces an isomorphism C^n_lo / lo -> C^n_hi / hi."""
+    codim = lo.ambient_dim - lo.dim
+    if codim != hi.ambient_dim - hi.dim:
+        return False
+    if codim == 0:
+        return True
+    comp = kernel_basis(lo.basis.conj().T, tol).basis if lo.dim else np.eye(lo.ambient_dim)
+    return rank((np.eye(hi.ambient_dim) - hi.projector()) @ a @ comp, tol) == codim
+
+
+def _destabilizes(g: GradedSubspace, clause: str, dims: dict, weights: dict,
+                  stable: bool) -> bool:
+    if clause == "kernel":
+        pairing = sum(weights[k] * g.dim(k) for k in dims)
+        return pairing > 0 or (stable and g.total_dim() > 0 and pairing >= 0)
+    copairing = sum(weights[k] * (n - g.dim(k)) for k, n in dims.items())
+    proper = g.total_dim() < sum(dims.values())
+    return copairing < 0 or (stable and proper and copairing <= 0)
+
+
+def _support_candidates(dims, maps, kernel_maps, image_maps):
+    """Every invariant 0/1 support, in bitmask order over the keys of dims,
+    offered to each clause whose kernel or image maps it satisfies."""
+    ones = [k for k, n in dims.items() if n == 1]
+    bit = {k: 1 << j for j, k in enumerate(ones)}
+    # with every dimension <= 1, a nonzero matrix joins two dimension-one keys
+    arrows = [(bit[src], bit[dst]) for src, dst, m in maps if src != dst and m.any()]
+    avoid = sum({bit[key] for key, m in kernel_maps if m.any()})
+    cover = sum({bit[key] for key, m in image_maps if m.any()})
+    full, zero = _support(dims, dims).parts, _support(dims, ()).parts
+    for mask in range(1 << len(ones)):
+        if any(mask & src and not mask & dst for src, dst in arrows):
+            continue
+        g = GradedSubspace({k: full[k] if mask & bit.get(k, 0) else zero[k] for k in dims})
+        if not mask & avoid:
+            yield "kernel", g
+        if not cover & ~mask:
+            yield "image", g
+
+
+def _lattice_candidates(dims, maps, kernel_maps, image_maps, endos, tol):
+    """Per lattice element: the largest invariant subspace inside it and
+    the kernels, then the smallest invariant one containing it and the images."""
+    ker = dict(_support(dims, dims).parts)
+    im = dict(_support(dims, ()).parts)
+    for key, m in kernel_maps:
+        ker[key] = subspace_intersection(ker[key], kernel_basis(m, tol), tol)
+    for key, m in image_maps:
+        im[key] = subspace_sum(im[key], image_basis(m, tol), tol)
+    ker, im = GradedSubspace(ker), GradedSubspace(im)
+    for cand in candidate_lattice(dims, maps, [ker, im], endos=endos, tol=tol):
+        yield "kernel", largest_invariant_graded(_intersect_graded(cand, ker, tol), maps, tol)
+        yield "image", smallest_invariant_graded(_sum_graded(cand, im, tol), maps, tol)
+
+
+def find_destabilizer(dims: dict, maps, kernel_maps, image_maps, weights: dict,
+                      links=(), endos=(), mode: str = "heuristic", stable: bool = False,
+                      tol: Tolerances = DEFAULT_TOL) -> StabilityVerdict:
+    """Kernel/image (semi)stability test for a graded representation.
+
+    A graded subspace S invariant under every (src, dst, m) in maps
+    qualifies for the kernel clause when S_key lies in Ker m for every
+    (key, m) in kernel_maps and every link (lo, hi, A) restricts to an
+    isomorphism S_lo -> S_hi; it destabilizes when the pairing
+    sum_k weights[k] dim S_k is > 0, or >= 0 with S != 0 when stable.
+    The image clause is dual: S_key contains Im m for every (key, m) in
+    image_maps, every A descends to an isomorphism of the quotients,
+    and the copairing sum_k weights[k] codim S_k is < 0, or <= 0 with
+    S != V when stable.
+
+    Matrices with no entry above rank_tol * max(1, largest entry of any
+    matrix passed) read as exact zeros.  exact01 decides by enumerating
+    supports and needs every dimension <= 1.  heuristic searches
+    candidate_lattice, seeded with the generalized eigenspaces of the
+    (key, m) endos: "unstable" comes with a checked witness,
+    "not-falsified" is not a proof.
+    """
+    if mode not in ("exact01", "heuristic"):
+        raise ValueError(f"unknown mode {mode!r}; expected 'exact01' or 'heuristic'")
+    if not stable and all(val == 0 for val in weights.values()):
+        return StabilityVerdict("semistable")
+    if mode == "exact01":
+        big = {k: n for k, n in dims.items() if n > 1}
+        if big:
+            raise Exact01Unavailable(f"exact01 requires every dimension <= 1, got {big}")
+
+    groups = [list(g) for g in (maps, kernel_maps, image_maps, links, endos)]
+    scale = max((float(np.max(np.abs(item[-1]))) for g in groups for item in g
+                 if item[-1].size), default=0.0)
+    ztol = tol.rank_tol * max(1.0, scale)
+    # noise-level matrices read as zeros, otherwise their noise ranks
+    # poison every image/preimage below (see snap_small_to_zero)
+    maps, kernel_maps, image_maps, links, endos = (
+        [(*item[:-1], snap_small_to_zero(item[-1], ztol)) for item in g] for g in groups)
+
+    if mode == "exact01":
+        candidates = _support_candidates(dims, maps, kernel_maps, image_maps)
+    else:
+        candidates = _lattice_candidates(dims, maps, kernel_maps, image_maps, endos, tol)
+    for clause, g in candidates:
+        iso = _restricts_iso if clause == "kernel" else _descends_iso
+        if (_destabilizes(g, clause, dims, weights, stable)
+                and all(iso(a, g.parts[lo], g.parts[hi], tol) for lo, hi, a in links)
+                and is_invariant(g, maps, tol)):
+            return StabilityVerdict("unstable", g, clause)
+    return StabilityVerdict("semistable" if mode == "exact01" else "not-falsified")

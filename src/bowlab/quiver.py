@@ -14,30 +14,17 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations
 from math import lcm
 
 import numpy as np
 
-from .graded import (
-    GradedSubspace,
-    candidate_lattice,
-    is_invariant,
-    largest_invariant_graded,
-    smallest_invariant_graded,
-)
+from .graded import Exact01Unavailable, StabilityVerdict, find_destabilizer
 from .linalg import (
     DEFAULT_TOL,
-    Subspace,
     Tolerances,
     as_matrix,
-    image_basis,
-    kernel_basis,
     matrix_from_json,
     matrix_to_json,
-    snap_small_to_zero,
-    subspace_intersection,
-    subspace_sum,
 )
 
 __all__ = [
@@ -53,10 +40,6 @@ __all__ = [
     "quiver_point_to_json_dict",
     "quiver_point_from_json_dict",
 ]
-
-
-class Exact01Unavailable(ValueError):
-    """exact01 mode was requested but some vertex dimension exceeds 1."""
 
 
 @dataclass(frozen=True)
@@ -169,29 +152,6 @@ def rep_symplectic_pairing(t1: QuiverRepPoint, t2: QuiverRepPoint) -> complex:
     return complex(val)
 
 
-@dataclass(frozen=True)
-class StabilityVerdict:
-    """Outcome of a (semi)stability test.
-
-    kind: "semistable" (definitive), "unstable" (witness attached), or
-        "not-falsified" (heuristic search found no destabilizing
-        subspace; NOT a proof of semistability).
-    witness: destabilizing graded subspace when kind == "unstable".
-    clause: "kernel" when the witness sits inside Ker J with positive
-        pairing, "image" when it contains Im I with negative copairing.
-    """
-
-    kind: str
-    witness: GradedSubspace | None = None
-    clause: str | None = None
-
-    def __post_init__(self):
-        if self.kind not in ("semistable", "unstable", "not-falsified"):
-            raise ValueError(f"unknown verdict kind {self.kind!r}")
-        if (self.kind == "unstable") != (self.witness is not None):
-            raise ValueError("unstable verdicts carry a witness, others do not")
-
-
 def integerize_weights(theta: dict) -> dict:
     """Scale rational weights to integers by the LCM of denominators.
 
@@ -213,101 +173,6 @@ def integerize_weights(theta: dict) -> dict:
     return {key: int(f * denom) for key, f in fracs.items()}
 
 
-def _zero_tol(p_scale: float, tol: Tolerances) -> float:
-    return tol.rank_tol * max(1.0, p_scale)
-
-
-def _support_subspace(p: QuiverRepPoint, support: frozenset) -> GradedSubspace:
-    parts = {}
-    for i in p.quiver.vertices:
-        if i in support:
-            parts[i] = Subspace.full(p.v[i])
-        else:
-            parts[i] = Subspace.zero(p.v[i])
-    return GradedSubspace(parts)
-
-
-def _exact01(p: QuiverRepPoint, theta: dict, tol: Tolerances) -> StabilityVerdict:
-    q = p.quiver
-    if any(p.v[i] > 1 for i in q.vertices):
-        raise Exact01Unavailable(
-            "exact01 requires every vertex dimension <= 1, got "
-            + str({i: p.v[i] for i in q.vertices if p.v[i] > 1}))
-    ztol = _zero_tol(p.scale(), tol)
-    ones = [i for i in q.vertices if p.v[i] == 1]
-
-    def norm(m):
-        return float(np.linalg.norm(m)) if m.size else 0.0
-
-    for r in range(len(ones) + 1):
-        for chosen in combinations(ones, r):
-            s = frozenset(chosen)
-            invariant = True
-            for k, (t, h) in enumerate(q.arrows):
-                if t in s and h not in s and norm(p.x[k]) > ztol:
-                    invariant = False
-                    break
-                if h in s and t not in s and norm(p.y[k]) > ztol:
-                    invariant = False
-                    break
-            if not invariant:
-                continue
-            if all(norm(p.J[i]) <= ztol for i in s):
-                if sum(theta[i] for i in s) > 0:
-                    return StabilityVerdict("unstable", _support_subspace(p, s), "kernel")
-            if all(norm(p.I[i]) <= ztol for i in ones if i not in s):
-                if sum(theta[i] for i in ones if i not in s) < 0:
-                    return StabilityVerdict("unstable", _support_subspace(p, s), "image")
-    return StabilityVerdict("semistable")
-
-
-def _rep_maps(p: QuiverRepPoint) -> list:
-    maps = []
-    for k, (t, h) in enumerate(p.quiver.arrows):
-        maps.append((t, h, p.x[k]))
-        maps.append((h, t, p.y[k]))
-    return maps
-
-
-def _heuristic(p: QuiverRepPoint, theta: dict, tol: Tolerances) -> StabilityVerdict:
-    q = p.quiver
-    ztol = tol.rank_tol * max(1.0, p.scale())
-    # noise-level matrices read as zeros (see snap_small_to_zero)
-    p = QuiverRepPoint(q, p.v, p.w,
-                       tuple(snap_small_to_zero(m, ztol) for m in p.x),
-                       tuple(snap_small_to_zero(m, ztol) for m in p.y),
-                       {i: snap_small_to_zero(p.I[i], ztol) for i in q.vertices},
-                       {i: snap_small_to_zero(p.J[i], ztol) for i in q.vertices})
-    dims = dict(p.v)
-    maps = _rep_maps(p)
-    ker_j = GradedSubspace({i: kernel_basis(p.J[i], tol) for i in q.vertices})
-    im_i = GradedSubspace({i: image_basis(p.I[i], tol) for i in q.vertices})
-    endos = []
-    for k, (t, h) in enumerate(q.arrows):
-        if t == h:
-            endos.append((t, p.x[k]))
-            endos.append((t, p.y[k]))
-    candidates = candidate_lattice(dims, maps, [ker_j, im_i], endos=endos, tol=tol)
-
-    for cand in candidates:
-        inside = GradedSubspace({
-            i: subspace_intersection(cand.parts[i], ker_j.parts[i], tol)
-            for i in q.vertices})
-        sub = largest_invariant_graded(inside, maps, tol)
-        if sum(theta[i] * sub.dim(i) for i in q.vertices) > 0:
-            if is_invariant(sub, maps, tol):
-                return StabilityVerdict("unstable", sub, "kernel")
-
-        around = GradedSubspace({
-            i: subspace_sum(cand.parts[i], im_i.parts[i], tol)
-            for i in q.vertices})
-        sup = smallest_invariant_graded(around, maps, tol)
-        if sum(theta[i] * (p.v[i] - sup.dim(i)) for i in q.vertices) < 0:
-            if is_invariant(sup, maps, tol):
-                return StabilityVerdict("unstable", sup, "image")
-    return StabilityVerdict("not-falsified")
-
-
 def rep_semistable(p: QuiverRepPoint, theta: dict, mode: str = "heuristic",
                    tol: Tolerances = DEFAULT_TOL) -> StabilityVerdict:
     """Kernel/image semistability criterion for framed representations.
@@ -321,16 +186,18 @@ def rep_semistable(p: QuiverRepPoint, theta: dict, mode: str = "heuristic",
     lattice of invariant subspaces: "unstable" comes with a verified
     witness, "not-falsified" is not a proof.
     """
-    if set(theta) != set(p.quiver.vertices):
+    q = p.quiver
+    if set(theta) != set(q.vertices):
         raise ValueError("theta must be keyed by the quiver vertices")
-    itheta = integerize_weights(theta)
-    if all(val == 0 for val in itheta.values()):
-        return StabilityVerdict("semistable")
-    if mode == "exact01":
-        return _exact01(p, itheta, tol)
-    if mode == "heuristic":
-        return _heuristic(p, itheta, tol)
-    raise ValueError(f"unknown mode {mode!r}; expected 'exact01' or 'heuristic'")
+    maps, endos = [], []
+    for k, (t, h) in enumerate(q.arrows):
+        maps += [(t, h, p.x[k]), (h, t, p.y[k])]
+        if t == h:
+            endos += [(t, p.x[k]), (t, p.y[k])]
+    return find_destabilizer(p.v, maps,
+                             [(i, p.J[i]) for i in q.vertices],
+                             [(i, p.I[i]) for i in q.vertices],
+                             integerize_weights(theta), endos=endos, mode=mode, tol=tol)
 
 
 def quiver_point_to_json_dict(p: QuiverRepPoint) -> dict:

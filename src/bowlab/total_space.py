@@ -22,28 +22,16 @@ from dataclasses import dataclass
 import numpy as np
 
 from .diagrams import BowDiagram, SegmentRef, embed_deformation, embed_stability
-from .graded import (
-    GradedSubspace,
-    candidate_lattice,
-    is_invariant,
-    largest_invariant_graded,
-    smallest_invariant_graded,
-)
+from .graded import StabilityVerdict, find_destabilizer
 from .linalg import (
     DEFAULT_TOL,
-    Subspace,
     Tolerances,
     as_matrix,
-    image_basis,
-    kernel_basis,
     matrix_from_json,
     matrix_to_json,
     rank,
-    snap_small_to_zero,
-    subspace_intersection,
-    subspace_sum,
 )
-from .quiver import Exact01Unavailable, StabilityVerdict, integerize_weights
+from .quiver import integerize_weights
 from .solve import MaxItersExceeded, SolveConfig, gauss_newton
 from .triangles import (
     RectTangent,
@@ -497,179 +485,6 @@ def _bow_maps(d: BowDiagram, p: TotalSpacePoint) -> list:
     return maps
 
 
-def _zero_tol(p: TotalSpacePoint, tol: Tolerances) -> float:
-    return tol.rank_tol * max(1.0, p.scale())
-
-
-def _support_graded(d: BowDiagram, support: frozenset) -> GradedSubspace:
-    parts = {}
-    for s in d.segments():
-        parts[s] = Subspace.full(d.dim(s)) if s in support else Subspace.zero(d.dim(s))
-    return GradedSubspace(parts)
-
-
-def _exact01_bow(d, p, nu, stable, tol) -> StabilityVerdict:
-    if any(d.dim(s) > 1 for s in d.segments()):
-        raise Exact01Unavailable("exact01 requires every segment dimension <= 1")
-    ztol = _zero_tol(p, tol)
-    ones = [s for s in d.segments() if d.dim(s) == 1]
-
-    def norm(m):
-        return float(np.linalg.norm(m)) if m.size else 0.0
-
-    cross = []
-    for name, i in d.x_points():
-        t = p.triangle(name, i)
-        cross.append((SegmentRef(name, i), SegmentRef(name, i + 1), t.A))
-    for k, e in enumerate(p.edges):
-        cross.append((d.edge_tail_segment(k), d.edge_head_segment(k), e.C))
-        cross.append((d.edge_head_segment(k), d.edge_tail_segment(k), e.D))
-
-    n_ones = len(ones)
-    for mask in range(1 << n_ones):
-        s = frozenset(ones[j] for j in range(n_ones) if mask >> j & 1)
-        if any(src in s and dst not in s and norm(m) > ztol for src, dst, m in cross):
-            continue
-
-        # clause 1: S inside Ker b with A restricting to isomorphisms
-        qualified = True
-        for name, i in d.x_points():
-            t = p.triangle(name, i)
-            lo, hi = SegmentRef(name, i), SegmentRef(name, i + 1)
-            if lo in s and norm(t.b) > ztol:
-                qualified = False
-                break
-            if (lo in s) != (hi in s):
-                qualified = False
-                break
-            if lo in s and norm(t.A) <= ztol:
-                qualified = False
-                break
-        if qualified:
-            pairing = sum(nu[seg] for seg in s)
-            if pairing > 0 or (stable and s and pairing >= 0):
-                return StabilityVerdict("unstable", _support_graded(d, s), "kernel")
-
-        # clause 2: T containing Im a with A inducing quotient isomorphisms
-        qualified = True
-        for name, i in d.x_points():
-            t = p.triangle(name, i)
-            lo, hi = SegmentRef(name, i), SegmentRef(name, i + 1)
-            hi_out = d.dim(hi) == 1 and hi not in s
-            lo_out = d.dim(lo) == 1 and lo not in s
-            if hi_out and norm(t.a) > ztol:
-                qualified = False
-                break
-            if lo_out != hi_out:
-                qualified = False
-                break
-            if lo_out and norm(t.A) <= ztol:
-                qualified = False
-                break
-        if qualified:
-            copairing = sum(nu[seg] for seg in ones if seg not in s)
-            proper = len(s) < n_ones
-            if copairing < 0 or (stable and proper and copairing <= 0):
-                return StabilityVerdict("unstable", _support_graded(d, s), "image")
-    return StabilityVerdict("semistable")
-
-
-def _ortho_complement(sub: Subspace, tol: Tolerances) -> np.ndarray:
-    if sub.dim == 0:
-        return np.eye(sub.ambient_dim, dtype=complex)
-    return kernel_basis(sub.basis.conj().T, tol).basis
-
-
-def _a_restricts_iso(t: TriangleData, lo: Subspace, hi: Subspace, tol: Tolerances) -> bool:
-    if lo.dim != hi.dim:
-        return False
-    if lo.dim == 0:
-        return True
-    return rank(t.A @ lo.basis, tol) == lo.dim
-
-
-def _a_quotient_iso(t: TriangleData, lo: Subspace, hi: Subspace, tol: Tolerances) -> bool:
-    co_lo = t.v1 - lo.dim
-    co_hi = t.v2 - hi.dim
-    if co_lo != co_hi:
-        return False
-    if co_lo == 0:
-        return True
-    comp = _ortho_complement(lo, tol)
-    reduced = (np.eye(t.v2) - hi.projector()) @ t.A @ comp
-    return rank(reduced, tol) == co_lo
-
-
-def _snap_point(p: TotalSpacePoint, ztol: float) -> TotalSpacePoint:
-    # matrices at roundoff level relative to the point read as zeros,
-    # otherwise their noise ranks poison every image/preimage below
-    triangles = {
-        name: tuple(TriangleData(A=snap_small_to_zero(t.A, ztol),
-                                 B1=snap_small_to_zero(t.B1, ztol),
-                                 B2=snap_small_to_zero(t.B2, ztol),
-                                 a=snap_small_to_zero(t.a, ztol),
-                                 b=snap_small_to_zero(t.b, ztol)) for t in ts)
-        for name, ts in p.triangles.items()}
-    edges = tuple(TwoWayData(C=snap_small_to_zero(e.C, ztol),
-                             D=snap_small_to_zero(e.D, ztol)) for e in p.edges)
-    return TotalSpacePoint(triangles, edges)
-
-
-def _heuristic_bow(d, p, nu, stable, tol) -> StabilityVerdict:
-    p = _snap_point(p, _zero_tol(p, tol))
-    dims = {s: d.dim(s) for s in d.segments()}
-    maps = _bow_maps(d, p)
-    total_v = sum(dims.values())
-
-    ker_b = {s: Subspace.full(dims[s]) for s in d.segments()}
-    im_a = {s: Subspace.zero(dims[s]) for s in d.segments()}
-    endos = []
-    for name, i in d.x_points():
-        t = p.triangle(name, i)
-        lo, hi = SegmentRef(name, i), SegmentRef(name, i + 1)
-        ker_b[lo] = subspace_intersection(ker_b[lo], kernel_basis(t.b, tol), tol)
-        im_a[hi] = subspace_sum(im_a[hi], image_basis(t.a, tol), tol)
-        endos.append((lo, t.B1))
-        endos.append((hi, t.B2))
-    ker_b = GradedSubspace(ker_b)
-    im_a = GradedSubspace(im_a)
-    candidates = candidate_lattice(dims, maps, [ker_b, im_a], endos=endos, tol=tol)
-
-    for cand in candidates:
-        inside = GradedSubspace({
-            s: subspace_intersection(cand.parts[s], ker_b.parts[s], tol)
-            for s in d.segments()})
-        sub = largest_invariant_graded(inside, maps, tol)
-        qualified = all(
-            _a_restricts_iso(p.triangle(name, i),
-                             sub.parts[SegmentRef(name, i)],
-                             sub.parts[SegmentRef(name, i + 1)], tol)
-            for name, i in d.x_points())
-        if qualified:
-            pairing = sum(nu[s] * sub.dim(s) for s in d.segments())
-            nonzero = sub.total_dim() > 0
-            if (pairing > 0 or (stable and nonzero and pairing >= 0)) \
-                    and is_invariant(sub, maps, tol):
-                return StabilityVerdict("unstable", sub, "kernel")
-
-        around = GradedSubspace({
-            s: subspace_sum(cand.parts[s], im_a.parts[s], tol)
-            for s in d.segments()})
-        sup = smallest_invariant_graded(around, maps, tol)
-        qualified = all(
-            _a_quotient_iso(p.triangle(name, i),
-                            sup.parts[SegmentRef(name, i)],
-                            sup.parts[SegmentRef(name, i + 1)], tol)
-            for name, i in d.x_points())
-        if qualified:
-            copairing = sum(nu[s] * (dims[s] - sup.dim(s)) for s in d.segments())
-            proper = sup.total_dim() < total_v
-            if (copairing < 0 or (stable and proper and copairing <= 0)) \
-                    and is_invariant(sup, maps, tol):
-                return StabilityVerdict("unstable", sup, "image")
-    return StabilityVerdict("not-falsified")
-
-
 def check_semistable(d: BowDiagram, p: TotalSpacePoint, theta: dict,
                      mode: str = "heuristic", stable: bool = False,
                      tol: Tolerances = DEFAULT_TOL) -> StabilityVerdict:
@@ -686,16 +501,19 @@ def check_semistable(d: BowDiagram, p: TotalSpacePoint, theta: dict,
     decides, mode heuristic falsifies or returns "not-falsified".
     """
     check_shapes(d, p)
-    itheta = integerize_weights(theta)
-    nu = embed_stability(d, itheta)
-    nu = {s: nu.get(s, 0) for s in d.segments()}
-    if not stable and all(val == 0 for val in nu.values()):
-        return StabilityVerdict("semistable")
-    if mode == "exact01":
-        return _exact01_bow(d, p, nu, stable, tol)
-    if mode == "heuristic":
-        return _heuristic_bow(d, p, nu, stable, tol)
-    raise ValueError(f"unknown mode {mode!r}; expected 'exact01' or 'heuristic'")
+    nu = embed_stability(d, integerize_weights(theta))
+    kernel_maps, image_maps, links, endos = [], [], [], []
+    for name, i in d.x_points():
+        t = p.triangle(name, i)
+        lo, hi = SegmentRef(name, i), SegmentRef(name, i + 1)
+        kernel_maps.append((lo, t.b))
+        image_maps.append((hi, t.a))
+        links.append((lo, hi, t.A))
+        endos += [(lo, t.B1), (hi, t.B2)]
+    return find_destabilizer({s: d.dim(s) for s in d.segments()}, _bow_maps(d, p),
+                             kernel_maps, image_maps,
+                             {s: nu.get(s, 0) for s in d.segments()},
+                             links=links, endos=endos, mode=mode, stable=stable, tol=tol)
 
 
 # --- translation, dimension, local maps --------------------------------------

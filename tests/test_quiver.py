@@ -282,7 +282,7 @@ def test_heuristic_finds_kernel_line(rng):
 
 def test_exact01_unavailable_above_dim_one(rng):
     p = _random_point(rng, A1, {"z": 2}, {"z": 1})
-    with pytest.raises(Exact01Unavailable):
+    with pytest.raises(Exact01Unavailable, match="'z': 2"):
         rep_semistable(p, {"z": 1}, mode="exact01")
 
 

@@ -17,7 +17,7 @@ from bowlab.diagrams import (
     parse_bow_diagram,
 )
 from bowlab.linalg import DEFAULT_TOL, Tolerances, kernel_basis
-from bowlab.quiver import Exact01Unavailable
+from bowlab.quiver import Exact01Unavailable, Quiver, QuiverRepPoint, rep_semistable
 from bowlab.solve import finite_diff_jacobian
 from bowlab.total_space import (
     FiberSolveReport,
@@ -265,8 +265,22 @@ def test_zero_weight_short_circuits(rng):
 
 def test_exact01_needs_small_dims(rng):
     d = parse_bow_diagram(EMPTY_252)
-    with pytest.raises(Exact01Unavailable):
+    with pytest.raises(Exact01Unavailable, match="SegmentRef"):
         check_semistable(d, random_point(d, rng), {"a": 1, "b": -1}, mode="exact01")
+
+
+@pytest.mark.parametrize("caller", ["quiver", "bow", "bow-stable"])
+def test_unknown_mode_rejected_before_zero_weights(caller, rng):
+    # zero weights short-circuit to "semistable", but only after the
+    # mode has been checked
+    with pytest.raises(ValueError, match="unknown mode"):
+        if caller == "quiver":
+            q = Quiver(("z",), ())
+            rep_semistable(QuiverRepPoint.zeros(q, {"z": 1}, {"z": 1}), {"z": 0}, mode="bogus")
+        else:
+            d = parse_bow_diagram(INTERVAL_111)
+            check_semistable(d, random_point(d, rng), {"s": 0}, mode="bogus",
+                             stable=caller == "bow-stable")
 
 
 def test_solved_point_is_semistable():
@@ -373,6 +387,29 @@ def _witness_support(verdict):
     return frozenset(s for s, part in verdict.witness.parts.items() if part.dim == 1)
 
 
+def _assert_destabilizes(d, p, nu, stable, ztol, verdict):
+    """The witness is a subrepresentation that qualifies for its clause
+    and violates it, checked on the matrices directly."""
+    s = _witness_support(verdict)
+    assert not any(src in s and dst not in s and maxabs(m) > ztol
+                   for src, dst, m in _all_maps(d, p))
+    xps = [(SegmentRef(name, i), SegmentRef(name, i + 1), p.triangle(name, i))
+           for name, i in d.x_points()]
+    if verdict.clause == "kernel":
+        part = s  # A must restrict to isomorphisms on the witness
+        assert all(maxabs(t.b) <= ztol for lo, hi, t in xps if lo in s)
+        val = sum(nu[seg] for seg in s)
+        assert val > 0 or (stable and s and val >= 0)
+    else:
+        # A must induce isomorphisms on the quotient, supported off the witness
+        part = {seg for seg in d.segments() if d.dim(seg) == 1 and seg not in s}
+        assert all(maxabs(t.a) <= ztol for lo, hi, t in xps if hi in part)
+        val = sum(nu[seg] for seg in part)
+        assert val < 0 or (stable and part and val <= 0)
+    assert all((lo in part) == (hi in part) and (lo not in part or maxabs(t.A) > ztol)
+               for lo, hi, t in xps)
+
+
 @pytest.mark.parametrize("case", range(35))
 def test_exact01_matches_enumeration(case):
     from bowlab.diagrams import embed_stability
@@ -387,22 +424,13 @@ def test_exact01_matches_enumeration(case):
     assert got.kind == want
     if got.kind == "unstable":
         # the returned witness must itself qualify and violate
-        s = _witness_support(got)
-        maps = _all_maps(d, p)
-        assert not any(src in s and dst not in s and maxabs(m) > ztol
-                       for src, dst, m in maps)
-        if got.clause == "kernel":
-            val = sum(nu[seg] for seg in s)
-            assert val > 0 or (stable and s and val >= 0)
-        else:
-            val = sum(nu[seg] for seg in d.segments()
-                      if d.dim(seg) == 1 and seg not in s)
-            assert val < 0 or (stable and val <= 0)
+        _assert_destabilizes(d, p, nu, stable, ztol, got)
 
     # the lattice heuristic may abstain but must never contradict
     loose = check_semistable(d, p, theta, mode="heuristic", stable=stable)
     if loose.kind == "unstable":
         assert want == "unstable"
+        _assert_destabilizes(d, p, nu, stable, ztol, loose)
     if loose.kind == "semistable":
         assert want == "semistable"
 
