@@ -25,7 +25,6 @@ __all__ = [
     "Bow",
     "BowDiagram",
     "SegmentRef",
-    "ParameterSet",
     "BowSyntaxError",
     "DuplicateInterval",
     "UnknownIntervalInEdge",
@@ -148,26 +147,6 @@ class BowDiagram:
     def edge_head_segment(self, edge_index: int) -> SegmentRef:
         # and arrive at the beginning of the head interval
         return self.first_segment(self.bow.edges[edge_index][1])
-
-
-@dataclass(frozen=True)
-class ParameterSet:
-    """Deformation and stability parameters at one granularity each.
-
-    Exactly one of lambda_by_interval / nu_by_segment may be set, and
-    exactly one of theta_by_interval / nu_theta_by_segment.
-    """
-
-    lambda_by_interval: dict[str, complex] | None = None
-    nu_by_segment: dict[SegmentRef, complex] | None = None
-    theta_by_interval: dict[str, int] | None = None
-    nu_theta_by_segment: dict[SegmentRef, int] | None = None
-
-    def __post_init__(self):
-        if (self.lambda_by_interval is not None) and (self.nu_by_segment is not None):
-            raise ValueError("deformation parameter given at both granularities")
-        if (self.theta_by_interval is not None) and (self.nu_theta_by_segment is not None):
-            raise ValueError("stability parameter given at both granularities")
 
 
 # --- DSL ------------------------------------------------------------------

@@ -10,14 +10,25 @@ x-points:
              - B2 of the x-point at the segment's left end  (if any)
 
 mu1 is the per-x-point relation B2 A - A B1 + a b, zero exactly on
-triangle configurations.  Points are flattened to complex vectors in a
-fixed order (intervals in declaration order, per x-point A, B1, B2, a,
-b, then per edge C, D) for the solver and the analytic Jacobian.
+triangle configurations.
+
+One layout, `_layout`, fixes how a point flattens to a complex vector:
+intervals in declaration order, per x-point the blocks A, B1, B2, a, b,
+then per edge C, D.  Flattening, unflattening, zero and random points
+and the dimension count all walk that one list of block shapes.
+
+The moment map is quadratic, so its Jacobian at p is its differential
+at p on the basis directions.  The differential is evaluated on a whole
+stack of tangents at once (matmul broadcasting over a leading axis), and
+the Jacobian is that evaluation on the identity matrix.  The matrix of
+the infinitesimal gauge action is built the same way from the gauge
+Lie algebra's basis.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
+from itertools import islice
 
 import numpy as np
 
@@ -39,6 +50,7 @@ from .triangles import (
     SquareTangent,
     TriangleData,
     TwoWayData,
+    _cgauss,
     check_S1,
     check_S2,
     hurtubise_symplectic_pairing,
@@ -131,68 +143,63 @@ def check_shapes(d: BowDiagram, p: TotalSpacePoint):
             raise ValueError(f"edge {k}: C has shape {e.C.shape}, expected ({vh}, {vt})")
 
 
-def zero_point(d: BowDiagram) -> TotalSpacePoint:
-    triangles = {}
-    for name in d.bow.intervals:
-        dims = d.seg_dims[name]
-        ts = []
-        for i in range(d.x_point_count(name)):
-            v1, v2 = dims[i], dims[i + 1]
-            ts.append(TriangleData(
-                A=np.zeros((v2, v1)), B1=np.zeros((v1, v1)), B2=np.zeros((v2, v2)),
-                a=np.zeros((v2, 1)), b=np.zeros((1, v1))))
-        triangles[name] = tuple(ts)
-    edges = []
+# --- the flat layout ----------------------------------------------------------
+
+def _layout(d: BowDiagram) -> list:
+    """(rows, cols) of every block of a point, in flat order."""
+    blocks = []
+    for name, i in d.x_points():
+        v1, v2 = d.seg_dims[name][i], d.seg_dims[name][i + 1]
+        blocks += [(v2, v1), (v1, v1), (v2, v2), (v2, 1), (1, v1)]   # A, B1, B2, a, b
     for k in range(len(d.bow.edges)):
         vt = d.dim(d.edge_tail_segment(k))
         vh = d.dim(d.edge_head_segment(k))
-        edges.append(TwoWayData(C=np.zeros((vh, vt)), D=np.zeros((vt, vh))))
-    return TotalSpacePoint(triangles, tuple(edges))
+        blocks += [(vh, vt), (vt, vh)]                                # C, D
+    return blocks
 
 
-def _cgauss(rng: np.random.Generator, rows: int, cols: int, scale: float) -> np.ndarray:
-    re = rng.standard_normal((rows, cols))
-    im = rng.standard_normal((rows, cols))
-    return scale * (re + 1j * im) / np.sqrt(2.0)
+def _split(layout: list, arr: np.ndarray) -> list:
+    """Cut an array of shape (..., n) into blocks of shape (..., rows, cols)."""
+    lead = arr.shape[:-1]
+    n = sum(r * c for r, c in layout)
+    if arr.shape[-1] != n:
+        raise ValueError(f"flat vector has {arr.shape[-1]} entries, expected {n}")
+    blocks, pos = [], 0
+    for r, c in layout:
+        blocks.append(arr[..., pos:pos + r * c].reshape(*lead, r, c))
+        pos += r * c
+    return blocks
+
+
+def _join(blocks: list, lead: tuple = ()) -> np.ndarray:
+    """Inverse of _split: blocks of shape (*lead, rows, cols) to (*lead, n)."""
+    # explicit sizes: reshape(-1) is ambiguous when a block or lead is empty
+    flat = [m.reshape(*lead, m.shape[-2] * m.shape[-1]) for m in blocks]
+    if not flat:
+        return np.zeros((*lead, 0), dtype=complex)
+    return np.concatenate(flat, axis=-1)
+
+
+def _assemble(d: BowDiagram, blocks) -> TotalSpacePoint:
+    """The point whose blocks, in flat order, are `blocks`."""
+    it = iter(blocks)
+    triangles = {name: tuple(TriangleData(*islice(it, 5)) for _ in range(d.x_point_count(name)))
+                 for name in d.bow.intervals}
+    return TotalSpacePoint(triangles, tuple(TwoWayData(*islice(it, 2)) for _ in d.bow.edges))
+
+
+def zero_point(d: BowDiagram) -> TotalSpacePoint:
+    return _assemble(d, [np.zeros(shape) for shape in _layout(d)])
 
 
 def random_point(d: BowDiagram, rng: np.random.Generator, scale: float = 1.0) -> TotalSpacePoint:
     """Independent complex-Gaussian entries everywhere."""
-    triangles = {}
-    for name in d.bow.intervals:
-        dims = d.seg_dims[name]
-        ts = []
-        for i in range(d.x_point_count(name)):
-            v1, v2 = dims[i], dims[i + 1]
-            ts.append(TriangleData(
-                A=_cgauss(rng, v2, v1, scale), B1=_cgauss(rng, v1, v1, scale),
-                B2=_cgauss(rng, v2, v2, scale), a=_cgauss(rng, v2, 1, scale),
-                b=_cgauss(rng, 1, v1, scale)))
-        triangles[name] = tuple(ts)
-    edges = []
-    for k in range(len(d.bow.edges)):
-        vt = d.dim(d.edge_tail_segment(k))
-        vh = d.dim(d.edge_head_segment(k))
-        edges.append(TwoWayData(C=_cgauss(rng, vh, vt, scale), D=_cgauss(rng, vt, vh, scale)))
-    return TotalSpacePoint(triangles, tuple(edges))
-
-
-# --- flattening ------------------------------------------------------------
-
-def _triangle_mats(t: TriangleData):
-    return (t.A, t.B1, t.B2, t.a, t.b)
+    return _assemble(d, [_cgauss(rng, r, c, scale) for r, c in _layout(d)])
 
 
 def point_dim(d: BowDiagram) -> int:
     """Complex dimension of the ambient space."""
-    n = 0
-    for name, i in d.x_points():
-        dims = d.seg_dims[name]
-        v1, v2 = dims[i], dims[i + 1]
-        n += v1 * v2 + v1 * v1 + v2 * v2 + v2 + v1
-    for k in range(len(d.bow.edges)):
-        n += 2 * d.dim(d.edge_tail_segment(k)) * d.dim(d.edge_head_segment(k))
-    return n
+    return sum(r * c for r, c in _layout(d))
 
 
 def gauge_dim(d: BowDiagram) -> int:
@@ -200,45 +207,15 @@ def gauge_dim(d: BowDiagram) -> int:
 
 
 def flatten_point(d: BowDiagram, p: TotalSpacePoint) -> np.ndarray:
-    chunks = []
-    for name in d.bow.intervals:
-        for t in p.triangles[name]:
-            chunks.extend(m.ravel() for m in _triangle_mats(t))
-    for e in p.edges:
-        chunks.append(e.C.ravel())
-        chunks.append(e.D.ravel())
-    if not chunks:
-        return np.zeros(0, dtype=complex)
-    return np.concatenate(chunks).astype(complex)
+    # field order is the layout's block order, as in _assemble
+    mats = [getattr(t, f.name) for name in d.bow.intervals for t in p.triangles[name]
+            for f in fields(TriangleData)]
+    mats += [getattr(e, f.name) for e in p.edges for f in fields(TwoWayData)]
+    return _join(mats).astype(complex)
 
 
 def unflatten_point(d: BowDiagram, vec: np.ndarray) -> TotalSpacePoint:
-    vec = np.asarray(vec, dtype=complex).ravel()
-    pos = 0
-
-    def take(rows, cols):
-        nonlocal pos
-        block = vec[pos:pos + rows * cols].reshape(rows, cols)
-        pos += rows * cols
-        return block
-
-    triangles = {}
-    for name in d.bow.intervals:
-        dims = d.seg_dims[name]
-        ts = []
-        for i in range(d.x_point_count(name)):
-            v1, v2 = dims[i], dims[i + 1]
-            ts.append(TriangleData(A=take(v2, v1), B1=take(v1, v1), B2=take(v2, v2),
-                                   a=take(v2, 1), b=take(1, v1)))
-        triangles[name] = tuple(ts)
-    edges = []
-    for k in range(len(d.bow.edges)):
-        vt = d.dim(d.edge_tail_segment(k))
-        vh = d.dim(d.edge_head_segment(k))
-        edges.append(TwoWayData(C=take(vh, vt), D=take(vt, vh)))
-    if pos != vec.size:
-        raise ValueError(f"flat vector has {vec.size} entries, expected {pos}")
-    return TotalSpacePoint(triangles, tuple(edges))
+    return _assemble(d, _split(_layout(d), np.asarray(vec, dtype=complex).ravel()))
 
 
 # --- moment map -------------------------------------------------------------
@@ -267,55 +244,47 @@ def mu1_residual(d: BowDiagram, p: TotalSpacePoint) -> dict:
     return out
 
 
-def _flatten_moment(d: BowDiagram, mu1: dict, mu2: dict) -> np.ndarray:
-    chunks = [mu1[(name, i)].ravel() for name, i in d.x_points()]
-    chunks.extend(mu2[s].ravel() for s in d.segments())
-    if not chunks:
-        return np.zeros(0, dtype=complex)
-    return np.concatenate(chunks)
-
-
 def moment_residual(d: BowDiagram, p: TotalSpacePoint, nu: dict) -> np.ndarray:
     """Flattened (mu1, mu2 - nu id); nu is a per-segment scalar dict."""
     mu2 = total_moment_map(d, p)
-    for s in d.segments():
-        mu2[s] = mu2[s] - complex(nu.get(s, 0.0)) * np.eye(d.dim(s))
-    return _flatten_moment(d, mu1_residual(d, p), mu2)
+    mu1 = mu1_residual(d, p)
+    return _join([mu1[x] for x in d.x_points()]
+                 + [mu2[s] - complex(nu.get(s, 0.0)) * np.eye(d.dim(s)) for s in d.segments()])
+
+
+def _moment_differentials(d: BowDiagram, p: TotalSpacePoint, tangents: np.ndarray) -> np.ndarray:
+    """Differential of the flattened (mu1, mu2) at p on every row of
+    tangents (k, point_dim), as a (k, m) array."""
+    lead = tangents.shape[:-1]
+    it = iter(_split(_layout(d), tangents))
+    dmu1, dBs = [], []
+    for name, i in d.x_points():
+        b = p.triangle(name, i)
+        dA, dB1, dB2, da, db = islice(it, 5)
+        dBs.append((name, i, dB1, dB2))
+        dmu1.append(b.B2 @ dA + dB2 @ b.A - dA @ b.B1 - b.A @ dB1 + da @ b.b + b.a @ db)
+    dmu2 = {s: np.zeros((*lead, d.dim(s), d.dim(s)), dtype=complex) for s in d.segments()}
+    for k, e in enumerate(p.edges):
+        dC, dD = islice(it, 2)
+        dmu2[d.edge_head_segment(k)] += dC @ e.D + e.C @ dD
+        dmu2[d.edge_tail_segment(k)] -= dD @ e.C + e.D @ dC
+    for name, i, dB1, dB2 in dBs:   # after the edge terms, as in total_moment_map
+        dmu2[SegmentRef(name, i)] += dB1
+        dmu2[SegmentRef(name, i + 1)] -= dB2
+    return _join(dmu1 + [dmu2[s] for s in d.segments()], lead)
 
 
 def moment_differential(d: BowDiagram, p: TotalSpacePoint, t: TotalSpacePoint) -> np.ndarray:
     """Directional derivative of (mu1, mu2) at p along tangent t, flattened."""
-    dmu1 = {}
-    for name, i in d.x_points():
-        b = p.triangle(name, i)
-        dt = t.triangle(name, i)
-        dmu1[(name, i)] = (b.B2 @ dt.A + dt.B2 @ b.A - dt.A @ b.B1 - b.A @ dt.B1
-                           + dt.a @ b.b + b.a @ dt.b)
-    dmu2 = {s: np.zeros((d.dim(s), d.dim(s)), dtype=complex) for s in d.segments()}
-    for k in range(len(d.bow.edges)):
-        e, de = p.edges[k], t.edges[k]
-        dmu2[d.edge_head_segment(k)] += de.C @ e.D + e.C @ de.D
-        dmu2[d.edge_tail_segment(k)] -= de.D @ e.C + e.D @ de.C
-    for name in d.bow.intervals:
-        for i, dt in enumerate(t.triangles[name]):
-            dmu2[SegmentRef(name, i)] += dt.B1
-            dmu2[SegmentRef(name, i + 1)] -= dt.B2
-    return _flatten_moment(d, dmu1, dmu2)
+    return _moment_differentials(d, p, flatten_point(d, t)[None])[0]
 
 
 def moment_jacobian(d: BowDiagram, p: TotalSpacePoint) -> np.ndarray:
     """Analytic Jacobian of the flattened (mu1, mu2) in the flattened
     coordinates; columns are the differential on basis directions."""
-    n = point_dim(d)
-    cols = []
-    basis = np.zeros(n, dtype=complex)
-    for j in range(n):
-        basis[j] = 1.0
-        cols.append(moment_differential(d, p, unflatten_point(d, basis)))
-        basis[j] = 0.0
-    if not cols:
-        return np.zeros((0, 0), dtype=complex)
-    return np.column_stack(cols)
+    # C order: a transposed view changes the BLAS path, and so the rounding, of J^H J
+    return np.ascontiguousarray(
+        _moment_differentials(d, p, np.eye(point_dim(d), dtype=complex)).T)
 
 
 # --- gauge action ------------------------------------------------------------
@@ -340,46 +309,34 @@ def gauge_action(d: BowDiagram, g: dict, p: TotalSpacePoint) -> TotalSpacePoint:
     return TotalSpacePoint(triangles, tuple(edges))
 
 
+def _gauge_action_vectors(d: BowDiagram, p: TotalSpacePoint, xis: np.ndarray) -> np.ndarray:
+    """Infinitesimal gauge action at p of every row of xis (k, gauge_dim),
+    each row the gl(v_seg) blocks in segment order; a (k, point_dim) array."""
+    segs = d.segments()
+    x = dict(zip(segs, _split([(d.dim(s), d.dim(s)) for s in segs], xis)))
+    blocks = []
+    for name, i in d.x_points():
+        t = p.triangle(name, i)
+        x1, x2 = x[SegmentRef(name, i)], x[SegmentRef(name, i + 1)]
+        blocks += [x2 @ t.A - t.A @ x1, x1 @ t.B1 - t.B1 @ x1, x2 @ t.B2 - t.B2 @ x2,
+                   x2 @ t.a, -t.b @ x1]
+    for k, e in enumerate(p.edges):
+        xt, xh = x[d.edge_tail_segment(k)], x[d.edge_head_segment(k)]
+        blocks += [xh @ e.C - e.C @ xt, xt @ e.D - e.D @ xh]
+    return _join(blocks, xis.shape[:-1])
+
+
 def gauge_action_vector(d: BowDiagram, xi: dict, p: TotalSpacePoint) -> TotalSpacePoint:
     """Infinitesimal gauge action: the tangent d(psi)(xi) at p."""
-    triangles = {}
-    for name in d.bow.intervals:
-        ts = []
-        for i, t in enumerate(p.triangles[name]):
-            x1 = as_matrix(xi[SegmentRef(name, i)], t.v1, t.v1)
-            x2 = as_matrix(xi[SegmentRef(name, i + 1)], t.v2, t.v2)
-            ts.append(TriangleData(
-                A=x2 @ t.A - t.A @ x1,
-                B1=x1 @ t.B1 - t.B1 @ x1,
-                B2=x2 @ t.B2 - t.B2 @ x2,
-                a=x2 @ t.a,
-                b=-t.b @ x1))
-        triangles[name] = tuple(ts)
-    edges = []
-    for k, e in enumerate(p.edges):
-        xt = as_matrix(xi[d.edge_tail_segment(k)])
-        xh = as_matrix(xi[d.edge_head_segment(k)])
-        edges.append(TwoWayData(C=xh @ e.C - e.C @ xt, D=xt @ e.D - e.D @ xh))
-    return TotalSpacePoint(triangles, tuple(edges))
+    row = _join([as_matrix(xi[s], d.dim(s), d.dim(s)) for s in d.segments()])
+    return unflatten_point(d, _gauge_action_vectors(d, p, row[None])[0])
 
 
 def action_differential(d: BowDiagram, p: TotalSpacePoint) -> np.ndarray:
     """Matrix of the Lie algebra action, columns indexed by the E_kl basis
     of every gl(v_seg) in segment order, rows by flattened tangents."""
-    cols = []
-    zero_xi = {s: np.zeros((d.dim(s), d.dim(s)), dtype=complex) for s in d.segments()}
-    for s in d.segments():
-        v = d.dim(s)
-        for kk in range(v):
-            for ll in range(v):
-                xi = dict(zero_xi)
-                e = np.zeros((v, v), dtype=complex)
-                e[kk, ll] = 1.0
-                xi[s] = e
-                cols.append(flatten_point(d, gauge_action_vector(d, xi, p)))
-    if not cols:
-        return np.zeros((point_dim(d), 0), dtype=complex)
-    return np.column_stack(cols)
+    return np.ascontiguousarray(
+        _gauge_action_vectors(d, p, np.eye(gauge_dim(d), dtype=complex)).T)
 
 
 # --- fiber solving -----------------------------------------------------------
@@ -542,14 +499,8 @@ def expected_smooth_dimension(d: BowDiagram) -> int:
     """dim of the ambient space, minus the x-point Hom(V-, V+) blocks,
     minus twice the gauge dimension; the stable-locus dimension when
     that locus is nonempty."""
-    dim = 0
-    for name, i in d.x_points():
-        dims = d.seg_dims[name]
-        v1, v2 = dims[i], dims[i + 1]
-        dim += v1 * v1 + v2 * v2 + v1 + v2
-    for k in range(len(d.bow.edges)):
-        dim += 2 * d.dim(d.edge_tail_segment(k)) * d.dim(d.edge_head_segment(k))
-    return dim - 2 * gauge_dim(d)
+    a_blocks = sum(d.seg_dims[name][i] * d.seg_dims[name][i + 1] for name, i in d.x_points())
+    return point_dim(d) - a_blocks - 2 * gauge_dim(d)
 
 
 @dataclass(frozen=True)

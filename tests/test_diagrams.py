@@ -13,7 +13,6 @@ from bowlab.diagrams import (
     DuplicateInterval,
     EmptySegmentList,
     NotCobalanced,
-    ParameterSet,
     SegmentRef,
     UnknownIntervalInEdge,
     cobalanced_diagram,
@@ -169,13 +168,6 @@ def test_parameter_embeddings():
     nu = {SegmentRef("a", 0): 1.0, SegmentRef("a", 1): 2.0, SegmentRef("b", 0): -1.0}
     assert lambda_of_nu(d, nu) == {"a": 3.0, "b": -1.0}
     assert theta_of_nu(d, {SegmentRef("a", 1): 5}) == {"a": 5, "b": 0}
-
-
-def test_parameter_set_granularity_guard():
-    with pytest.raises(ValueError):
-        ParameterSet(lambda_by_interval={"a": 1.0},
-                     nu_by_segment={SegmentRef("a", 0): 1.0})
-    ParameterSet(theta_by_interval={"a": 1})  # one granularity is fine
 
 
 def test_counting_check_flags_oversized_first_segment():

@@ -55,6 +55,10 @@ from conftest import cgauss, maxabs
 INTERVAL_111 = "bow { wavy s [1, 1, 1]; }"
 EMPTY_252 = "bow { wavy a [2]; wavy b [5, 2]; edge a -> b; }"
 CYCLE_11 = "bow { wavy a [1, 1]; wavy b [1, 1]; edge a -> b; edge b -> a; }"
+BARE_2 = "bow { wavy s [2]; }"  # no x-points, no edges: an empty ambient space
+SELF_2 = "bow { wavy s [2]; edge s -> s; }"  # head segment = tail segment
+ZERO_PARALLEL = ("bow { wavy s [0, 1, 0]; wavy t [2, 0, 1]; "
+                 "edge s -> t; edge t -> t; edge s -> t; }")
 
 
 def _scalar_triangle(b1, b2, A=1.0, a=0.0, b=0.0):
@@ -128,7 +132,8 @@ def test_moment_equivariance(rng):
 # --- flattening and derivatives -------------------------------------------------
 
 
-@pytest.mark.parametrize("text", (INTERVAL_111, EMPTY_252, CYCLE_11))
+@pytest.mark.parametrize("text", (INTERVAL_111, EMPTY_252, CYCLE_11,
+                                  BARE_2, SELF_2, ZERO_PARALLEL))
 def test_flatten_round_trip(text, rng):
     d = parse_bow_diagram(text)
     p = random_point(d, rng)
@@ -140,7 +145,8 @@ def test_flatten_round_trip(text, rng):
         unflatten_point(d, np.zeros(vec.size + 1))
 
 
-@pytest.mark.parametrize("text", (INTERVAL_111, EMPTY_252, CYCLE_11))
+@pytest.mark.parametrize("text", (INTERVAL_111, EMPTY_252, CYCLE_11,
+                                  BARE_2, SELF_2, ZERO_PARALLEL))
 def test_moment_jacobian_matches_finite_differences(text, rng):
     d = parse_bow_diagram(text)
     p = random_point(d, rng)
@@ -166,17 +172,22 @@ def test_gauge_vector_matches_finite_differences(rng):
     assert maxabs(vec - (plus - minus) / (2 * h)) < 1e-6 * max(1.0, maxabs(vec))
 
 
-def test_action_differential_columns(rng):
-    d = parse_bow_diagram(INTERVAL_111)
+@pytest.mark.parametrize("text", (INTERVAL_111, SELF_2, ZERO_PARALLEL))
+def test_action_differential_columns(text, rng):
+    d = parse_bow_diagram(text)
     p = random_point(d, rng)
     mat = action_differential(d, p)
     assert mat.shape == (point_dim(d), gauge_dim(d))
     # column j is the action vector of the j-th gauge basis direction
-    segs = list(d.segments())
-    xi = {s: np.zeros((d.dim(s), d.dim(s)), dtype=complex) for s in segs}
-    xi[segs[1]][0, 0] = 1.0
-    j = d.dim(segs[0]) ** 2
-    assert maxabs(mat[:, j] - flatten_point(d, gauge_action_vector(d, xi, p))) < 1e-12
+    j = 0
+    for s in d.segments():
+        for row in range(d.dim(s)):
+            for col in range(d.dim(s)):
+                xi = {r: np.zeros((d.dim(r), d.dim(r)), dtype=complex) for r in d.segments()}
+                xi[s][row, col] = 1.0
+                vec = flatten_point(d, gauge_action_vector(d, xi, p))
+                assert maxabs(mat[:, j] - vec) < 1e-12
+                j += 1
 
 
 # --- fiber solving ----------------------------------------------------------------
@@ -206,6 +217,15 @@ def test_solve_fiber_empty_example_yields_evidence():
     assert out.best_residual < 1e-8
     for diag in out.starts:
         assert diag.converged and diag.open_conditions_ok is False
+
+
+def test_solve_fiber_on_empty_ambient_space():
+    # n = 0 but mu2 has four entries: a residual of -lambda id is no crash
+    d = parse_bow_diagram(BARE_2)
+    out = solve_fiber(d, {"s": 1.0}, seed=0, n_starts=3)
+    assert isinstance(out, InfeasibilityEvidence)
+    assert out.best_residual == pytest.approx(np.sqrt(2.0))
+    assert isinstance(solve_fiber(d, {"s": 0.0}, seed=0, n_starts=3), FiberSolveReport)
 
 
 # --- translation -------------------------------------------------------------------
