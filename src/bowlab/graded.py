@@ -7,6 +7,14 @@ component.  The two closure operators below are the graded versions of
 the ones in linalg; the candidate lattice feeds the heuristic
 (un)stability falsifiers.
 
+The lattice and the closures work on interned parts.  A part table
+keeps, per key, one representative Subspace for each distinct subspace
+met during a search (two parts are one when their projectors differ by
+at most SAME_SUBSPACE_TOL), so a graded subspace is a tuple of part
+ids, deduplicated by hashing.  Per-key sums and intersections and
+per-map images and preimages are computed once per pair of ids; one
+table serves the whole heuristic search of a find_destabilizer call.
+
 find_destabilizer is the one kernel/image stability test.  Framed quiver
 points (Nakajima) and bow points both reduce to it: a bow adds, per
 x-point, a link A that must restrict to an isomorphism on the subspace
@@ -15,7 +23,7 @@ x-point, a link A that must restrict to an isomorphism on the subspace
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -25,7 +33,6 @@ from .linalg import (
     Tolerances,
     image_basis,
     kernel_basis,
-    rank,
     snap_small_to_zero,
     subspace_image,
     subspace_intersection,
@@ -43,6 +50,16 @@ __all__ = [
     "candidate_lattice",
     "find_destabilizer",
 ]
+
+# Two subspaces of one key are the same part when their projectors
+# differ by at most this much (Frobenius norm).  It sits far above the
+# roundoff an SVD leaves in an orthonormal basis and far below the
+# distance between the distinct subspaces the lattice keeps apart; the
+# lattice's membership depends on it.
+SAME_SUBSPACE_TOL = 1e-8
+
+# candidate_lattice stops growing once it holds this many elements
+LATTICE_CAP = 200
 
 
 class Exact01Unavailable(ValueError):
@@ -73,11 +90,17 @@ class StabilityVerdict:
     clause: "kernel" when the witness sits inside the kernel maps'
         kernels with positive pairing, "image" when it contains the
         image maps' images with negative copairing.
+    searched: how many lattice elements (heuristic) or invariant 0/1
+        supports (exact01) had their candidates tested.
+    capped: the heuristic lattice reached LATTICE_CAP elements, so the
+        search left part of the lattice unexplored.
     """
 
     kind: str
     witness: GradedSubspace | None = None
     clause: str | None = None
+    searched: int = field(default=0, compare=False)
+    capped: bool = field(default=False, compare=False)
 
     def __post_init__(self):
         if self.kind not in ("semistable", "unstable", "not-falsified"):
@@ -106,70 +129,161 @@ def is_invariant(g: GradedSubspace, maps, tol: Tolerances = DEFAULT_TOL) -> bool
     return True
 
 
-def largest_invariant_graded(w: GradedSubspace, maps, tol: Tolerances = DEFAULT_TOL) -> GradedSubspace:
-    """Largest graded subspace of w respected by all maps."""
-    parts = dict(w.parts)
-    total = sum(s.ambient_dim for s in parts.values())
-    for _ in range(total + 1):
-        before = sum(s.dim for s in parts.values())
-        refined = dict(parts)
-        for src, dst, m in maps:
-            pre = subspace_preimage(np.asarray(m, dtype=complex), parts[dst], tol)
-            refined[src] = subspace_intersection(refined[src], pre, tol)
-        parts = refined
-        if sum(s.dim for s in parts.values()) == before:
-            break
-    return GradedSubspace(parts)
+class _PartTable:
+    """Interned parts of the graded subspaces met in one search.
+
+    Part id i at key position j names the representative _reps[j][i].
+    A graded subspace is the tuple of its part ids in the key order of
+    dims.  Sums and intersections are memoised per (position, i, j)
+    with i <= j, images and preimages per (map index, id).
+    """
+
+    def __init__(self, dims: dict, maps, tol: Tolerances):
+        self.keys = list(dims)
+        self.pos = {k: j for j, k in enumerate(self.keys)}
+        self.maps = [(self.pos[src], self.pos[dst], np.asarray(m, dtype=complex))
+                     for src, dst, m in maps]
+        self.tol = tol
+        self.ambient = sum(dims.values())
+        self._reps = [[] for _ in self.keys]
+        self._rep_id = [{} for _ in self.keys]   # id(representative) -> part id
+        self._by_dim = [{} for _ in self.keys]   # dim -> (part ids, their projectors)
+        self._sums, self._meets, self._images, self._preimages = {}, {}, {}, {}
+        self.zero = self.ids(_support(dims, ()))
+        self.full = self.ids(_support(dims, dims))
+
+    def intern(self, j: int, s: Subspace) -> int:
+        """The id of the part at position j equal to s, adding s if new."""
+        known = self._rep_id[j].get(id(s))
+        if known is not None:
+            return known
+        proj = s.projector()
+        ids, projs = self._by_dim[j].get(s.dim, ((), None))
+        if ids:
+            close = np.linalg.norm(projs - proj, axis=(1, 2)) <= SAME_SUBSPACE_TOL
+            if close.any():
+                return ids[int(np.argmax(close))]
+            projs = np.concatenate([projs, proj[None]])
+        else:
+            projs = proj[None]
+        i = len(self._reps[j])
+        self._reps[j].append(s)
+        self._rep_id[j][id(s)] = i
+        self._by_dim[j][s.dim] = ((*ids, i), projs)
+        return i
+
+    def ids(self, g: GradedSubspace) -> tuple:
+        return tuple(self.intern(j, g.parts[k]) for j, k in enumerate(self.keys))
+
+    def graded(self, g: tuple) -> GradedSubspace:
+        return GradedSubspace({k: self._reps[j][i] for j, (k, i) in enumerate(zip(self.keys, g))})
+
+    def dim(self, g: tuple) -> int:
+        return sum(self._reps[j][i].dim for j, i in enumerate(g))
+
+    def _pair(self, memo: dict, op, j: int, a: int, b: int) -> int:
+        if a == b:  # S + S = S and S cap S = S, exactly
+            return a
+        key = (j, a, b) if a < b else (j, b, a)
+        out = memo.get(key)
+        if out is None:
+            reps = self._reps[j]
+            out = memo[key] = self.intern(j, op(reps[key[1]], reps[key[2]], self.tol))
+        return out
+
+    def _pairs(self, memo: dict, op, g: tuple, h: tuple) -> tuple:
+        if g == h:
+            return g
+        return tuple(self._pair(memo, op, j, a, b) for j, (a, b) in enumerate(zip(g, h)))
+
+    def sum_part(self, j: int, a: int, b: int) -> int:
+        return self._pair(self._sums, subspace_sum, j, a, b)
+
+    def meet_part(self, j: int, a: int, b: int) -> int:
+        return self._pair(self._meets, subspace_intersection, j, a, b)
+
+    def _image_part(self, m: int, i: int) -> int:
+        """Image under map m of part i at its src."""
+        out = self._images.get((m, i))
+        if out is None:
+            src, dst, mat = self.maps[m]
+            out = self.intern(dst, subspace_image(mat, self._reps[src][i], self.tol))
+            self._images[(m, i)] = out
+        return out
+
+    def _preimage_part(self, m: int, i: int) -> int:
+        """Preimage under map m of part i at its dst."""
+        out = self._preimages.get((m, i))
+        if out is None:
+            src, dst, mat = self.maps[m]
+            out = self.intern(src, subspace_preimage(mat, self._reps[dst][i], self.tol))
+            self._preimages[(m, i)] = out
+        return out
+
+    def sum(self, g: tuple, h: tuple) -> tuple:
+        return self._pairs(self._sums, subspace_sum, g, h)
+
+    def meet(self, g: tuple, h: tuple) -> tuple:
+        return self._pairs(self._meets, subspace_intersection, g, h)
+
+    def image(self, g: tuple) -> tuple:
+        """Sum over the maps of their images of g, zero where none lands."""
+        parts = list(self.zero)
+        for m, (src, dst, _) in enumerate(self.maps):
+            parts[dst] = self.sum_part(dst, parts[dst], self._image_part(m, g[src]))
+        return tuple(parts)
+
+    def preimage(self, g: tuple) -> tuple:
+        """Intersection over the maps of their preimages of g, full where none starts."""
+        parts = list(self.full)
+        for m, (src, dst, _) in enumerate(self.maps):
+            parts[src] = self.meet_part(src, parts[src], self._preimage_part(m, g[dst]))
+        return tuple(parts)
+
+    def largest_invariant(self, g: tuple) -> tuple:
+        """Fixed point of g -> g cap preimage(g); the dimension drops until it holds."""
+        for _ in range(self.ambient + 1):
+            refined = self.meet(g, self.preimage(g))
+            if self.dim(refined) == self.dim(g):
+                return refined
+            g = refined
+        return g
+
+    def smallest_invariant(self, g: tuple) -> tuple:
+        """Fixed point of g -> g + image(g); the dimension grows until it holds."""
+        for _ in range(self.ambient + 1):
+            grown = self.sum(g, self.image(g))
+            if self.dim(grown) == self.dim(g):
+                return grown
+            g = grown
+        return g
 
 
-def smallest_invariant_graded(w: GradedSubspace, maps, tol: Tolerances = DEFAULT_TOL) -> GradedSubspace:
-    """Smallest graded subspace containing w respected by all maps."""
-    parts = dict(w.parts)
-    total = sum(s.ambient_dim for s in parts.values())
-    for _ in range(total + 1):
-        before = sum(s.dim for s in parts.values())
-        grown = dict(parts)
-        for src, dst, m in maps:
-            img = subspace_image(np.asarray(m, dtype=complex), parts[src], tol)
-            grown[dst] = subspace_sum(grown[dst], img, tol)
-        parts = grown
-        if sum(s.dim for s in parts.values()) == before:
-            break
-    return GradedSubspace(parts)
+def _table(w: GradedSubspace, maps, tol: Tolerances, table: _PartTable | None) -> _PartTable:
+    if table is None:
+        table = _PartTable({k: s.ambient_dim for k, s in w.parts.items()}, maps, tol)
+    return table
 
 
-def _graded_equal(a: GradedSubspace, b: GradedSubspace, tol: Tolerances) -> bool:
-    for k, sa in a.parts.items():
-        sb = b.parts[k]
-        if sa.dim != sb.dim:
-            return False
-        if sa.dim and np.linalg.norm(sa.projector() - sb.projector()) > 1e-8:
-            return False
-    return True
+def largest_invariant_graded(w: GradedSubspace, maps, tol: Tolerances = DEFAULT_TOL,
+                             table: _PartTable | None = None) -> GradedSubspace:
+    """Largest graded subspace of w respected by all maps.
+
+    table: the part table of an enclosing search, built from the same
+    maps and tol, whose interned parts and memoised results to share.
+    """
+    table = _table(w, maps, tol, table)
+    return table.graded(table.largest_invariant(table.ids(w)))
 
 
-def _sum_graded(a, b, tol):
-    return GradedSubspace({k: subspace_sum(a.parts[k], b.parts[k], tol) for k in a.parts})
+def smallest_invariant_graded(w: GradedSubspace, maps, tol: Tolerances = DEFAULT_TOL,
+                              table: _PartTable | None = None) -> GradedSubspace:
+    """Smallest graded subspace containing w respected by all maps.
 
-
-def _intersect_graded(a, b, tol):
-    return GradedSubspace({k: subspace_intersection(a.parts[k], b.parts[k], tol) for k in a.parts})
-
-
-def _image_graded(g, maps, dims, tol):
-    parts = {k: Subspace.zero(n) for k, n in dims.items()}
-    for src, dst, m in maps:
-        img = subspace_image(np.asarray(m, dtype=complex), g.parts[src], tol)
-        parts[dst] = subspace_sum(parts[dst], img, tol)
-    return GradedSubspace(parts)
-
-
-def _preimage_graded(g, maps, dims, tol):
-    parts = {k: Subspace.full(n) for k, n in dims.items()}
-    for src, dst, m in maps:
-        pre = subspace_preimage(np.asarray(m, dtype=complex), g.parts[dst], tol)
-        parts[src] = subspace_intersection(parts[src], pre, tol)
-    return GradedSubspace(parts)
+    table: as in largest_invariant_graded.
+    """
+    table = _table(w, maps, tol, table)
+    return table.graded(table.smallest_invariant(table.ids(w)))
 
 
 def _eigenspace_seeds(dims: dict, endos, tol: Tolerances) -> list:
@@ -182,12 +296,22 @@ def _eigenspace_seeds(dims: dict, endos, tol: Tolerances) -> list:
             continue
         eigvals = np.linalg.eigvals(m)
         scale = max(1.0, float(np.max(np.abs(eigvals))) if eigvals.size else 1.0)
-        clusters: list[complex] = []
+        clusters: list[list] = []
         for ev in eigvals:
-            if not any(abs(ev - c) <= 1e-6 * scale for c in clusters):
-                clusters.append(ev)
-        for lam in clusters:
-            gen = kernel_basis(np.linalg.matrix_power(m - lam * np.eye(n), n), tol)
+            for c in clusters:
+                if abs(ev - c[0]) <= 1e-6 * scale:
+                    c.append(ev)
+                    break
+            else:
+                clusters.append([ev])
+        for cluster in clusters:
+            # roundoff splits a defective eigenvalue into roots around it
+            # whose mean is accurate; the power is then pure roundoff on the
+            # generalized eigenspace, so its cutoff is relative to the power's
+            # honest scale |m - lam|^n, not to its own largest singular value
+            shifted = m - np.mean(cluster) * np.eye(n)
+            gen = kernel_basis(np.linalg.matrix_power(shifted, n), tol,
+                               scale=float(np.linalg.norm(shifted, 2)) ** n)
             for pad in ("zero", "full"):
                 parts = {}
                 for k, dk in dims.items():
@@ -200,59 +324,70 @@ def _eigenspace_seeds(dims: dict, endos, tol: Tolerances) -> list:
 
 
 def candidate_lattice(dims: dict, maps, seeds, endos=(), depth: int = 3,
-                      cap: int = 200, tol: Tolerances = DEFAULT_TOL) -> list:
+                      cap: int = LATTICE_CAP, tol: Tolerances = DEFAULT_TOL,
+                      table: _PartTable | None = None) -> list:
     """Graded subspaces closed under images, preimages, sums, intersections.
 
     Starts from {0, V} plus the given seeds plus generalized eigenspaces
     of the endo maps, and closes to the given depth with a hard cap on
     the candidate count; the consumers are falsifiers, so an incomplete
-    lattice is safe.
+    lattice is safe.  Elements whose parts all lie within
+    SAME_SUBSPACE_TOL of an earlier element's count once.
+
+    table: the part table of an enclosing search, built from the same
+    dims, maps and tol, whose interned parts and memoised results to share.
     """
-    pool = [_support(dims, ()), _support(dims, dims)]
-    pool.extend(seeds)
-    pool.extend(_eigenspace_seeds(dims, endos, tol))
+    if table is None:
+        table = _PartTable(dims, maps, tol)
+    pool = [table.zero, table.full]
+    pool += [table.ids(g) for g in seeds]
+    pool += [table.ids(g) for g in _eigenspace_seeds(dims, endos, tol)]
+    unique = list(dict.fromkeys(pool))
+    seen = set(unique)
 
-    def push(candidates, g):
-        for existing in candidates:
-            if _graded_equal(existing, g, tol):
-                return False
-        candidates.append(g)
-        return True
+    def push(g, into: list):
+        if g not in seen:
+            seen.add(g)
+            unique.append(g)
+            into.append(g)
 
-    unique: list[GradedSubspace] = []
-    for g in pool:
-        push(unique, g)
-
-    frontier = list(unique)
-    for _ in range(depth):
-        new_frontier = []
-        for g in frontier:
-            if len(unique) >= cap:
-                return unique
-            for produced in (_image_graded(g, maps, dims, tol), _preimage_graded(g, maps, dims, tol)):
-                if push(unique, produced):
-                    new_frontier.append(produced)
-        for g in frontier:
-            for other in unique[: cap]:
+    def grow():
+        frontier = list(unique)
+        for _ in range(depth):
+            new_frontier = []
+            for g in frontier:
                 if len(unique) >= cap:
-                    return unique
-                for produced in (_sum_graded(g, other, tol), _intersect_graded(g, other, tol)):
-                    if push(unique, produced):
-                        new_frontier.append(produced)
-        if not new_frontier:
-            break
-        frontier = new_frontier
-    return unique
+                    return
+                push(table.image(g), new_frontier)
+                push(table.preimage(g), new_frontier)
+            for g in frontier:
+                for other in unique[:cap]:
+                    if len(unique) >= cap:
+                        return
+                    push(table.sum(g, other), new_frontier)
+                    push(table.meet(g, other), new_frontier)
+            if not new_frontier:
+                return
+            frontier = new_frontier
+
+    grow()
+    return [table.graded(g) for g in unique]
 
 
 # --- the kernel/image stability engine ------------------------------------------
+
+
+def _iso_rank(a, block, tol: Tolerances) -> int:
+    """Rank of block, a product with a, with the cutoff relative to |a|:
+    where a kills the part, the product is roundoff at that scale."""
+    return image_basis(block, tol, scale=float(np.linalg.norm(a, 2))).dim
 
 
 def _restricts_iso(a, lo: Subspace, hi: Subspace, tol: Tolerances) -> bool:
     """a maps lo isomorphically onto hi."""
     if lo.dim != hi.dim:
         return False
-    return lo.dim == 0 or rank(a @ lo.basis, tol) == lo.dim
+    return lo.dim == 0 or _iso_rank(a, a @ lo.basis, tol) == lo.dim
 
 
 def _descends_iso(a, lo: Subspace, hi: Subspace, tol: Tolerances) -> bool:
@@ -263,7 +398,7 @@ def _descends_iso(a, lo: Subspace, hi: Subspace, tol: Tolerances) -> bool:
     if codim == 0:
         return True
     comp = kernel_basis(lo.basis.conj().T, tol).basis if lo.dim else np.eye(lo.ambient_dim)
-    return rank((np.eye(hi.ambient_dim) - hi.projector()) @ a @ comp, tol) == codim
+    return _iso_rank(a, (np.eye(hi.ambient_dim) - hi.projector()) @ a @ comp, tol) == codim
 
 
 def _destabilizes(g: GradedSubspace, clause: str, dims: dict, weights: dict,
@@ -278,7 +413,8 @@ def _destabilizes(g: GradedSubspace, clause: str, dims: dict, weights: dict,
 
 def _support_candidates(dims, maps, kernel_maps, image_maps):
     """Every invariant 0/1 support, in bitmask order over the keys of dims,
-    offered to each clause whose kernel or image maps it satisfies."""
+    as the list of (clause, support) for each clause whose kernel or
+    image maps it satisfies."""
     ones = [k for k, n in dims.items() if n == 1]
     bit = {k: 1 << j for j, k in enumerate(ones)}
     # with every dimension <= 1, a nonzero matrix joins two dimension-one keys
@@ -290,25 +426,39 @@ def _support_candidates(dims, maps, kernel_maps, image_maps):
         if any(mask & src and not mask & dst for src, dst in arrows):
             continue
         g = GradedSubspace({k: full[k] if mask & bit.get(k, 0) else zero[k] for k in dims})
+        tries = []
         if not mask & avoid:
-            yield "kernel", g
+            tries.append(("kernel", g))
         if not cover & ~mask:
-            yield "image", g
+            tries.append(("image", g))
+        yield tries
 
 
 def _lattice_candidates(dims, maps, kernel_maps, image_maps, endos, tol):
-    """Per lattice element: the largest invariant subspace inside it and
-    the kernels, then the smallest invariant one containing it and the images."""
-    ker = dict(_support(dims, dims).parts)
-    im = dict(_support(dims, ()).parts)
+    """The candidate lattice's elements, each as the lazy pair: the largest
+    invariant subspace inside it and the kernels, then the smallest
+    invariant one containing it and the images; and whether the lattice
+    reached its cap."""
+    table = _PartTable(dims, maps, tol)
+    ker, im = list(table.full), list(table.zero)
     for key, m in kernel_maps:
-        ker[key] = subspace_intersection(ker[key], kernel_basis(m, tol), tol)
+        j = table.pos[key]
+        ker[j] = table.meet_part(j, ker[j], table.intern(j, kernel_basis(m, tol)))
     for key, m in image_maps:
-        im[key] = subspace_sum(im[key], image_basis(m, tol), tol)
-    ker, im = GradedSubspace(ker), GradedSubspace(im)
-    for cand in candidate_lattice(dims, maps, [ker, im], endos=endos, tol=tol):
-        yield "kernel", largest_invariant_graded(_intersect_graded(cand, ker, tol), maps, tol)
-        yield "image", smallest_invariant_graded(_sum_graded(cand, im, tol), maps, tol)
+        j = table.pos[key]
+        im[j] = table.sum_part(j, im[j], table.intern(j, image_basis(m, tol)))
+    ker, im = tuple(ker), tuple(im)
+    lattice = candidate_lattice(dims, maps, [table.graded(ker), table.graded(im)],
+                                endos=endos, tol=tol, table=table)
+
+    def tries(cand):
+        g = table.ids(cand)
+        yield "kernel", largest_invariant_graded(table.graded(table.meet(g, ker)), maps,
+                                                 tol, table)
+        yield "image", smallest_invariant_graded(table.graded(table.sum(g, im)), maps,
+                                                 tol, table)
+
+    return map(tries, lattice), len(lattice) >= LATTICE_CAP
 
 
 def find_destabilizer(dims: dict, maps, kernel_maps, image_maps, weights: dict,
@@ -331,7 +481,8 @@ def find_destabilizer(dims: dict, maps, kernel_maps, image_maps, weights: dict,
     supports and needs every dimension <= 1.  heuristic searches
     candidate_lattice, seeded with the generalized eigenspaces of the
     (key, m) endos: "unstable" comes with a checked witness,
-    "not-falsified" is not a proof.
+    "not-falsified" is not a proof.  The verdict records how much was
+    searched and whether the lattice was capped.
     """
     if mode not in ("exact01", "heuristic"):
         raise ValueError(f"unknown mode {mode!r}; expected 'exact01' or 'heuristic'")
@@ -352,13 +503,17 @@ def find_destabilizer(dims: dict, maps, kernel_maps, image_maps, weights: dict,
         [(*item[:-1], snap_small_to_zero(item[-1], ztol)) for item in g] for g in groups)
 
     if mode == "exact01":
-        candidates = _support_candidates(dims, maps, kernel_maps, image_maps)
+        elements, capped = _support_candidates(dims, maps, kernel_maps, image_maps), False
     else:
-        candidates = _lattice_candidates(dims, maps, kernel_maps, image_maps, endos, tol)
-    for clause, g in candidates:
-        iso = _restricts_iso if clause == "kernel" else _descends_iso
-        if (_destabilizes(g, clause, dims, weights, stable)
-                and all(iso(a, g.parts[lo], g.parts[hi], tol) for lo, hi, a in links)
-                and is_invariant(g, maps, tol)):
-            return StabilityVerdict("unstable", g, clause)
-    return StabilityVerdict("semistable" if mode == "exact01" else "not-falsified")
+        elements, capped = _lattice_candidates(dims, maps, kernel_maps, image_maps, endos, tol)
+    searched = 0
+    for tries in elements:
+        searched += 1
+        for clause, g in tries:
+            iso = _restricts_iso if clause == "kernel" else _descends_iso
+            if (_destabilizes(g, clause, dims, weights, stable)
+                    and all(iso(a, g.parts[lo], g.parts[hi], tol) for lo, hi, a in links)
+                    and is_invariant(g, maps, tol)):
+                return StabilityVerdict("unstable", g, clause, searched, capped)
+    return StabilityVerdict("semistable" if mode == "exact01" else "not-falsified",
+                            searched=searched, capped=capped)

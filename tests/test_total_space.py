@@ -7,6 +7,8 @@ one; there the subspace lattice is finite and the defining clauses can
 be evaluated directly.
 """
 
+import itertools
+
 import numpy as np
 import pytest
 
@@ -16,7 +18,14 @@ from bowlab.diagrams import (
     lambda_of_nu,
     parse_bow_diagram,
 )
-from bowlab.linalg import DEFAULT_TOL, Tolerances, kernel_basis
+from bowlab.graded import (
+    LATTICE_CAP,
+    SAME_SUBSPACE_TOL,
+    GradedSubspace,
+    StabilityVerdict,
+    candidate_lattice,
+)
+from bowlab.linalg import DEFAULT_TOL, Subspace, Tolerances, image_basis, kernel_basis
 from bowlab.quiver import Exact01Unavailable, Quiver, QuiverRepPoint, rep_semistable
 from bowlab.solve import finite_diff_jacobian
 from bowlab.total_space import (
@@ -57,6 +66,8 @@ EMPTY_252 = "bow { wavy a [2]; wavy b [5, 2]; edge a -> b; }"
 CYCLE_11 = "bow { wavy a [1, 1]; wavy b [1, 1]; edge a -> b; edge b -> a; }"
 BARE_2 = "bow { wavy s [2]; }"  # no x-points, no edges: an empty ambient space
 SELF_2 = "bow { wavy s [2]; edge s -> s; }"  # head segment = tail segment
+S222 = "bow { wavy s [2, 2, 2]; }"
+CYCLE_444 = "bow { wavy a [4, 4, 4]; wavy b [4, 4, 4]; edge a -> b; edge b -> a; }"
 ZERO_PARALLEL = ("bow { wavy s [0, 1, 0]; wavy t [2, 0, 1]; "
                  "edge s -> t; edge t -> t; edge s -> t; }")
 
@@ -453,6 +464,89 @@ def test_exact01_matches_enumeration(case):
         _assert_destabilizes(d, p, nu, stable, ztol, loose)
     if loose.kind == "semistable":
         assert want == "semistable"
+
+
+# --- stability: candidate lattice, gauge invariance, search report ---------------------
+
+
+def _unitary_gauge(d, p, rng):
+    g = {s: np.linalg.qr(cgauss(rng, d.dim(s), d.dim(s)))[0] for s in d.segments()}
+    return gauge_action(d, g, p)
+
+
+def _lattice(d, p):
+    """candidate_lattice on the structure maps of p, seeded with the
+    kernel of each b (full elsewhere) and the image of each a (zero
+    elsewhere), and with the B's as endos; returns (seeds, lattice)."""
+    dims = {s: d.dim(s) for s in d.segments()}
+    seeds, endos = [], []
+    for name, i in d.x_points():
+        t = p.triangle(name, i)
+        lo, hi = SegmentRef(name, i), SegmentRef(name, i + 1)
+        ker = {s: Subspace.full(n) for s, n in dims.items()}
+        ker[lo] = kernel_basis(t.b)
+        im = {s: Subspace.zero(n) for s, n in dims.items()}
+        im[hi] = image_basis(t.a)
+        seeds += [GradedSubspace(ker), GradedSubspace(im)]
+        endos += [(lo, t.B1), (hi, t.B2)]
+    return seeds, candidate_lattice(dims, _all_maps(d, p), seeds, endos=endos)
+
+
+def _same_graded(g, h):
+    return all(g.dim(s) == h.dim(s) and np.linalg.norm(
+        g.parts[s].projector() - h.parts[s].projector()) <= SAME_SUBSPACE_TOL for s in g.parts)
+
+
+@pytest.mark.parametrize("text", ("bow { wavy s [1, 2, 1]; }", CYCLE_11,
+                                  "bow { wavy a [2, 1]; wavy b [1]; edge a -> b; }"))
+def test_candidate_lattice_order_dedup_and_gauge_invariance(text):
+    rng = np.random.default_rng(1618)
+    d = parse_bow_diagram(text)
+    p = random_point(d, rng)
+    seeds, lattice = _lattice(d, p)
+    assert isinstance(lattice, list) and len(lattice) < LATTICE_CAP
+    zero = GradedSubspace({s: Subspace.zero(d.dim(s)) for s in d.segments()})
+    full = GradedSubspace({s: Subspace.full(d.dim(s)) for s in d.segments()})
+    heads = [zero, full, *seeds]
+    assert all(_same_graded(g, want) for g, want in zip(lattice, heads))
+    for i, g in enumerate(lattice):
+        assert not any(_same_graded(g, h) for h in lattice[:i])
+    _, moved = _lattice(d, _unitary_gauge(d, p, rng))
+    assert len(moved) == len(lattice)
+
+
+def _verdict_summary(v):
+    dims = None if v.witness is None else {s: part.dim for s, part in v.witness.parts.items()}
+    return v.kind, v.clause, dims
+
+
+@pytest.mark.parametrize("case", range(12))
+def test_heuristic_verdict_is_gauge_invariant(case):
+    # masking leaves exact zeros, nilpotent B's and A's that kill a part;
+    # a unitary gauge turns each into roundoff, which must not change the
+    # seeds or the link (A) checks
+    rng = np.random.default_rng([2718, case])
+    d = parse_bow_diagram(S222)
+    p = _mask_point(d, rng, zero_prob=(0.3, 0.5, 0.7)[case % 3])
+    moved = _unitary_gauge(d, p, rng)
+    for theta, stable in itertools.product((1, -1), (False, True)):
+        want = check_semistable(d, p, {"s": theta}, mode="heuristic", stable=stable)
+        got = check_semistable(d, moved, {"s": theta}, mode="heuristic", stable=stable)
+        assert _verdict_summary(got) == _verdict_summary(want)
+
+
+def test_heuristic_reports_search_size_and_cap(rng):
+    d = parse_bow_diagram(CYCLE_444)
+    big = check_semistable(d, random_point(d, rng), {"a": 1, "b": -1}, mode="heuristic")
+    assert big.kind == "not-falsified" and big.capped and big.searched >= LATTICE_CAP
+    d = parse_bow_diagram(INTERVAL_111)
+    small = check_semistable(d, random_point(d, rng), {"s": 1}, mode="heuristic")
+    assert small.kind == "not-falsified" and not small.capped
+    assert 0 < small.searched < LATTICE_CAP
+    exact = check_semistable(d, random_point(d, rng), {"s": 1}, mode="exact01")
+    assert exact.searched > 0 and not exact.capped
+    # the report is not part of the verdict's value
+    assert small == StabilityVerdict("not-falsified")
 
 
 # --- dimension, local maps, stabilizer -------------------------------------------------
