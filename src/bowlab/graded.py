@@ -31,6 +31,7 @@ from .linalg import (
     DEFAULT_TOL,
     Subspace,
     Tolerances,
+    _op_norm,
     image_basis,
     kernel_basis,
     snap_small_to_zero,
@@ -143,6 +144,7 @@ class _PartTable:
         self.pos = {k: j for j, k in enumerate(self.keys)}
         self.maps = [(self.pos[src], self.pos[dst], np.asarray(m, dtype=complex))
                      for src, dst, m in maps]
+        self._norms = [_op_norm(m) for _, _, m in self.maps]
         self.tol = tol
         self.ambient = sum(dims.values())
         self._reps = [[] for _ in self.keys]
@@ -207,7 +209,8 @@ class _PartTable:
         out = self._images.get((m, i))
         if out is None:
             src, dst, mat = self.maps[m]
-            out = self.intern(dst, subspace_image(mat, self._reps[src][i], self.tol))
+            out = self.intern(dst, subspace_image(mat, self._reps[src][i], self.tol,
+                                                  self._norms[m]))
             self._images[(m, i)] = out
         return out
 
@@ -216,7 +219,8 @@ class _PartTable:
         out = self._preimages.get((m, i))
         if out is None:
             src, dst, mat = self.maps[m]
-            out = self.intern(src, subspace_preimage(mat, self._reps[dst][i], self.tol))
+            out = self.intern(src, subspace_preimage(mat, self._reps[dst][i], self.tol,
+                                                     self._norms[m]))
             self._preimages[(m, i)] = out
         return out
 

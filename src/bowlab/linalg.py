@@ -230,21 +230,28 @@ def subspace_intersection(a: Subspace, b: Subspace, tol: Tolerances = DEFAULT_TO
     return kernel_basis(stacked, tol, scale=1.0)
 
 
-def subspace_image(op, s: Subspace, tol: Tolerances = DEFAULT_TOL) -> Subspace:
-    """op(S) for a linear map given as a matrix acting from the left."""
+def _op_norm(a: np.ndarray) -> float:
+    return float(np.linalg.norm(a, 2)) if a.size else 0.0
+
+
+def subspace_image(op, s: Subspace, tol: Tolerances = DEFAULT_TOL,
+                   norm: float | None = None) -> Subspace:
+    """op(S) for a linear map given as a matrix acting from the left.
+    norm is op's spectral norm, the cutoff scale; a caller applying op
+    many times passes it, so that it is computed once."""
     a = as_matrix(op, cols=s.ambient_dim)
-    op_scale = float(np.linalg.norm(a, 2)) if a.size else 0.0
-    return image_basis(a @ s.basis, tol, scale=op_scale)
+    return image_basis(a @ s.basis, tol, scale=_op_norm(a) if norm is None else norm)
 
 
-def subspace_preimage(op, s: Subspace, tol: Tolerances = DEFAULT_TOL) -> Subspace:
-    """op^{-1}(S) = { x : op(x) in S }, the kernel of (I - P_S) op."""
+def subspace_preimage(op, s: Subspace, tol: Tolerances = DEFAULT_TOL,
+                      norm: float | None = None) -> Subspace:
+    """op^{-1}(S) = { x : op(x) in S }, the kernel of (I - P_S) op; norm
+    as in subspace_image."""
     a = as_matrix(op, rows=s.ambient_dim)
     proj_out = np.eye(s.ambient_dim, dtype=complex) - s.projector()
     # cutoff relative to |op|: when op lands (numerically) inside s the
     # product is roundoff at scale |op|, not a full-rank matrix
-    op_scale = float(np.linalg.norm(a, 2)) if a.size else 0.0
-    return kernel_basis(proj_out @ a, tol, scale=op_scale)
+    return kernel_basis(proj_out @ a, tol, scale=_op_norm(a) if norm is None else norm)
 
 
 def in_subspace(v, s: Subspace, tol: Tolerances = DEFAULT_TOL) -> bool:
@@ -267,11 +274,13 @@ def largest_invariant_inside(w: Subspace, ops, tol: Tolerances = DEFAULT_TOL) ->
     ambient_dim + 1 rounds run.
     """
     ops = [as_matrix(op, rows=w.ambient_dim, cols=w.ambient_dim) for op in ops]
+    norms = [_op_norm(op) for op in ops]
     current = w
     for _ in range(w.ambient_dim + 1):
         refined = current
-        for op in ops:
-            refined = subspace_intersection(refined, subspace_preimage(op, current, tol), tol)
+        for op, norm in zip(ops, norms):
+            refined = subspace_intersection(refined, subspace_preimage(op, current, tol, norm),
+                                            tol)
         if refined.dim == current.dim:
             return refined
         current = refined
@@ -281,11 +290,12 @@ def largest_invariant_inside(w: Subspace, ops, tol: Tolerances = DEFAULT_TOL) ->
 def smallest_invariant_containing(w: Subspace, ops, tol: Tolerances = DEFAULT_TOL) -> Subspace:
     """Smallest subspace containing w and stable under every op (Krylov closure)."""
     ops = [as_matrix(op, rows=w.ambient_dim, cols=w.ambient_dim) for op in ops]
+    norms = [_op_norm(op) for op in ops]
     current = w
     for _ in range(w.ambient_dim + 1):
         grown = current
-        for op in ops:
-            grown = subspace_sum(grown, subspace_image(op, current, tol), tol)
+        for op, norm in zip(ops, norms):
+            grown = subspace_sum(grown, subspace_image(op, current, tol, norm), tol)
         if grown.dim == current.dim:
             return grown
         current = grown

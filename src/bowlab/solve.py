@@ -5,6 +5,12 @@ entries, hence holomorphic: the complex Jacobian dr/dz exists and the
 normal equations (J^H J + damping I) d = -J^H r reproduce exactly the
 real-coordinate Gauss-Newton step.  No Wirtinger bookkeeping needed.
 
+The step is solved in residual space, d = J^H (J J^H + l I)^-1 (-r): by
+the push-through identity it is the same step for every damping l > 0,
+and the moment equations have fewer residuals m than unknowns n, so the
+factored system is m x m.  Rejected steps are rare, so each is one more
+m x m solve rather than a reuse of an eigendecomposition.
+
 finite_diff_jacobian takes real central-difference steps along each
 complex coordinate, which for a holomorphic map is dr/dz itself.
 """
@@ -27,13 +33,17 @@ __all__ = [
 
 
 class MaxItersExceeded(Exception):
-    """Solver ran out of iterations; carries the best iterate found."""
+    """Solver stopped without converging; carries the best iterate found
+    and the reason: "stalled" (no damping level improved the residual) or
+    "budget" (max_iters ran out)."""
 
-    def __init__(self, x, residual_norm, iterations):
-        super().__init__(f"no convergence after {iterations} iterations, residual {residual_norm:.3e}")
+    def __init__(self, x, residual_norm, iterations, reason):
+        super().__init__(f"no convergence after {iterations} iterations ({reason}), "
+                         f"residual {residual_norm:.3e}")
         self.x = x
         self.residual_norm = residual_norm
         self.iterations = iterations
+        self.reason = reason
 
 
 @dataclass(frozen=True)
@@ -67,9 +77,9 @@ def gauss_newton(residual, x0, cfg: SolveConfig = SolveConfig(), jacobian=None) 
 
     residual: map from C^n to C^m, complex-differentiable.
     jacobian: optional analytic dr/dz; defaults to finite differences.
-    Raises MaxItersExceeded when the iteration budget runs out without
-    reaching cfg.residual_tol.  Deterministic: identical inputs give
-    bitwise-identical iterates.
+    Raises MaxItersExceeded when no damping level improves the residual
+    or the iteration budget runs out without reaching cfg.residual_tol.
+    Deterministic: identical inputs give bitwise-identical iterates.
     """
     x = np.asarray(x0, dtype=complex).reshape(-1).copy()
     if jacobian is None:
@@ -83,14 +93,14 @@ def gauss_newton(residual, x0, cfg: SolveConfig = SolveConfig(), jacobian=None) 
             return SolveResult(x, float(rnorm), it, True)
 
         jac = np.asarray(jacobian(x), dtype=complex)
-        jhj = jac.conj().T @ jac
-        jhr = jac.conj().T @ r
-        eye = np.eye(x.size)
+        jh = jac.conj().T
+        jjh = jac @ jh
+        eye = np.eye(r.size)
 
         accepted = False
         for _ in range(cfg.max_rejects):
             try:
-                step = np.linalg.solve(jhj + damping * eye, -jhr)
+                step = jh @ np.linalg.solve(jjh + damping * eye, -r)
             except np.linalg.LinAlgError:
                 damping *= cfg.damping_up
                 continue
@@ -103,13 +113,12 @@ def gauss_newton(residual, x0, cfg: SolveConfig = SolveConfig(), jacobian=None) 
                 break
             damping *= cfg.damping_up
         if not accepted:
-            # stuck: no damping level improves the residual
-            raise MaxItersExceeded(x, float(rnorm), it)
+            raise MaxItersExceeded(x, float(rnorm), it, "stalled")
 
     rnorm = float(np.linalg.norm(r))
     if rnorm < cfg.residual_tol:
         return SolveResult(x, rnorm, cfg.max_iters, True)
-    raise MaxItersExceeded(x, rnorm, cfg.max_iters)
+    raise MaxItersExceeded(x, rnorm, cfg.max_iters, "budget")
 
 
 def finite_diff_jacobian(f, x, step: float | None = None, tol: Tolerances = DEFAULT_TOL) -> np.ndarray:

@@ -12,22 +12,25 @@ x-points:
 mu1 is the per-x-point relation B2 A - A B1 + a b, zero exactly on
 triangle configurations.
 
-One layout, `_layout`, fixes how a point flattens to a complex vector:
-intervals in declaration order, per x-point the blocks A, B1, B2, a, b,
-then per edge C, D.  Flattening, unflattening, zero and random points
-and the dimension count all walk that one list of block shapes.
+One cached record per diagram shape, `_compiled(d)`, fixes how a point
+flattens to a complex vector: intervals in declaration order, per
+x-point the blocks A, B1, B2, a, b, then per edge C, D.  Flattening,
+zero and random points, the dimension count and the moment map all walk
+its one block list; the solver evaluates the moment map on views into
+its flat vector, without building a point.
 
-The moment map is quadratic, so its Jacobian at p is its differential
-at p on the basis directions.  The differential is evaluated on a whole
-stack of tangents at once (matmul broadcasting over a leading axis), and
-the Jacobian is that evaluation on the identity matrix.  The matrix of
-the infinitesimal gauge action is built the same way from the gauge
-Lie algebra's basis.
+The moment map is quadratic, so by vec(M X N) = (M kron N^T) vec(X)
+each Jacobian entry is +-x[src], +-1 or a sum of two such terms; the
+record lists them once, and the Jacobian is a scatter of the point's
+entries.  The gauge action's matrix is the action evaluated on the gauge
+Lie algebra's basis, by matmul broadcasting over a leading axis.
 """
 
 from __future__ import annotations
 
+from collections import namedtuple
 from dataclasses import dataclass, fields
+from functools import lru_cache
 from itertools import islice
 
 import numpy as np
@@ -143,19 +146,70 @@ def check_shapes(d: BowDiagram, p: TotalSpacePoint):
             raise ValueError(f"edge {k}: C has shape {e.C.shape}, expected ({vh}, {vt})")
 
 
-# --- the flat layout ----------------------------------------------------------
+# --- the compiled layout --------------------------------------------------------
 
-def _layout(d: BowDiagram) -> list:
-    """(rows, cols) of every block of a point, in flat order."""
-    blocks = []
+# What a diagram's flat coordinates fix, whatever the point.  Jacobian
+# term t adds (x, 1, -x, -1)[jac_src[t]] to the flat entry jac_index[t].
+_Compiled = namedtuple("_Compiled", "layout seg_dims x_segs edge_segs n m jac_index jac_src")
+
+
+def _compiled(d: BowDiagram) -> _Compiled:
+    # BowDiagram holds a dict, so the cache is keyed on what defines it
+    return _compile(d.bow, tuple(d.seg_dims[name] for name in d.bow.intervals))
+
+
+@lru_cache(maxsize=64)
+def _compile(bow, dims: tuple) -> _Compiled:
+    d = BowDiagram(bow, dict(zip(bow.intervals, dims)))
+    pos = {s: j for j, s in enumerate(d.segments())}
+    layout, x_segs, edge_segs = [], [], []
     for name, i in d.x_points():
         v1, v2 = d.seg_dims[name][i], d.seg_dims[name][i + 1]
-        blocks += [(v2, v1), (v1, v1), (v2, v2), (v2, 1), (1, v1)]   # A, B1, B2, a, b
+        layout += [(v2, v1), (v1, v1), (v2, v2), (v2, 1), (1, v1)]   # A, B1, B2, a, b
+        x_segs.append((pos[SegmentRef(name, i)], pos[SegmentRef(name, i + 1)]))
     for k in range(len(d.bow.edges)):
-        vt = d.dim(d.edge_tail_segment(k))
-        vh = d.dim(d.edge_head_segment(k))
-        blocks += [(vh, vt), (vt, vh)]                                # C, D
-    return blocks
+        t, h = d.edge_tail_segment(k), d.edge_head_segment(k)
+        layout += [(d.dim(h), d.dim(t)), (d.dim(t), d.dim(h))]      # C, D
+        edge_segs.append((pos[t], pos[h]))
+    seg_dims = tuple(d.dim(s) for s in pos)
+    offs = np.cumsum([0] + [r * c for r, c in layout]).tolist()
+    n = offs[-1]
+    # residual rows: mu1 per x-point (shaped like A), then mu2 per segment
+    rows = np.cumsum([0] + [r * c for r, c in layout[:5 * len(x_segs):5]]
+                     + [v * v for v in seg_dims]).tolist()
+    index, src = [np.zeros(0, int)], [np.zeros(0, int)]
+
+    def ids(b):   # 1 + the flat index of every entry of block b
+        return offs[b] + 1 + np.arange(offs[b + 1] - offs[b]).reshape(layout[b])
+
+    def term(row, sign, x, kron):   # kron: d(term)/d(block x), entries as ids, 0 for none
+        i, j = np.nonzero(kron)
+        index.append((rows[row] + i) * n + offs[x] + j)
+        src.append(kron[i, j] - 1 + (0 if sign > 0 else n + 1))
+
+    def product(row, sign, p, q):   # sign d(P Q) = sign (dP Q + P dQ)
+        term(row, sign, p, np.kron(np.eye(layout[p][0], dtype=int), ids(q).T))
+        term(row, sign, q, np.kron(ids(p), np.eye(layout[q][1], dtype=int)))
+
+    # the terms in the order _moment_blocks adds them, so that an entry
+    # made of two terms adds them in that order too
+    for ix in range(len(x_segs)):
+        A, B1, B2, a, b = range(5 * ix, 5 * ix + 5)
+        product(ix, 1, B2, A)
+        product(ix, -1, A, B1)
+        product(ix, 1, a, b)
+    mu2 = len(x_segs)   # row block of the first segment
+    for k, (t, h) in enumerate(edge_segs):
+        C = 5 * len(x_segs) + 2 * k
+        product(mu2 + h, 1, C, C + 1)
+        product(mu2 + t, -1, C + 1, C)
+    for ix, (lo, hi) in enumerate(x_segs):   # dB1 and -dB2, on the constant's slot
+        for row, sign, x in ((lo, 1, 5 * ix + 1), (hi, -1, 5 * ix + 2)):
+            term(mu2 + row, sign, x, (n + 1) * np.eye(offs[x + 1] - offs[x], dtype=int))
+    index, src = np.concatenate(index), np.concatenate(src)
+    index.flags.writeable = src.flags.writeable = False   # shared by every caller
+    return _Compiled(tuple(layout), seg_dims, tuple(x_segs), tuple(edge_segs),
+                     n, rows[-1], index, src)
 
 
 def _split(layout: list, arr: np.ndarray) -> list:
@@ -189,102 +243,99 @@ def _assemble(d: BowDiagram, blocks) -> TotalSpacePoint:
 
 
 def zero_point(d: BowDiagram) -> TotalSpacePoint:
-    return _assemble(d, [np.zeros(shape) for shape in _layout(d)])
+    return _assemble(d, [np.zeros(shape) for shape in _compiled(d).layout])
 
 
 def random_point(d: BowDiagram, rng: np.random.Generator, scale: float = 1.0) -> TotalSpacePoint:
     """Independent complex-Gaussian entries everywhere."""
-    return _assemble(d, [_cgauss(rng, r, c, scale) for r, c in _layout(d)])
+    return _assemble(d, [_cgauss(rng, r, c, scale) for r, c in _compiled(d).layout])
 
 
 def point_dim(d: BowDiagram) -> int:
     """Complex dimension of the ambient space."""
-    return sum(r * c for r, c in _layout(d))
+    return _compiled(d).n
 
 
 def gauge_dim(d: BowDiagram) -> int:
     return sum(d.dim(s) ** 2 for s in d.segments())
 
 
-def flatten_point(d: BowDiagram, p: TotalSpacePoint) -> np.ndarray:
-    # field order is the layout's block order, as in _assemble
+def _blocks(d: BowDiagram, p: TotalSpacePoint) -> list:
+    """p's matrices in flat order (field order is the layout's, as in _assemble)."""
     mats = [getattr(t, f.name) for name in d.bow.intervals for t in p.triangles[name]
             for f in fields(TriangleData)]
-    mats += [getattr(e, f.name) for e in p.edges for f in fields(TwoWayData)]
-    return _join(mats).astype(complex)
+    return mats + [getattr(e, f.name) for e in p.edges for f in fields(TwoWayData)]
+
+
+def flatten_point(d: BowDiagram, p: TotalSpacePoint) -> np.ndarray:
+    return _join(_blocks(d, p)).astype(complex)
 
 
 def unflatten_point(d: BowDiagram, vec: np.ndarray) -> TotalSpacePoint:
-    return _assemble(d, _split(_layout(d), np.asarray(vec, dtype=complex).ravel()))
+    return _assemble(d, _split(_compiled(d).layout, np.asarray(vec, dtype=complex).ravel()))
 
 
 # --- moment map -------------------------------------------------------------
 
+def _moment_blocks(c: _Compiled, blocks) -> tuple:
+    """mu1 per x-point and mu2 per segment of the point whose blocks, in
+    flat order, are `blocks` (see the module docstring for the rule)."""
+    xs = [blocks[5 * i:5 * i + 5] for i in range(len(c.x_segs))]
+    mu2 = [np.zeros((v, v), dtype=complex) for v in c.seg_dims]
+    for k, (t, h) in enumerate(c.edge_segs):
+        C, D = blocks[5 * len(xs) + 2 * k:5 * len(xs) + 2 * k + 2]
+        mu2[h] += C @ D
+        mu2[t] -= D @ C
+    for (lo, hi), (_, B1, B2, _, _) in zip(c.x_segs, xs):
+        mu2[lo] += B1   # x-point at the right end
+        mu2[hi] -= B2   # x-point at the left end
+    return [B2 @ A - A @ B1 + a @ b for A, B1, B2, a, b in xs], mu2
+
+
+def _residual(c: _Compiled, blocks, shifts: list) -> np.ndarray:
+    """Flattened (mu1, mu2 - shifts) of the point with these blocks."""
+    mu1, mu2 = _moment_blocks(c, blocks)
+    return _join(mu1 + [m - shift for m, shift in zip(mu2, shifts)])
+
+
+def _shifts(d: BowDiagram, nu: dict) -> list:
+    return [complex(nu.get(s, 0.0)) * np.eye(d.dim(s)) for s in d.segments()]
+
+
 def total_moment_map(d: BowDiagram, p: TotalSpacePoint) -> dict:
     """Per-segment moment matrices (see module docstring for the rule)."""
     check_shapes(d, p)
-    mu = {s: np.zeros((d.dim(s), d.dim(s)), dtype=complex) for s in d.segments()}
-    for k in range(len(d.bow.edges)):
-        e = p.edges[k]
-        mu[d.edge_head_segment(k)] += e.C @ e.D
-        mu[d.edge_tail_segment(k)] -= e.D @ e.C
-    for name in d.bow.intervals:
-        for i, t in enumerate(p.triangles[name]):
-            mu[SegmentRef(name, i)] += t.B1       # x-point at the right end
-            mu[SegmentRef(name, i + 1)] -= t.B2   # x-point at the left end
-    return mu
+    return dict(zip(d.segments(), _moment_blocks(_compiled(d), _blocks(d, p))[1]))
 
 
 def mu1_residual(d: BowDiagram, p: TotalSpacePoint) -> dict:
     """B2 A - A B1 + a b at every x-point, keyed (interval, index)."""
-    out = {}
-    for name, i in d.x_points():
-        t = p.triangle(name, i)
-        out[(name, i)] = t.B2 @ t.A - t.A @ t.B1 + t.a @ t.b
-    return out
+    return dict(zip(d.x_points(), _moment_blocks(_compiled(d), _blocks(d, p))[0]))
 
 
 def moment_residual(d: BowDiagram, p: TotalSpacePoint, nu: dict) -> np.ndarray:
     """Flattened (mu1, mu2 - nu id); nu is a per-segment scalar dict."""
-    mu2 = total_moment_map(d, p)
-    mu1 = mu1_residual(d, p)
-    return _join([mu1[x] for x in d.x_points()]
-                 + [mu2[s] - complex(nu.get(s, 0.0)) * np.eye(d.dim(s)) for s in d.segments()])
-
-
-def _moment_differentials(d: BowDiagram, p: TotalSpacePoint, tangents: np.ndarray) -> np.ndarray:
-    """Differential of the flattened (mu1, mu2) at p on every row of
-    tangents (k, point_dim), as a (k, m) array."""
-    lead = tangents.shape[:-1]
-    it = iter(_split(_layout(d), tangents))
-    dmu1, dBs = [], []
-    for name, i in d.x_points():
-        b = p.triangle(name, i)
-        dA, dB1, dB2, da, db = islice(it, 5)
-        dBs.append((name, i, dB1, dB2))
-        dmu1.append(b.B2 @ dA + dB2 @ b.A - dA @ b.B1 - b.A @ dB1 + da @ b.b + b.a @ db)
-    dmu2 = {s: np.zeros((*lead, d.dim(s), d.dim(s)), dtype=complex) for s in d.segments()}
-    for k, e in enumerate(p.edges):
-        dC, dD = islice(it, 2)
-        dmu2[d.edge_head_segment(k)] += dC @ e.D + e.C @ dD
-        dmu2[d.edge_tail_segment(k)] -= dD @ e.C + e.D @ dC
-    for name, i, dB1, dB2 in dBs:   # after the edge terms, as in total_moment_map
-        dmu2[SegmentRef(name, i)] += dB1
-        dmu2[SegmentRef(name, i + 1)] -= dB2
-    return _join(dmu1 + [dmu2[s] for s in d.segments()], lead)
+    check_shapes(d, p)
+    return _residual(_compiled(d), _blocks(d, p), _shifts(d, nu))
 
 
 def moment_differential(d: BowDiagram, p: TotalSpacePoint, t: TotalSpacePoint) -> np.ndarray:
     """Directional derivative of (mu1, mu2) at p along tangent t, flattened."""
-    return _moment_differentials(d, p, flatten_point(d, t)[None])[0]
+    return moment_jacobian(d, p) @ flatten_point(d, t)
 
 
-def moment_jacobian(d: BowDiagram, p: TotalSpacePoint) -> np.ndarray:
+def moment_jacobian(d: BowDiagram, p) -> np.ndarray:
     """Analytic Jacobian of the flattened (mu1, mu2) in the flattened
-    coordinates; columns are the differential on basis directions."""
-    # C order: a transposed view changes the BLAS path, and so the rounding, of J^H J
-    return np.ascontiguousarray(
-        _moment_differentials(d, p, np.eye(point_dim(d), dtype=complex)).T)
+    coordinates, at the point p or at the flat vector p."""
+    c = _compiled(d)
+    x = flatten_point(d, p) if isinstance(p, TotalSpacePoint) else np.asarray(p, dtype=complex)
+    if x.shape != (c.n,):
+        raise ValueError(f"flat vector has shape {x.shape}, expected ({c.n},)")
+    one = np.ones(1, dtype=complex)
+    jac = np.zeros(c.m * c.n, dtype=complex)
+    # in table order, so an entry of two terms is a - b as the formulas compute it
+    np.add.at(jac, c.jac_index, np.concatenate([x, one, -x, -one])[c.jac_src])
+    return jac.reshape(c.m, c.n)
 
 
 # --- gauge action ------------------------------------------------------------
@@ -348,6 +399,7 @@ class StartDiagnostic:
     residual_norm: float
     iterations: int
     open_conditions_ok: bool | None  # None when the start did not converge
+    reason: str | None = None        # MaxItersExceeded.reason; None when it converged
 
 
 @dataclass(frozen=True)
@@ -393,13 +445,14 @@ def solve_fiber(d: BowDiagram, lam: dict, seed: int = 0, n_starts: int = 20,
     accepted solution, else an InfeasibilityEvidence record.
     """
     cfg = cfg or SolveConfig()
-    nu = embed_deformation(d, lam)
+    c = _compiled(d)
+    shifts = _shifts(d, embed_deformation(d, lam))
 
     def residual(x):
-        return moment_residual(d, unflatten_point(d, x), nu)
+        return _residual(c, _split(c.layout, x), shifts)
 
     def jacobian(x):
-        return moment_jacobian(d, unflatten_point(d, x))
+        return moment_jacobian(d, x)
 
     diags = []
     best = np.inf
@@ -411,7 +464,7 @@ def solve_fiber(d: BowDiagram, lam: dict, seed: int = 0, n_starts: int = 20,
         except MaxItersExceeded as stuck:
             best = min(best, stuck.residual_norm)
             diags.append(StartDiagnostic(k, False, stuck.residual_norm,
-                                         stuck.iterations, None))
+                                         stuck.iterations, None, stuck.reason))
             continue
         point = unflatten_point(d, res.x)
         ok = open_conditions_hold(d, point, tol)

@@ -103,3 +103,27 @@ def test_finite_diff_matches_analytic_polynomial(rng):
         [a[2, 2], 0, 3 * z[2] ** 2],
     ])
     assert np.max(np.abs(jac - expect)) < 1e-7
+
+
+@pytest.mark.parametrize("m, n", ((3, 7), (7, 3)))
+@pytest.mark.parametrize("damping", (1e-3, 1.0, 50.0))
+def test_one_iteration_is_the_normal_equations_step(m, n, damping, rng):
+    # the m-space step J^H (J J^H + l I)^-1 (-r) equals (J^H J + l I)^-1 J^H (-r)
+    a = cgauss(rng, m, n)
+    b = cgauss(rng, m, 1)[:, 0]
+    x0 = cgauss(rng, n, 1)[:, 0]
+    with pytest.raises(MaxItersExceeded) as exc:
+        gauss_newton(lambda x: a @ x - b, x0, SolveConfig(max_iters=1, damping_init=damping),
+                     jacobian=lambda x: a)
+    jh = a.conj().T
+    expect = x0 + np.linalg.solve(jh @ a + damping * np.eye(n), -jh @ (a @ x0 - b))
+    assert exc.value.iterations == 1 and exc.value.reason == "budget"
+    assert np.linalg.norm(exc.value.x - expect) < 1e-10 * max(1.0, np.linalg.norm(expect - x0))
+
+
+def test_stalled_start_says_so():
+    # at z = 0 the Jacobian of (z^2 + 1, 1) vanishes: no damping level moves
+    with pytest.raises(MaxItersExceeded) as exc:
+        gauss_newton(lambda z: np.array([z[0] ** 2 + 1.0, 1.0]), np.zeros(1, dtype=complex))
+    assert exc.value.reason == "stalled"
+    assert exc.value.iterations == 0

@@ -27,7 +27,7 @@ from bowlab.graded import (
 )
 from bowlab.linalg import DEFAULT_TOL, Subspace, Tolerances, image_basis, kernel_basis
 from bowlab.quiver import Exact01Unavailable, Quiver, QuiverRepPoint, rep_semistable
-from bowlab.solve import finite_diff_jacobian
+from bowlab.solve import SolveConfig, finite_diff_jacobian
 from bowlab.total_space import (
     FiberSolveReport,
     InfeasibilityEvidence,
@@ -156,10 +156,7 @@ def test_flatten_round_trip(text, rng):
         unflatten_point(d, np.zeros(vec.size + 1))
 
 
-@pytest.mark.parametrize("text", (INTERVAL_111, EMPTY_252, CYCLE_11,
-                                  BARE_2, SELF_2, ZERO_PARALLEL))
-def test_moment_jacobian_matches_finite_differences(text, rng):
-    d = parse_bow_diagram(text)
+def _check_jacobian_against_finite_differences(d, rng):
     p = random_point(d, rng)
     x0 = flatten_point(d, p)
 
@@ -168,7 +165,22 @@ def test_moment_jacobian_matches_finite_differences(text, rng):
 
     jac = moment_jacobian(d, p)
     fd = finite_diff_jacobian(f, x0)
+    assert jac.shape == fd.shape
     assert maxabs(jac - fd) < 1e-6 * max(1.0, maxabs(jac))
+    assert np.array_equal(moment_jacobian(d, x0), jac)   # at the flat vector too
+
+
+@pytest.mark.parametrize("text", (INTERVAL_111, EMPTY_252, CYCLE_11,
+                                  BARE_2, SELF_2, ZERO_PARALLEL))
+def test_moment_jacobian_matches_finite_differences(text, rng):
+    _check_jacobian_against_finite_differences(parse_bow_diagram(text), rng)
+
+
+def test_compiled_layout_cache_keeps_diagrams_apart(rng):
+    # one interval name, other dims, then an edge added and taken away again
+    for text in (INTERVAL_111, S222, "bow { wavy s [2, 2, 2]; edge s -> s; }", S222,
+                 INTERVAL_111):
+        _check_jacobian_against_finite_differences(parse_bow_diagram(text), rng)
 
 
 def test_gauge_vector_matches_finite_differences(rng):
@@ -228,6 +240,15 @@ def test_solve_fiber_empty_example_yields_evidence():
     assert out.best_residual < 1e-8
     for diag in out.starts:
         assert diag.converged and diag.open_conditions_ok is False
+
+
+def test_solve_fiber_records_why_starts_stopped():
+    d = parse_bow_diagram(INTERVAL_111)
+    out = solve_fiber(d, {"s": 0.0}, seed=0, n_starts=3, cfg=SolveConfig(max_iters=1))
+    assert isinstance(out, InfeasibilityEvidence)
+    assert [(s.converged, s.reason) for s in out.starts] == [(False, "budget")] * 3
+    out = solve_fiber(parse_bow_diagram(EMPTY_252), {"a": 0.0, "b": 0.0}, seed=0, n_starts=2)
+    assert [(s.converged, s.reason) for s in out.starts] == [(True, None)] * 2
 
 
 def test_solve_fiber_on_empty_ambient_space():
