@@ -29,16 +29,21 @@ import numpy as np
 
 from .linalg import (
     DEFAULT_TOL,
+    EIGENVALUE_CLUSTER_TOL,
+    SAME_SUBSPACE_TOL,
     Subspace,
     Tolerances,
+    _fixed_point,
     _op_norm,
     image_basis,
     kernel_basis,
+    rank,
     snap_small_to_zero,
     subspace_image,
     subspace_intersection,
     subspace_preimage,
     subspace_sum,
+    zero_cutoff,
 )
 
 __all__ = [
@@ -52,14 +57,9 @@ __all__ = [
     "find_destabilizer",
 ]
 
-# Two subspaces of one key are the same part when their projectors
-# differ by at most this much (Frobenius norm).  It sits far above the
-# roundoff an SVD leaves in an orthonormal basis and far below the
-# distance between the distinct subspaces the lattice keeps apart; the
-# lattice's membership depends on it.
-SAME_SUBSPACE_TOL = 1e-8
-
-# candidate_lattice stops growing once it holds this many elements
+# candidate_lattice closes this many rounds, and stops growing once it
+# holds LATTICE_CAP elements
+LATTICE_DEPTH = 3
 LATTICE_CAP = 200
 
 
@@ -124,8 +124,7 @@ def is_invariant(g: GradedSubspace, maps, tol: Tolerances = DEFAULT_TOL) -> bool
             continue
         mapped = np.asarray(m, dtype=complex) @ basis
         resid = mapped - g.parts[dst].projector() @ mapped
-        scale = max(1.0, float(np.linalg.norm(mapped)))
-        if np.linalg.norm(resid) > tol.rank_tol * scale:
+        if np.linalg.norm(resid) > zero_cutoff(float(np.linalg.norm(mapped)), tol):
             return False
     return True
 
@@ -244,29 +243,14 @@ class _PartTable:
             parts[src] = self.meet_part(src, parts[src], self._preimage_part(m, g[dst]))
         return tuple(parts)
 
-    def largest_invariant(self, g: tuple) -> tuple:
-        """Fixed point of g -> g cap preimage(g); the dimension drops until it holds."""
-        for _ in range(self.ambient + 1):
-            refined = self.meet(g, self.preimage(g))
-            if self.dim(refined) == self.dim(g):
-                return refined
-            g = refined
-        return g
 
-    def smallest_invariant(self, g: tuple) -> tuple:
-        """Fixed point of g -> g + image(g); the dimension grows until it holds."""
-        for _ in range(self.ambient + 1):
-            grown = self.sum(g, self.image(g))
-            if self.dim(grown) == self.dim(g):
-                return grown
-            g = grown
-        return g
-
-
-def _table(w: GradedSubspace, maps, tol: Tolerances, table: _PartTable | None) -> _PartTable:
+def _closure(w: GradedSubspace, maps, tol: Tolerances, table: _PartTable | None,
+             step) -> GradedSubspace:
+    """Fixed point of g -> step(table, g) from w, in table or a new one."""
     if table is None:
         table = _PartTable({k: s.ambient_dim for k, s in w.parts.items()}, maps, tol)
-    return table
+    return table.graded(_fixed_point(lambda g: step(table, g), table.ids(w), table.dim,
+                                     table.ambient + 1))
 
 
 def largest_invariant_graded(w: GradedSubspace, maps, tol: Tolerances = DEFAULT_TOL,
@@ -276,8 +260,7 @@ def largest_invariant_graded(w: GradedSubspace, maps, tol: Tolerances = DEFAULT_
     table: the part table of an enclosing search, built from the same
     maps and tol, whose interned parts and memoised results to share.
     """
-    table = _table(w, maps, tol, table)
-    return table.graded(table.largest_invariant(table.ids(w)))
+    return _closure(w, maps, tol, table, lambda t, g: t.meet(g, t.preimage(g)))
 
 
 def smallest_invariant_graded(w: GradedSubspace, maps, tol: Tolerances = DEFAULT_TOL,
@@ -286,8 +269,7 @@ def smallest_invariant_graded(w: GradedSubspace, maps, tol: Tolerances = DEFAULT
 
     table: as in largest_invariant_graded.
     """
-    table = _table(w, maps, tol, table)
-    return table.graded(table.smallest_invariant(table.ids(w)))
+    return _closure(w, maps, tol, table, lambda t, g: t.sum(g, t.image(g)))
 
 
 def _eigenspace_seeds(dims: dict, endos, tol: Tolerances) -> list:
@@ -303,7 +285,7 @@ def _eigenspace_seeds(dims: dict, endos, tol: Tolerances) -> list:
         clusters: list[list] = []
         for ev in eigvals:
             for c in clusters:
-                if abs(ev - c[0]) <= 1e-6 * scale:
+                if abs(ev - c[0]) <= EIGENVALUE_CLUSTER_TOL * scale:
                     c.append(ev)
                     break
             else:
@@ -327,14 +309,13 @@ def _eigenspace_seeds(dims: dict, endos, tol: Tolerances) -> list:
     return seeds
 
 
-def candidate_lattice(dims: dict, maps, seeds, endos=(), depth: int = 3,
-                      cap: int = LATTICE_CAP, tol: Tolerances = DEFAULT_TOL,
+def candidate_lattice(dims: dict, maps, seeds, endos=(), tol: Tolerances = DEFAULT_TOL,
                       table: _PartTable | None = None) -> list:
     """Graded subspaces closed under images, preimages, sums, intersections.
 
     Starts from {0, V} plus the given seeds plus generalized eigenspaces
-    of the endo maps, and closes to the given depth with a hard cap on
-    the candidate count; the consumers are falsifiers, so an incomplete
+    of the endo maps, and closes LATTICE_DEPTH rounds with LATTICE_CAP as
+    a hard cap on the candidate count; the consumers are falsifiers, so an incomplete
     lattice is safe.  Elements whose parts all lie within
     SAME_SUBSPACE_TOL of an earlier element's count once.
 
@@ -357,16 +338,16 @@ def candidate_lattice(dims: dict, maps, seeds, endos=(), depth: int = 3,
 
     def grow():
         frontier = list(unique)
-        for _ in range(depth):
+        for _ in range(LATTICE_DEPTH):
             new_frontier = []
             for g in frontier:
-                if len(unique) >= cap:
+                if len(unique) >= LATTICE_CAP:
                     return
                 push(table.image(g), new_frontier)
                 push(table.preimage(g), new_frontier)
             for g in frontier:
-                for other in unique[:cap]:
-                    if len(unique) >= cap:
+                for other in unique[:LATTICE_CAP]:
+                    if len(unique) >= LATTICE_CAP:
                         return
                     push(table.sum(g, other), new_frontier)
                     push(table.meet(g, other), new_frontier)
@@ -380,18 +361,15 @@ def candidate_lattice(dims: dict, maps, seeds, endos=(), depth: int = 3,
 
 # --- the kernel/image stability engine ------------------------------------------
 
-
-def _iso_rank(a, block, tol: Tolerances) -> int:
-    """Rank of block, a product with a, with the cutoff relative to |a|:
-    where a kills the part, the product is roundoff at that scale."""
-    return image_basis(block, tol, scale=float(np.linalg.norm(a, 2))).dim
+# The iso tests rank a product with a against a cutoff relative to |a|:
+# where a kills the part, the product is roundoff at that scale.
 
 
 def _restricts_iso(a, lo: Subspace, hi: Subspace, tol: Tolerances) -> bool:
     """a maps lo isomorphically onto hi."""
     if lo.dim != hi.dim:
         return False
-    return lo.dim == 0 or _iso_rank(a, a @ lo.basis, tol) == lo.dim
+    return lo.dim == 0 or rank(a @ lo.basis, tol, scale=_op_norm(a)) == lo.dim
 
 
 def _descends_iso(a, lo: Subspace, hi: Subspace, tol: Tolerances) -> bool:
@@ -402,7 +380,8 @@ def _descends_iso(a, lo: Subspace, hi: Subspace, tol: Tolerances) -> bool:
     if codim == 0:
         return True
     comp = kernel_basis(lo.basis.conj().T, tol).basis if lo.dim else np.eye(lo.ambient_dim)
-    return _iso_rank(a, (np.eye(hi.ambient_dim) - hi.projector()) @ a @ comp, tol) == codim
+    quotient = (np.eye(hi.ambient_dim) - hi.projector()) @ a @ comp
+    return rank(quotient, tol, scale=_op_norm(a)) == codim
 
 
 def _destabilizes(g: GradedSubspace, clause: str, dims: dict, weights: dict,
@@ -480,8 +459,8 @@ def find_destabilizer(dims: dict, maps, kernel_maps, image_maps, weights: dict,
     and the copairing sum_k weights[k] codim S_k is < 0, or <= 0 with
     S != V when stable.
 
-    Matrices with no entry above rank_tol * max(1, largest entry of any
-    matrix passed) read as exact zeros.  exact01 decides by enumerating
+    Matrices with no entry above zero_cutoff(largest entry of any matrix
+    passed) read as exact zeros.  exact01 decides by enumerating
     supports and needs every dimension <= 1.  heuristic searches
     candidate_lattice, seeded with the generalized eigenspaces of the
     (key, m) endos: "unstable" comes with a checked witness,
@@ -500,7 +479,7 @@ def find_destabilizer(dims: dict, maps, kernel_maps, image_maps, weights: dict,
     groups = [list(g) for g in (maps, kernel_maps, image_maps, links, endos)]
     scale = max((float(np.max(np.abs(item[-1]))) for g in groups for item in g
                  if item[-1].size), default=0.0)
-    ztol = tol.rank_tol * max(1.0, scale)
+    ztol = zero_cutoff(scale, tol)
     # noise-level matrices read as zeros, otherwise their noise ranks
     # poison every image/preimage below (see snap_small_to_zero)
     maps, kernel_maps, image_maps, links, endos = (

@@ -1,9 +1,10 @@
-"""Complex dense linear algebra with a single rank cutoff.
+"""Complex dense linear algebra and the package's one tolerance policy.
 
-Everything downstream (kernels, images, subspace lattices, invariant
-subspaces) funnels through `rank` so there is exactly one knob to turn
-when an instance is badly scaled: `Tolerances.rank_tol`, a cutoff
-relative to the largest singular value.
+Every numerical cutoff outside the solver's iteration constants is
+written here, one rule per question: one singular-value cut for `rank`,
+`kernel_basis` and `image_basis`; `zero_cutoff` and `residual_cutoff`
+for "this is zero" at a given scale; SAME_SUBSPACE_TOL and
+EIGENVALUE_CLUSTER_TOL.
 
 Subspaces are stored as matrices with orthonormal columns.  All
 operations (sum, intersection, image, preimage) return orthonormal
@@ -23,6 +24,8 @@ __all__ = [
     "matrix_to_json",
     "matrix_from_json",
     "rank",
+    "zero_cutoff",
+    "residual_cutoff",
     "snap_small_to_zero",
     "kernel_basis",
     "image_basis",
@@ -30,7 +33,6 @@ __all__ = [
     "subspace_intersection",
     "subspace_image",
     "subspace_preimage",
-    "in_subspace",
     "largest_invariant_inside",
     "smallest_invariant_containing",
 ]
@@ -40,9 +42,11 @@ __all__ = [
 class Tolerances:
     """Numerical policy shared across the package.
 
-    rank_tol: relative singular value cutoff for every rank decision.
-    residual_tol: norm below which a residual counts as zero (solver
-        success, moment map membership).
+    rank_tol: relative singular value cutoff for every rank decision,
+        and the relative size below which a matrix counts as zero.
+    residual_tol: relative norm below which a residual counts as zero
+        (condition (a), the moment map on a fiber, chart round trips);
+        the solver's own stopping rule is in `solve`.
     fd_step: step for central finite differences.
     """
 
@@ -60,6 +64,17 @@ class Tolerances:
 
 
 DEFAULT_TOL = Tolerances()
+
+# Two subspaces of one key are the same part when their projectors
+# differ by at most this much (Frobenius norm).  It sits far above the
+# roundoff an SVD leaves in an orthonormal basis and far below the
+# distance between the distinct subspaces the stability lattice keeps
+# apart; the lattice's membership depends on it.
+SAME_SUBSPACE_TOL = 1e-8
+
+# Eigenvalues within this share of max(1, spectral radius) are one
+# cluster: roundoff splits a defective eigenvalue into nearby roots.
+EIGENVALUE_CLUSTER_TOL = 1e-6
 
 
 def as_matrix(m, rows=None, cols=None) -> np.ndarray:
@@ -96,28 +111,30 @@ def matrix_from_json(data, rows: int, cols: int) -> np.ndarray:
     return a
 
 
-def _svd(m):
-    a = as_matrix(m)
-    if a.size == 0:
-        # numpy's SVD handles empty matrices but the edge cases are easier inline
-        k = min(a.shape)
-        return (
-            np.zeros((a.shape[0], k), dtype=complex),
-            np.zeros(k),
-            np.zeros((k, a.shape[1]), dtype=complex),
-        )
-    return np.linalg.svd(a, full_matrices=True)
+def _cut(s: np.ndarray, tol: Tolerances, scale: float | None) -> int:
+    """How many of the descending singular values s count: those above
+    rank_tol times the largest of them, or times scale when larger."""
+    top = max(float(s[0]), scale or 0.0) if s.size else (scale or 0.0)
+    return int(np.sum(s > tol.rank_tol * top))
 
 
-def rank(m, tol: Tolerances = DEFAULT_TOL) -> int:
-    """Numerical rank: singular values above rank_tol relative to the largest."""
+def rank(m, tol: Tolerances = DEFAULT_TOL, scale: float | None = None) -> int:
+    """Numerical rank; `scale` as in kernel_basis."""
     a = as_matrix(m)
     if a.size == 0:
         return 0
-    s = np.linalg.svd(a, compute_uv=False)
-    if s.size == 0 or s[0] == 0:
-        return 0
-    return int(np.sum(s > tol.rank_tol * s[0]))
+    return _cut(np.linalg.svd(a, compute_uv=False), tol, scale)
+
+
+def zero_cutoff(scale: float, tol: Tolerances = DEFAULT_TOL) -> float:
+    """Entries of a map at most this are roundoff on data of magnitude
+    scale: rank_tol relative to scale, absolute below scale 1."""
+    return tol.rank_tol * max(1.0, scale)
+
+
+def residual_cutoff(scale: float, tol: Tolerances = DEFAULT_TOL) -> float:
+    """A residual norm at most this is zero on data of magnitude scale."""
+    return tol.residual_tol * max(1.0, scale)
 
 
 def snap_small_to_zero(m: np.ndarray, cutoff: float) -> np.ndarray:
@@ -184,10 +201,7 @@ def kernel_basis(m, tol: Tolerances = DEFAULT_TOL, scale: float | None = None) -
     if a.size == 0:
         return Subspace.full(n)
     u, s, vh = np.linalg.svd(a, full_matrices=True)
-    top = max(float(s[0]), scale or 0.0) if s.size else (scale or 0.0)
-    cutoff = tol.rank_tol * top
-    r = int(np.sum(s > cutoff))
-    return Subspace(n, vh[r:].conj().T)
+    return Subspace(n, vh[_cut(s, tol, scale):].conj().T)
 
 
 def image_basis(m, tol: Tolerances = DEFAULT_TOL, scale: float | None = None) -> Subspace:
@@ -201,10 +215,7 @@ def image_basis(m, tol: Tolerances = DEFAULT_TOL, scale: float | None = None) ->
     if a.size == 0:
         return Subspace.zero(n)
     u, s, vh = np.linalg.svd(a, full_matrices=True)
-    top = max(float(s[0]), scale or 0.0) if s.size else (scale or 0.0)
-    cutoff = tol.rank_tol * top
-    r = int(np.sum(s > cutoff))
-    return Subspace(n, u[:, :r])
+    return Subspace(n, u[:, :_cut(s, tol, scale)])
 
 
 def subspace_sum(a: Subspace, b: Subspace, tol: Tolerances = DEFAULT_TOL) -> Subspace:
@@ -254,49 +265,38 @@ def subspace_preimage(op, s: Subspace, tol: Tolerances = DEFAULT_TOL,
     return kernel_basis(proj_out @ a, tol, scale=_op_norm(a) if norm is None else norm)
 
 
-def in_subspace(v, s: Subspace, tol: Tolerances = DEFAULT_TOL) -> bool:
-    """Whether vector v lies in s, relative to the norm of v."""
-    vec = np.asarray(v, dtype=complex).reshape(-1)
-    if vec.shape[0] != s.ambient_dim:
-        raise ValueError("vector has the wrong ambient dimension")
-    nv = np.linalg.norm(vec)
-    if nv == 0:
-        return True
-    resid = vec - s.projector() @ vec
-    return np.linalg.norm(resid) <= tol.rank_tol * nv
+def _fixed_point(step, start, dim, rounds: int):
+    """Iterate step from start until dim stops changing, at most rounds
+    times.  The closures are monotone in dimension, so ambient + 1
+    rounds always reach the fixed point."""
+    for _ in range(rounds):
+        nxt = step(start)
+        if dim(nxt) == dim(start):
+            return nxt
+        start = nxt
+    return start
+
+
+def _invariant_closure(w: Subspace, ops, tol: Tolerances, join, move) -> Subspace:
+    """Fixed point of V -> join(V, move(op, V)) over every op, from w."""
+    ops = [as_matrix(op, rows=w.ambient_dim, cols=w.ambient_dim) for op in ops]
+    norms = [_op_norm(op) for op in ops]
+
+    def step(current):
+        out = current
+        for op, norm in zip(ops, norms):
+            out = join(out, move(op, current, tol, norm), tol)
+        return out
+
+    return _fixed_point(step, w, lambda s: s.dim, w.ambient_dim + 1)
 
 
 def largest_invariant_inside(w: Subspace, ops, tol: Tolerances = DEFAULT_TOL) -> Subspace:
-    """Largest subspace of w mapped into itself by every op in ops.
-
-    Fixed point of V -> V  cap  (cap over ops of op^{-1} V), starting at w.
-    The dimension strictly drops until it stabilizes, so at most
-    ambient_dim + 1 rounds run.
-    """
-    ops = [as_matrix(op, rows=w.ambient_dim, cols=w.ambient_dim) for op in ops]
-    norms = [_op_norm(op) for op in ops]
-    current = w
-    for _ in range(w.ambient_dim + 1):
-        refined = current
-        for op, norm in zip(ops, norms):
-            refined = subspace_intersection(refined, subspace_preimage(op, current, tol, norm),
-                                            tol)
-        if refined.dim == current.dim:
-            return refined
-        current = refined
-    return current
+    """Largest subspace of w mapped into itself by every op in ops: the
+    fixed point of V -> V  cap  (cap over ops of op^{-1} V), from w."""
+    return _invariant_closure(w, ops, tol, subspace_intersection, subspace_preimage)
 
 
 def smallest_invariant_containing(w: Subspace, ops, tol: Tolerances = DEFAULT_TOL) -> Subspace:
     """Smallest subspace containing w and stable under every op (Krylov closure)."""
-    ops = [as_matrix(op, rows=w.ambient_dim, cols=w.ambient_dim) for op in ops]
-    norms = [_op_norm(op) for op in ops]
-    current = w
-    for _ in range(w.ambient_dim + 1):
-        grown = current
-        for op, norm in zip(ops, norms):
-            grown = subspace_sum(grown, subspace_image(op, current, tol, norm), tol)
-        if grown.dim == current.dim:
-            return grown
-        current = grown
-    return current
+    return _invariant_closure(w, ops, tol, subspace_sum, subspace_image)

@@ -24,7 +24,7 @@ from .diagrams import (
     is_cobalanced,
     underlying_quiver,
 )
-from .linalg import DEFAULT_TOL, Tolerances, rank
+from .linalg import DEFAULT_TOL, Tolerances, rank, residual_cutoff
 from .quiver import (
     QuiverRepPoint,
     StabilityVerdict,
@@ -111,7 +111,7 @@ def gauge_fix_H(d: BowDiagram, p: TotalSpacePoint,
         raise NotCobalanced("gauge_fix_H requires a cobalanced diagram")
     check_shapes(d, p)
     res = _mu_h_residual(d, p)
-    if res > tol.residual_tol * max(1.0, p.scale()):
+    if res > residual_cutoff(p.scale(), tol):
         raise MuHNonzero(f"moment residual {res:.3e} on non-first segments")
 
     g = {}
@@ -234,7 +234,7 @@ def verify_reduction(d: BowDiagram, lam: dict, theta: dict, seed: int = 0,
         target = complex(lam.get(name, 0.0)) * np.eye(qp.v[name])
         if mu[name].size:
             err = max(err, float(np.max(np.abs(mu[name] - target))))
-    moment_ok = err < 1e-9 * max(1.0, reduced.point.scale())
+    moment_ok = err <= residual_cutoff(reduced.point.scale(), tol)
 
     mode = "exact01" if all(val <= 1 for val in qp.v.values()) else "heuristic"
     bow_v = check_semistable(d, reduced.point, theta, mode=mode, tol=tol)

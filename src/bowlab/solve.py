@@ -11,6 +11,11 @@ and the moment equations have fewer residuals m than unknowns n, so the
 factored system is m x m.  Rejected steps are rare, so each is one more
 m x m solve rather than a reuse of an eigendecomposition.
 
+Constants: a start converges below residual norm RESIDUAL_TOL; the
+damping, from SolveConfig.damping_init, is multiplied by DAMPING_UP per
+rejected and DAMPING_DOWN per accepted step; MAX_REJECTS rejections in
+one iteration stall the start.
+
 finite_diff_jacobian takes real central-difference steps along each
 complex coordinate, which for a holomorphic map is dr/dz itself.
 """
@@ -32,6 +37,12 @@ __all__ = [
 ]
 
 
+RESIDUAL_TOL = 1e-12
+DAMPING_UP = 10.0
+DAMPING_DOWN = 0.5
+MAX_REJECTS = 60
+
+
 class MaxItersExceeded(Exception):
     """Solver stopped without converging; carries the best iterate found
     and the reason: "stalled" (no damping level improved the residual) or
@@ -49,19 +60,13 @@ class MaxItersExceeded(Exception):
 @dataclass(frozen=True)
 class SolveConfig:
     max_iters: int = 200
-    residual_tol: float = 1e-12
     damping_init: float = 1e-3
-    damping_up: float = 10.0     # on a rejected step
-    damping_down: float = 0.5    # on an accepted step
-    max_rejects: int = 60        # per iteration, before giving up on the step
 
     def __post_init__(self):
         if self.max_iters < 1:
             raise ValueError("max_iters must be at least 1")
-        if self.residual_tol <= 0 or self.damping_init <= 0:
-            raise ValueError("residual_tol and damping_init must be positive")
-        if self.damping_up <= 1 or not (0 < self.damping_down < 1):
-            raise ValueError("damping_up must exceed 1 and damping_down lie in (0, 1)")
+        if self.damping_init <= 0:
+            raise ValueError("damping_init must be positive")
 
 
 @dataclass(frozen=True)
@@ -72,24 +77,22 @@ class SolveResult:
     converged: bool
 
 
-def gauss_newton(residual, x0, cfg: SolveConfig = SolveConfig(), jacobian=None) -> SolveResult:
+def gauss_newton(residual, x0, cfg: SolveConfig = SolveConfig(), *, jacobian) -> SolveResult:
     """Levenberg-damped Gauss-Newton on min ||residual(x)||^2.
 
     residual: map from C^n to C^m, complex-differentiable.
-    jacobian: optional analytic dr/dz; defaults to finite differences.
+    jacobian: dr/dz at x (finite_diff_jacobian where no closed form is at hand).
     Raises MaxItersExceeded when no damping level improves the residual
-    or the iteration budget runs out without reaching cfg.residual_tol.
+    or the iteration budget runs out without reaching RESIDUAL_TOL.
     Deterministic: identical inputs give bitwise-identical iterates.
     """
     x = np.asarray(x0, dtype=complex).reshape(-1).copy()
-    if jacobian is None:
-        jacobian = lambda z: finite_diff_jacobian(residual, z)
 
     r = np.asarray(residual(x), dtype=complex).reshape(-1)
     damping = cfg.damping_init
     for it in range(cfg.max_iters):
         rnorm = np.linalg.norm(r)
-        if rnorm < cfg.residual_tol:
+        if rnorm < RESIDUAL_TOL:
             return SolveResult(x, float(rnorm), it, True)
 
         jac = np.asarray(jacobian(x), dtype=complex)
@@ -98,35 +101,36 @@ def gauss_newton(residual, x0, cfg: SolveConfig = SolveConfig(), jacobian=None) 
         eye = np.eye(r.size)
 
         accepted = False
-        for _ in range(cfg.max_rejects):
+        for _ in range(MAX_REJECTS):
             try:
                 step = jh @ np.linalg.solve(jjh + damping * eye, -r)
             except np.linalg.LinAlgError:
-                damping *= cfg.damping_up
+                damping *= DAMPING_UP
                 continue
             trial = x + step
             r_trial = np.asarray(residual(trial), dtype=complex).reshape(-1)
             if np.linalg.norm(r_trial) < rnorm:
                 x, r = trial, r_trial
-                damping *= cfg.damping_down
+                damping *= DAMPING_DOWN
                 accepted = True
                 break
-            damping *= cfg.damping_up
+            damping *= DAMPING_UP
         if not accepted:
             raise MaxItersExceeded(x, float(rnorm), it, "stalled")
 
     rnorm = float(np.linalg.norm(r))
-    if rnorm < cfg.residual_tol:
+    if rnorm < RESIDUAL_TOL:
         return SolveResult(x, rnorm, cfg.max_iters, True)
     raise MaxItersExceeded(x, rnorm, cfg.max_iters, "budget")
 
 
-def finite_diff_jacobian(f, x, step: float | None = None, tol: Tolerances = DEFAULT_TOL) -> np.ndarray:
-    """Central-difference Jacobian of f at x, one real step per coordinate.
+def finite_diff_jacobian(f, x, tol: Tolerances = DEFAULT_TOL) -> np.ndarray:
+    """Central-difference Jacobian of f at x, one real step of tol.fd_step
+    per coordinate.
 
     For complex-differentiable f this is the complex Jacobian dr/dz.
     """
-    h = tol.fd_step if step is None else step
+    h = tol.fd_step
     x = np.asarray(x, dtype=complex).reshape(-1)
     cols = []
     for j in range(x.size):

@@ -434,16 +434,18 @@ def open_conditions_hold(d: BowDiagram, p: TotalSpacePoint,
 
 
 def solve_fiber(d: BowDiagram, lam: dict, seed: int = 0, n_starts: int = 20,
-                cfg: SolveConfig | None = None, tol: Tolerances = DEFAULT_TOL,
-                start_scale: float = 1.0):
+                cfg: SolveConfig | None = None, tol: Tolerances = DEFAULT_TOL):
     """Find a moment fiber point over the deformation lam (per interval).
 
     Each start k draws an independent random point from seed pair
     (seed, k), runs damped Gauss-Newton with the analytic Jacobian, and
     accepts only solutions that also satisfy the open conditions
     (S1)/(S2) at every x-point.  Returns a FiberSolveReport on the first
-    accepted solution, else an InfeasibilityEvidence record.
+    accepted solution, else an InfeasibilityEvidence record.  n_starts
+    must be at least 1: evidence from no start is no evidence.
     """
+    if n_starts < 1:
+        raise ValueError(f"n_starts must be at least 1, got {n_starts}")
     cfg = cfg or SolveConfig()
     c = _compiled(d)
     shifts = _shifts(d, embed_deformation(d, lam))
@@ -458,7 +460,7 @@ def solve_fiber(d: BowDiagram, lam: dict, seed: int = 0, n_starts: int = 20,
     best = np.inf
     for k in range(n_starts):
         rng = np.random.default_rng([seed, k])
-        x0 = flatten_point(d, random_point(d, rng, start_scale))
+        x0 = flatten_point(d, random_point(d, rng))
         try:
             res = gauss_newton(residual, x0, cfg, jacobian=jacobian)
         except MaxItersExceeded as stuck:

@@ -41,6 +41,7 @@ from .linalg import (
     matrix_from_json,
     matrix_to_json,
     rank,
+    residual_cutoff,
     smallest_invariant_containing,
     subspace_intersection,
     subspace_sum,
@@ -75,8 +76,6 @@ __all__ = [
     "random_rect_form",
     "triangle_to_json_dict",
     "triangle_from_json_dict",
-    "form_to_json_dict",
-    "form_from_json_dict",
 ]
 
 
@@ -264,42 +263,41 @@ class TwoWayData:
         object.__setattr__(self, "D", as_matrix(self.D, C.shape[1], C.shape[0]))
 
 
-def _cgauss(rng: np.random.Generator, rows: int, cols: int, scale: float) -> np.ndarray:
+def _cgauss(rng: np.random.Generator, rows: int, cols: int, scale: float = 1.0) -> np.ndarray:
     re = rng.standard_normal((rows, cols))
     im = rng.standard_normal((rows, cols))
     return scale * (re + 1j * im) / np.sqrt(2.0)
 
 
-def _well_conditioned(rng: np.random.Generator, n: int, scale: float) -> np.ndarray:
+def _well_conditioned(rng: np.random.Generator, n: int) -> np.ndarray:
     # resample until cond(u) is modest so round-trips stay near machine precision
     while True:
-        u = _cgauss(rng, n, n, scale)
+        u = _cgauss(rng, n, n)
         if n == 0 or np.linalg.cond(u) < 8.0:
             return u
 
 
-def random_square_form(rng: np.random.Generator, n: int, scale: float = 1.0) -> "SquareForm":
+def random_square_form(rng: np.random.Generator, n: int) -> "SquareForm":
     """Random chart point at v1 = v2 = n with a well-conditioned u."""
     return SquareForm(
-        u=_well_conditioned(rng, n, scale),
-        h=_cgauss(rng, n, n, scale),
-        I=_cgauss(rng, n, 1, scale),
-        J=_cgauss(rng, 1, n, scale),
+        u=_well_conditioned(rng, n),
+        h=_cgauss(rng, n, n),
+        I=_cgauss(rng, n, 1),
+        J=_cgauss(rng, 1, n),
     )
 
 
-def random_rect_form(rng: np.random.Generator, v1: int, v2: int,
-                     scale: float = 1.0) -> "RectForm":
+def random_rect_form(rng: np.random.Generator, v1: int, v2: int) -> "RectForm":
     """Random chart point at v1 != v2 with a well-conditioned u."""
     n, m = max(v1, v2), min(v1, v2)
     return rect_form_from_blocks(
         v1, v2,
-        u=_well_conditioned(rng, n, scale),
-        h=_cgauss(rng, m, m, scale),
-        g=_cgauss(rng, m, 1, scale),
-        f=_cgauss(rng, 1, m, scale),
-        e0=_cgauss(rng, 1, 1, scale),
-        e=_cgauss(rng, n - m - 1, 1, scale),
+        u=_well_conditioned(rng, n),
+        h=_cgauss(rng, m, m),
+        g=_cgauss(rng, m, 1),
+        f=_cgauss(rng, 1, m),
+        e0=_cgauss(rng, 1, 1),
+        e=_cgauss(rng, n - m - 1, 1),
     )
 
 
@@ -386,7 +384,7 @@ def hurtubise_to_triangle(f, tol: Tolerances = DEFAULT_TOL) -> TriangleData:
 
 def _require_triangle(t: TriangleData, tol: Tolerances):
     res = condition_a_residual(t)
-    if res > tol.residual_tol * max(1.0, t.scale()):
+    if res > residual_cutoff(t.scale(), tol):
         raise NotATriangle(f"condition (a) residual {res:.3e} too large")
     s1 = check_S1(t, tol)
     if not s1:
@@ -569,26 +567,3 @@ def triangle_from_json_dict(data: dict) -> TriangleData:
         a=matrix_from_json(data["a"], v2, 1),
         b=matrix_from_json(data["b"], 1, v1),
     )
-
-
-def form_to_json_dict(f) -> dict:
-    if isinstance(f, SquareForm):
-        return {"case": "square", "u": matrix_to_json(f.u), "h": matrix_to_json(f.h),
-                "I": matrix_to_json(f.I), "J": matrix_to_json(f.J)}
-    return {"case": "rect", "v1": f.v1, "v2": f.v2,
-            "u": matrix_to_json(f.u), "eta": matrix_to_json(f.eta)}
-
-
-def form_from_json_dict(data: dict):
-    if data["case"] == "square":
-        n = len(data["u"])
-        return SquareForm(u=matrix_from_json(data["u"], n, n),
-                          h=matrix_from_json(data["h"], n, n),
-                          I=matrix_from_json(data["I"], n, 1),
-                          J=matrix_from_json(data["J"], 1, n))
-    if data["case"] == "rect":
-        v1, v2 = int(data["v1"]), int(data["v2"])
-        n = max(v1, v2)
-        return RectForm(v1, v2, u=matrix_from_json(data["u"], n, n),
-                        eta=matrix_from_json(data["eta"], n, n))
-    raise ValueError(f"unknown form case {data['case']!r}")

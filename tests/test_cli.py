@@ -127,6 +127,20 @@ def test_lambda_count_mismatch_is_usage_error(capsys, diagram_file):
     assert exc.value.code == 2
 
 
+@pytest.mark.parametrize("argv", (
+    ["solve", "--starts", "0"],
+    ["solve", "--starts", "-2", "--format", "table"],
+    ["check-empty", "--starts", "-1"],
+))
+def test_bad_start_count_is_usage_error(capsys, diagram_file, argv):
+    # solve needs a start to report on; check-empty takes 0 as "no solver"
+    with pytest.raises(SystemExit) as exc:
+        main([argv[0], diagram_file, *argv[1:]])
+    assert exc.value.code == 2
+    out = capsys.readouterr()
+    assert out.out == "" and "--starts must be at least" in out.err
+
+
 def test_seed_env_default(capsys, diagram_file, monkeypatch):
     monkeypatch.setenv("BOWLAB_SEED", "11")
     code, out, _ = run_cli(capsys, ["solve", diagram_file, "--lambda", "0.4",

@@ -20,7 +20,6 @@ from bowlab.linalg import (
     Tolerances,
     as_matrix,
     image_basis,
-    in_subspace,
     kernel_basis,
     largest_invariant_inside,
     matrix_from_json,
@@ -46,14 +45,38 @@ def test_rank_hand_cases():
     assert rank(np.zeros((0, 3))) == 0
 
 
+def _rank_cases(rng):
+    """(matrix, scale) pairs: full rank, rank deficient, roundoff-level
+    (a times a basis of a part that a kills), and empty."""
+    a = cgauss(rng, 5, 2) @ cgauss(rng, 2, 6)
+    killed = kernel_basis(a).basis
+    return [
+        (cgauss(rng, 4, 6), None),
+        (cgauss(rng, 6, 3), 10.0),
+        (a, None),
+        (a, float(np.linalg.norm(a, 2))),
+        (a @ killed, None),
+        (a @ killed, float(np.linalg.norm(a, 2))),
+        (np.zeros((0, 3)), None),
+        (np.zeros((4, 0)), 1.0),
+    ]
+
+
+@pytest.mark.parametrize("seed", range(5))
+def test_rank_matches_image_basis(seed):
+    # rank takes values only; image_basis a full SVD: one cut for both
+    for m, scale in _rank_cases(np.random.default_rng(seed)):
+        assert rank(m, DEFAULT_TOL, scale) == image_basis(m, DEFAULT_TOL, scale).dim
+
+
 def test_kernel_and_image_hand_cases():
     m = np.array([[1.0, 0.0], [0.0, 0.0]])
     k = kernel_basis(m)
     assert k.dim == 1
-    assert in_subspace(np.array([[0.0], [1.0]]), k)
+    assert np.allclose(k.projector() @ [0.0, 1.0], [0.0, 1.0])
     im = image_basis(m)
     assert im.dim == 1
-    assert in_subspace(np.array([[1.0], [0.0]]), im)
+    assert np.allclose(im.projector() @ [1.0, 0.0], [1.0, 0.0])
 
 
 def test_sum_intersection_hand_case():
@@ -63,7 +86,7 @@ def test_sum_intersection_hand_case():
     assert subspace_sum(e12, e23).dim == 3
     inter = subspace_intersection(e12, e23)
     assert inter.dim == 1
-    assert in_subspace(np.array([[0.0], [1.0], [0.0]]), inter)
+    assert np.allclose(inter.projector() @ [0.0, 1.0, 0.0], [0.0, 1.0, 0.0])
     assert subspace_intersection(e1, e23).dim == 0
 
 
@@ -95,7 +118,7 @@ def test_largest_invariant_inside_jordan_block_exact():
     w13 = Subspace.span(np.eye(3)[:, [0, 2]])
     got = largest_invariant_inside(w13, [J], DEFAULT_TOL)
     assert got.dim == 1
-    assert in_subspace(np.array([[1.0], [0.0], [0.0]]), got)
+    assert np.allclose(got.projector() @ [1.0, 0.0, 0.0], [1.0, 0.0, 0.0])
 
 
 def test_smallest_invariant_containing_jordan_block():

@@ -251,6 +251,11 @@ def test_solve_fiber_records_why_starts_stopped():
     assert [(s.converged, s.reason) for s in out.starts] == [(True, None)] * 2
 
 
+def test_solve_fiber_needs_a_start():
+    with pytest.raises(ValueError, match="n_starts"):
+        solve_fiber(parse_bow_diagram(INTERVAL_111), {"s": 0.0}, n_starts=0)
+
+
 def test_solve_fiber_on_empty_ambient_space():
     # n = 0 but mu2 has four entries: a residual of -lambda id is no crash
     d = parse_bow_diagram(BARE_2)

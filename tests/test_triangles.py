@@ -23,9 +23,7 @@ from bowlab.triangles import (
     check_S2,
     condition_a_residual,
     form_action_vector,
-    form_from_json_dict,
     form_gauge_action,
-    form_to_json_dict,
     hurtubise_symplectic_pairing,
     hurtubise_to_triangle,
     random_rect_form,
@@ -341,12 +339,6 @@ def test_triangle_json_round_trip(rng):
     back = triangle_from_json_dict(triangle_to_json_dict(t))
     for name in ("A", "B1", "B2", "a", "b"):
         assert np.array_equal(getattr(t, name), getattr(back, name))
-
-
-def test_form_json_round_trip(rng):
-    for f in (random_square_form(rng, 2), random_rect_form(rng, 3, 1)):
-        back = form_from_json_dict(form_to_json_dict(f))
-        assert _form_distance(f, back) == 0.0
 
 
 def test_eta_block_constraints_enforced(rng):
