@@ -394,6 +394,55 @@ def _destabilizes(g: GradedSubspace, clause: str, dims: dict, weights: dict,
     return copairing < 0 or (stable and proper and copairing <= 0)
 
 
+def _snapped(groups, tol: Tolerances) -> list:
+    """Each group of (..., matrix) items with the matrices that lie within
+    zero_cutoff(largest entry of any matrix in the groups) read as exact
+    zeros: otherwise their noise ranks poison every image and preimage
+    (see snap_small_to_zero)."""
+    groups = [list(g) for g in groups]
+    scale = max((float(np.max(np.abs(item[-1]))) for g in groups for item in g
+                 if item[-1].size), default=0.0)
+    ztol = zero_cutoff(scale, tol)
+    return [[(*item[:-1], snap_small_to_zero(item[-1], ztol)) for item in g] for g in groups]
+
+
+def _qualifies(g: GradedSubspace, clause: str, dims: dict, maps, links, weights: dict,
+               stable: bool, tol: Tolerances) -> bool:
+    """g, which lies in the kernels (kernel clause) or contains the images
+    (image clause), destabilizes: it has the clause's sign, every link is
+    an isomorphism on it or on the quotients, and it is invariant."""
+    iso = _restricts_iso if clause == "kernel" else _descends_iso
+    return (_destabilizes(g, clause, dims, weights, stable)
+            and all(iso(a, g.parts[lo], g.parts[hi], tol) for lo, hi, a in links)
+            and is_invariant(g, maps, tol))
+
+
+def _is_destabilizer(g: GradedSubspace, clause: str, dims: dict, maps, kernel_maps,
+                     image_maps, weights: dict, links, endos, stable: bool,
+                     tol: Tolerances) -> bool:
+    """Whether g, found by some other search, is a witness that
+    find_destabilizer on these arguments could return for clause: on the
+    snapped matrices, g lies in every kernel map's kernel (kernel clause)
+    or contains every image map's image (image clause), and qualifies.
+
+    Containment is invariance under the frame maps: Ker m holds g_key
+    when m sends g_key into the zero subspace, and g_key holds Im m when
+    m sends the whole source into g_key, by is_invariant's rule."""
+    maps, kernel_maps, image_maps, links, _ = _snapped(
+        (maps, kernel_maps, image_maps, links, endos), tol)
+    parts, frame_maps = dict(g.parts), []
+    for j, (key, m) in enumerate(kernel_maps if clause == "kernel" else image_maps):
+        frame = ("frame", j)
+        if clause == "kernel":
+            parts[frame] = Subspace.zero(m.shape[0])
+            frame_maps.append((key, frame, m))
+        else:
+            parts[frame] = Subspace.full(m.shape[1])
+            frame_maps.append((frame, key, m))
+    return (is_invariant(GradedSubspace(parts), frame_maps, tol)
+            and _qualifies(g, clause, dims, maps, links, weights, stable, tol))
+
+
 def _support_candidates(dims, maps, kernel_maps, image_maps):
     """Every invariant 0/1 support, in bitmask order over the keys of dims,
     as the list of (clause, support) for each clause whose kernel or
@@ -476,15 +525,8 @@ def find_destabilizer(dims: dict, maps, kernel_maps, image_maps, weights: dict,
         if big:
             raise Exact01Unavailable(f"exact01 requires every dimension <= 1, got {big}")
 
-    groups = [list(g) for g in (maps, kernel_maps, image_maps, links, endos)]
-    scale = max((float(np.max(np.abs(item[-1]))) for g in groups for item in g
-                 if item[-1].size), default=0.0)
-    ztol = zero_cutoff(scale, tol)
-    # noise-level matrices read as zeros, otherwise their noise ranks
-    # poison every image/preimage below (see snap_small_to_zero)
-    maps, kernel_maps, image_maps, links, endos = (
-        [(*item[:-1], snap_small_to_zero(item[-1], ztol)) for item in g] for g in groups)
-
+    maps, kernel_maps, image_maps, links, endos = _snapped(
+        (maps, kernel_maps, image_maps, links, endos), tol)
     if mode == "exact01":
         elements, capped = _support_candidates(dims, maps, kernel_maps, image_maps), False
     else:
@@ -493,10 +535,7 @@ def find_destabilizer(dims: dict, maps, kernel_maps, image_maps, weights: dict,
     for tries in elements:
         searched += 1
         for clause, g in tries:
-            iso = _restricts_iso if clause == "kernel" else _descends_iso
-            if (_destabilizes(g, clause, dims, weights, stable)
-                    and all(iso(a, g.parts[lo], g.parts[hi], tol) for lo, hi, a in links)
-                    and is_invariant(g, maps, tol)):
+            if _qualifies(g, clause, dims, maps, links, weights, stable, tol):
                 return StabilityVerdict("unstable", g, clause, searched, capped)
     return StabilityVerdict("semistable" if mode == "exact01" else "not-falsified",
                             searched=searched, capped=capped)

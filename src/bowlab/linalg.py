@@ -72,6 +72,10 @@ DEFAULT_TOL = Tolerances()
 # apart; the lattice's membership depends on it.
 SAME_SUBSPACE_TOL = 1e-8
 
+# A user-supplied Subspace basis is orthonormal when its Gram matrix is
+# within this of the identity, entry by entry.
+ORTHONORMAL_TOL = 1e-10
+
 # Eigenvalues within this share of max(1, spectral radius) are one
 # cluster: roundoff splits a defective eigenvalue into nearby roots.
 EIGENVALUE_CLUSTER_TOL = 1e-6
@@ -164,8 +168,18 @@ class Subspace:
         if b.shape[1] > self.ambient_dim:
             raise ValueError("more basis vectors than ambient dimension")
         gram = b.conj().T @ b
-        if gram.size and np.max(np.abs(gram - np.eye(b.shape[1]))) > 1e-10:
+        if gram.size and np.max(np.abs(gram - np.eye(b.shape[1]))) > ORTHONORMAL_TOL:
             raise ValueError("basis columns are not orthonormal")
+
+    @classmethod
+    def _orthonormal(cls, ambient_dim: int, basis: np.ndarray) -> "Subspace":
+        """A Subspace on a complex basis that is orthonormal by construction
+        (the identity, an empty one, columns of a unitary SVD factor),
+        without the Gram check of user-supplied bases."""
+        s = object.__new__(cls)
+        object.__setattr__(s, "ambient_dim", ambient_dim)
+        object.__setattr__(s, "basis", basis)
+        return s
 
     @property
     def dim(self) -> int:
@@ -176,11 +190,11 @@ class Subspace:
 
     @staticmethod
     def zero(ambient_dim: int) -> "Subspace":
-        return Subspace(ambient_dim, np.zeros((ambient_dim, 0), dtype=complex))
+        return Subspace._orthonormal(ambient_dim, np.zeros((ambient_dim, 0), dtype=complex))
 
     @staticmethod
     def full(ambient_dim: int) -> "Subspace":
-        return Subspace(ambient_dim, np.eye(ambient_dim, dtype=complex))
+        return Subspace._orthonormal(ambient_dim, np.eye(ambient_dim, dtype=complex))
 
     @staticmethod
     def span(vectors, tol: Tolerances = DEFAULT_TOL) -> "Subspace":
@@ -201,7 +215,7 @@ def kernel_basis(m, tol: Tolerances = DEFAULT_TOL, scale: float | None = None) -
     if a.size == 0:
         return Subspace.full(n)
     u, s, vh = np.linalg.svd(a, full_matrices=True)
-    return Subspace(n, vh[_cut(s, tol, scale):].conj().T)
+    return Subspace._orthonormal(n, vh[_cut(s, tol, scale):].conj().T)
 
 
 def image_basis(m, tol: Tolerances = DEFAULT_TOL, scale: float | None = None) -> Subspace:
@@ -215,7 +229,7 @@ def image_basis(m, tol: Tolerances = DEFAULT_TOL, scale: float | None = None) ->
     if a.size == 0:
         return Subspace.zero(n)
     u, s, vh = np.linalg.svd(a, full_matrices=True)
-    return Subspace(n, u[:, :_cut(s, tol, scale)])
+    return Subspace._orthonormal(n, u[:, :_cut(s, tol, scale)])
 
 
 def subspace_sum(a: Subspace, b: Subspace, tol: Tolerances = DEFAULT_TOL) -> Subspace:

@@ -186,9 +186,17 @@ def rep_semistable(p: QuiverRepPoint, theta: dict, mode: str = "heuristic",
     lattice of invariant subspaces: "unstable" comes with a verified
     witness, "not-falsified" is not a proof.
     """
-    q = p.quiver
-    if set(theta) != set(q.vertices):
+    if set(theta) != set(p.quiver.vertices):
         raise ValueError("theta must be keyed by the quiver vertices")
+    return _destabilizer(p, integerize_weights(theta), mode, False, tol)
+
+
+def _destabilizer(p: QuiverRepPoint, weights: dict, mode: str, stable: bool,
+                  tol: Tolerances) -> StabilityVerdict:
+    """find_destabilizer on p's data: x and y of every arrow as maps (a
+    loop's also as endos), the J's as kernel maps, the I's as image maps,
+    integer weights per vertex."""
+    q = p.quiver
     maps, endos = [], []
     for k, (t, h) in enumerate(q.arrows):
         maps += [(t, h, p.x[k]), (h, t, p.y[k])]
@@ -197,7 +205,7 @@ def rep_semistable(p: QuiverRepPoint, theta: dict, mode: str = "heuristic",
     return find_destabilizer(p.v, maps,
                              [(i, p.J[i]) for i in q.vertices],
                              [(i, p.I[i]) for i in q.vertices],
-                             integerize_weights(theta), endos=endos, mode=mode, tol=tol)
+                             weights, endos=endos, mode=mode, stable=stable, tol=tol)
 
 
 def quiver_point_to_json_dict(p: QuiverRepPoint) -> dict:

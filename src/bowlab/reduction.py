@@ -19,12 +19,10 @@ import numpy as np
 from .diagrams import (
     BowDiagram,
     NotCobalanced,
-    SegmentRef,
     framed_dims_of_cobalanced,
     is_cobalanced,
-    underlying_quiver,
 )
-from .linalg import DEFAULT_TOL, Tolerances, rank, residual_cutoff
+from .linalg import DEFAULT_TOL, Tolerances, residual_cutoff
 from .quiver import (
     QuiverRepPoint,
     StabilityVerdict,
@@ -34,12 +32,14 @@ from .quiver import (
 from .solve import SolveConfig
 from .total_space import (
     FiberSolveReport,
+    MuHNonzero,
+    SingularA,
     TotalSpacePoint,
-    check_semistable,
+    _bow_semistable,
+    _fix_H,
+    _quiver_point,
     check_shapes,
-    gauge_action,
     solve_fiber,
-    total_moment_map,
 )
 from .triangles import TriangleData, TwoWayData
 
@@ -54,15 +54,6 @@ __all__ = [
     "from_quiver_point",
     "verify_reduction",
 ]
-
-
-class SingularA(np.linalg.LinAlgError):
-    """An A_x was numerically singular, so the gauge walk cannot cross it."""
-
-
-class MuHNonzero(ValueError):
-    """The point is not on the zero level of the non-first-segment moment
-    components, so no H-orbit representative with A = id exists."""
 
 
 class ShapeMismatch(ValueError):
@@ -90,14 +81,6 @@ class HReducedPoint:
         return self.point.triangle(interval, i).b
 
 
-def _mu_h_residual(d: BowDiagram, p: TotalSpacePoint) -> float:
-    mu = total_moment_map(d, p)
-    chunks = [mu[s].ravel() for s in d.segments() if s.index > 0]
-    if not chunks:
-        return 0.0
-    return float(np.linalg.norm(np.concatenate(chunks)))
-
-
 def gauge_fix_H(d: BowDiagram, p: TotalSpacePoint,
                 tol: Tolerances = DEFAULT_TOL) -> HReducedPoint:
     """Walk each wavy line, absorbing the A's into the gauge.
@@ -105,55 +88,17 @@ def gauge_fix_H(d: BowDiagram, p: TotalSpacePoint,
     Successive segment gauges g_0 = id, g_{i+1} = g_i A_i^{-1} turn
     every A into the identity while fixing the first segments, which is
     exactly an H-transformation.  The output snaps the A's to exact
-    identity matrices.
+    identity matrices.  Raises NotCobalanced, MuHNonzero or SingularA
+    where no such representative exists.
     """
-    if not is_cobalanced(d):
-        raise NotCobalanced("gauge_fix_H requires a cobalanced diagram")
-    check_shapes(d, p)
-    res = _mu_h_residual(d, p)
-    if res > residual_cutoff(p.scale(), tol):
-        raise MuHNonzero(f"moment residual {res:.3e} on non-first segments")
-
-    g = {}
-    for name in d.bow.intervals:
-        v = d.seg_dims[name][0]
-        acc = np.eye(v, dtype=complex)
-        g[SegmentRef(name, 0)] = acc
-        for i in range(d.x_point_count(name)):
-            A = p.triangle(name, i).A
-            if rank(A, tol) < v:
-                raise SingularA(f"A at ({name!r}, {i}) is numerically singular")
-            acc = acc @ np.linalg.inv(A)
-            g[SegmentRef(name, i + 1)] = acc
-
-    moved = gauge_action(d, g, p)
-    triangles = {}
-    for name in d.bow.intervals:
-        ts = []
-        for t in moved.triangles[name]:
-            # the walk makes A = id up to roundoff; store it exactly
-            ts.append(TriangleData(A=np.eye(t.v1), B1=t.B1, B2=t.B2, a=t.a, b=t.b))
-        triangles[name] = tuple(ts)
-    return HReducedPoint(d, TotalSpacePoint(triangles, moved.edges))
+    return HReducedPoint(d, _fix_H(d, p, tol))
 
 
 def to_quiver_point(r: HReducedPoint) -> QuiverRepPoint:
     """The identification with a framed representation: arrows carry
     (C, D) and per interval the a's stack into I, the b's into J,
     x-points ordered along the wavy line."""
-    d = r.diagram
-    q = underlying_quiver(d.bow)
-    v, w = framed_dims_of_cobalanced(d)
-    x = tuple(e.C for e in r.point.edges)
-    y = tuple(e.D for e in r.point.edges)
-    I = {}
-    J = {}
-    for name in d.bow.intervals:
-        cols = [r.point.triangle(name, i).a for i in range(d.x_point_count(name))]
-        rows = [r.point.triangle(name, i).b for i in range(d.x_point_count(name))]
-        I[name] = np.hstack(cols) if cols else np.zeros((v[name], 0), dtype=complex)
-        J[name] = np.vstack(rows) if rows else np.zeros((0, v[name]), dtype=complex)
-    return QuiverRepPoint(q, v, w, x, y, I, J)
+    return _quiver_point(r.diagram, r.point)
 
 
 def from_quiver_point(d: BowDiagram, q: QuiverRepPoint) -> HReducedPoint:
@@ -237,7 +182,9 @@ def verify_reduction(d: BowDiagram, lam: dict, theta: dict, seed: int = 0,
     moment_ok = err <= residual_cutoff(reduced.point.scale(), tol)
 
     mode = "exact01" if all(val <= 1 for val in qp.v.values()) else "heuristic"
-    bow_v = check_semistable(d, reduced.point, theta, mode=mode, tol=tol)
+    # the bow engine itself: check_semistable's heuristic would take the
+    # quiver route and compare the quiver checker with itself
+    bow_v = _bow_semistable(d, reduced.point, theta, mode, False, tol)
     quiver_v = rep_semistable(qp, theta, mode=mode, tol=tol)
     return ReductionReport(solved=True, moment_error=err, moment_ok=moment_ok,
                            stability_mode=mode, bow_verdict=bow_v,

@@ -71,10 +71,11 @@ class SolveConfig:
 
 @dataclass(frozen=True)
 class SolveResult:
+    """A converged solve; gauss_newton raises MaxItersExceeded otherwise."""
+
     x: np.ndarray
     residual_norm: float
     iterations: int
-    converged: bool
 
 
 def gauss_newton(residual, x0, cfg: SolveConfig = SolveConfig(), *, jacobian) -> SolveResult:
@@ -93,7 +94,7 @@ def gauss_newton(residual, x0, cfg: SolveConfig = SolveConfig(), *, jacobian) ->
     for it in range(cfg.max_iters):
         rnorm = np.linalg.norm(r)
         if rnorm < RESIDUAL_TOL:
-            return SolveResult(x, float(rnorm), it, True)
+            return SolveResult(x, float(rnorm), it)
 
         jac = np.asarray(jacobian(x), dtype=complex)
         jh = jac.conj().T
@@ -120,7 +121,7 @@ def gauss_newton(residual, x0, cfg: SolveConfig = SolveConfig(), *, jacobian) ->
 
     rnorm = float(np.linalg.norm(r))
     if rnorm < RESIDUAL_TOL:
-        return SolveResult(x, rnorm, cfg.max_iters, True)
+        return SolveResult(x, rnorm, cfg.max_iters)
     raise MaxItersExceeded(x, rnorm, cfg.max_iters, "budget")
 
 

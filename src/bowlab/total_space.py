@@ -35,8 +35,17 @@ from itertools import islice
 
 import numpy as np
 
-from .diagrams import BowDiagram, SegmentRef, embed_deformation, embed_stability
-from .graded import StabilityVerdict, find_destabilizer
+from .diagrams import (
+    BowDiagram,
+    NotCobalanced,
+    SegmentRef,
+    embed_deformation,
+    embed_stability,
+    framed_dims_of_cobalanced,
+    is_cobalanced,
+    underlying_quiver,
+)
+from .graded import GradedSubspace, StabilityVerdict, _is_destabilizer, find_destabilizer
 from .linalg import (
     DEFAULT_TOL,
     Tolerances,
@@ -44,8 +53,10 @@ from .linalg import (
     matrix_from_json,
     matrix_to_json,
     rank,
+    residual_cutoff,
+    subspace_image,
 )
-from .quiver import integerize_weights
+from .quiver import QuiverRepPoint, _destabilizer, integerize_weights
 from .solve import MaxItersExceeded, SolveConfig, gauss_newton
 from .triangles import (
     RectTangent,
@@ -497,6 +508,131 @@ def _bow_maps(d: BowDiagram, p: TotalSpacePoint) -> list:
     return maps
 
 
+def _bow_data(d: BowDiagram, p: TotalSpacePoint, theta: dict) -> dict:
+    """find_destabilizer's arguments for the bow point p: per x-point, b
+    as a kernel map, a as an image map, A as a link and the B's as
+    endos; theta's integer weights on first segments."""
+    nu = embed_stability(d, integerize_weights(theta))
+    kernel_maps, image_maps, links, endos = [], [], [], []
+    for name, i in d.x_points():
+        t = p.triangle(name, i)
+        lo, hi = SegmentRef(name, i), SegmentRef(name, i + 1)
+        kernel_maps.append((lo, t.b))
+        image_maps.append((hi, t.a))
+        links.append((lo, hi, t.A))
+        endos += [(lo, t.B1), (hi, t.B2)]
+    return dict(dims={s: d.dim(s) for s in d.segments()}, maps=_bow_maps(d, p),
+                kernel_maps=kernel_maps, image_maps=image_maps,
+                weights={s: nu.get(s, 0) for s in d.segments()}, links=links, endos=endos)
+
+
+def _bow_semistable(d: BowDiagram, p: TotalSpacePoint, theta: dict, mode: str,
+                    stable: bool, tol: Tolerances) -> StabilityVerdict:
+    """The graded engine on the bow point itself, every segment a key."""
+    return find_destabilizer(**_bow_data(d, p, theta), mode=mode, stable=stable, tol=tol)
+
+
+# --- the H-gauge and the framed quiver description -----------------------------
+# reduction.gauge_fix_H and to_quiver_point are these, wrapped; they live
+# here so that check_semistable can reduce without importing reduction,
+# which imports this module.
+
+class SingularA(np.linalg.LinAlgError):
+    """An A_x was numerically singular, so the gauge walk cannot cross it."""
+
+
+class MuHNonzero(ValueError):
+    """The point is not on the zero level of the non-first-segment moment
+    components, so no H-orbit representative with A = id exists."""
+
+
+def _mu_h_residual(d: BowDiagram, p: TotalSpacePoint) -> float:
+    mu = total_moment_map(d, p)
+    chunks = [mu[s].ravel() for s in d.segments() if s.index > 0]
+    if not chunks:
+        return 0.0
+    return float(np.linalg.norm(np.concatenate(chunks)))
+
+
+def _fix_H(d: BowDiagram, p: TotalSpacePoint, tol: Tolerances) -> TotalSpacePoint:
+    """p in the gauge where every A is exactly the identity (the walk of
+    reduction.gauge_fix_H)."""
+    if not is_cobalanced(d):
+        raise NotCobalanced("gauge_fix_H requires a cobalanced diagram")
+    check_shapes(d, p)
+    res = _mu_h_residual(d, p)
+    if res > residual_cutoff(p.scale(), tol):
+        raise MuHNonzero(f"moment residual {res:.3e} on non-first segments")
+
+    g = {}
+    for name in d.bow.intervals:
+        v = d.seg_dims[name][0]
+        acc = np.eye(v, dtype=complex)
+        g[SegmentRef(name, 0)] = acc
+        for i in range(d.x_point_count(name)):
+            A = p.triangle(name, i).A
+            if rank(A, tol) < v:
+                raise SingularA(f"A at ({name!r}, {i}) is numerically singular")
+            acc = acc @ np.linalg.inv(A)
+            g[SegmentRef(name, i + 1)] = acc
+
+    moved = gauge_action(d, g, p)
+    triangles = {}
+    for name in d.bow.intervals:
+        ts = []
+        for t in moved.triangles[name]:
+            # the walk makes A = id up to roundoff; store it exactly
+            ts.append(TriangleData(A=np.eye(t.v1), B1=t.B1, B2=t.B2, a=t.a, b=t.b))
+        triangles[name] = tuple(ts)
+    return TotalSpacePoint(triangles, moved.edges)
+
+
+def _quiver_point(d: BowDiagram, p: TotalSpacePoint) -> QuiverRepPoint:
+    """The framed representation of a point with every A = id (the
+    identification of reduction.to_quiver_point)."""
+    v, w = framed_dims_of_cobalanced(d)
+    x = tuple(e.C for e in p.edges)
+    y = tuple(e.D for e in p.edges)
+    I = {}
+    J = {}
+    for name in d.bow.intervals:
+        cols = [p.triangle(name, i).a for i in range(d.x_point_count(name))]
+        rows = [p.triangle(name, i).b for i in range(d.x_point_count(name))]
+        I[name] = np.hstack(cols) if cols else np.zeros((v[name], 0), dtype=complex)
+        J[name] = np.vstack(rows) if rows else np.zeros((0, v[name]), dtype=complex)
+    return QuiverRepPoint(underlying_quiver(d.bow), v, w, x, y, I, J)
+
+
+def _quiver_semistable(d: BowDiagram, p: TotalSpacePoint, theta: dict, stable: bool,
+                       tol: Tolerances) -> StabilityVerdict | None:
+    """The heuristic verdict of p's framed quiver point, its witness
+    carried back to the segments; None where the reduction does not
+    apply or the carried witness fails the bow checks."""
+    try:
+        fixed = _fix_H(d, p, tol)
+    except (NotCobalanced, MuHNonzero, SingularA):
+        return None
+    nu = embed_stability(d, integerize_weights(theta))
+    weights = {name: nu[SegmentRef(name, 0)] for name in d.bow.intervals}
+    verdict = _destabilizer(_quiver_point(d, fixed), weights, "heuristic", stable, tol)
+    if verdict.kind != "unstable":
+        return verdict
+    # the walk's gauge is g_0 = id, g_{i+1} = g_i A_i^-1, so the vertex
+    # subspace V' sits at S_0 = V' and S_{i+1} = A_i S_i
+    parts = {}
+    for name in d.bow.intervals:
+        part = parts[SegmentRef(name, 0)] = verdict.witness.parts[name]
+        for i in range(d.x_point_count(name)):
+            part = parts[SegmentRef(name, i + 1)] = subspace_image(
+                p.triangle(name, i).A, part, tol)
+    witness = GradedSubspace({s: parts[s] for s in d.segments()})
+    if not _is_destabilizer(witness, verdict.clause, **_bow_data(d, p, theta),
+                            stable=stable, tol=tol):
+        return None
+    return StabilityVerdict("unstable", witness, verdict.clause, verdict.searched,
+                            verdict.capped)
+
+
 def check_semistable(d: BowDiagram, p: TotalSpacePoint, theta: dict,
                      mode: str = "heuristic", stable: bool = False,
                      tol: Tolerances = DEFAULT_TOL) -> StabilityVerdict:
@@ -511,21 +647,28 @@ def check_semistable(d: BowDiagram, p: TotalSpacePoint, theta: dict,
 
     theta is per interval (embedded onto first segments); mode exact01
     decides, mode heuristic falsifies or returns "not-falsified".
+
+    Heuristic mode decides through the quiver description first: on a
+    cobalanced diagram, gauge_fix_H and to_quiver_point turn p into a
+    framed quiver point, whose lattice (one key per interval) is far
+    smaller than the bow's (one key per segment).  A quiver witness V'
+    is carried back along the A's (S_0 = V', S_{i+1} = A_i S_i) and
+    re-checked on the bow: killed by the b's or containing the a's
+    images, the A links, the sign, invariance under the snapped
+    structure maps.  searched and capped then count quiver lattice
+    elements.  The bow's own lattice search runs instead when the
+    diagram is not cobalanced (NotCobalanced), p is off the zero level
+    of the non-first-segment moment map (MuHNonzero, e.g. a random
+    point), some A is singular (SingularA), or the carried witness fails
+    the re-check.  exact01 is not routed: on its diagrams of dimension
+    <= 1 the reduction costs more than enumerating the bow's supports.
     """
     check_shapes(d, p)
-    nu = embed_stability(d, integerize_weights(theta))
-    kernel_maps, image_maps, links, endos = [], [], [], []
-    for name, i in d.x_points():
-        t = p.triangle(name, i)
-        lo, hi = SegmentRef(name, i), SegmentRef(name, i + 1)
-        kernel_maps.append((lo, t.b))
-        image_maps.append((hi, t.a))
-        links.append((lo, hi, t.A))
-        endos += [(lo, t.B1), (hi, t.B2)]
-    return find_destabilizer({s: d.dim(s) for s in d.segments()}, _bow_maps(d, p),
-                             kernel_maps, image_maps,
-                             {s: nu.get(s, 0) for s in d.segments()},
-                             links=links, endos=endos, mode=mode, stable=stable, tol=tol)
+    if mode == "heuristic":
+        verdict = _quiver_semistable(d, p, theta, stable, tol)
+        if verdict is not None:
+            return verdict
+    return _bow_semistable(d, p, theta, mode, stable, tol)
 
 
 # --- translation, dimension, local maps --------------------------------------

@@ -16,6 +16,7 @@ from hypothesis import strategies as st
 
 from bowlab.linalg import (
     DEFAULT_TOL,
+    ORTHONORMAL_TOL,
     Subspace,
     Tolerances,
     as_matrix,
@@ -195,6 +196,20 @@ def test_projector_idempotent(rng):
     p = s.projector()
     assert np.linalg.norm(p @ p - p) < 1e-12
     assert np.linalg.norm(p - p.conj().T) < 1e-12
+
+
+def test_only_user_bases_are_checked_for_orthonormality(rng):
+    # a basis passed in is checked; the library's own bases (SVD
+    # factors, the identity, an empty one) skip the check and pass it
+    with pytest.raises(ValueError, match="orthonormal"):
+        Subspace(2, np.array([[1.0], [1.0]]))
+    m = cgauss(rng, 3, 5) @ cgauss(rng, 5, 5)
+    for s in (kernel_basis(m), image_basis(m), kernel_basis(np.zeros((0, 4))),
+              Subspace.full(4), Subspace.zero(4)):
+        assert s.basis.dtype == complex and s.basis.shape[0] == s.ambient_dim
+        gram = s.basis.conj().T @ s.basis
+        assert gram.size == 0 or np.max(np.abs(gram - np.eye(s.dim))) <= ORTHONORMAL_TOL
+        Subspace(s.ambient_dim, s.basis)
 
 
 def test_as_matrix_shapes():

@@ -1,0 +1,192 @@
+"""Heuristic bow stability through the framed quiver description.
+
+On a cobalanced diagram, check_semistable's heuristic mode reduces the
+point to a framed quiver point, searches that lattice and carries a
+witness back along the A's.  The bow's own lattice search
+(_bow_semistable) is the oracle: the routed verdict kind must agree
+with it, every routed witness must pass the bow clauses checked here on
+the matrices, and points the reduction does not cover must get the
+bow search's verdict itself.
+"""
+
+import itertools
+
+import numpy as np
+import pytest
+
+from bowlab.diagrams import SegmentRef, parse_bow_diagram
+from bowlab.graded import LATTICE_CAP
+from bowlab.linalg import DEFAULT_TOL
+from bowlab.quiver import _destabilizer
+from bowlab.reduction import SingularA, gauge_fix_H, to_quiver_point
+from bowlab.total_space import (
+    FiberSolveReport,
+    TotalSpacePoint,
+    _bow_semistable,
+    check_semistable,
+    gauge_action,
+    random_point,
+    solve_fiber,
+)
+from bowlab.triangles import TriangleData
+
+from conftest import cgauss
+
+S222 = "bow { wavy s [2, 2, 2]; }"
+CYCLE_11 = "bow { wavy a [1, 1]; wavy b [1, 1]; edge a -> b; edge b -> a; }"
+LOOP_2 = "bow { wavy a [2]; edge a -> a; }"
+INTERVAL_111 = "bow { wavy s [1, 1, 1]; }"
+CYCLE_444 = "bow { wavy a [4, 4, 4]; wavy b [4, 4, 4]; edge a -> b; edge b -> a; }"
+
+# (diagram, deformation, solver seed); S222 at lambda = 0 with seed 1 is
+# unstable, so its witnesses cross the x-points
+SOLVED = (
+    (S222, {"s": 0.5}, 1),
+    (S222, {"s": 0}, 1),
+    (CYCLE_11, {"a": 0.4, "b": -0.4}, 0),
+    (LOOP_2, {"a": 0}, 0),
+    (INTERVAL_111, {"s": 0}, 0),
+    (CYCLE_444, {"a": 0.5, "b": -0.5}, 1),
+)
+TOL = 1e-7   # relative, for the matrix checks of a witness
+
+
+def _solved(text, lam, seed):
+    d = parse_bow_diagram(text)
+    report = solve_fiber(d, lam, seed=seed, n_starts=10)
+    assert isinstance(report, FiberSolveReport)
+    return d, report.point
+
+
+def _unitary_gauge(d, p, rng):
+    g = {s: np.linalg.qr(cgauss(rng, d.dim(s), d.dim(s)))[0] for s in d.segments()}
+    return gauge_action(d, g, p)
+
+
+def _theta(d, sign):
+    return {name: sign * (1 if k == 0 else -1) for k, name in enumerate(d.bow.intervals)}
+
+
+def _summary(v):
+    dims = None if v.witness is None else {s: part.dim for s, part in v.witness.parts.items()}
+    return v.kind, v.clause, dims, v.searched, v.capped
+
+
+def _small(m, scale):
+    return float(np.linalg.norm(m)) <= TOL * max(1.0, scale)
+
+
+def _bow_witness_holds(d, p, theta, stable, v):
+    """The witness destabilizes p by the bow clauses, checked on p's
+    matrices with projectors and singular values."""
+    g = v.witness.parts
+    proj = {s: part.projector() for s, part in g.items()}
+    out = {s: np.eye(d.dim(s)) - proj[s] for s in d.segments()}
+    maps = []
+    for name, i in d.x_points():
+        t = p.triangle(name, i)
+        lo, hi = SegmentRef(name, i), SegmentRef(name, i + 1)
+        maps += [(lo, hi, t.A), (lo, lo, t.B1), (hi, hi, t.B2)]
+    for k, e in enumerate(p.edges):
+        t_seg, h_seg = d.edge_tail_segment(k), d.edge_head_segment(k)
+        maps += [(t_seg, h_seg, e.C), (h_seg, t_seg, e.D)]
+    for src, dst, m in maps:
+        assert _small(out[dst] @ m @ g[src].basis, np.linalg.norm(m))
+    weight = {s: theta[s.interval] if s.index == 0 else 0 for s in d.segments()}
+    for name, i in d.x_points():
+        t = p.triangle(name, i)
+        lo, hi = SegmentRef(name, i), SegmentRef(name, i + 1)
+        if v.clause == "kernel":
+            assert _small(t.b @ g[lo].basis, np.linalg.norm(t.b))
+            assert g[lo].dim == g[hi].dim
+            moved = t.A @ g[lo].basis
+        else:
+            assert _small(out[hi] @ t.a, np.linalg.norm(t.a))
+            assert g[lo].dim == g[hi].dim
+            complement = np.linalg.svd(out[lo])[0][:, :d.dim(lo) - g[lo].dim]
+            moved = out[hi] @ t.A @ complement
+        if moved.shape[1]:
+            sv = np.linalg.svd(moved, compute_uv=False)
+            assert sv[-1] > TOL * np.linalg.norm(t.A, 2)
+    dims = {s: part.dim for s, part in g.items()}
+    total = sum(dims.values())
+    if v.clause == "kernel":
+        pairing = sum(weight[s] * dims[s] for s in dims)
+        assert pairing > 0 or (stable and total > 0 and pairing >= 0)
+    else:
+        copairing = sum(weight[s] * (d.dim(s) - dims[s]) for s in dims)
+        proper = total < sum(d.dim(s) for s in d.segments())
+        assert copairing < 0 or (stable and proper and copairing <= 0)
+
+
+@pytest.mark.parametrize("case", range(len(SOLVED)))
+def test_routed_verdict_matches_bow_search(case):
+    text, lam, seed = SOLVED[case]
+    d, p = _solved(text, lam, seed)
+    moved = _unitary_gauge(d, p, np.random.default_rng([31, case]))
+    # theta = 0 is semistable outright; stable fails on a nonzero subspace
+    for sign, stable in itertools.product((1, -1, 0), (False, True)):
+        theta = _theta(d, sign)
+        dims = []
+        for point in (p, moved):
+            got = check_semistable(d, point, theta, mode="heuristic", stable=stable)
+            want = _bow_semistable(d, point, theta, "heuristic", stable, DEFAULT_TOL)
+            assert got.kind == want.kind
+            # the verdict is the quiver search's: same kind and size
+            quiver = _destabilizer(to_quiver_point(gauge_fix_H(d, point)), theta,
+                                   "heuristic", stable, DEFAULT_TOL)
+            assert (got.kind, got.searched, got.capped) == (
+                quiver.kind, quiver.searched, quiver.capped)
+            if got.kind == "unstable":
+                assert list(got.witness.parts) == list(d.segments())
+                _bow_witness_holds(d, point, theta, stable, got)
+                dims.append(_summary(got)[:3])
+        assert len(set(map(repr, dims))) <= 1   # gauge invariant
+
+
+def test_moved_cycle_444_is_no_longer_capped():
+    d, p = _solved(CYCLE_444, {"a": 0.5, "b": -0.5}, 1)
+    moved = _unitary_gauge(d, p, np.random.default_rng(44))
+    theta = {"a": 1, "b": -1}
+    routed = check_semistable(d, moved, theta, mode="heuristic")
+    assert routed.kind == "not-falsified" and not routed.capped
+    assert 0 < routed.searched < LATTICE_CAP
+    assert _bow_semistable(d, moved, theta, "heuristic", False, DEFAULT_TOL).capped
+
+
+def _fell_back(d, p, theta, stable=False):
+    got = check_semistable(d, p, theta, mode="heuristic", stable=stable)
+    want = _bow_semistable(d, p, theta, "heuristic", stable, DEFAULT_TOL)
+    return _summary(got) == _summary(want)
+
+
+def test_off_fiber_and_non_cobalanced_points_take_the_bow_search(rng):
+    d = parse_bow_diagram(S222)
+    for sign, stable in itertools.product((1, -1), (False, True)):
+        assert _fell_back(d, random_point(d, rng), {"s": sign}, stable)
+    d, p = _solved("bow { wavy s [1, 2, 1]; }", {"s": 0.5}, 0)
+    for sign in (1, -1):
+        assert _fell_back(d, p, {"s": sign})
+
+
+def test_singular_A_takes_the_bow_search():
+    d, p = _solved(S222, {"s": 0}, 0)
+    with pytest.raises(SingularA):
+        gauge_fix_H(d, p)
+    for sign, stable in itertools.product((1, -1), (False, True)):
+        assert _fell_back(d, p, {"s": sign}, stable)
+
+
+def test_witness_failing_the_bow_checks_takes_the_bow_search():
+    # A = id and B2 = 0 put the point on the non-first-segment level, so
+    # it reduces; but B1 (off condition (a)) moves the quiver witness
+    # span(e1) = Im a out of itself, so the carried witness is refused
+    d = parse_bow_diagram("bow { wavy s [2, 2]; }")
+    t = TriangleData(A=np.eye(2), B1=np.array([[0, 0], [1, 0]]), B2=np.zeros((2, 2)),
+                     a=np.array([[1], [0]]), b=np.zeros((1, 2)))
+    p = TotalSpacePoint({"s": (t,)}, ())
+    quiver = _destabilizer(to_quiver_point(gauge_fix_H(d, p)), {"s": -1}, "heuristic",
+                           False, DEFAULT_TOL)
+    assert quiver.kind == "unstable" and quiver.witness.dim("s") == 1
+    assert _fell_back(d, p, {"s": -1})
+    assert check_semistable(d, p, {"s": -1}).kind == "not-falsified"
