@@ -18,6 +18,7 @@ non-cobalanced reduce target), 2 usage error.
 from __future__ import annotations
 
 import argparse
+import cmath
 import json
 import os
 import sys
@@ -32,7 +33,7 @@ from .diagrams import (
     parse_bow_diagram,
     serialize,
 )
-from .linalg import matrix_to_json, residual_cutoff
+from .linalg import _largest_entry, matrix_to_json, residual_cutoff
 from .quiver import StabilityVerdict, quiver_point_to_json_dict, rep_moment_map
 from .reduction import gauge_fix_H, to_quiver_point
 from .total_space import (
@@ -81,6 +82,15 @@ def _per_interval(parser, d: BowDiagram, text: str | None, cast, what: str) -> d
         return {name: cast(p) for name, p in zip(names, parts)}
     except ValueError as exc:
         parser.error(f"--{what}: {exc}")
+    except ZeroDivisionError:   # Fraction("1/0")
+        parser.error(f"--{what}: a value has a zero denominator: {text!r}")
+
+
+def _cast_deformation(text: str) -> complex:
+    value = complex(text)
+    if not cmath.isfinite(value):
+        raise ValueError(f"{text!r} is not finite")
+    return value
 
 
 def _cast_weight(text: str):
@@ -159,7 +169,7 @@ def cmd_solve(args) -> int:
     if args.starts < 1:
         parser.error(f"--starts must be at least 1, got {args.starts}")
     d = _read_diagram(args.diagram)
-    lam = _per_interval(parser, d, getattr(args, "lam"), complex, "lambda")
+    lam = _per_interval(parser, d, args.lam, _cast_deformation, "lambda")
     outcome = solve_fiber(d, lam, seed=args.seed, n_starts=args.starts)
     if isinstance(outcome, FiberSolveReport):
         if args.format == "table":
@@ -201,14 +211,12 @@ def cmd_reduce(args) -> int:
     p = _read_point(d, args.point)
     rep = to_quiver_point(gauge_fix_H(d, p))
     if args.format == "table":
-        def mag(m):
-            return float(np.max(np.abs(m))) if m.size else 0.0
         for i in rep.quiver.vertices:
             _emit(f"vertex {i}: v={rep.v[i]}, w={rep.w[i]}, "
-                  f"|I|={mag(rep.I[i]):.3e}, |J|={mag(rep.J[i]):.3e}")
+                  f"|I|={_largest_entry(rep.I[i]):.3e}, |J|={_largest_entry(rep.J[i]):.3e}")
         for k, (t, h) in enumerate(rep.quiver.arrows):
-            _emit(f"arrow {t} -> {h}: |x|={mag(rep.x[k]):.3e}, "
-                  f"|y|={mag(rep.y[k]):.3e}")
+            _emit(f"arrow {t} -> {h}: |x|={_largest_entry(rep.x[k]):.3e}, "
+                  f"|y|={_largest_entry(rep.y[k]):.3e}")
     else:
         _emit(_dump(quiver_point_to_json_dict(rep)))
     return 0
@@ -235,7 +243,7 @@ def cmd_check_empty(args) -> int:
     }
     failed = None
     if args.starts > 0:
-        lam = _per_interval(args._parser, d, getattr(args, "lam"), complex, "lambda")
+        lam = _per_interval(args._parser, d, args.lam, _cast_deformation, "lambda")
         outcome = solve_fiber(d, lam, seed=args.seed, n_starts=args.starts)
         if isinstance(outcome, FiberSolveReport):
             out["solver_evidence"] = {"found_solution": True,

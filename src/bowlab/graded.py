@@ -34,6 +34,7 @@ from .linalg import (
     Subspace,
     Tolerances,
     _fixed_point,
+    _largest_entry,
     _op_norm,
     image_basis,
     kernel_basis,
@@ -309,14 +310,15 @@ def _eigenspace_seeds(dims: dict, endos, tol: Tolerances) -> list:
     return seeds
 
 
-def candidate_lattice(dims: dict, maps, seeds, endos=(), tol: Tolerances = DEFAULT_TOL,
+def candidate_lattice(dims: dict, maps, seeds, tol: Tolerances = DEFAULT_TOL,
                       table: _PartTable | None = None) -> list:
     """Graded subspaces closed under images, preimages, sums, intersections.
 
     Starts from {0, V} plus the given seeds plus generalized eigenspaces
-    of the endo maps, and closes LATTICE_DEPTH rounds with LATTICE_CAP as
-    a hard cap on the candidate count; the consumers are falsifiers, so an incomplete
-    lattice is safe.  Elements whose parts all lie within
+    of the maps whose source key is their target key (a bow's B's and
+    one-segment self-edges, a quiver's loops), and closes LATTICE_DEPTH
+    rounds with LATTICE_CAP as a hard cap on the candidate count; the
+    consumers are falsifiers, so an incomplete lattice is safe.  Elements whose parts all lie within
     SAME_SUBSPACE_TOL of an earlier element's count once.
 
     table: the part table of an enclosing search, built from the same
@@ -326,6 +328,7 @@ def candidate_lattice(dims: dict, maps, seeds, endos=(), tol: Tolerances = DEFAU
         table = _PartTable(dims, maps, tol)
     pool = [table.zero, table.full]
     pool += [table.ids(g) for g in seeds]
+    endos = [(key, m) for key, dst, m in maps if key == dst]
     pool += [table.ids(g) for g in _eigenspace_seeds(dims, endos, tol)]
     unique = list(dict.fromkeys(pool))
     seen = set(unique)
@@ -400,9 +403,7 @@ def _snapped(groups, tol: Tolerances) -> list:
     zeros: otherwise their noise ranks poison every image and preimage
     (see snap_small_to_zero)."""
     groups = [list(g) for g in groups]
-    scale = max((float(np.max(np.abs(item[-1]))) for g in groups for item in g
-                 if item[-1].size), default=0.0)
-    ztol = zero_cutoff(scale, tol)
+    ztol = zero_cutoff(_largest_entry(*(item[-1] for g in groups for item in g)), tol)
     return [[(*item[:-1], snap_small_to_zero(item[-1], ztol)) for item in g] for g in groups]
 
 
@@ -418,7 +419,7 @@ def _qualifies(g: GradedSubspace, clause: str, dims: dict, maps, links, weights:
 
 
 def _is_destabilizer(g: GradedSubspace, clause: str, dims: dict, maps, kernel_maps,
-                     image_maps, weights: dict, links, endos, stable: bool,
+                     image_maps, weights: dict, links, stable: bool,
                      tol: Tolerances) -> bool:
     """Whether g, found by some other search, is a witness that
     find_destabilizer on these arguments could return for clause: on the
@@ -428,8 +429,7 @@ def _is_destabilizer(g: GradedSubspace, clause: str, dims: dict, maps, kernel_ma
     Containment is invariance under the frame maps: Ker m holds g_key
     when m sends g_key into the zero subspace, and g_key holds Im m when
     m sends the whole source into g_key, by is_invariant's rule."""
-    maps, kernel_maps, image_maps, links, _ = _snapped(
-        (maps, kernel_maps, image_maps, links, endos), tol)
+    maps, kernel_maps, image_maps, links = _snapped((maps, kernel_maps, image_maps, links), tol)
     parts, frame_maps = dict(g.parts), []
     for j, (key, m) in enumerate(kernel_maps if clause == "kernel" else image_maps):
         frame = ("frame", j)
@@ -466,7 +466,7 @@ def _support_candidates(dims, maps, kernel_maps, image_maps):
         yield tries
 
 
-def _lattice_candidates(dims, maps, kernel_maps, image_maps, endos, tol):
+def _lattice_candidates(dims, maps, kernel_maps, image_maps, tol):
     """The candidate lattice's elements, each as the lazy pair: the largest
     invariant subspace inside it and the kernels, then the smallest
     invariant one containing it and the images; and whether the lattice
@@ -481,7 +481,7 @@ def _lattice_candidates(dims, maps, kernel_maps, image_maps, endos, tol):
         im[j] = table.sum_part(j, im[j], table.intern(j, image_basis(m, tol)))
     ker, im = tuple(ker), tuple(im)
     lattice = candidate_lattice(dims, maps, [table.graded(ker), table.graded(im)],
-                                endos=endos, tol=tol, table=table)
+                                tol=tol, table=table)
 
     def tries(cand):
         g = table.ids(cand)
@@ -494,7 +494,7 @@ def _lattice_candidates(dims, maps, kernel_maps, image_maps, endos, tol):
 
 
 def find_destabilizer(dims: dict, maps, kernel_maps, image_maps, weights: dict,
-                      links=(), endos=(), mode: str = "heuristic", stable: bool = False,
+                      links=(), mode: str = "heuristic", stable: bool = False,
                       tol: Tolerances = DEFAULT_TOL) -> StabilityVerdict:
     """Kernel/image (semi)stability test for a graded representation.
 
@@ -512,7 +512,7 @@ def find_destabilizer(dims: dict, maps, kernel_maps, image_maps, weights: dict,
     passed) read as exact zeros.  exact01 decides by enumerating
     supports and needs every dimension <= 1.  heuristic searches
     candidate_lattice, seeded with the generalized eigenspaces of the
-    (key, m) endos: "unstable" comes with a checked witness,
+    maps from a key to itself: "unstable" comes with a checked witness,
     "not-falsified" is not a proof.  The verdict records how much was
     searched and whether the lattice was capped.
     """
@@ -525,12 +525,11 @@ def find_destabilizer(dims: dict, maps, kernel_maps, image_maps, weights: dict,
         if big:
             raise Exact01Unavailable(f"exact01 requires every dimension <= 1, got {big}")
 
-    maps, kernel_maps, image_maps, links, endos = _snapped(
-        (maps, kernel_maps, image_maps, links, endos), tol)
+    maps, kernel_maps, image_maps, links = _snapped((maps, kernel_maps, image_maps, links), tol)
     if mode == "exact01":
         elements, capped = _support_candidates(dims, maps, kernel_maps, image_maps), False
     else:
-        elements, capped = _lattice_candidates(dims, maps, kernel_maps, image_maps, endos, tol)
+        elements, capped = _lattice_candidates(dims, maps, kernel_maps, image_maps, tol)
     searched = 0
     for tries in elements:
         searched += 1

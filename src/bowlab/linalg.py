@@ -141,6 +141,11 @@ def residual_cutoff(scale: float, tol: Tolerances = DEFAULT_TOL) -> float:
     return tol.residual_tol * max(1.0, scale)
 
 
+def _largest_entry(*mats) -> float:
+    """Largest entry magnitude over the matrices; 0 when all are empty."""
+    return max((float(np.max(np.abs(m))) for m in mats if m.size), default=0.0)
+
+
 def snap_small_to_zero(m: np.ndarray, cutoff: float) -> np.ndarray:
     """m itself, or an exact zero matrix when every entry is below cutoff.
 

@@ -22,6 +22,7 @@ from .graded import Exact01Unavailable, StabilityVerdict, find_destabilizer
 from .linalg import (
     DEFAULT_TOL,
     Tolerances,
+    _largest_entry,
     as_matrix,
     matrix_from_json,
     matrix_to_json,
@@ -109,9 +110,7 @@ class QuiverRepPoint:
 
     def scale(self) -> float:
         """Largest entry magnitude over all matrices; 0 for the zero point."""
-        mats = list(self.x) + list(self.y) + list(self.I.values()) + list(self.J.values())
-        vals = [float(np.max(np.abs(m))) for m in mats if m.size]
-        return max(vals, default=0.0)
+        return _largest_entry(*self.x, *self.y, *self.I.values(), *self.J.values())
 
 
 def rep_moment_map(p: QuiverRepPoint) -> dict:
@@ -193,19 +192,17 @@ def rep_semistable(p: QuiverRepPoint, theta: dict, mode: str = "heuristic",
 
 def _destabilizer(p: QuiverRepPoint, weights: dict, mode: str, stable: bool,
                   tol: Tolerances) -> StabilityVerdict:
-    """find_destabilizer on p's data: x and y of every arrow as maps (a
-    loop's also as endos), the J's as kernel maps, the I's as image maps,
-    integer weights per vertex."""
+    """find_destabilizer on p's data: x and y of every arrow as maps, the
+    J's as kernel maps, the I's as image maps, integer weights per
+    vertex."""
     q = p.quiver
-    maps, endos = [], []
+    maps = []
     for k, (t, h) in enumerate(q.arrows):
         maps += [(t, h, p.x[k]), (h, t, p.y[k])]
-        if t == h:
-            endos += [(t, p.x[k]), (t, p.y[k])]
     return find_destabilizer(p.v, maps,
                              [(i, p.J[i]) for i in q.vertices],
                              [(i, p.I[i]) for i in q.vertices],
-                             weights, endos=endos, mode=mode, stable=stable, tol=tol)
+                             weights, mode=mode, stable=stable, tol=tol)
 
 
 def quiver_point_to_json_dict(p: QuiverRepPoint) -> dict:

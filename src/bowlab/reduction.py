@@ -74,12 +74,6 @@ class HReducedPoint:
             if not np.array_equal(t.A, np.eye(t.v1)):
                 raise ValueError(f"triangle ({name!r}, {i}): A is not exactly the identity")
 
-    def framing_column(self, interval: str, i: int) -> np.ndarray:
-        return self.point.triangle(interval, i).a
-
-    def framing_row(self, interval: str, i: int) -> np.ndarray:
-        return self.point.triangle(interval, i).b
-
 
 def gauge_fix_H(d: BowDiagram, p: TotalSpacePoint,
                 tol: Tolerances = DEFAULT_TOL) -> HReducedPoint:

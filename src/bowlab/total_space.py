@@ -14,10 +14,12 @@ triangle configurations.
 
 One cached record per diagram shape, `_compiled(d)`, fixes how a point
 flattens to a complex vector: intervals in declaration order, per
-x-point the blocks A, B1, B2, a, b, then per edge C, D.  Flattening,
-zero and random points, the dimension count and the moment map all walk
-its one block list; the solver evaluates the moment map on views into
-its flat vector, without building a point.
+x-point the blocks A, B1, B2, a, b, then per edge C, D, each tagged
+with the segments it maps from and to (none on the framing side of a
+and b).  Flattening, the moment map, the gauge action and its Lie
+algebra action, the H-gauge walk and the stability data all walk its
+one block list; the solver evaluates the moment map on views into its
+flat vector, without building a point.
 
 The moment map is quadratic, so by vec(M X N) = (M kron N^T) vec(X)
 each Jacobian entry is +-x[src], +-1 or a sum of two such terms; the
@@ -29,7 +31,7 @@ Lie algebra's basis, by matmul broadcasting over a leading axis.
 from __future__ import annotations
 
 from collections import namedtuple
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 from functools import lru_cache
 from itertools import islice
 
@@ -49,6 +51,7 @@ from .graded import GradedSubspace, StabilityVerdict, _is_destabilizer, find_des
 from .linalg import (
     DEFAULT_TOL,
     Tolerances,
+    _largest_entry,
     as_matrix,
     matrix_from_json,
     matrix_to_json,
@@ -69,7 +72,6 @@ from .triangles import (
     check_S2,
     hurtubise_symplectic_pairing,
     triangle_from_json_dict,
-    triangle_gauge_action,
     triangle_to_hurtubise,
     triangle_to_json_dict,
     two_way_symplectic_pairing,
@@ -126,12 +128,9 @@ class TotalSpacePoint:
         return self.triangles[interval][i]
 
     def scale(self) -> float:
-        vals = [t.scale() for ts in self.triangles.values() for t in ts]
-        for e in self.edges:
-            for m in (e.C, e.D):
-                if m.size:
-                    vals.append(float(np.max(np.abs(m))))
-        return max(vals, default=0.0)
+        return _largest_entry(*(m for ts in self.triangles.values() for t in ts
+                                for m in (t.A, t.B1, t.B2, t.a, t.b)),
+                              *(m for e in self.edges for m in (e.C, e.D)))
 
 
 def check_shapes(d: BowDiagram, p: TotalSpacePoint):
@@ -139,29 +138,27 @@ def check_shapes(d: BowDiagram, p: TotalSpacePoint):
     if set(p.triangles) != set(d.bow.intervals):
         raise ValueError("triangles must be keyed by the diagram's intervals")
     for name in d.bow.intervals:
-        ts = p.triangles[name]
-        if len(ts) != d.x_point_count(name):
+        if len(p.triangles[name]) != d.x_point_count(name):
             raise ValueError(f"interval {name!r}: expected {d.x_point_count(name)} "
-                             f"triangles, got {len(ts)}")
-        dims = d.seg_dims[name]
-        for i, t in enumerate(ts):
-            if (t.v1, t.v2) != (dims[i], dims[i + 1]):
-                raise ValueError(f"triangle ({name!r}, {i}) has dims "
-                                 f"({t.v1}, {t.v2}), expected ({dims[i]}, {dims[i + 1]})")
+                             f"triangles, got {len(p.triangles[name])}")
     if len(p.edges) != len(d.bow.edges):
         raise ValueError(f"expected {len(d.bow.edges)} edge pairs, got {len(p.edges)}")
-    for k, e in enumerate(p.edges):
-        vt = d.dim(d.edge_tail_segment(k))
-        vh = d.dim(d.edge_head_segment(k))
-        if e.C.shape != (vh, vt):
-            raise ValueError(f"edge {k}: C has shape {e.C.shape}, expected ({vh}, {vt})")
+    c = _compiled(d)
+    for (role, row, col), shape, m in zip(c.tags, c.layout, _blocks(d, p)):
+        if m.shape != shape:
+            ends = ["framing" if j is None else c.segs[j] for j in (col, row)]
+            raise ValueError(f"{role} from {ends[0]} to {ends[1]} has shape {m.shape}, "
+                             f"expected {shape}")
 
 
 # --- the compiled layout --------------------------------------------------------
 
-# What a diagram's flat coordinates fix, whatever the point.  Jacobian
-# term t adds (x, 1, -x, -1)[jac_src[t]] to the flat entry jac_index[t].
-_Compiled = namedtuple("_Compiled", "layout seg_dims x_segs edge_segs n m jac_index jac_src")
+# What a diagram's flat coordinates fix, whatever the point.  Block k,
+# of shape layout[k], is tags[k] = (role, row, col): a map from segment
+# position col to row, either None on the framing side.  Jacobian term t
+# adds (x, 1, -x, -1)[jac_src[t]] to the flat entry jac_index[t].
+_Compiled = namedtuple("_Compiled",
+                       "tags layout segs seg_dims x_segs edge_segs n m jac_index jac_src")
 
 
 def _compiled(d: BowDiagram) -> _Compiled:
@@ -172,17 +169,19 @@ def _compiled(d: BowDiagram) -> _Compiled:
 @lru_cache(maxsize=64)
 def _compile(bow, dims: tuple) -> _Compiled:
     d = BowDiagram(bow, dict(zip(bow.intervals, dims)))
-    pos = {s: j for j, s in enumerate(d.segments())}
-    layout, x_segs, edge_segs = [], [], []
+    segs = tuple(d.segments())
+    pos = {s: j for j, s in enumerate(segs)}
+    tags = []
     for name, i in d.x_points():
-        v1, v2 = d.seg_dims[name][i], d.seg_dims[name][i + 1]
-        layout += [(v2, v1), (v1, v1), (v2, v2), (v2, 1), (1, v1)]   # A, B1, B2, a, b
-        x_segs.append((pos[SegmentRef(name, i)], pos[SegmentRef(name, i + 1)]))
+        lo, hi = pos[SegmentRef(name, i)], pos[SegmentRef(name, i + 1)]
+        tags += [("A", hi, lo), ("B1", lo, lo), ("B2", hi, hi), ("a", hi, None), ("b", None, lo)]
     for k in range(len(d.bow.edges)):
-        t, h = d.edge_tail_segment(k), d.edge_head_segment(k)
-        layout += [(d.dim(h), d.dim(t)), (d.dim(t), d.dim(h))]      # C, D
-        edge_segs.append((pos[t], pos[h]))
-    seg_dims = tuple(d.dim(s) for s in pos)
+        t, h = pos[d.edge_tail_segment(k)], pos[d.edge_head_segment(k)]
+        tags += [("C", h, t), ("D", t, h)]
+    seg_dims = tuple(d.dim(s) for s in segs)
+    layout = [tuple(1 if j is None else seg_dims[j] for j in (row, col)) for _, row, col in tags]
+    x_segs = [(lo, hi) for role, hi, lo in tags if role == "A"]
+    edge_segs = [(t, h) for role, h, t in tags if role == "C"]
     offs = np.cumsum([0] + [r * c for r, c in layout]).tolist()
     n = offs[-1]
     # residual rows: mu1 per x-point (shaped like A), then mu2 per segment
@@ -219,8 +218,8 @@ def _compile(bow, dims: tuple) -> _Compiled:
             term(mu2 + row, sign, x, (n + 1) * np.eye(offs[x + 1] - offs[x], dtype=int))
     index, src = np.concatenate(index), np.concatenate(src)
     index.flags.writeable = src.flags.writeable = False   # shared by every caller
-    return _Compiled(tuple(layout), seg_dims, tuple(x_segs), tuple(edge_segs),
-                     n, rows[-1], index, src)
+    return _Compiled(tuple(tags), tuple(layout), segs, seg_dims, tuple(x_segs),
+                     tuple(edge_segs), n, rows[-1], index, src)
 
 
 def _split(layout: list, arr: np.ndarray) -> list:
@@ -273,9 +272,9 @@ def gauge_dim(d: BowDiagram) -> int:
 
 def _blocks(d: BowDiagram, p: TotalSpacePoint) -> list:
     """p's matrices in flat order (field order is the layout's, as in _assemble)."""
-    mats = [getattr(t, f.name) for name in d.bow.intervals for t in p.triangles[name]
-            for f in fields(TriangleData)]
-    return mats + [getattr(e, f.name) for e in p.edges for f in fields(TwoWayData)]
+    mats = [m for name in d.bow.intervals for t in p.triangles[name]
+            for m in (t.A, t.B1, t.B2, t.a, t.b)]
+    return mats + [m for e in p.edges for m in (e.C, e.D)]
 
 
 def flatten_point(d: BowDiagram, p: TotalSpacePoint) -> np.ndarray:
@@ -352,39 +351,32 @@ def moment_jacobian(d: BowDiagram, p) -> np.ndarray:
 # --- gauge action ------------------------------------------------------------
 
 def gauge_action(d: BowDiagram, g: dict, p: TotalSpacePoint) -> TotalSpacePoint:
-    """Segment-wise base change; g maps SegmentRef -> invertible matrix."""
+    """Segment-wise base change X -> g_row X g_col^-1 of every block, no
+    factor on the framing side; g maps SegmentRef -> invertible matrix
+    and is read only at the segments some block joins."""
     check_shapes(d, p)
-    triangles = {}
-    for name in d.bow.intervals:
-        ts = []
-        for i, t in enumerate(p.triangles[name]):
-            g1 = g[SegmentRef(name, i)]
-            g2 = g[SegmentRef(name, i + 1)]
-            ts.append(triangle_gauge_action(g1, g2, t))
-        triangles[name] = tuple(ts)
-    edges = []
-    for k, e in enumerate(p.edges):
-        gt = as_matrix(g[d.edge_tail_segment(k)])
-        gh = as_matrix(g[d.edge_head_segment(k)])
-        edges.append(TwoWayData(C=gh @ e.C @ np.linalg.inv(gt),
-                                D=gt @ e.D @ np.linalg.inv(gh)))
-    return TotalSpacePoint(triangles, tuple(edges))
+    c = _compiled(d)
+    joined = {j for _, row, col in c.tags for j in (row, col)} - {None}
+    gs = {j: as_matrix(g[c.segs[j]], c.seg_dims[j], c.seg_dims[j]) for j in joined}
+    inv = {j: np.linalg.inv(m) for j, m in gs.items()}
+    blocks = []
+    for (_, row, col), m in zip(c.tags, _blocks(d, p)):
+        if row is not None:
+            m = gs[row] @ m
+        blocks.append(m if col is None else m @ inv[col])
+    return _assemble(d, blocks)
 
 
 def _gauge_action_vectors(d: BowDiagram, p: TotalSpacePoint, xis: np.ndarray) -> np.ndarray:
     """Infinitesimal gauge action at p of every row of xis (k, gauge_dim),
-    each row the gl(v_seg) blocks in segment order; a (k, point_dim) array."""
-    segs = d.segments()
-    x = dict(zip(segs, _split([(d.dim(s), d.dim(s)) for s in segs], xis)))
+    each row the gl(v_seg) blocks in segment order; a (k, point_dim) array.
+    Block X moves by xi_row X - X xi_col, with no term on the framing side."""
+    c = _compiled(d)
+    x = _split([(v, v) for v in c.seg_dims], xis)
     blocks = []
-    for name, i in d.x_points():
-        t = p.triangle(name, i)
-        x1, x2 = x[SegmentRef(name, i)], x[SegmentRef(name, i + 1)]
-        blocks += [x2 @ t.A - t.A @ x1, x1 @ t.B1 - t.B1 @ x1, x2 @ t.B2 - t.B2 @ x2,
-                   x2 @ t.a, -t.b @ x1]
-    for k, e in enumerate(p.edges):
-        xt, xh = x[d.edge_tail_segment(k)], x[d.edge_head_segment(k)]
-        blocks += [xh @ e.C - e.C @ xt, xt @ e.D - e.D @ xh]
+    for (_, row, col), m in zip(c.tags, _blocks(d, p)):
+        left = 0 if row is None else x[row] @ m
+        blocks.append(left if col is None else left - m @ x[col])
     return _join(blocks, xis.shape[:-1])
 
 
@@ -453,10 +445,13 @@ def solve_fiber(d: BowDiagram, lam: dict, seed: int = 0, n_starts: int = 20,
     accepts only solutions that also satisfy the open conditions
     (S1)/(S2) at every x-point.  Returns a FiberSolveReport on the first
     accepted solution, else an InfeasibilityEvidence record.  n_starts
-    must be at least 1: evidence from no start is no evidence.
+    must be at least 1: evidence from no start is no evidence; lam must
+    be finite, or there is no fiber to search.
     """
     if n_starts < 1:
         raise ValueError(f"n_starts must be at least 1, got {n_starts}")
+    if not all(np.isfinite(complex(v)) for v in lam.values()):
+        raise ValueError(f"lam must be finite, got {lam}")
     cfg = cfg or SolveConfig()
     c = _compiled(d)
     shifts = _shifts(d, embed_deformation(d, lam))
@@ -493,37 +488,26 @@ def solve_fiber(d: BowDiagram, lam: dict, seed: int = 0, n_starts: int = 20,
 
 # --- stability ---------------------------------------------------------------
 
-def _bow_maps(d: BowDiagram, p: TotalSpacePoint) -> list:
-    """(src, dst, matrix) list of all structure maps between segments."""
-    maps = []
-    for name, i in d.x_points():
-        t = p.triangle(name, i)
-        lo, hi = SegmentRef(name, i), SegmentRef(name, i + 1)
-        maps.append((lo, hi, t.A))
-        maps.append((lo, lo, t.B1))
-        maps.append((hi, hi, t.B2))
-    for k, e in enumerate(p.edges):
-        maps.append((d.edge_tail_segment(k), d.edge_head_segment(k), e.C))
-        maps.append((d.edge_head_segment(k), d.edge_tail_segment(k), e.D))
-    return maps
-
-
 def _bow_data(d: BowDiagram, p: TotalSpacePoint, theta: dict) -> dict:
-    """find_destabilizer's arguments for the bow point p: per x-point, b
-    as a kernel map, a as an image map, A as a link and the B's as
-    endos; theta's integer weights on first segments."""
+    """find_destabilizer's arguments for the bow point p: every block
+    between segments as a map (the B's and one-segment self-edges seed
+    the search as self-maps), each b as a kernel map, each a as an image
+    map, each A also as a link; theta's integer weights on first
+    segments."""
+    c = _compiled(d)
     nu = embed_stability(d, integerize_weights(theta))
-    kernel_maps, image_maps, links, endos = [], [], [], []
-    for name, i in d.x_points():
-        t = p.triangle(name, i)
-        lo, hi = SegmentRef(name, i), SegmentRef(name, i + 1)
-        kernel_maps.append((lo, t.b))
-        image_maps.append((hi, t.a))
-        links.append((lo, hi, t.A))
-        endos += [(lo, t.B1), (hi, t.B2)]
-    return dict(dims={s: d.dim(s) for s in d.segments()}, maps=_bow_maps(d, p),
-                kernel_maps=kernel_maps, image_maps=image_maps,
-                weights={s: nu.get(s, 0) for s in d.segments()}, links=links, endos=endos)
+    maps, kernel_maps, image_maps, links = [], [], [], []
+    for (role, row, col), m in zip(c.tags, _blocks(d, p)):
+        if row is None:
+            kernel_maps.append((c.segs[col], m))
+        elif col is None:
+            image_maps.append((c.segs[row], m))
+        else:
+            maps.append((c.segs[col], c.segs[row], m))
+            if role == "A":
+                links.append(maps[-1])
+    return dict(dims=dict(zip(c.segs, c.seg_dims)), maps=maps, kernel_maps=kernel_maps,
+                image_maps=image_maps, weights={s: nu.get(s, 0) for s in c.segs}, links=links)
 
 
 def _bow_semistable(d: BowDiagram, p: TotalSpacePoint, theta: dict, mode: str,
@@ -564,27 +548,19 @@ def _fix_H(d: BowDiagram, p: TotalSpacePoint, tol: Tolerances) -> TotalSpacePoin
     if res > residual_cutoff(p.scale(), tol):
         raise MuHNonzero(f"moment residual {res:.3e} on non-first segments")
 
-    g = {}
-    for name in d.bow.intervals:
-        v = d.seg_dims[name][0]
-        acc = np.eye(v, dtype=complex)
-        g[SegmentRef(name, 0)] = acc
-        for i in range(d.x_point_count(name)):
-            A = p.triangle(name, i).A
-            if rank(A, tol) < v:
-                raise SingularA(f"A at ({name!r}, {i}) is numerically singular")
-            acc = acc @ np.linalg.inv(A)
-            g[SegmentRef(name, i + 1)] = acc
-
-    moved = gauge_action(d, g, p)
-    triangles = {}
-    for name in d.bow.intervals:
-        ts = []
-        for t in moved.triangles[name]:
-            # the walk makes A = id up to roundoff; store it exactly
-            ts.append(TriangleData(A=np.eye(t.v1), B1=t.B1, B2=t.B2, a=t.a, b=t.b))
-        triangles[name] = tuple(ts)
-    return TotalSpacePoint(triangles, moved.edges)
+    c = _compiled(d)
+    g = {s: np.eye(v, dtype=complex) for s, v in zip(c.segs, c.seg_dims) if s.index == 0}
+    # the A tags run along each wavy line from its first segment
+    for (role, hi, lo), A in zip(c.tags, _blocks(d, p)):
+        if role == "A":
+            seg = c.segs[lo]
+            if rank(A, tol) < A.shape[1]:
+                raise SingularA(f"A at ({seg.interval!r}, {seg.index}) is numerically singular")
+            g[c.segs[hi]] = g[seg] @ np.linalg.inv(A)
+    # the walk makes A = id up to roundoff; store it exactly
+    moved = _blocks(d, gauge_action(d, g, p))
+    return _assemble(d, [np.eye(m.shape[1]) if role == "A" else m
+                         for (role, _, _), m in zip(c.tags, moved)])
 
 
 def _quiver_point(d: BowDiagram, p: TotalSpacePoint) -> QuiverRepPoint:
@@ -619,13 +595,12 @@ def _quiver_semistable(d: BowDiagram, p: TotalSpacePoint, theta: dict, stable: b
         return verdict
     # the walk's gauge is g_0 = id, g_{i+1} = g_i A_i^-1, so the vertex
     # subspace V' sits at S_0 = V' and S_{i+1} = A_i S_i
-    parts = {}
-    for name in d.bow.intervals:
-        part = parts[SegmentRef(name, 0)] = verdict.witness.parts[name]
-        for i in range(d.x_point_count(name)):
-            part = parts[SegmentRef(name, i + 1)] = subspace_image(
-                p.triangle(name, i).A, part, tol)
-    witness = GradedSubspace({s: parts[s] for s in d.segments()})
+    c = _compiled(d)
+    parts = {s: verdict.witness.parts[s.interval] for s in c.segs if s.index == 0}
+    for (role, hi, lo), A in zip(c.tags, _blocks(d, p)):
+        if role == "A":
+            parts[c.segs[hi]] = subspace_image(A, parts[c.segs[lo]], tol)
+    witness = GradedSubspace({s: parts[s] for s in c.segs})
     if not _is_destabilizer(witness, verdict.clause, **_bow_data(d, p, theta),
                             stable=stable, tol=tol):
         return None
@@ -721,31 +696,23 @@ def check_local_maps(d: BowDiagram, p: TotalSpacePoint,
     At an x-point whose left segment is the first of its interval, the
     stacked (A, b, D_e over incoming edges) must be injective; at one
     whose right segment is the last, the concatenated (A, a, D_e over
-    outgoing edges) must be surjective.
+    outgoing edges) must be surjective.  These are the blocks out of the
+    first segment and into the last, in flat order, but for the B's.
     """
     check_shapes(d, p)
+    c = _compiled(d)
+    tagged = list(zip(c.tags, _blocks(d, p)))
     reports = []
-    for name, i in d.x_points():
-        t = p.triangle(name, i)
-        w = d.x_point_count(name)
+    for (role, hi, lo), A in tagged:
+        if role != "A":
+            continue
+        name, i = c.segs[lo].interval, c.segs[lo].index
         if i == 0:
-            first = SegmentRef(name, 0)
-            blocks = [t.A, t.b]
-            for k, e in enumerate(p.edges):
-                if d.edge_head_segment(k) == first:
-                    blocks.append(e.D)
-            alpha = np.vstack(blocks)
-            reports.append(LocalMapReport(name, i, "injective",
-                                          rank(alpha, tol), t.v1))
-        if i == w - 1:
-            last = SegmentRef(name, w)
-            blocks = [t.A, t.a]
-            for k, e in enumerate(p.edges):
-                if d.edge_tail_segment(k) == last:
-                    blocks.append(e.D)
-            beta = np.hstack(blocks)
-            reports.append(LocalMapReport(name, i, "surjective",
-                                          rank(beta, tol), t.v2))
+            alpha = np.vstack([m for (r, _, col), m in tagged if col == lo and r != "B1"])
+            reports.append(LocalMapReport(name, i, "injective", rank(alpha, tol), A.shape[1]))
+        if i == d.x_point_count(name) - 1:
+            beta = np.hstack([m for (r, row, _), m in tagged if row == hi and r != "B2"])
+            reports.append(LocalMapReport(name, i, "surjective", rank(beta, tol), A.shape[0]))
     return reports
 
 

@@ -34,6 +34,7 @@ from .linalg import (
     DEFAULT_TOL,
     Subspace,
     Tolerances,
+    _largest_entry,
     as_matrix,
     image_basis,
     kernel_basis,
@@ -119,9 +120,7 @@ class TriangleData:
         return self.A.shape[0]
 
     def scale(self) -> float:
-        mats = (self.A, self.B1, self.B2, self.a, self.b)
-        vals = [float(np.max(np.abs(m))) for m in mats if m.size]
-        return max(vals, default=0.0)
+        return _largest_entry(self.A, self.B1, self.B2, self.a, self.b)
 
 
 def _eta_spans(n: int, m: int):

@@ -141,6 +141,22 @@ def test_bad_start_count_is_usage_error(capsys, diagram_file, argv):
     assert out.out == "" and "--starts must be at least" in out.err
 
 
+@pytest.mark.parametrize("argv", (
+    ["solve", "--lambda", "nan"],
+    ["solve", "--lambda", "inf"],
+    ["solve", "--lambda", "1e400"],
+    ["check-empty", "--starts", "1", "--lambda", "nan"],
+))
+def test_non_finite_lambda_is_usage_error(capsys, diagram_file, argv):
+    # a non-finite deformation has no fiber to search, and its evidence
+    # would print a residual that is not valid JSON
+    with pytest.raises(SystemExit) as exc:
+        main([argv[0], diagram_file, *argv[1:]])
+    assert exc.value.code == 2
+    out = capsys.readouterr()
+    assert out.out == "" and "--lambda" in out.err and "not finite" in out.err
+
+
 def test_seed_env_default(capsys, diagram_file, monkeypatch):
     monkeypatch.setenv("BOWLAB_SEED", "11")
     code, out, _ = run_cli(capsys, ["solve", diagram_file, "--lambda", "0.4",
@@ -174,6 +190,15 @@ def test_stability_accepts_solve_report(capsys, tmp_path, diagram_file):
                                     "--format", "table"])
     assert code == 0
     assert "semistable check (exact01): semistable" in out
+
+
+def test_zero_denominator_theta_is_usage_error(capsys, tmp_path, diagram_file):
+    point = _solved_point_file(capsys, tmp_path, diagram_file)
+    with pytest.raises(SystemExit) as exc:
+        main(["stability", diagram_file, point, "--theta", "1/0"])
+    assert exc.value.code == 2
+    out = capsys.readouterr()
+    assert out.out == "" and "--theta" in out.err
 
 
 def test_stability_reports_witness(capsys, tmp_path):

@@ -28,7 +28,7 @@ from bowlab.total_space import (
     random_point,
     solve_fiber,
 )
-from bowlab.triangles import TriangleData
+from bowlab.triangles import TriangleData, TwoWayData
 
 from conftest import cgauss
 
@@ -190,3 +190,22 @@ def test_witness_failing_the_bow_checks_takes_the_bow_search():
     assert quiver.kind == "unstable" and quiver.witness.dim("s") == 1
     assert _fell_back(d, p, {"s": -1})
     assert check_semistable(d, p, {"s": -1}).kind == "not-falsified"
+
+
+def test_bow_search_seeds_with_one_segment_self_edges():
+    # no x-points, so the reduction is the identity; the loop's
+    # eigenvector e1 is killed by C_ab and spans a destabilizing kernel
+    # subspace, found only from the loop's eigenspaces, which both
+    # searches take as seeds
+    d = parse_bow_diagram("bow { wavy a [2]; wavy b [1]; edge a -> a; edge a -> b; }")
+    p = TotalSpacePoint({"a": (), "b": ()},
+                        (TwoWayData(C=np.diag([1.0, 2.0]), D=np.zeros((2, 2))),
+                         TwoWayData(C=np.array([[0.0, 1.0]]), D=np.array([[1.0], [0.0]]))))
+    theta = {"a": 1, "b": -2}
+    routed = check_semistable(d, p, theta, mode="heuristic")
+    bow = _bow_semistable(d, p, theta, "heuristic", False, DEFAULT_TOL)
+    for v in (routed, bow):
+        assert (v.kind, v.clause) == ("unstable", "kernel")
+        assert {s: part.dim for s, part in v.witness.parts.items()} == {
+            SegmentRef("a", 0): 1, SegmentRef("b", 0): 0}
+        _bow_witness_holds(d, p, theta, False, v)

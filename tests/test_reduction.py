@@ -174,14 +174,6 @@ def test_from_quiver_point_shape_guards(rng):
         from_quiver_point(d, doubled)
 
 
-def test_framing_accessors(rng):
-    d = parse_bow_diagram(INTERVAL_111)
-    q = _random_quiver_point(d, rng)
-    r = from_quiver_point(d, q)
-    assert np.array_equal(r.framing_column("s", 1), q.I["s"][:, 1:2])
-    assert np.array_equal(r.framing_row("s", 0), q.J["s"][0:1, :])
-
-
 # --- end-to-end verification ---------------------------------------------------
 
 

@@ -57,7 +57,7 @@ from bowlab.total_space import (
     unflatten_point,
     zero_point,
 )
-from bowlab.triangles import TriangleData, TwoWayData
+from bowlab.triangles import TriangleData, TwoWayData, triangle_gauge_action
 
 from conftest import cgauss, maxabs
 
@@ -70,6 +70,7 @@ S222 = "bow { wavy s [2, 2, 2]; }"
 CYCLE_444 = "bow { wavy a [4, 4, 4]; wavy b [4, 4, 4]; edge a -> b; edge b -> a; }"
 ZERO_PARALLEL = ("bow { wavy s [0, 1, 0]; wavy t [2, 0, 1]; "
                  "edge s -> t; edge t -> t; edge s -> t; }")
+UNJOINED = "bow { wavy s [2]; wavy t [1, 2]; edge t -> t; }"  # no block joins s:0
 
 
 def _scalar_triangle(b1, b2, A=1.0, a=0.0, b=0.0):
@@ -195,13 +196,42 @@ def test_gauge_vector_matches_finite_differences(rng):
     assert maxabs(vec - (plus - minus) / (2 * h)) < 1e-6 * max(1.0, maxabs(vec))
 
 
-@pytest.mark.parametrize("text", (INTERVAL_111, SELF_2, ZERO_PARALLEL))
+def _joined(d):
+    """The segments that some x-point or edge joins."""
+    ends = [SegmentRef(name, i + j) for name, i in d.x_points() for j in (0, 1)]
+    for k in range(len(d.bow.edges)):
+        ends += [d.edge_tail_segment(k), d.edge_head_segment(k)]
+    return set(ends)
+
+
+def _gauge_by_blocks(d, g, p):
+    """The gauge action written per x-point (triangle_gauge_action) and
+    per edge (C -> g_h C g_t^-1, D -> g_t D g_h^-1)."""
+    triangles = {name: tuple(triangle_gauge_action(g[SegmentRef(name, i)],
+                                                   g[SegmentRef(name, i + 1)], t)
+                             for i, t in enumerate(p.triangles[name]))
+                 for name in d.bow.intervals}
+    edges = []
+    for k, e in enumerate(p.edges):
+        gt, gh = g[d.edge_tail_segment(k)], g[d.edge_head_segment(k)]
+        edges.append(TwoWayData(C=gh @ e.C @ np.linalg.inv(gt), D=gt @ e.D @ np.linalg.inv(gh)))
+    return TotalSpacePoint(triangles, edges)
+
+
+@pytest.mark.parametrize("text", (INTERVAL_111, SELF_2, ZERO_PARALLEL, UNJOINED))
 def test_action_differential_columns(text, rng):
     d = parse_bow_diagram(text)
     p = random_point(d, rng)
+    # g only where a block reads it; the action is the per-block one, bit for bit
+    g = {s: cgauss(rng, d.dim(s), d.dim(s)) + 2 * np.eye(d.dim(s)) for s in _joined(d)}
+    assert np.array_equal(flatten_point(d, gauge_action(d, g, p)),
+                          flatten_point(d, _gauge_by_blocks(d, g, p)))
     mat = action_differential(d, p)
     assert mat.shape == (point_dim(d), gauge_dim(d))
-    # column j is the action vector of the j-th gauge basis direction
+    # column j is the action vector of the j-th gauge basis direction, and
+    # the derivative of the per-block action along it
+    h = 1e-6
+    eye = {s: np.eye(d.dim(s)) for s in _joined(d)}
     j = 0
     for s in d.segments():
         for row in range(d.dim(s)):
@@ -210,6 +240,10 @@ def test_action_differential_columns(text, rng):
                 xi[s][row, col] = 1.0
                 vec = flatten_point(d, gauge_action_vector(d, xi, p))
                 assert maxabs(mat[:, j] - vec) < 1e-12
+                plus = _gauge_by_blocks(d, {r: eye[r] + h * xi[r] for r in eye}, p)
+                minus = _gauge_by_blocks(d, {r: eye[r] - h * xi[r] for r in eye}, p)
+                fd = (flatten_point(d, plus) - flatten_point(d, minus)) / (2 * h)
+                assert maxabs(mat[:, j] - fd) < 1e-6 * max(1.0, maxabs(vec))
                 j += 1
 
 
@@ -254,6 +288,12 @@ def test_solve_fiber_records_why_starts_stopped():
 def test_solve_fiber_needs_a_start():
     with pytest.raises(ValueError, match="n_starts"):
         solve_fiber(parse_bow_diagram(INTERVAL_111), {"s": 0.0}, n_starts=0)
+
+
+@pytest.mark.parametrize("lam", (float("nan"), float("inf"), complex(0.0, float("-inf"))))
+def test_solve_fiber_needs_finite_lambda(lam):
+    with pytest.raises(ValueError, match="finite"):
+        solve_fiber(parse_bow_diagram(INTERVAL_111), {"s": lam}, n_starts=1)
 
 
 def test_solve_fiber_on_empty_ambient_space():
@@ -515,7 +555,7 @@ def _lattice(d, p):
         im[hi] = image_basis(t.a)
         seeds += [GradedSubspace(ker), GradedSubspace(im)]
         endos += [(lo, t.B1), (hi, t.B2)]
-    return seeds, candidate_lattice(dims, _all_maps(d, p), seeds, endos=endos)
+    return seeds, candidate_lattice(dims, _all_maps(d, p), seeds)
 
 
 def _same_graded(g, h):
@@ -686,6 +726,14 @@ def test_check_shapes_rejects_mismatches(rng):
     with pytest.raises(ValueError):
         check_shapes(other, TotalSpacePoint(
             {"a": (), "b": random_point(other, rng).triangles["b"]}, ()))
+    # right counts, one block of the wrong shape: a triangle's A, an edge's C
+    good = random_point(other, rng)
+    wider = random_point(parse_bow_diagram("bow { wavy a [2]; wavy b [5, 3]; edge a -> b; }"), rng)
+    with pytest.raises(ValueError, match=r"^A .* shape \(3, 5\), expected \(2, 5\)"):
+        check_shapes(other, TotalSpacePoint(wider.triangles, good.edges))
+    with pytest.raises(ValueError, match=r"^C .* shape \(4, 2\), expected \(5, 2\)"):
+        check_shapes(other, TotalSpacePoint(
+            good.triangles, (TwoWayData(np.zeros((4, 2)), np.zeros((2, 4))),)))
 
 
 def test_random_point_scale(rng):
