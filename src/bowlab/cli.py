@@ -23,6 +23,7 @@ import json
 import os
 import sys
 from fractions import Fraction
+from functools import lru_cache
 
 import numpy as np
 
@@ -351,7 +352,10 @@ def cmd_selftest(args) -> int:
     return 0 if all_ok else 1
 
 
+@lru_cache(maxsize=1)
 def build_parser() -> argparse.ArgumentParser:
+    """The parser, built once per process; --seed defaults to None, and
+    main reads BOWLAB_SEED for it on each call."""
     parser = argparse.ArgumentParser(
         prog="bowlab",
         description="Bow diagram calculus: moment fibers, stability, reduction.")
@@ -371,7 +375,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("diagram")
     p.add_argument("--lambda", dest="lam", default=None, metavar="C0,C1,...",
                    help="per-interval deformation values, declaration order")
-    p.add_argument("--seed", type=int, default=_default_seed())
+    p.add_argument("--seed", type=int)
     p.add_argument("--starts", type=int, default=20)
     add_format(p)
     p.set_defaults(func=cmd_solve)
@@ -403,7 +407,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("diagram")
     p.add_argument("--starts", type=int, default=0,
                    help="run this many solver starts as extra evidence")
-    p.add_argument("--seed", type=int, default=_default_seed())
+    p.add_argument("--seed", type=int)
     p.add_argument("--lambda", dest="lam", default=None, metavar="C0,C1,...")
     add_format(p)
     p.set_defaults(func=cmd_check_empty)
@@ -419,6 +423,8 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     args._parser = parser
     try:
+        if getattr(args, "seed", 0) is None:
+            args.seed = _default_seed()
         return args.func(args)
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)

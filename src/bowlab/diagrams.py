@@ -340,8 +340,17 @@ def cobalanced_diagram(bow: Bow, v: dict[str, int], w: dict[str, int]) -> BowDia
 # --- parameter embeddings -------------------------------------------------
 
 
+def _known_intervals(d: BowDiagram, values: dict, what: str):
+    unknown = sorted(set(values) - set(d.bow.intervals), key=repr)
+    if unknown:
+        raise ValueError(f"{what} names unknown interval(s) {unknown}; "
+                         f"the diagram's intervals are {list(d.bow.intervals)}")
+
+
 def embed_deformation(d: BowDiagram, lam: dict[str, complex]) -> dict[SegmentRef, complex]:
-    """Place each interval's value on its first segment, zero elsewhere."""
+    """Place each interval's value on its first segment, zero elsewhere
+    and at intervals lam omits; a key naming no interval is an error."""
+    _known_intervals(d, lam, "lambda")
     out = {}
     for seg in d.segments():
         out[seg] = complex(lam.get(seg.interval, 0)) if seg.index == 0 else 0j
@@ -349,6 +358,8 @@ def embed_deformation(d: BowDiagram, lam: dict[str, complex]) -> dict[SegmentRef
 
 
 def embed_stability(d: BowDiagram, theta: dict[str, int]) -> dict[SegmentRef, int]:
+    """embed_deformation for integer weights."""
+    _known_intervals(d, theta, "theta")
     out = {}
     for seg in d.segments():
         out[seg] = int(theta.get(seg.interval, 0)) if seg.index == 0 else 0

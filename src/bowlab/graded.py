@@ -28,11 +28,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .linalg import (
-    DEFAULT_TOL,
     EIGENVALUE_CLUSTER_TOL,
     SAME_SUBSPACE_TOL,
     Subspace,
-    Tolerances,
     _fixed_point,
     _largest_entry,
     _op_norm,
@@ -117,7 +115,7 @@ def _support(dims: dict, support) -> GradedSubspace:
                            for k, n in dims.items()})
 
 
-def is_invariant(g: GradedSubspace, maps, tol: Tolerances = DEFAULT_TOL) -> bool:
+def is_invariant(g: GradedSubspace, maps) -> bool:
     """Every (src, dst, m) sends the src part into the dst part."""
     for src, dst, m in maps:
         basis = g.parts[src].basis
@@ -125,7 +123,7 @@ def is_invariant(g: GradedSubspace, maps, tol: Tolerances = DEFAULT_TOL) -> bool
             continue
         mapped = np.asarray(m, dtype=complex) @ basis
         resid = mapped - g.parts[dst].projector() @ mapped
-        if np.linalg.norm(resid) > zero_cutoff(float(np.linalg.norm(mapped)), tol):
+        if np.linalg.norm(resid) > zero_cutoff(float(np.linalg.norm(mapped))):
             return False
     return True
 
@@ -139,13 +137,12 @@ class _PartTable:
     with i <= j, images and preimages per (map index, id).
     """
 
-    def __init__(self, dims: dict, maps, tol: Tolerances):
+    def __init__(self, dims: dict, maps):
         self.keys = list(dims)
         self.pos = {k: j for j, k in enumerate(self.keys)}
         self.maps = [(self.pos[src], self.pos[dst], np.asarray(m, dtype=complex))
                      for src, dst, m in maps]
         self._norms = [_op_norm(m) for _, _, m in self.maps]
-        self.tol = tol
         self.ambient = sum(dims.values())
         self._reps = [[] for _ in self.keys]
         self._rep_id = [{} for _ in self.keys]   # id(representative) -> part id
@@ -190,7 +187,7 @@ class _PartTable:
         out = memo.get(key)
         if out is None:
             reps = self._reps[j]
-            out = memo[key] = self.intern(j, op(reps[key[1]], reps[key[2]], self.tol))
+            out = memo[key] = self.intern(j, op(reps[key[1]], reps[key[2]]))
         return out
 
     def _pairs(self, memo: dict, op, g: tuple, h: tuple) -> tuple:
@@ -209,8 +206,8 @@ class _PartTable:
         out = self._images.get((m, i))
         if out is None:
             src, dst, mat = self.maps[m]
-            out = self.intern(dst, subspace_image(mat, self._reps[src][i], self.tol,
-                                                  self._norms[m]))
+            out = self.intern(dst, subspace_image(mat, self._reps[src][i],
+                                                  norm=self._norms[m]))
             self._images[(m, i)] = out
         return out
 
@@ -219,8 +216,8 @@ class _PartTable:
         out = self._preimages.get((m, i))
         if out is None:
             src, dst, mat = self.maps[m]
-            out = self.intern(src, subspace_preimage(mat, self._reps[dst][i], self.tol,
-                                                     self._norms[m]))
+            out = self.intern(src, subspace_preimage(mat, self._reps[dst][i],
+                                                     norm=self._norms[m]))
             self._preimages[(m, i)] = out
         return out
 
@@ -245,35 +242,34 @@ class _PartTable:
         return tuple(parts)
 
 
-def _closure(w: GradedSubspace, maps, tol: Tolerances, table: _PartTable | None,
-             step) -> GradedSubspace:
+def _closure(w: GradedSubspace, maps, table: _PartTable | None, step) -> GradedSubspace:
     """Fixed point of g -> step(table, g) from w, in table or a new one."""
     if table is None:
-        table = _PartTable({k: s.ambient_dim for k, s in w.parts.items()}, maps, tol)
+        table = _PartTable({k: s.ambient_dim for k, s in w.parts.items()}, maps)
     return table.graded(_fixed_point(lambda g: step(table, g), table.ids(w), table.dim,
                                      table.ambient + 1))
 
 
-def largest_invariant_graded(w: GradedSubspace, maps, tol: Tolerances = DEFAULT_TOL,
+def largest_invariant_graded(w: GradedSubspace, maps,
                              table: _PartTable | None = None) -> GradedSubspace:
     """Largest graded subspace of w respected by all maps.
 
     table: the part table of an enclosing search, built from the same
-    maps and tol, whose interned parts and memoised results to share.
+    maps, whose interned parts and memoised results to share.
     """
-    return _closure(w, maps, tol, table, lambda t, g: t.meet(g, t.preimage(g)))
+    return _closure(w, maps, table, lambda t, g: t.meet(g, t.preimage(g)))
 
 
-def smallest_invariant_graded(w: GradedSubspace, maps, tol: Tolerances = DEFAULT_TOL,
+def smallest_invariant_graded(w: GradedSubspace, maps,
                               table: _PartTable | None = None) -> GradedSubspace:
     """Smallest graded subspace containing w respected by all maps.
 
     table: as in largest_invariant_graded.
     """
-    return _closure(w, maps, tol, table, lambda t, g: t.sum(g, t.image(g)))
+    return _closure(w, maps, table, lambda t, g: t.sum(g, t.image(g)))
 
 
-def _eigenspace_seeds(dims: dict, endos, tol: Tolerances) -> list:
+def _eigenspace_seeds(dims: dict, endos) -> list:
     """Generalized eigenspaces of graded endomorphisms, padded by 0 or full."""
     seeds = []
     for key, m in endos:
@@ -297,7 +293,7 @@ def _eigenspace_seeds(dims: dict, endos, tol: Tolerances) -> list:
             # generalized eigenspace, so its cutoff is relative to the power's
             # honest scale |m - lam|^n, not to its own largest singular value
             shifted = m - np.mean(cluster) * np.eye(n)
-            gen = kernel_basis(np.linalg.matrix_power(shifted, n), tol,
+            gen = kernel_basis(np.linalg.matrix_power(shifted, n),
                                scale=float(np.linalg.norm(shifted, 2)) ** n)
             for pad in ("zero", "full"):
                 parts = {}
@@ -310,8 +306,7 @@ def _eigenspace_seeds(dims: dict, endos, tol: Tolerances) -> list:
     return seeds
 
 
-def candidate_lattice(dims: dict, maps, seeds, tol: Tolerances = DEFAULT_TOL,
-                      table: _PartTable | None = None) -> list:
+def candidate_lattice(dims: dict, maps, seeds, table: _PartTable | None = None) -> list:
     """Graded subspaces closed under images, preimages, sums, intersections.
 
     Starts from {0, V} plus the given seeds plus generalized eigenspaces
@@ -322,14 +317,14 @@ def candidate_lattice(dims: dict, maps, seeds, tol: Tolerances = DEFAULT_TOL,
     SAME_SUBSPACE_TOL of an earlier element's count once.
 
     table: the part table of an enclosing search, built from the same
-    dims, maps and tol, whose interned parts and memoised results to share.
+    dims and maps, whose interned parts and memoised results to share.
     """
     if table is None:
-        table = _PartTable(dims, maps, tol)
+        table = _PartTable(dims, maps)
     pool = [table.zero, table.full]
     pool += [table.ids(g) for g in seeds]
     endos = [(key, m) for key, dst, m in maps if key == dst]
-    pool += [table.ids(g) for g in _eigenspace_seeds(dims, endos, tol)]
+    pool += [table.ids(g) for g in _eigenspace_seeds(dims, endos)]
     unique = list(dict.fromkeys(pool))
     seen = set(unique)
 
@@ -368,23 +363,23 @@ def candidate_lattice(dims: dict, maps, seeds, tol: Tolerances = DEFAULT_TOL,
 # where a kills the part, the product is roundoff at that scale.
 
 
-def _restricts_iso(a, lo: Subspace, hi: Subspace, tol: Tolerances) -> bool:
+def _restricts_iso(a, lo: Subspace, hi: Subspace) -> bool:
     """a maps lo isomorphically onto hi."""
     if lo.dim != hi.dim:
         return False
-    return lo.dim == 0 or rank(a @ lo.basis, tol, scale=_op_norm(a)) == lo.dim
+    return lo.dim == 0 or rank(a @ lo.basis, scale=_op_norm(a)) == lo.dim
 
 
-def _descends_iso(a, lo: Subspace, hi: Subspace, tol: Tolerances) -> bool:
+def _descends_iso(a, lo: Subspace, hi: Subspace) -> bool:
     """a induces an isomorphism C^n_lo / lo -> C^n_hi / hi."""
     codim = lo.ambient_dim - lo.dim
     if codim != hi.ambient_dim - hi.dim:
         return False
     if codim == 0:
         return True
-    comp = kernel_basis(lo.basis.conj().T, tol).basis if lo.dim else np.eye(lo.ambient_dim)
+    comp = kernel_basis(lo.basis.conj().T).basis if lo.dim else np.eye(lo.ambient_dim)
     quotient = (np.eye(hi.ambient_dim) - hi.projector()) @ a @ comp
-    return rank(quotient, tol, scale=_op_norm(a)) == codim
+    return rank(quotient, scale=_op_norm(a)) == codim
 
 
 def _destabilizes(g: GradedSubspace, clause: str, dims: dict, weights: dict,
@@ -397,30 +392,29 @@ def _destabilizes(g: GradedSubspace, clause: str, dims: dict, weights: dict,
     return copairing < 0 or (stable and proper and copairing <= 0)
 
 
-def _snapped(groups, tol: Tolerances) -> list:
+def _snapped(groups) -> list:
     """Each group of (..., matrix) items with the matrices that lie within
     zero_cutoff(largest entry of any matrix in the groups) read as exact
     zeros: otherwise their noise ranks poison every image and preimage
     (see snap_small_to_zero)."""
     groups = [list(g) for g in groups]
-    ztol = zero_cutoff(_largest_entry(*(item[-1] for g in groups for item in g)), tol)
+    ztol = zero_cutoff(_largest_entry(*(item[-1] for g in groups for item in g)))
     return [[(*item[:-1], snap_small_to_zero(item[-1], ztol)) for item in g] for g in groups]
 
 
 def _qualifies(g: GradedSubspace, clause: str, dims: dict, maps, links, weights: dict,
-               stable: bool, tol: Tolerances) -> bool:
+               stable: bool) -> bool:
     """g, which lies in the kernels (kernel clause) or contains the images
     (image clause), destabilizes: it has the clause's sign, every link is
     an isomorphism on it or on the quotients, and it is invariant."""
     iso = _restricts_iso if clause == "kernel" else _descends_iso
     return (_destabilizes(g, clause, dims, weights, stable)
-            and all(iso(a, g.parts[lo], g.parts[hi], tol) for lo, hi, a in links)
-            and is_invariant(g, maps, tol))
+            and all(iso(a, g.parts[lo], g.parts[hi]) for lo, hi, a in links)
+            and is_invariant(g, maps))
 
 
 def _is_destabilizer(g: GradedSubspace, clause: str, dims: dict, maps, kernel_maps,
-                     image_maps, weights: dict, links, stable: bool,
-                     tol: Tolerances) -> bool:
+                     image_maps, weights: dict, links, stable: bool) -> bool:
     """Whether g, found by some other search, is a witness that
     find_destabilizer on these arguments could return for clause: on the
     snapped matrices, g lies in every kernel map's kernel (kernel clause)
@@ -429,7 +423,7 @@ def _is_destabilizer(g: GradedSubspace, clause: str, dims: dict, maps, kernel_ma
     Containment is invariance under the frame maps: Ker m holds g_key
     when m sends g_key into the zero subspace, and g_key holds Im m when
     m sends the whole source into g_key, by is_invariant's rule."""
-    maps, kernel_maps, image_maps, links = _snapped((maps, kernel_maps, image_maps, links), tol)
+    maps, kernel_maps, image_maps, links = _snapped((maps, kernel_maps, image_maps, links))
     parts, frame_maps = dict(g.parts), []
     for j, (key, m) in enumerate(kernel_maps if clause == "kernel" else image_maps):
         frame = ("frame", j)
@@ -439,8 +433,8 @@ def _is_destabilizer(g: GradedSubspace, clause: str, dims: dict, maps, kernel_ma
         else:
             parts[frame] = Subspace.full(m.shape[1])
             frame_maps.append((frame, key, m))
-    return (is_invariant(GradedSubspace(parts), frame_maps, tol)
-            and _qualifies(g, clause, dims, maps, links, weights, stable, tol))
+    return (is_invariant(GradedSubspace(parts), frame_maps)
+            and _qualifies(g, clause, dims, maps, links, weights, stable))
 
 
 def _support_candidates(dims, maps, kernel_maps, image_maps):
@@ -466,36 +460,32 @@ def _support_candidates(dims, maps, kernel_maps, image_maps):
         yield tries
 
 
-def _lattice_candidates(dims, maps, kernel_maps, image_maps, tol):
+def _lattice_candidates(dims, maps, kernel_maps, image_maps):
     """The candidate lattice's elements, each as the lazy pair: the largest
     invariant subspace inside it and the kernels, then the smallest
     invariant one containing it and the images; and whether the lattice
     reached its cap."""
-    table = _PartTable(dims, maps, tol)
+    table = _PartTable(dims, maps)
     ker, im = list(table.full), list(table.zero)
     for key, m in kernel_maps:
         j = table.pos[key]
-        ker[j] = table.meet_part(j, ker[j], table.intern(j, kernel_basis(m, tol)))
+        ker[j] = table.meet_part(j, ker[j], table.intern(j, kernel_basis(m)))
     for key, m in image_maps:
         j = table.pos[key]
-        im[j] = table.sum_part(j, im[j], table.intern(j, image_basis(m, tol)))
+        im[j] = table.sum_part(j, im[j], table.intern(j, image_basis(m)))
     ker, im = tuple(ker), tuple(im)
-    lattice = candidate_lattice(dims, maps, [table.graded(ker), table.graded(im)],
-                                tol=tol, table=table)
+    lattice = candidate_lattice(dims, maps, [table.graded(ker), table.graded(im)], table)
 
     def tries(cand):
         g = table.ids(cand)
-        yield "kernel", largest_invariant_graded(table.graded(table.meet(g, ker)), maps,
-                                                 tol, table)
-        yield "image", smallest_invariant_graded(table.graded(table.sum(g, im)), maps,
-                                                 tol, table)
+        yield "kernel", largest_invariant_graded(table.graded(table.meet(g, ker)), maps, table)
+        yield "image", smallest_invariant_graded(table.graded(table.sum(g, im)), maps, table)
 
     return map(tries, lattice), len(lattice) >= LATTICE_CAP
 
 
 def find_destabilizer(dims: dict, maps, kernel_maps, image_maps, weights: dict,
-                      links=(), mode: str = "heuristic", stable: bool = False,
-                      tol: Tolerances = DEFAULT_TOL) -> StabilityVerdict:
+                      links=(), mode: str = "heuristic", stable: bool = False) -> StabilityVerdict:
     """Kernel/image (semi)stability test for a graded representation.
 
     A graded subspace S invariant under every (src, dst, m) in maps
@@ -525,16 +515,16 @@ def find_destabilizer(dims: dict, maps, kernel_maps, image_maps, weights: dict,
         if big:
             raise Exact01Unavailable(f"exact01 requires every dimension <= 1, got {big}")
 
-    maps, kernel_maps, image_maps, links = _snapped((maps, kernel_maps, image_maps, links), tol)
+    maps, kernel_maps, image_maps, links = _snapped((maps, kernel_maps, image_maps, links))
     if mode == "exact01":
         elements, capped = _support_candidates(dims, maps, kernel_maps, image_maps), False
     else:
-        elements, capped = _lattice_candidates(dims, maps, kernel_maps, image_maps, tol)
+        elements, capped = _lattice_candidates(dims, maps, kernel_maps, image_maps)
     searched = 0
     for tries in elements:
         searched += 1
         for clause, g in tries:
-            if _qualifies(g, clause, dims, maps, links, weights, stable, tol):
+            if _qualifies(g, clause, dims, maps, links, weights, stable):
                 return StabilityVerdict("unstable", g, clause, searched, capped)
     return StabilityVerdict("semistable" if mode == "exact01" else "not-falsified",
                             searched=searched, capped=capped)

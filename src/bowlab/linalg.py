@@ -1,10 +1,14 @@
 """Complex dense linear algebra and the package's one tolerance policy.
 
-Every numerical cutoff outside the solver's iteration constants is
-written here, one rule per question: one singular-value cut for `rank`,
+Every numerical cutoff outside the solver's constants is written here,
+one rule per question: one singular-value cut for `rank`,
 `kernel_basis` and `image_basis`; `zero_cutoff` and `residual_cutoff`
 for "this is zero" at a given scale; SAME_SUBSPACE_TOL and
-EIGENVALUE_CLUSTER_TOL.
+EIGENVALUE_CLUSTER_TOL.  Every other module calls these rules without
+a `tol` and so gets the one policy: DEFAULT_TOL's rank cut and
+RESIDUAL_CUTOFF_TOL.  Only the primitives (rank, the bases, the
+subspace operations and the two closures) accept a Tolerances, so that
+a caller can ask one question at another rank cut.
 
 Subspaces are stored as matrices with orthonormal columns.  All
 operations (sum, intersection, image, preimage) return orthonormal
@@ -40,30 +44,28 @@ __all__ = [
 
 @dataclass(frozen=True)
 class Tolerances:
-    """Numerical policy shared across the package.
+    """The rank cut of the primitives below.
 
     rank_tol: relative singular value cutoff for every rank decision,
         and the relative size below which a matrix counts as zero.
-    residual_tol: relative norm below which a residual counts as zero
-        (condition (a), the moment map on a fiber, chart round trips);
-        the solver's own stopping rule is in `solve`.
-    fd_step: step for central finite differences.
+
+    The residual cut is RESIDUAL_CUTOFF_TOL below; the step of central
+    finite differences is solve.FD_STEP.
     """
 
     rank_tol: float = 1e-9
-    residual_tol: float = 1e-10
-    fd_step: float = 1e-6
 
     def __post_init__(self):
         if not (0 < self.rank_tol < 1):
             raise ValueError(f"rank_tol must be in (0, 1), got {self.rank_tol}")
-        if self.residual_tol <= 0:
-            raise ValueError(f"residual_tol must be positive, got {self.residual_tol}")
-        if self.fd_step <= 0:
-            raise ValueError(f"fd_step must be positive, got {self.fd_step}")
 
 
 DEFAULT_TOL = Tolerances()
+
+# A residual norm (condition (a), the moment map on a fiber, chart round
+# trips) is zero below this share of its data's scale; the solver's own
+# stopping rule is in `solve`.
+RESIDUAL_CUTOFF_TOL = 1e-10
 
 # Two subspaces of one key are the same part when their projectors
 # differ by at most this much (Frobenius norm).  It sits far above the
@@ -130,15 +132,15 @@ def rank(m, tol: Tolerances = DEFAULT_TOL, scale: float | None = None) -> int:
     return _cut(np.linalg.svd(a, compute_uv=False), tol, scale)
 
 
-def zero_cutoff(scale: float, tol: Tolerances = DEFAULT_TOL) -> float:
+def zero_cutoff(scale: float) -> float:
     """Entries of a map at most this are roundoff on data of magnitude
     scale: rank_tol relative to scale, absolute below scale 1."""
-    return tol.rank_tol * max(1.0, scale)
+    return DEFAULT_TOL.rank_tol * max(1.0, scale)
 
 
-def residual_cutoff(scale: float, tol: Tolerances = DEFAULT_TOL) -> float:
+def residual_cutoff(scale: float) -> float:
     """A residual norm at most this is zero on data of magnitude scale."""
-    return tol.residual_tol * max(1.0, scale)
+    return RESIDUAL_CUTOFF_TOL * max(1.0, scale)
 
 
 def _largest_entry(*mats) -> float:

@@ -20,8 +20,6 @@ import numpy as np
 
 from .graded import Exact01Unavailable, StabilityVerdict, find_destabilizer
 from .linalg import (
-    DEFAULT_TOL,
-    Tolerances,
     _largest_entry,
     as_matrix,
     matrix_from_json,
@@ -172,8 +170,7 @@ def integerize_weights(theta: dict) -> dict:
     return {key: int(f * denom) for key, f in fracs.items()}
 
 
-def rep_semistable(p: QuiverRepPoint, theta: dict, mode: str = "heuristic",
-                   tol: Tolerances = DEFAULT_TOL) -> StabilityVerdict:
+def rep_semistable(p: QuiverRepPoint, theta: dict, mode: str = "heuristic") -> StabilityVerdict:
     """Kernel/image semistability criterion for framed representations.
 
     A point is semistable iff every (x, y)-invariant graded subspace V'
@@ -187,11 +184,10 @@ def rep_semistable(p: QuiverRepPoint, theta: dict, mode: str = "heuristic",
     """
     if set(theta) != set(p.quiver.vertices):
         raise ValueError("theta must be keyed by the quiver vertices")
-    return _destabilizer(p, integerize_weights(theta), mode, False, tol)
+    return _destabilizer(p, integerize_weights(theta), mode, False)
 
 
-def _destabilizer(p: QuiverRepPoint, weights: dict, mode: str, stable: bool,
-                  tol: Tolerances) -> StabilityVerdict:
+def _destabilizer(p: QuiverRepPoint, weights: dict, mode: str, stable: bool) -> StabilityVerdict:
     """find_destabilizer on p's data: x and y of every arrow as maps, the
     J's as kernel maps, the I's as image maps, integer weights per
     vertex."""
@@ -202,7 +198,7 @@ def _destabilizer(p: QuiverRepPoint, weights: dict, mode: str, stable: bool,
     return find_destabilizer(p.v, maps,
                              [(i, p.J[i]) for i in q.vertices],
                              [(i, p.I[i]) for i in q.vertices],
-                             weights, mode=mode, stable=stable, tol=tol)
+                             weights, mode=mode, stable=stable)
 
 
 def quiver_point_to_json_dict(p: QuiverRepPoint) -> dict:

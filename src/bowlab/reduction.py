@@ -22,7 +22,7 @@ from .diagrams import (
     framed_dims_of_cobalanced,
     is_cobalanced,
 )
-from .linalg import DEFAULT_TOL, Tolerances, residual_cutoff
+from .linalg import residual_cutoff
 from .quiver import (
     QuiverRepPoint,
     StabilityVerdict,
@@ -75,8 +75,7 @@ class HReducedPoint:
                 raise ValueError(f"triangle ({name!r}, {i}): A is not exactly the identity")
 
 
-def gauge_fix_H(d: BowDiagram, p: TotalSpacePoint,
-                tol: Tolerances = DEFAULT_TOL) -> HReducedPoint:
+def gauge_fix_H(d: BowDiagram, p: TotalSpacePoint) -> HReducedPoint:
     """Walk each wavy line, absorbing the A's into the gauge.
 
     Successive segment gauges g_0 = id, g_{i+1} = g_i A_i^{-1} turn
@@ -85,7 +84,8 @@ def gauge_fix_H(d: BowDiagram, p: TotalSpacePoint,
     identity matrices.  Raises NotCobalanced, MuHNonzero or SingularA
     where no such representative exists.
     """
-    return HReducedPoint(d, _fix_H(d, p, tol))
+    check_shapes(d, p)
+    return HReducedPoint(d, _fix_H(d, p))
 
 
 def to_quiver_point(r: HReducedPoint) -> QuiverRepPoint:
@@ -151,21 +151,20 @@ class ReductionReport:
 
 
 def verify_reduction(d: BowDiagram, lam: dict, theta: dict, seed: int = 0,
-                     n_starts: int = 20, cfg: SolveConfig | None = None,
-                     tol: Tolerances = DEFAULT_TOL) -> ReductionReport:
+                     n_starts: int = 20, cfg: SolveConfig | None = None) -> ReductionReport:
     """Solve the bow fiber over lam, reduce, and compare both sides.
 
     Checks that the quiver moment map of the image equals lam at every
     vertex and that the two semistability checkers give matching
     verdicts (exact01 when all dims allow it, heuristic otherwise).
     """
-    outcome = solve_fiber(d, lam, seed=seed, n_starts=n_starts, cfg=cfg, tol=tol)
+    outcome = solve_fiber(d, lam, seed=seed, n_starts=n_starts, cfg=cfg)
     if not isinstance(outcome, FiberSolveReport):
         return ReductionReport(solved=False, moment_error=float("inf"),
                                moment_ok=False, stability_mode="none",
                                bow_verdict=None, quiver_verdict=None,
                                verdicts_agree=False, solve_evidence=outcome)
-    reduced = gauge_fix_H(d, outcome.point, tol)
+    reduced = gauge_fix_H(d, outcome.point)
     qp = to_quiver_point(reduced)
     mu = rep_moment_map(qp)
     err = 0.0
@@ -173,13 +172,13 @@ def verify_reduction(d: BowDiagram, lam: dict, theta: dict, seed: int = 0,
         target = complex(lam.get(name, 0.0)) * np.eye(qp.v[name])
         if mu[name].size:
             err = max(err, float(np.max(np.abs(mu[name] - target))))
-    moment_ok = err <= residual_cutoff(reduced.point.scale(), tol)
+    moment_ok = err <= residual_cutoff(reduced.point.scale())
 
     mode = "exact01" if all(val <= 1 for val in qp.v.values()) else "heuristic"
     # the bow engine itself: check_semistable's heuristic would take the
     # quiver route and compare the quiver checker with itself
-    bow_v = _bow_semistable(d, reduced.point, theta, mode, False, tol)
-    quiver_v = rep_semistable(qp, theta, mode=mode, tol=tol)
+    bow_v = _bow_semistable(d, reduced.point, theta, mode, False)
+    quiver_v = rep_semistable(qp, theta, mode=mode)
     return ReductionReport(solved=True, moment_error=err, moment_ok=moment_ok,
                            stability_mode=mode, bow_verdict=bow_v,
                            quiver_verdict=quiver_v,

@@ -16,8 +16,9 @@ damping, from SolveConfig.damping_init, is multiplied by DAMPING_UP per
 rejected and DAMPING_DOWN per accepted step; MAX_REJECTS rejections in
 one iteration stall the start.
 
-finite_diff_jacobian takes real central-difference steps along each
-complex coordinate, which for a holomorphic map is dr/dz itself.
+finite_diff_jacobian takes real central-difference steps of FD_STEP
+along each complex coordinate, which for a holomorphic map is dr/dz
+itself.
 """
 
 from __future__ import annotations
@@ -25,8 +26,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-
-from .linalg import Tolerances, DEFAULT_TOL
 
 __all__ = [
     "SolveConfig",
@@ -41,6 +40,7 @@ RESIDUAL_TOL = 1e-12
 DAMPING_UP = 10.0
 DAMPING_DOWN = 0.5
 MAX_REJECTS = 60
+FD_STEP = 1e-6
 
 
 class MaxItersExceeded(Exception):
@@ -125,13 +125,13 @@ def gauss_newton(residual, x0, cfg: SolveConfig = SolveConfig(), *, jacobian) ->
     raise MaxItersExceeded(x, rnorm, cfg.max_iters, "budget")
 
 
-def finite_diff_jacobian(f, x, tol: Tolerances = DEFAULT_TOL) -> np.ndarray:
-    """Central-difference Jacobian of f at x, one real step of tol.fd_step
+def finite_diff_jacobian(f, x) -> np.ndarray:
+    """Central-difference Jacobian of f at x, one real step of FD_STEP
     per coordinate.
 
     For complex-differentiable f this is the complex Jacobian dr/dz.
     """
-    h = tol.fd_step
+    h = FD_STEP
     x = np.asarray(x, dtype=complex).reshape(-1)
     cols = []
     for j in range(x.size):

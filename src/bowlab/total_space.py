@@ -49,8 +49,6 @@ from .diagrams import (
 )
 from .graded import GradedSubspace, StabilityVerdict, _is_destabilizer, find_destabilizer
 from .linalg import (
-    DEFAULT_TOL,
-    Tolerances,
     _largest_entry,
     as_matrix,
     matrix_from_json,
@@ -60,7 +58,7 @@ from .linalg import (
     subspace_image,
 )
 from .quiver import QuiverRepPoint, _destabilizer, integerize_weights
-from .solve import MaxItersExceeded, SolveConfig, gauss_newton
+from .solve import FD_STEP, MaxItersExceeded, SolveConfig, gauss_newton
 from .triangles import (
     RectTangent,
     SquareForm,
@@ -358,13 +356,19 @@ def gauge_action(d: BowDiagram, g: dict, p: TotalSpacePoint) -> TotalSpacePoint:
     c = _compiled(d)
     joined = {j for _, row, col in c.tags for j in (row, col)} - {None}
     gs = {j: as_matrix(g[c.segs[j]], c.seg_dims[j], c.seg_dims[j]) for j in joined}
+    return _assemble(d, _gauged(c, _blocks(d, p), gs))
+
+
+def _gauged(c: _Compiled, blocks, gs: dict) -> list:
+    """The blocks moved by X -> g_row X g_col^-1, gs keyed by segment
+    position and holding every segment some block joins."""
     inv = {j: np.linalg.inv(m) for j, m in gs.items()}
-    blocks = []
-    for (_, row, col), m in zip(c.tags, _blocks(d, p)):
+    out = []
+    for (_, row, col), m in zip(c.tags, blocks):
         if row is not None:
             m = gs[row] @ m
-        blocks.append(m if col is None else m @ inv[col])
-    return _assemble(d, blocks)
+        out.append(m if col is None else m @ inv[col])
+    return out
 
 
 def _gauge_action_vectors(d: BowDiagram, p: TotalSpacePoint, xis: np.ndarray) -> np.ndarray:
@@ -426,18 +430,17 @@ class InfeasibilityEvidence:
     starts: tuple
 
 
-def open_conditions_hold(d: BowDiagram, p: TotalSpacePoint,
-                         tol: Tolerances = DEFAULT_TOL) -> bool:
+def open_conditions_hold(d: BowDiagram, p: TotalSpacePoint) -> bool:
     """(S1) and (S2) at every x-point."""
     for name, i in d.x_points():
         t = p.triangle(name, i)
-        if not check_S1(t, tol) or not check_S2(t, tol):
+        if not check_S1(t) or not check_S2(t):
             return False
     return True
 
 
 def solve_fiber(d: BowDiagram, lam: dict, seed: int = 0, n_starts: int = 20,
-                cfg: SolveConfig | None = None, tol: Tolerances = DEFAULT_TOL):
+                cfg: SolveConfig | None = None):
     """Find a moment fiber point over the deformation lam (per interval).
 
     Each start k draws an independent random point from seed pair
@@ -475,7 +478,7 @@ def solve_fiber(d: BowDiagram, lam: dict, seed: int = 0, n_starts: int = 20,
                                          stuck.iterations, None, stuck.reason))
             continue
         point = unflatten_point(d, res.x)
-        ok = open_conditions_hold(d, point, tol)
+        ok = open_conditions_hold(d, point)
         best = min(best, res.residual_norm)
         diags.append(StartDiagnostic(k, True, res.residual_norm, res.iterations, ok))
         if ok:
@@ -511,9 +514,9 @@ def _bow_data(d: BowDiagram, p: TotalSpacePoint, theta: dict) -> dict:
 
 
 def _bow_semistable(d: BowDiagram, p: TotalSpacePoint, theta: dict, mode: str,
-                    stable: bool, tol: Tolerances) -> StabilityVerdict:
+                    stable: bool) -> StabilityVerdict:
     """The graded engine on the bow point itself, every segment a key."""
-    return find_destabilizer(**_bow_data(d, p, theta), mode=mode, stable=stable, tol=tol)
+    return find_destabilizer(**_bow_data(d, p, theta), mode=mode, stable=stable)
 
 
 # --- the H-gauge and the framed quiver description -----------------------------
@@ -530,37 +533,29 @@ class MuHNonzero(ValueError):
     components, so no H-orbit representative with A = id exists."""
 
 
-def _mu_h_residual(d: BowDiagram, p: TotalSpacePoint) -> float:
-    mu = total_moment_map(d, p)
-    chunks = [mu[s].ravel() for s in d.segments() if s.index > 0]
-    if not chunks:
-        return 0.0
-    return float(np.linalg.norm(np.concatenate(chunks)))
-
-
-def _fix_H(d: BowDiagram, p: TotalSpacePoint, tol: Tolerances) -> TotalSpacePoint:
-    """p in the gauge where every A is exactly the identity (the walk of
-    reduction.gauge_fix_H)."""
+def _fix_H(d: BowDiagram, p: TotalSpacePoint) -> TotalSpacePoint:
+    """p, whose shapes the caller has checked, in the gauge where every
+    A is exactly the identity (the walk of reduction.gauge_fix_H)."""
     if not is_cobalanced(d):
         raise NotCobalanced("gauge_fix_H requires a cobalanced diagram")
-    check_shapes(d, p)
-    res = _mu_h_residual(d, p)
-    if res > residual_cutoff(p.scale(), tol):
+    c = _compiled(d)
+    blocks = _blocks(d, p)
+    chunks = [m.ravel() for s, m in zip(c.segs, _moment_blocks(c, blocks)[1]) if s.index > 0]
+    res = float(np.linalg.norm(np.concatenate(chunks))) if chunks else 0.0
+    if res > residual_cutoff(p.scale()):
         raise MuHNonzero(f"moment residual {res:.3e} on non-first segments")
 
-    c = _compiled(d)
-    g = {s: np.eye(v, dtype=complex) for s, v in zip(c.segs, c.seg_dims) if s.index == 0}
+    g = {j: np.eye(c.seg_dims[j], dtype=complex) for j, s in enumerate(c.segs) if s.index == 0}
     # the A tags run along each wavy line from its first segment
-    for (role, hi, lo), A in zip(c.tags, _blocks(d, p)):
+    for (role, hi, lo), A in zip(c.tags, blocks):
         if role == "A":
-            seg = c.segs[lo]
-            if rank(A, tol) < A.shape[1]:
+            if rank(A) < A.shape[1]:
+                seg = c.segs[lo]
                 raise SingularA(f"A at ({seg.interval!r}, {seg.index}) is numerically singular")
-            g[c.segs[hi]] = g[seg] @ np.linalg.inv(A)
+            g[hi] = g[lo] @ np.linalg.inv(A)
     # the walk makes A = id up to roundoff; store it exactly
-    moved = _blocks(d, gauge_action(d, g, p))
     return _assemble(d, [np.eye(m.shape[1]) if role == "A" else m
-                         for (role, _, _), m in zip(c.tags, moved)])
+                         for (role, _, _), m in zip(c.tags, _gauged(c, blocks, g))])
 
 
 def _quiver_point(d: BowDiagram, p: TotalSpacePoint) -> QuiverRepPoint:
@@ -579,18 +574,18 @@ def _quiver_point(d: BowDiagram, p: TotalSpacePoint) -> QuiverRepPoint:
     return QuiverRepPoint(underlying_quiver(d.bow), v, w, x, y, I, J)
 
 
-def _quiver_semistable(d: BowDiagram, p: TotalSpacePoint, theta: dict, stable: bool,
-                       tol: Tolerances) -> StabilityVerdict | None:
+def _quiver_semistable(d: BowDiagram, p: TotalSpacePoint, theta: dict,
+                       stable: bool) -> StabilityVerdict | None:
     """The heuristic verdict of p's framed quiver point, its witness
     carried back to the segments; None where the reduction does not
     apply or the carried witness fails the bow checks."""
     try:
-        fixed = _fix_H(d, p, tol)
+        fixed = _fix_H(d, p)
     except (NotCobalanced, MuHNonzero, SingularA):
         return None
     nu = embed_stability(d, integerize_weights(theta))
     weights = {name: nu[SegmentRef(name, 0)] for name in d.bow.intervals}
-    verdict = _destabilizer(_quiver_point(d, fixed), weights, "heuristic", stable, tol)
+    verdict = _destabilizer(_quiver_point(d, fixed), weights, "heuristic", stable)
     if verdict.kind != "unstable":
         return verdict
     # the walk's gauge is g_0 = id, g_{i+1} = g_i A_i^-1, so the vertex
@@ -599,18 +594,17 @@ def _quiver_semistable(d: BowDiagram, p: TotalSpacePoint, theta: dict, stable: b
     parts = {s: verdict.witness.parts[s.interval] for s in c.segs if s.index == 0}
     for (role, hi, lo), A in zip(c.tags, _blocks(d, p)):
         if role == "A":
-            parts[c.segs[hi]] = subspace_image(A, parts[c.segs[lo]], tol)
+            parts[c.segs[hi]] = subspace_image(A, parts[c.segs[lo]])
     witness = GradedSubspace({s: parts[s] for s in c.segs})
     if not _is_destabilizer(witness, verdict.clause, **_bow_data(d, p, theta),
-                            stable=stable, tol=tol):
+                            stable=stable):
         return None
     return StabilityVerdict("unstable", witness, verdict.clause, verdict.searched,
                             verdict.capped)
 
 
 def check_semistable(d: BowDiagram, p: TotalSpacePoint, theta: dict,
-                     mode: str = "heuristic", stable: bool = False,
-                     tol: Tolerances = DEFAULT_TOL) -> StabilityVerdict:
+                     mode: str = "heuristic", stable: bool = False) -> StabilityVerdict:
     """Kernel/image stability criterion for bow points.
 
     A graded subspace qualifies for the kernel clause when it is
@@ -640,10 +634,10 @@ def check_semistable(d: BowDiagram, p: TotalSpacePoint, theta: dict,
     """
     check_shapes(d, p)
     if mode == "heuristic":
-        verdict = _quiver_semistable(d, p, theta, stable, tol)
+        verdict = _quiver_semistable(d, p, theta, stable)
         if verdict is not None:
             return verdict
-    return _bow_semistable(d, p, theta, mode, stable, tol)
+    return _bow_semistable(d, p, theta, mode, stable)
 
 
 # --- translation, dimension, local maps --------------------------------------
@@ -689,8 +683,7 @@ class LocalMapReport:
         return self.rank == self.required
 
 
-def check_local_maps(d: BowDiagram, p: TotalSpacePoint,
-                     tol: Tolerances = DEFAULT_TOL) -> list:
+def check_local_maps(d: BowDiagram, p: TotalSpacePoint) -> list:
     """Rank tests at boundary x-points.
 
     At an x-point whose left segment is the first of its interval, the
@@ -709,17 +702,16 @@ def check_local_maps(d: BowDiagram, p: TotalSpacePoint,
         name, i = c.segs[lo].interval, c.segs[lo].index
         if i == 0:
             alpha = np.vstack([m for (r, _, col), m in tagged if col == lo and r != "B1"])
-            reports.append(LocalMapReport(name, i, "injective", rank(alpha, tol), A.shape[1]))
+            reports.append(LocalMapReport(name, i, "injective", rank(alpha), A.shape[1]))
         if i == d.x_point_count(name) - 1:
             beta = np.hstack([m for (r, row, _), m in tagged if row == hi and r != "B2"])
-            reports.append(LocalMapReport(name, i, "surjective", rank(beta, tol), A.shape[0]))
+            reports.append(LocalMapReport(name, i, "surjective", rank(beta), A.shape[0]))
     return reports
 
 
-def stabilizer_dimension(d: BowDiagram, p: TotalSpacePoint,
-                         tol: Tolerances = DEFAULT_TOL) -> int:
+def stabilizer_dimension(d: BowDiagram, p: TotalSpacePoint) -> int:
     """dim of the gauge Lie algebra minus the rank of its action at p."""
-    return gauge_dim(d) - rank(action_differential(d, p), tol)
+    return gauge_dim(d) - rank(action_differential(d, p))
 
 
 # --- symplectic pairing -------------------------------------------------------
@@ -729,10 +721,10 @@ def _shifted_triangle(t: TriangleData, dt: TriangleData, s: float) -> TriangleDa
                         a=t.a + s * dt.a, b=t.b + s * dt.b)
 
 
-def _chart_tangent(t: TriangleData, dt: TriangleData, step: float, tol: Tolerances):
-    plus = triangle_to_hurtubise(_shifted_triangle(t, dt, step), tol)
-    minus = triangle_to_hurtubise(_shifted_triangle(t, dt, -step), tol)
-    inv = 1.0 / (2.0 * step)
+def _chart_tangent(t: TriangleData, dt: TriangleData):
+    plus = triangle_to_hurtubise(_shifted_triangle(t, dt, FD_STEP))
+    minus = triangle_to_hurtubise(_shifted_triangle(t, dt, -FD_STEP))
+    inv = 1.0 / (2.0 * FD_STEP)
     if isinstance(plus, SquareForm):
         return SquareTangent(du=(plus.u - minus.u) * inv, dh=(plus.h - minus.h) * inv,
                              dI=(plus.I - minus.I) * inv, dJ=(plus.J - minus.J) * inv)
@@ -741,8 +733,7 @@ def _chart_tangent(t: TriangleData, dt: TriangleData, step: float, tol: Toleranc
 
 
 def total_symplectic_pairing(d: BowDiagram, p: TotalSpacePoint,
-                             t1: TotalSpacePoint, t2: TotalSpacePoint,
-                             tol: Tolerances = DEFAULT_TOL) -> complex:
+                             t1: TotalSpacePoint, t2: TotalSpacePoint) -> complex:
     """Ambient symplectic pairing of two tangents at p.
 
     Each x-point contributes the normal-form pairing pulled back along
@@ -753,13 +744,12 @@ def total_symplectic_pairing(d: BowDiagram, p: TotalSpacePoint,
     the triangle locus.
     """
     check_shapes(d, p)
-    step = tol.fd_step
     val = 0.0 + 0.0j
     for name, i in d.x_points():
         base = p.triangle(name, i)
-        form = triangle_to_hurtubise(base, tol)
-        ct1 = _chart_tangent(base, t1.triangle(name, i), step, tol)
-        ct2 = _chart_tangent(base, t2.triangle(name, i), step, tol)
+        form = triangle_to_hurtubise(base)
+        ct1 = _chart_tangent(base, t1.triangle(name, i))
+        ct2 = _chart_tangent(base, t2.triangle(name, i))
         val += hurtubise_symplectic_pairing(form, ct1, ct2)
     for k in range(len(d.bow.edges)):
         val += two_way_symplectic_pairing(t1.edges[k], t2.edges[k])

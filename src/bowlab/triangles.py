@@ -31,9 +31,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .linalg import (
-    DEFAULT_TOL,
     Subspace,
-    Tolerances,
     _largest_entry,
     as_matrix,
     image_basis,
@@ -316,34 +314,34 @@ def condition_a_residual(t: TriangleData) -> float:
     return float(np.linalg.norm(t.B2 @ t.A - t.A @ t.B1 + t.a @ t.b))
 
 
-def check_S1(t: TriangleData, tol: Tolerances = DEFAULT_TOL) -> ConditionReport:
+def check_S1(t: TriangleData) -> ConditionReport:
     """No nonzero B1-invariant subspace inside Ker A ∩ Ker b."""
-    seed = subspace_intersection(kernel_basis(t.A, tol), kernel_basis(t.b, tol), tol)
-    bad = largest_invariant_inside(seed, [t.B1], tol)
+    seed = subspace_intersection(kernel_basis(t.A), kernel_basis(t.b))
+    bad = largest_invariant_inside(seed, [t.B1])
     if bad.dim == 0:
         return ConditionReport(True)
     return ConditionReport(False, bad)
 
 
-def check_S2(t: TriangleData, tol: Tolerances = DEFAULT_TOL) -> ConditionReport:
+def check_S2(t: TriangleData) -> ConditionReport:
     """No proper B2-invariant subspace containing Im A + Im a."""
-    seed = subspace_sum(image_basis(t.A, tol), image_basis(t.a, tol), tol)
-    grown = smallest_invariant_containing(seed, [t.B2], tol)
+    seed = subspace_sum(image_basis(t.A), image_basis(t.a))
+    grown = smallest_invariant_containing(seed, [t.B2])
     if grown.dim == t.v2:
         return ConditionReport(True)
     return ConditionReport(False, grown)
 
 
-def _invert_or_raise(u: np.ndarray, exc_type, what: str, tol: Tolerances) -> np.ndarray:
+def _invert_or_raise(u: np.ndarray, exc_type, what: str) -> np.ndarray:
     n = u.shape[0]
     if n == 0:
         return u.copy()
-    if rank(u, tol) < n:
+    if rank(u) < n:
         raise exc_type(f"{what} is numerically singular")
     return np.linalg.inv(u)
 
 
-def hurtubise_to_triangle(f, tol: Tolerances = DEFAULT_TOL) -> TriangleData:
+def hurtubise_to_triangle(f) -> TriangleData:
     """Case formulas of the chart, producing a genuine triangle.
 
     v1 = v2:  (u, u^-1 h u, h - IJ, I, J u)
@@ -351,7 +349,7 @@ def hurtubise_to_triangle(f, tol: Tolerances = DEFAULT_TOL) -> TriangleData:
     v1 < v2:  (-u^-1 [id;0;0], -h, -u^-1 eta u, u^-1 [0;1;0], -f)
     """
     if isinstance(f, SquareForm):
-        uinv = _invert_or_raise(f.u, SingularU, "u", tol)
+        uinv = _invert_or_raise(f.u, SingularU, "u")
         return TriangleData(
             A=f.u,
             B1=uinv @ f.h @ f.u,
@@ -362,7 +360,7 @@ def hurtubise_to_triangle(f, tol: Tolerances = DEFAULT_TOL) -> TriangleData:
     if not isinstance(f, RectForm):
         raise TypeError(f"expected SquareForm or RectForm, got {type(f).__name__}")
     n, m = f.n, f.m
-    uinv = _invert_or_raise(f.u, SingularU, "u", tol)
+    uinv = _invert_or_raise(f.u, SingularU, "u")
     blocks = rect_blocks(f)
     if f.v1 > f.v2:
         return TriangleData(
@@ -381,21 +379,21 @@ def hurtubise_to_triangle(f, tol: Tolerances = DEFAULT_TOL) -> TriangleData:
     )
 
 
-def _require_triangle(t: TriangleData, tol: Tolerances):
+def _require_triangle(t: TriangleData):
     res = condition_a_residual(t)
-    if res > residual_cutoff(t.scale(), tol):
+    if res > residual_cutoff(t.scale()):
         raise NotATriangle(f"condition (a) residual {res:.3e} too large")
-    s1 = check_S1(t, tol)
+    s1 = check_S1(t)
     if not s1:
         raise NotATriangle(f"(S1) fails: invariant subspace of dim {s1.witness.dim} "
                            "inside Ker A ∩ Ker b")
-    s2 = check_S2(t, tol)
+    s2 = check_S2(t)
     if not s2:
         raise NotATriangle(f"(S2) fails: invariant subspace of dim {s2.witness.dim} "
                            "contains Im A + Im a")
 
 
-def triangle_to_hurtubise(t: TriangleData, tol: Tolerances = DEFAULT_TOL):
+def triangle_to_hurtubise(t: TriangleData):
     """Invert the chart on a verified triangle.
 
     The square case is direct algebra.  In the rectangular cases the
@@ -406,11 +404,11 @@ def triangle_to_hurtubise(t: TriangleData, tol: Tolerances = DEFAULT_TOL):
     invertible in exact arithmetic, so a singular system means the
     input was not a triangle to working precision.
     """
-    _require_triangle(t, tol)
+    _require_triangle(t)
     v1, v2 = t.v1, t.v2
 
     if v1 == v2:
-        uinv = _invert_or_raise(t.A, GaugeFixFailed, "A", tol)
+        uinv = _invert_or_raise(t.A, GaugeFixFailed, "A")
         return SquareForm(u=t.A, h=t.A @ t.B1 @ uinv, I=t.a, J=t.b @ uinv)
 
     if v1 < v2:
@@ -422,7 +420,7 @@ def triangle_to_hurtubise(t: TriangleData, tol: Tolerances = DEFAULT_TOL):
             vec = -t.B2 @ vec
             chain.append(vec)
         w = np.hstack(cols + chain)
-        if rank(w, tol) < n:
+        if rank(w) < n:
             raise GaugeFixFailed("Krylov completion of u is numerically singular")
         z = np.linalg.solve(w, -t.B2 @ w[:, n - 1:n])
         return rect_form_from_blocks(
@@ -437,7 +435,7 @@ def triangle_to_hurtubise(t: TriangleData, tol: Tolerances = DEFAULT_TOL):
     for _ in range(q + 1):
         kappa.append(kappa[-1] @ t.B1)
     M = np.hstack(([t.A.T] if m else []) + [k.T for k in kappa[:q + 1]])
-    if rank(M, tol) < n:
+    if rank(M) < n:
         raise GaugeFixFailed("row completion of u is numerically singular")
     z = np.linalg.solve(M, kappa[q + 1].T)
     fvec = z[:m].T

@@ -158,11 +158,17 @@ def test_non_finite_lambda_is_usage_error(capsys, diagram_file, argv):
 
 
 def test_seed_env_default(capsys, diagram_file, monkeypatch):
-    monkeypatch.setenv("BOWLAB_SEED", "11")
+    # BOWLAB_SEED is read on every call, not once per process
+    for seed in ("11", "12"):
+        monkeypatch.setenv("BOWLAB_SEED", seed)
+        code, out, _ = run_cli(capsys, ["solve", diagram_file, "--lambda", "0.4",
+                                        "--starts", "8"])
+        assert code == 0
+        assert json.loads(out)["seed"] == int(seed)
     code, out, _ = run_cli(capsys, ["solve", diagram_file, "--lambda", "0.4",
-                                    "--starts", "8"])
+                                    "--starts", "8", "--seed", "3"])
     assert code == 0
-    assert json.loads(out)["seed"] == 11
+    assert json.loads(out)["seed"] == 3
 
 
 # --- stability / dim / reduce pipeline ----------------------------------------------

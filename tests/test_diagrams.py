@@ -168,6 +168,11 @@ def test_parameter_embeddings():
     nu = {SegmentRef("a", 0): 1.0, SegmentRef("a", 1): 2.0, SegmentRef("b", 0): -1.0}
     assert lambda_of_nu(d, nu) == {"a": 3.0, "b": -1.0}
     assert theta_of_nu(d, {SegmentRef("a", 1): 5}) == {"a": 5, "b": 0}
+    # a key naming no interval is an error, not a zero
+    with pytest.raises(ValueError, match=r"\['c'\]"):
+        embed_deformation(d, {"a": 1.0, "c": 2.0})
+    with pytest.raises(ValueError, match=r"\['A', 'c'\]"):
+        embed_stability(d, {"c": 1, "A": 1})
 
 
 def test_counting_check_flags_oversized_first_segment():

@@ -16,7 +16,6 @@ import pytest
 
 from bowlab.diagrams import SegmentRef, parse_bow_diagram
 from bowlab.graded import LATTICE_CAP
-from bowlab.linalg import DEFAULT_TOL
 from bowlab.quiver import _destabilizer
 from bowlab.reduction import SingularA, gauge_fix_H, to_quiver_point
 from bowlab.total_space import (
@@ -130,11 +129,11 @@ def test_routed_verdict_matches_bow_search(case):
         dims = []
         for point in (p, moved):
             got = check_semistable(d, point, theta, mode="heuristic", stable=stable)
-            want = _bow_semistable(d, point, theta, "heuristic", stable, DEFAULT_TOL)
+            want = _bow_semistable(d, point, theta, "heuristic", stable)
             assert got.kind == want.kind
             # the verdict is the quiver search's: same kind and size
             quiver = _destabilizer(to_quiver_point(gauge_fix_H(d, point)), theta,
-                                   "heuristic", stable, DEFAULT_TOL)
+                                   "heuristic", stable)
             assert (got.kind, got.searched, got.capped) == (
                 quiver.kind, quiver.searched, quiver.capped)
             if got.kind == "unstable":
@@ -151,12 +150,12 @@ def test_moved_cycle_444_is_no_longer_capped():
     routed = check_semistable(d, moved, theta, mode="heuristic")
     assert routed.kind == "not-falsified" and not routed.capped
     assert 0 < routed.searched < LATTICE_CAP
-    assert _bow_semistable(d, moved, theta, "heuristic", False, DEFAULT_TOL).capped
+    assert _bow_semistable(d, moved, theta, "heuristic", False).capped
 
 
 def _fell_back(d, p, theta, stable=False):
     got = check_semistable(d, p, theta, mode="heuristic", stable=stable)
-    want = _bow_semistable(d, p, theta, "heuristic", stable, DEFAULT_TOL)
+    want = _bow_semistable(d, p, theta, "heuristic", stable)
     return _summary(got) == _summary(want)
 
 
@@ -185,8 +184,7 @@ def test_witness_failing_the_bow_checks_takes_the_bow_search():
     t = TriangleData(A=np.eye(2), B1=np.array([[0, 0], [1, 0]]), B2=np.zeros((2, 2)),
                      a=np.array([[1], [0]]), b=np.zeros((1, 2)))
     p = TotalSpacePoint({"s": (t,)}, ())
-    quiver = _destabilizer(to_quiver_point(gauge_fix_H(d, p)), {"s": -1}, "heuristic",
-                           False, DEFAULT_TOL)
+    quiver = _destabilizer(to_quiver_point(gauge_fix_H(d, p)), {"s": -1}, "heuristic", False)
     assert quiver.kind == "unstable" and quiver.witness.dim("s") == 1
     assert _fell_back(d, p, {"s": -1})
     assert check_semistable(d, p, {"s": -1}).kind == "not-falsified"
@@ -203,7 +201,7 @@ def test_bow_search_seeds_with_one_segment_self_edges():
                          TwoWayData(C=np.array([[0.0, 1.0]]), D=np.array([[1.0], [0.0]]))))
     theta = {"a": 1, "b": -2}
     routed = check_semistable(d, p, theta, mode="heuristic")
-    bow = _bow_semistable(d, p, theta, "heuristic", False, DEFAULT_TOL)
+    bow = _bow_semistable(d, p, theta, "heuristic", False)
     for v in (routed, bow):
         assert (v.kind, v.clause) == ("unstable", "kernel")
         assert {s: part.dim for s, part in v.witness.parts.items()} == {

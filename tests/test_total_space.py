@@ -296,6 +296,24 @@ def test_solve_fiber_needs_finite_lambda(lam):
         solve_fiber(parse_bow_diagram(INTERVAL_111), {"s": lam}, n_starts=1)
 
 
+def test_unknown_interval_names_are_errors():
+    # a misspelt key was read as "no value", i.e. 0: the solve ran at
+    # lambda = 0 and every weight was 0, so the verdict was "semistable"
+    d = parse_bow_diagram(INTERVAL_111)
+    with pytest.raises(ValueError, match="typo"):
+        solve_fiber(d, {"typo": 5.0}, n_starts=1)
+    solved = solve_fiber(d, {"s": 0.0}, seed=0, n_starts=10)
+    assert isinstance(solved, FiberSolveReport)
+    for p in (solved.point, zero_point(d)):   # the quiver route, the bow search
+        for mode in ("heuristic", "exact01"):
+            with pytest.raises(ValueError, match="typo"):
+                check_semistable(d, p, {"typo": 1}, mode=mode)
+            with pytest.raises(ValueError, match="typo"):
+                check_semistable(d, p, {"s": 1, "typo": 0}, mode=mode)
+    # an interval left out still reads as 0
+    assert check_semistable(d, solved.point, {}, mode="exact01").kind == "semistable"
+
+
 def test_solve_fiber_on_empty_ambient_space():
     # n = 0 but mu2 has four entries: a residual of -lambda id is no crash
     d = parse_bow_diagram(BARE_2)
