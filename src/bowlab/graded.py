@@ -32,12 +32,11 @@ from .linalg import (
     SAME_SUBSPACE_TOL,
     Subspace,
     _fixed_point,
-    _largest_entry,
     _op_norm,
     image_basis,
     kernel_basis,
     rank,
-    snap_small_to_zero,
+    snap_roundoff,
     subspace_image,
     subspace_intersection,
     subspace_preimage,
@@ -396,10 +395,10 @@ def _snapped(groups) -> list:
     """Each group of (..., matrix) items with the matrices that lie within
     zero_cutoff(largest entry of any matrix in the groups) read as exact
     zeros: otherwise their noise ranks poison every image and preimage
-    (see snap_small_to_zero)."""
+    (see snap_roundoff)."""
     groups = [list(g) for g in groups]
-    ztol = zero_cutoff(_largest_entry(*(item[-1] for g in groups for item in g)))
-    return [[(*item[:-1], snap_small_to_zero(item[-1], ztol)) for item in g] for g in groups]
+    mats = iter(snap_roundoff([item[-1] for g in groups for item in g]))
+    return [[(*item[:-1], next(mats)) for item in g] for g in groups]
 
 
 def _qualifies(g: GradedSubspace, clause: str, dims: dict, maps, links, weights: dict,

@@ -30,7 +30,7 @@ __all__ = [
     "rank",
     "zero_cutoff",
     "residual_cutoff",
-    "snap_small_to_zero",
+    "snap_roundoff",
     "kernel_basis",
     "image_basis",
     "subspace_sum",
@@ -145,21 +145,22 @@ def residual_cutoff(scale: float) -> float:
 
 def _largest_entry(*mats) -> float:
     """Largest entry magnitude over the matrices; 0 when all are empty."""
-    return max((float(np.max(np.abs(m))) for m in mats if m.size), default=0.0)
+    return max((float(np.abs(m).max()) for m in mats if m.size), default=0.0)
 
 
-def snap_small_to_zero(m: np.ndarray, cutoff: float) -> np.ndarray:
-    """m itself, or an exact zero matrix when every entry is below cutoff.
+def snap_roundoff(mats) -> list:
+    """mats, each one whose entries all lie within zero_cutoff(largest
+    entry of any of them) replaced by an exact zero matrix.
 
     Rank decisions are relative to a matrix's own largest singular
     value, so a matrix made of pure roundoff reads as full rank.  A
-    caller that knows the honest scale of its data can snap whole
-    noise-level matrices to zero before asking rank questions about
-    them.  Never zeroes individual entries.
+    caller snaps together the matrices of one problem, whose largest
+    entry is the honest scale of its data, before asking rank questions
+    about them.  Never zeroes individual entries.
     """
-    if m.size and float(np.max(np.abs(m))) <= cutoff:
-        return np.zeros_like(m)
-    return m
+    tops = [float(np.abs(m).max()) if m.size else 0.0 for m in mats]
+    cutoff = zero_cutoff(max(tops, default=0.0))
+    return [np.zeros_like(m) if m.size and top <= cutoff else m for m, top in zip(mats, tops)]
 
 
 @dataclass(frozen=True)

@@ -181,10 +181,17 @@ def rep_semistable(p: QuiverRepPoint, theta: dict, mode: str = "heuristic") -> S
     available only when every v_i <= 1.  heuristic searches a finite
     lattice of invariant subspaces: "unstable" comes with a verified
     witness, "not-falsified" is not a proof.
+
+    A vertex theta omits has weight 0, as an interval has in
+    check_semistable; a key naming no vertex is an error.
     """
-    if set(theta) != set(p.quiver.vertices):
-        raise ValueError("theta must be keyed by the quiver vertices")
-    return _destabilizer(p, integerize_weights(theta), mode, False)
+    vertices = p.quiver.vertices
+    unknown = sorted(set(theta) - set(vertices), key=repr)
+    if unknown:
+        raise ValueError(f"theta names unknown vertex(es) {unknown}; "
+                         f"the quiver's vertices are {list(vertices)}")
+    weights = integerize_weights(theta)
+    return _destabilizer(p, {i: weights.get(i, 0) for i in vertices}, mode, False)
 
 
 def _destabilizer(p: QuiverRepPoint, weights: dict, mode: str, stable: bool) -> StabilityVerdict:

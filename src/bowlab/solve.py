@@ -9,7 +9,10 @@ The step is solved in residual space, d = J^H (J J^H + l I)^-1 (-r): by
 the push-through identity it is the same step for every damping l > 0,
 and the moment equations have fewer residuals m than unknowns n, so the
 factored system is m x m.  Rejected steps are rare, so each is one more
-m x m solve rather than a reuse of an eigendecomposition.
+m x m solve rather than a reuse of an eigendecomposition.  J J^H is the
+dense product unless the caller passes `gram`, its own J -> J J^H for a
+Jacobian of known sparsity (solve_fiber passes the moment Jacobian's
+pair table, see total_space).
 
 Constants: a start converges below residual norm RESIDUAL_TOL; the
 damping, from SolveConfig.damping_init, is multiplied by DAMPING_UP per
@@ -78,11 +81,14 @@ class SolveResult:
     iterations: int
 
 
-def gauss_newton(residual, x0, cfg: SolveConfig = SolveConfig(), *, jacobian) -> SolveResult:
+def gauss_newton(residual, x0, cfg: SolveConfig = SolveConfig(), *, jacobian,
+                 gram=None) -> SolveResult:
     """Levenberg-damped Gauss-Newton on min ||residual(x)||^2.
 
     residual: map from C^n to C^m, complex-differentiable.
     jacobian: dr/dz at x (finite_diff_jacobian where no closed form is at hand).
+    gram: J -> J J^H, for a Jacobian whose sparsity the caller knows;
+    None takes the dense product.
     Raises MaxItersExceeded when no damping level improves the residual
     or the iteration budget runs out without reaching RESIDUAL_TOL.
     Deterministic: identical inputs give bitwise-identical iterates.
@@ -98,7 +104,7 @@ def gauss_newton(residual, x0, cfg: SolveConfig = SolveConfig(), *, jacobian) ->
 
         jac = np.asarray(jacobian(x), dtype=complex)
         jh = jac.conj().T
-        jjh = jac @ jh
+        jjh = jac @ jh if gram is None else gram(jac)
         eye = np.eye(r.size)
 
         accepted = False

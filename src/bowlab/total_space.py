@@ -24,8 +24,13 @@ flat vector, without building a point.
 The moment map is quadratic, so by vec(M X N) = (M kron N^T) vec(X)
 each Jacobian entry is +-x[src], +-1 or a sum of two such terms; the
 record lists them once, and the Jacobian is a scatter of the point's
-entries.  The gauge action's matrix is the action evaluated on the gauge
-Lie algebra's basis, by matmul broadcasting over a leading axis.
+entries.  Its nonzero pattern is fixed too, so the record also lists,
+per column, every pair (a, b) of the column's nonzeros: the solver's
+J J^H, passed to gauss_newton as its `gram` keyword, is one bincount of
+the pairs' products J[a, j] conj(J[b, j]) into entry (a, b), not a
+dense m x n by n x m product.  The gauge action's matrix is the action
+evaluated on the gauge Lie algebra's basis, by matmul broadcasting
+over a leading axis.
 """
 
 from __future__ import annotations
@@ -154,9 +159,16 @@ def check_shapes(d: BowDiagram, p: TotalSpacePoint):
 # What a diagram's flat coordinates fix, whatever the point.  Block k,
 # of shape layout[k], is tags[k] = (role, row, col): a map from segment
 # position col to row, either None on the framing side.  Jacobian term t
-# adds (x, 1, -x, -1)[jac_src[t]] to the flat entry jac_index[t].
-_Compiled = namedtuple("_Compiled",
-                       "tags layout segs seg_dims x_segs edge_segs n m jac_index jac_src")
+# adds (x, 1, -x, -1)[jac_src[t]] to the flat entry jac_index[t].  Pair
+# u of J J^H adds J.flat[gram_p[u]] * conj(J.flat[gram_q[u]]) to the
+# flat m x m entry t, its real part at gram_target[2 u] = 2 t and its
+# imaginary part at gram_target[2 u + 1] (see _gram).  solve_fiber's
+# rescaling multiplies flat entry i by t ** lam_power[i].
+_Compiled = namedtuple("_Compiled", "tags layout segs seg_dims x_segs edge_segs n m "
+                                    "jac_index jac_src gram_p gram_q gram_target lam_power")
+
+# the power of t by which solve_fiber's rescaling multiplies each role's block
+_LAMBDA_POWER = {"B1": 1, "B2": 1, "a": 1, "C": 0.5, "D": 0.5}
 
 
 def _compiled(d: BowDiagram) -> _Compiled:
@@ -215,9 +227,42 @@ def _compile(bow, dims: tuple) -> _Compiled:
         for row, sign, x in ((lo, 1, 5 * ix + 1), (hi, -1, 5 * ix + 2)):
             term(mu2 + row, sign, x, (n + 1) * np.eye(offs[x + 1] - offs[x], dtype=int))
     index, src = np.concatenate(index), np.concatenate(src)
-    index.flags.writeable = src.flags.writeable = False   # shared by every caller
+    pairs = _gram_pairs(index, rows[-1], n)
+    lam_power = np.repeat([float(_LAMBDA_POWER.get(role, 0)) for role, _, _ in tags],
+                          [r * c for r, c in layout])
+    for table in (index, src, *pairs, lam_power):
+        table.flags.writeable = False   # shared by every caller
     return _Compiled(tuple(tags), tuple(layout), segs, seg_dims, tuple(x_segs),
-                     tuple(edge_segs), n, rows[-1], index, src)
+                     tuple(edge_segs), n, rows[-1], index, src, *pairs, lam_power)
+
+
+def _gram_pairs(index: np.ndarray, m: int, n: int) -> tuple:
+    """The pair table of J J^H for an m x n Jacobian whose nonzeros lie at
+    the flat entries index: per column, every pair (a, b) of its nonzero
+    rows, as the pair's flat entries P and Q and its target, a m + b."""
+    # a mask rather than np.unique, which imports numpy.ma on first use
+    pattern = np.zeros(m * n, dtype=bool)
+    pattern[index] = True
+    nz = np.flatnonzero(pattern)
+    nz = nz[np.argsort(nz % n, kind="stable")]   # by column, rows ascending in each
+    per_col = np.bincount(nz % n, minlength=n)
+    k = per_col[nz % n]                          # nonzeros in each entry's column
+    # entry i pairs with the k_i entries of its column, from its column's first
+    first = np.repeat((np.cumsum(per_col) - per_col)[nz % n], k)
+    p = np.repeat(nz, k)
+    q = nz[first + np.arange(p.size) - np.repeat(np.cumsum(k) - k, k)]
+    # _gram sums the real and imaginary part of pair u into floats 2 t, 2 t + 1
+    target = 2 * ((p // n) * m + q // n)
+    return tuple(a.astype(np.int32) for a in (p, q, np.stack([target, target + 1], 1).ravel()))
+
+
+def _gram(c: _Compiled, jac: np.ndarray) -> np.ndarray:
+    """J J^H of a moment Jacobian, summed over c's pairs of its nonzeros,
+    real and imaginary parts in one bincount over the complex result's floats."""
+    flat = jac.reshape(-1)
+    prod = flat[c.gram_p] * flat[c.gram_q].conj()
+    size = 2 * c.m * c.m
+    return np.bincount(c.gram_target, prod.view(float), size).view(complex).reshape(c.m, c.m)
 
 
 def _split(layout: list, arr: np.ndarray) -> list:
@@ -450,6 +495,12 @@ def solve_fiber(d: BowDiagram, lam: dict, seed: int = 0, n_starts: int = 20,
     accepted solution, else an InfeasibilityEvidence record.  n_starts
     must be at least 1: evidence from no start is no evidence; lam must
     be finite, or there is no fiber to search.
+
+    The moment map is homogeneous: (A, t B, t a, b, sqrt(t) C, sqrt(t) D)
+    has moment t mu and the same (S1)/(S2).  So the starts, drawn at
+    scale 1, solve over lam / t with t = max(1, max |lam_i|), and each
+    solution is carried back by that map; residuals are reported over lam
+    itself, t times those over lam / t.
     """
     if n_starts < 1:
         raise ValueError(f"n_starts must be at least 1, got {n_starts}")
@@ -457,7 +508,9 @@ def solve_fiber(d: BowDiagram, lam: dict, seed: int = 0, n_starts: int = 20,
         raise ValueError(f"lam must be finite, got {lam}")
     cfg = cfg or SolveConfig()
     c = _compiled(d)
-    shifts = _shifts(d, embed_deformation(d, lam))
+    t = max([1.0] + [abs(complex(v)) for v in lam.values()])
+    shifts = [shift / t for shift in _shifts(d, embed_deformation(d, lam))]
+    back = t ** c.lam_power
 
     def residual(x):
         return _residual(c, _split(c.layout, x), shifts)
@@ -465,24 +518,28 @@ def solve_fiber(d: BowDiagram, lam: dict, seed: int = 0, n_starts: int = 20,
     def jacobian(x):
         return moment_jacobian(d, x)
 
+    def gram(jac):
+        return _gram(c, jac)
+
     diags = []
     best = np.inf
     for k in range(n_starts):
         rng = np.random.default_rng([seed, k])
         x0 = flatten_point(d, random_point(d, rng))
         try:
-            res = gauss_newton(residual, x0, cfg, jacobian=jacobian)
+            res = gauss_newton(residual, x0, cfg, jacobian=jacobian, gram=gram)
         except MaxItersExceeded as stuck:
-            best = min(best, stuck.residual_norm)
-            diags.append(StartDiagnostic(k, False, stuck.residual_norm,
+            best = min(best, t * stuck.residual_norm)
+            diags.append(StartDiagnostic(k, False, t * stuck.residual_norm,
                                          stuck.iterations, None, stuck.reason))
             continue
-        point = unflatten_point(d, res.x)
+        point = unflatten_point(d, res.x * back)
         ok = open_conditions_hold(d, point)
-        best = min(best, res.residual_norm)
-        diags.append(StartDiagnostic(k, True, res.residual_norm, res.iterations, ok))
+        rnorm = t * res.residual_norm
+        best = min(best, rnorm)
+        diags.append(StartDiagnostic(k, True, rnorm, res.iterations, ok))
         if ok:
-            return FiberSolveReport(point=point, residual_norm=res.residual_norm,
+            return FiberSolveReport(point=point, residual_norm=rnorm,
                                     iterations=res.iterations, open_conditions_ok=True,
                                     seed=seed, start_index=k)
     return InfeasibilityEvidence(n_starts=n_starts, best_residual=float(best),

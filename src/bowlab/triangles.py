@@ -42,6 +42,7 @@ from .linalg import (
     rank,
     residual_cutoff,
     smallest_invariant_containing,
+    snap_roundoff,
     subspace_intersection,
     subspace_sum,
 )
@@ -315,9 +316,14 @@ def condition_a_residual(t: TriangleData) -> float:
 
 
 def check_S1(t: TriangleData) -> ConditionReport:
-    """No nonzero B1-invariant subspace inside Ker A ∩ Ker b."""
-    seed = subspace_intersection(kernel_basis(t.A), kernel_basis(t.b))
-    bad = largest_invariant_inside(seed, [t.B1])
+    """No nonzero B1-invariant subspace inside Ker A ∩ Ker b.
+
+    Each rank below is cut against its own block's norm, so a block that
+    is roundoff on the triangle's scale is made exactly zero first; (S2)
+    likewise."""
+    A, B1, _, _, b = snap_roundoff([t.A, t.B1, t.B2, t.a, t.b])
+    seed = subspace_intersection(kernel_basis(A), kernel_basis(b))
+    bad = largest_invariant_inside(seed, [B1])
     if bad.dim == 0:
         return ConditionReport(True)
     return ConditionReport(False, bad)
@@ -325,8 +331,9 @@ def check_S1(t: TriangleData) -> ConditionReport:
 
 def check_S2(t: TriangleData) -> ConditionReport:
     """No proper B2-invariant subspace containing Im A + Im a."""
-    seed = subspace_sum(image_basis(t.A), image_basis(t.a))
-    grown = smallest_invariant_containing(seed, [t.B2])
+    A, _, B2, a, _ = snap_roundoff([t.A, t.B1, t.B2, t.a, t.b])
+    seed = subspace_sum(image_basis(A), image_basis(a))
+    grown = smallest_invariant_containing(seed, [B2])
     if grown.dim == t.v2:
         return ConditionReport(True)
     return ConditionReport(False, grown)

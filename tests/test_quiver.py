@@ -299,6 +299,21 @@ def test_unknown_mode_rejected(rng):
         rep_semistable(p, {"other": 1})
 
 
+def test_omitted_vertex_weighs_zero(rng):
+    # J = 0 at z with weight 1: the kernel clause fires with u left out
+    q = Quiver(("u", "z"), ())
+    p = _random_point(rng, q, {"u": 1, "z": 1}, {"u": 1, "z": 1})
+    p = QuiverRepPoint(q, p.v, p.w, p.x, p.y, p.I, {"u": p.J["u"], "z": np.zeros((1, 1))})
+    for mode in ("exact01", "heuristic"):
+        got = rep_semistable(p, {"z": 1}, mode=mode)
+        want = rep_semistable(p, {"u": 0, "z": 1}, mode=mode)
+        assert got.kind == want.kind == "unstable"
+        assert got.clause == want.clause
+        assert {i: got.witness.dim(i) for i in "uz"} == {i: want.witness.dim(i) for i in "uz"}
+    with pytest.raises(ValueError, match="'other'"):
+        rep_semistable(p, {"z": 1, "other": 0})
+
+
 def test_integerize_weights():
     got = integerize_weights({"a": Fraction(1, 3), "b": Fraction(-1, 2), "c": 1})
     assert got == {"a": 2, "b": -3, "c": 6}

@@ -169,7 +169,11 @@ def test_off_fiber_and_non_cobalanced_points_take_the_bow_search(rng):
 
 
 def test_singular_A_takes_the_bow_search():
-    d, p = _solved(S222, {"s": 0}, 0)
+    # every B, a and b zero, so mu is 0; the first A has rank 1
+    d = parse_bow_diagram(S222)
+    p = TotalSpacePoint({"s": tuple(TriangleData(A=A, B1=np.zeros((2, 2)), B2=np.zeros((2, 2)),
+                                                 a=np.zeros((2, 1)), b=np.zeros((1, 2)))
+                                    for A in (np.diag([1.0, 0.0]), np.eye(2)))}, ())
     with pytest.raises(SingularA):
         gauge_fix_H(d, p)
     for sign, stable in itertools.product((1, -1), (False, True)):

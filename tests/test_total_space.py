@@ -25,13 +25,15 @@ from bowlab.graded import (
     StabilityVerdict,
     candidate_lattice,
 )
-from bowlab.linalg import DEFAULT_TOL, Subspace, Tolerances, image_basis, kernel_basis
+from bowlab.linalg import DEFAULT_TOL, Subspace, Tolerances, image_basis, kernel_basis, rank
 from bowlab.quiver import Exact01Unavailable, Quiver, QuiverRepPoint, rep_semistable
-from bowlab.solve import SolveConfig, finite_diff_jacobian
+from bowlab.solve import SolveConfig, finite_diff_jacobian, gauss_newton
 from bowlab.total_space import (
     FiberSolveReport,
     InfeasibilityEvidence,
     TotalSpacePoint,
+    _compiled,
+    _gram,
     action_differential,
     check_local_maps,
     check_semistable,
@@ -71,6 +73,14 @@ CYCLE_444 = "bow { wavy a [4, 4, 4]; wavy b [4, 4, 4]; edge a -> b; edge b -> a;
 ZERO_PARALLEL = ("bow { wavy s [0, 1, 0]; wavy t [2, 0, 1]; "
                  "edge s -> t; edge t -> t; edge s -> t; }")
 UNJOINED = "bow { wavy s [2]; wavy t [1, 2]; edge t -> t; }"  # no block joins s:0
+# the benchmark's diagrams not named above, and a larger 2-cycle
+LOOP_2 = "bow { wavy a [2]; edge a -> a; }"
+MIX_3333_33 = "bow { wavy a [3, 3, 3, 3]; wavy b [3, 3]; edge a -> b; edge b -> a; }"
+CYCLE3_11 = ("bow { wavy a [1, 1]; wavy b [1, 1]; wavy c [1, 1]; "
+             "edge a -> b; edge b -> c; edge c -> a; }")
+CYCLE3_1x5 = ("bow { wavy a [1, 1, 1, 1, 1]; wavy b [1, 1, 1, 1, 1]; "
+              "wavy c [1, 1, 1, 1, 1]; edge a -> b; edge b -> c; edge c -> a; }")
+CYCLE_888 = "bow { wavy a [8, 8, 8]; wavy b [8, 8, 8]; edge a -> b; edge b -> a; }"
 
 
 def _scalar_triangle(b1, b2, A=1.0, a=0.0, b=0.0):
@@ -175,6 +185,31 @@ def _check_jacobian_against_finite_differences(d, rng):
                                   BARE_2, SELF_2, ZERO_PARALLEL))
 def test_moment_jacobian_matches_finite_differences(text, rng):
     _check_jacobian_against_finite_differences(parse_bow_diagram(text), rng)
+
+
+@pytest.mark.parametrize("text", (INTERVAL_111, LOOP_2, CYCLE_11, S222, MIX_3333_33, CYCLE_444,
+                                  CYCLE3_11, CYCLE3_1x5, EMPTY_252, CYCLE_888, BARE_2))
+def test_compiled_gram_is_the_dense_product(text, rng):
+    # summed over the pair table, so equal up to the order of the sums
+    d = parse_bow_diagram(text)
+    jac = moment_jacobian(d, random_point(d, rng))
+    dense = jac @ jac.conj().T
+    gram = _gram(_compiled(d), jac)
+    assert gram.shape == dense.shape
+    bound = 1e-13 * max(1.0, maxabs(dense))
+    assert maxabs(gram - dense) <= bound
+    assert maxabs(gram - gram.conj().T) <= bound
+
+
+def test_compiled_gram_keeps_the_dense_iterations():
+    d = parse_bow_diagram(CYCLE_444)
+    nu = embed_deformation(d, {"a": 0.5, "b": -0.5})
+    x0 = flatten_point(d, random_point(d, np.random.default_rng([1, 0])))
+    runs = [gauss_newton(lambda x: moment_residual(d, unflatten_point(d, x), nu), x0,
+                         jacobian=lambda x: moment_jacobian(d, x), gram=gram)
+            for gram in (None, lambda jac: _gram(_compiled(d), jac))]
+    assert runs[0].iterations == runs[1].iterations > 1
+    assert np.allclose(runs[0].x, runs[1].x)
 
 
 def test_compiled_layout_cache_keeps_diagrams_apart(rng):
@@ -321,6 +356,38 @@ def test_solve_fiber_on_empty_ambient_space():
     assert isinstance(out, InfeasibilityEvidence)
     assert out.best_residual == pytest.approx(np.sqrt(2.0))
     assert isinstance(solve_fiber(d, {"s": 0.0}, seed=0, n_starts=3), FiberSolveReport)
+
+
+def _kalman_ranks_full(t: TriangleData) -> bool:
+    """(S1) and (S2) as Kalman rank tests: the B1-observability matrix of
+    (A, b) and the B2-controllability matrix of (A, a) have full rank,
+    each cut against the whole stacked matrix."""
+    powers = lambda B: [np.linalg.matrix_power(B, k) for k in range(B.shape[0])]
+    obs = np.vstack([m @ P for P in powers(t.B1) for m in (t.A, t.b)])
+    ctr = np.hstack([P @ m for P in powers(t.B2) for m in (t.A, t.a)])
+    return rank(obs) == t.v1 and rank(ctr) == t.v2
+
+
+@pytest.mark.parametrize("lam", (0.0, 5.0, 100.0, 1e4))
+def test_solve_fiber_finds_open_points_at_any_lambda_scale(lam):
+    # solved at lam / t and carried back, t = max(1, |lam|); at lam = 0 a
+    # start with rank-1 A and a B of roundoff size is refused
+    d = parse_bow_diagram(S222)
+    t = max(1.0, lam)
+    out = solve_fiber(d, {"s": lam}, seed=0, n_starts=10)
+    assert isinstance(out, FiberSolveReport)
+    residual = np.linalg.norm(moment_residual(d, out.point, embed_deformation(d, {"s": lam})))
+    assert residual <= 1e-12 * t
+    assert out.residual_norm == pytest.approx(residual, rel=1e-3, abs=1e-14 * t)
+    assert all(_kalman_ranks_full(tri) for tri in out.point.triangles["s"])
+
+
+def test_start_residuals_are_at_the_true_lambda():
+    # n = 0: every start stays at the point whose mu2 is 0, 5 sqrt(2) off 5 id
+    out = solve_fiber(parse_bow_diagram(BARE_2), {"s": 5.0}, seed=0, n_starts=2)
+    assert isinstance(out, InfeasibilityEvidence)
+    assert out.best_residual == pytest.approx(5 * np.sqrt(2.0))
+    assert [s.residual_norm for s in out.starts] == pytest.approx([5 * np.sqrt(2.0)] * 2)
 
 
 # --- translation -------------------------------------------------------------------

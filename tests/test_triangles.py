@@ -94,6 +94,27 @@ def test_S2_fails_without_generation():
     assert rep.witness.dim == 0
 
 
+def test_S1_reads_a_roundoff_B1_as_zero(rng):
+    # Ker A ∩ Ker b = span(e2), invariant under B1 = 0; a B1 of 1e-17 on a
+    # triangle of scale 1 is roundoff, not a map that moves e2 out
+    t = TriangleData(A=np.diag([1.0, 0.0]), B1=1e-17 * cgauss(rng, 2, 2),
+                     B2=np.zeros((2, 2)), a=np.zeros((2, 1)), b=np.zeros((1, 2)))
+    rep = check_S1(t)
+    assert not rep.ok
+    assert rep.witness.dim == 1
+
+
+def test_S2_reads_a_roundoff_B2_as_zero(rng):
+    # Im A + Im a = span(e1), invariant under B2 = 0; a B2 of 1e-17 on a
+    # triangle of scale 1 is roundoff, not a map that generates the plane
+    t = TriangleData(A=np.diag([1.0, 0.0]), B1=np.zeros((2, 2)),
+                     B2=1e-17 * cgauss(rng, 2, 2), a=np.array([[1.0], [0.0]]),
+                     b=np.zeros((1, 2)))
+    rep = check_S2(t)
+    assert not rep.ok
+    assert rep.witness.dim == 1
+
+
 def test_S2_holds_via_B2_orbit():
     # a = e1 and B2 the shift-up: e1 -> e2 generates the plane
     B2 = np.array([[0.0, 0.0], [1.0, 0.0]])
