@@ -1,13 +1,21 @@
 """Reduction of a cobalanced diagram to a framed quiver representation.
 
 On a cobalanced diagram every A_x is square, and at a zero of the
-moment map away from first segments every A_x is invertible.  The
+moment map away from first segments that satisfies (S1)/(S2) every A_x
+is invertible (off the open locus a singular A_x does occur).  The
 subgroup of gauge transformations that fix the first segments then acts
 freely, and each orbit has exactly one representative with every
 A_x = id.  Reading (a_x, b_x) as framing columns/rows and (C, D) as
 arrow matrices identifies the reduced space with T*Rep(Q, v, w); the
 maps below realize that identification in both directions and check
 that moment maps and stability verdicts transport across it.
+
+Both directions also run inside total_space: heuristic
+check_semistable searches the framed quiver point, and solve_fiber
+solves a cobalanced fiber on the framed quiver and lifts the solution
+by from_quiver_point's recursion.  An open point has invertible A's,
+and a point with every A_x = id satisfies (S1)/(S2) outright, so the
+bow fiber has an open point exactly when the quiver fiber is nonempty.
 """
 
 from __future__ import annotations
@@ -35,13 +43,14 @@ from .total_space import (
     MuHNonzero,
     SingularA,
     TotalSpacePoint,
+    _assemble,
     _bow_semistable,
     _fix_H,
+    _lift,
     _quiver_point,
     check_shapes,
     solve_fiber,
 )
-from .triangles import TriangleData, TwoWayData
 
 __all__ = [
     "HReducedPoint",
@@ -98,7 +107,8 @@ def to_quiver_point(r: HReducedPoint) -> QuiverRepPoint:
 def from_quiver_point(d: BowDiagram, q: QuiverRepPoint) -> HReducedPoint:
     """Inverse identification: A = id, I/J split back into framing pairs,
     and the B's rebuilt by the exact backward recursion that zeroes the
-    moment map on every non-first segment."""
+    moment map on every non-first segment (total_space._lift, which
+    solve_fiber's quiver route also lifts its solutions by)."""
     if not is_cobalanced(d):
         raise NotCobalanced("from_quiver_point requires a cobalanced diagram")
     v, w = framed_dims_of_cobalanced(d)
@@ -108,28 +118,9 @@ def from_quiver_point(d: BowDiagram, q: QuiverRepPoint) -> HReducedPoint:
     if tuple(q.quiver.arrows) != tuple(d.bow.edges):
         raise ShapeMismatch("quiver arrows do not match the bow edges")
 
-    edges = tuple(TwoWayData(C=q.x[k], D=q.y[k]) for k in range(len(d.bow.edges)))
-
-    triangles = {}
-    for name in d.bow.intervals:
-        n_x = d.x_point_count(name)
-        dim = v[name]
-        if n_x == 0:
-            triangles[name] = ()
-            continue
-        b_plus = np.zeros((dim, dim), dtype=complex)
-        for k, (tail, _) in enumerate(d.bow.edges):
-            if tail == name:
-                b_plus = b_plus - edges[k].D @ edges[k].C
-        ts: list = [None] * n_x
-        for i in range(n_x - 1, -1, -1):
-            a_i = q.I[name][:, i:i + 1]
-            b_i = q.J[name][i:i + 1, :]
-            b_minus = b_plus + a_i @ b_i
-            ts[i] = TriangleData(A=np.eye(dim), B1=b_minus, B2=b_plus, a=a_i, b=b_i)
-            b_plus = b_minus
-        triangles[name] = tuple(ts)
-    return HReducedPoint(d, TotalSpacePoint(triangles, edges))
+    blocks = [m for k in range(len(d.bow.edges)) for m in (q.x[k], q.y[k])]
+    blocks += [m for name, i in d.x_points() for m in (q.I[name][:, i:i + 1], q.J[name][i:i + 1])]
+    return HReducedPoint(d, _assemble(d, _lift(d, blocks)))
 
 
 @dataclass(frozen=True)

@@ -36,13 +36,14 @@ over a leading axis.
 from __future__ import annotations
 
 from collections import namedtuple
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import lru_cache
 from itertools import islice
 
 import numpy as np
 
 from .diagrams import (
+    Bow,
     BowDiagram,
     NotCobalanced,
     SegmentRef,
@@ -467,7 +468,10 @@ class FiberSolveReport:
 @dataclass(frozen=True)
 class InfeasibilityEvidence:
     """All starts failed.  Evidence only: a solver that never converges
-    to an open point does not prove the fiber is empty."""
+    to an open point does not prove the fiber is empty.  On a cobalanced
+    diagram with an x-point the starts are those of its quiver route
+    (see solve_fiber), none of which converged: a converged quiver start
+    is always accepted."""
 
     n_starts: int
     best_residual: float
@@ -484,6 +488,28 @@ def open_conditions_hold(d: BowDiagram, p: TotalSpacePoint) -> bool:
     return True
 
 
+# The framing vertex of a quiver route: an interval name that no other
+# diagram holds, since no other diagram can refer to this object.
+_FRAMING = object()
+
+
+def _quiver_route(d: BowDiagram) -> BowDiagram | None:
+    """The framed quiver of a cobalanced diagram with an x-point, written
+    as a bow with no x-points (see solve_fiber); None for any other
+    diagram."""
+    return _route(d.bow, tuple(d.seg_dims[name] for name in d.bow.intervals))
+
+
+@lru_cache(maxsize=64)
+def _route(bow, dims: tuple) -> BowDiagram | None:
+    d = BowDiagram(bow, dict(zip(bow.intervals, dims)))
+    if not is_cobalanced(d) or not d.x_points():
+        return None
+    frames = tuple((_FRAMING, name) for name, _ in d.x_points())
+    return BowDiagram(Bow(bow.intervals + (_FRAMING,), bow.edges + frames),
+                      {**{name: v[:1] for name, v in zip(bow.intervals, dims)}, _FRAMING: (1,)})
+
+
 def solve_fiber(d: BowDiagram, lam: dict, seed: int = 0, n_starts: int = 20,
                 cfg: SolveConfig | None = None):
     """Find a moment fiber point over the deformation lam (per interval).
@@ -496,20 +522,52 @@ def solve_fiber(d: BowDiagram, lam: dict, seed: int = 0, n_starts: int = 20,
     must be at least 1: evidence from no start is no evidence; lam must
     be finite, or there is no fiber to search.
 
+    A cobalanced diagram with an x-point is solved on its framed quiver
+    (Nakajima), written as a bow with no x-points, its quiver route: one
+    one-segment interval of dimension v_i per interval, one more of
+    dimension 1 for the framing (Crawley-Boevey), and w_i edges from the
+    framing to interval i, one per x-point in x-point order, whose (C, D)
+    are that x-point's (a, b).  The framing's moment is fixed by the trace
+    identity at -sum_i lam_i v_i.  The route has no x-points, so its open
+    check is vacuous and the starts are the route's.  The accepted
+    solution is lifted to the bow point with every A = id, the arrows'
+    (C, D) and the B's of the backward recursion that zeroes the moment
+    on every non-first segment (reduction.from_quiver_point); the lift
+    needs no open check, since an invertible A makes (S1) and (S2) hold
+    outright.  Conversely every open bow point has invertible A's (see
+    reduction), so the route loses no fiber.  Other diagrams are solved
+    as they are.
+
     The moment map is homogeneous: (A, t B, t a, b, sqrt(t) C, sqrt(t) D)
     has moment t mu and the same (S1)/(S2).  So the starts, drawn at
-    scale 1, solve over lam / t with t = max(1, max |lam_i|), and each
-    solution is carried back by that map; residuals are reported over lam
-    itself, t times those over lam / t.
+    scale 1, solve over lam / t with t = max(1, max |lam_i|) (on the
+    quiver route the framing's value counts too), and each solution is
+    carried back by that map; residuals are reported over lam itself, t
+    times those over lam / t.
     """
     if n_starts < 1:
         raise ValueError(f"n_starts must be at least 1, got {n_starts}")
     if not all(np.isfinite(complex(v)) for v in lam.values()):
         raise ValueError(f"lam must be finite, got {lam}")
     cfg = cfg or SolveConfig()
+    nu = embed_deformation(d, lam)
+    route = _quiver_route(d)
+    if route is None:
+        return _start_loop(d, nu, seed, n_starts, cfg)
+    nu = embed_deformation(route, lam)
+    nu[SegmentRef(_FRAMING, 0)] = -sum(val * route.dim(s) for s, val in nu.items())
+    out = _start_loop(route, nu, seed, n_starts, cfg)
+    if isinstance(out, InfeasibilityEvidence):
+        return out
+    return replace(out, point=_assemble(d, _lift(d, _blocks(route, out.point))))
+
+
+def _start_loop(d: BowDiagram, nu: dict, seed: int, n_starts: int, cfg: SolveConfig):
+    """solve_fiber's starts on the diagram d itself, over the per-segment
+    deformation nu."""
     c = _compiled(d)
-    t = max([1.0] + [abs(complex(v)) for v in lam.values()])
-    shifts = [shift / t for shift in _shifts(d, embed_deformation(d, lam))]
+    t = max([1.0] + [abs(v) for v in nu.values()])
+    shifts = [shift / t for shift in _shifts(d, nu)]
     back = t ** c.lam_power
 
     def residual(x):
@@ -629,6 +687,32 @@ def _quiver_point(d: BowDiagram, p: TotalSpacePoint) -> QuiverRepPoint:
         I[name] = np.hstack(cols) if cols else np.zeros((v[name], 0), dtype=complex)
         J[name] = np.vstack(rows) if rows else np.zeros((0, v[name]), dtype=complex)
     return QuiverRepPoint(underlying_quiver(d.bow), v, w, x, y, I, J)
+
+
+def _lift(d: BowDiagram, blocks) -> list:
+    """The flat-order blocks of the bow point with every A = id over the
+    blocks of d's quiver route: each edge's (C, D), then per x-point the
+    framing edge's (C, D) as (a, b).  The B's come from the backward
+    recursion B2_{w-1} = -sum_{tail edges} D C, B1_i = B2_i + a_i b_i,
+    B2_{i-1} = B1_i, which zeroes mu1 and the moment on every non-first
+    segment (the inverse of reduction.to_quiver_point)."""
+    arrows = blocks[:2 * len(d.bow.edges)]
+    frames = iter(blocks[len(arrows):])
+    out = []
+    for name in d.bow.intervals:
+        v = d.seg_dims[name][0]
+        pairs = [(next(frames), next(frames)) for _ in range(d.x_point_count(name))]
+        B = np.zeros((v, v), dtype=complex)
+        for (tail, _), C, D in zip(d.bow.edges, arrows[::2], arrows[1::2]):
+            if tail == name:
+                B = B - D @ C
+        triangles = []
+        for a, b in reversed(pairs):
+            B1 = B + a @ b
+            triangles.append((np.eye(v), B1, B, a, b))
+            B = B1
+        out += [m for tri in reversed(triangles) for m in tri]
+    return out + list(arrows)
 
 
 def _quiver_semistable(d: BowDiagram, p: TotalSpacePoint, theta: dict,
