@@ -3,9 +3,9 @@
 A graded subspace assigns a Subspace of C^{dims[k]} to every key k.  A
 collection of maps (src key, dst key, matrix) is "respected" by a
 graded subspace when every map sends the src component into the dst
-component.  The two closure operators below are the graded versions of
-the ones in linalg; the candidate lattice feeds the heuristic
-(un)stability falsifiers.
+component.  The two closure operators below are graded versions of the
+ones in linalg that iterate memoised part operations; the candidate
+lattice feeds the heuristic (un)stability falsifiers.
 
 The lattice and the closures work on interned parts.  A part table
 keeps, per key, one representative Subspace for each distinct subspace
@@ -31,7 +31,6 @@ from .linalg import (
     EIGENVALUE_CLUSTER_TOL,
     SAME_SUBSPACE_TOL,
     Subspace,
-    _fixed_point,
     _op_norm,
     image_basis,
     kernel_basis,
@@ -242,11 +241,16 @@ class _PartTable:
 
 
 def _closure(w: GradedSubspace, maps, table: _PartTable | None, step) -> GradedSubspace:
-    """Fixed point of g -> step(table, g) from w, in table or a new one."""
+    """Fixed point of g -> step(table, g) from w, in table or a new one;
+    step is monotone in dimension, so ambient + 1 rounds reach it."""
     if table is None:
         table = _PartTable({k: s.ambient_dim for k, s in w.parts.items()}, maps)
-    return table.graded(_fixed_point(lambda g: step(table, g), table.ids(w), table.dim,
-                                     table.ambient + 1))
+    g = table.ids(w)
+    for _ in range(table.ambient + 1):
+        g, prev = step(table, g), g
+        if table.dim(g) == table.dim(prev):
+            break
+    return table.graded(g)
 
 
 def largest_invariant_graded(w: GradedSubspace, maps,

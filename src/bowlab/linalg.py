@@ -12,7 +12,8 @@ a caller can ask one question at another rank cut.
 
 Subspaces are stored as matrices with orthonormal columns.  All
 operations (sum, intersection, image, preimage) return orthonormal
-bases computed by SVD, never raw spanning sets.
+bases computed by SVD, never raw spanning sets; the two invariant
+closures are one orthonormal block-Krylov sweep (Paige's staircase).
 """
 
 from __future__ import annotations
@@ -287,38 +288,36 @@ def subspace_preimage(op, s: Subspace, tol: Tolerances = DEFAULT_TOL,
     return kernel_basis(proj_out @ a, tol, scale=_op_norm(a) if norm is None else norm)
 
 
-def _fixed_point(step, start, dim, rounds: int):
-    """Iterate step from start until dim stops changing, at most rounds
-    times.  The closures are monotone in dimension, so ambient + 1
-    rounds always reach the fixed point."""
-    for _ in range(rounds):
-        nxt = step(start)
-        if dim(nxt) == dim(start):
-            return nxt
-        start = nxt
-    return start
+def _sweep(w: Subspace, ops, tol: Tolerances = DEFAULT_TOL) -> Subspace:
+    """Smallest subspace containing w and stable under every op, by one
+    orthonormal block-Krylov sweep: each step stacks every op's image of
+    the newest block, projects the basis found so far out of it twice,
+    and keeps what passes the cut at the largest op norm."""
+    if not ops or w.dim in (0, w.ambient_dim):
+        return w
+    scale = max(_op_norm(op) for op in ops)
+    basis = new = w.basis
+    while new.shape[1] and basis.shape[1] < w.ambient_dim:
+        x = np.hstack([op @ new for op in ops])
+        for _ in range(2):
+            x = x - basis @ (basis.conj().T @ x)
+        u, s, _ = np.linalg.svd(x, full_matrices=False)
+        new = u[:, :_cut(s, tol, scale)]
+        basis = np.hstack([basis, new])
+    return Subspace._orthonormal(w.ambient_dim, basis)
 
 
-def _invariant_closure(w: Subspace, ops, tol: Tolerances, join, move) -> Subspace:
-    """Fixed point of V -> join(V, move(op, V)) over every op, from w."""
-    ops = [as_matrix(op, rows=w.ambient_dim, cols=w.ambient_dim) for op in ops]
-    norms = [_op_norm(op) for op in ops]
-
-    def step(current):
-        out = current
-        for op, norm in zip(ops, norms):
-            out = join(out, move(op, current, tol, norm), tol)
-        return out
-
-    return _fixed_point(step, w, lambda s: s.dim, w.ambient_dim + 1)
+def _complement(s: Subspace) -> Subspace:
+    return kernel_basis(s.basis.conj().T)
 
 
 def largest_invariant_inside(w: Subspace, ops, tol: Tolerances = DEFAULT_TOL) -> Subspace:
     """Largest subspace of w mapped into itself by every op in ops: the
-    fixed point of V -> V  cap  (cap over ops of op^{-1} V), from w."""
-    return _invariant_closure(w, ops, tol, subspace_intersection, subspace_preimage)
+    complement of the sweep of w's complement under the adjoints."""
+    n = w.ambient_dim
+    return _complement(_sweep(_complement(w), [as_matrix(op, n, n).conj().T for op in ops], tol))
 
 
 def smallest_invariant_containing(w: Subspace, ops, tol: Tolerances = DEFAULT_TOL) -> Subspace:
     """Smallest subspace containing w and stable under every op (Krylov closure)."""
-    return _invariant_closure(w, ops, tol, subspace_sum, subspace_image)
+    return _sweep(w, [as_matrix(op, w.ambient_dim, w.ambient_dim) for op in ops], tol)

@@ -125,11 +125,8 @@ def rep_moment_map(p: QuiverRepPoint) -> dict:
 def rep_gauge_action(g: dict, p: QuiverRepPoint) -> QuiverRepPoint:
     """Base change by g_i in GL(v_i): (x, y, I, J) -> (gxg^-1, gyg^-1, gI, Jg^-1)."""
     q = p.quiver
-    ginv = {}
-    for i in q.vertices:
-        gi = as_matrix(g[i], p.v[i], p.v[i])
-        ginv[i] = np.linalg.inv(gi)
     g = {i: as_matrix(g[i], p.v[i], p.v[i]) for i in q.vertices}
+    ginv = {i: np.linalg.inv(gi) for i, gi in g.items()}
     x = tuple(g[h] @ p.x[k] @ ginv[t] for k, (t, h) in enumerate(q.arrows))
     y = tuple(g[t] @ p.y[k] @ ginv[h] for k, (t, h) in enumerate(q.arrows))
     I = {i: g[i] @ p.I[i] for i in q.vertices}

@@ -32,19 +32,16 @@ import numpy as np
 
 from .linalg import (
     Subspace,
+    _complement,
     _largest_entry,
+    _sweep,
     as_matrix,
     image_basis,
-    kernel_basis,
-    largest_invariant_inside,
     matrix_from_json,
     matrix_to_json,
     rank,
     residual_cutoff,
-    smallest_invariant_containing,
     snap_roundoff,
-    subspace_intersection,
-    subspace_sum,
 )
 
 __all__ = [
@@ -316,27 +313,28 @@ def condition_a_residual(t: TriangleData) -> float:
 
 
 def check_S1(t: TriangleData) -> ConditionReport:
-    """No nonzero B1-invariant subspace inside Ker A ∩ Ker b.
+    """No nonzero B1-invariant subspace inside Ker A ∩ Ker b: the pair
+    (B1, [A; b]) is observable.  The witness of a failure is the
+    complement of the sweep of Im [A; b]^H under B1^H.
 
-    Each rank below is cut against its own block's norm, so a block that
-    is roundoff on the triangle's scale is made exactly zero first; (S2)
-    likewise."""
+    A block that is roundoff on the triangle's scale is made exactly
+    zero first, so that no rank reads it as full; (S2) likewise."""
     A, B1, _, _, b = snap_roundoff([t.A, t.B1, t.B2, t.a, t.b])
-    seed = subspace_intersection(kernel_basis(A), kernel_basis(b))
-    bad = largest_invariant_inside(seed, [B1])
-    if bad.dim == 0:
+    seen = _sweep(image_basis(np.vstack([A, b]).conj().T), [B1.conj().T])
+    if seen.dim == t.v1:
         return ConditionReport(True)
-    return ConditionReport(False, bad)
+    return ConditionReport(False, _complement(seen))
 
 
 def check_S2(t: TriangleData) -> ConditionReport:
-    """No proper B2-invariant subspace containing Im A + Im a."""
+    """No proper B2-invariant subspace containing Im A + Im a: the pair
+    (B2, [A a]) is controllable.  The witness of a failure is the sweep
+    of Im [A a] under B2."""
     A, _, B2, a, _ = snap_roundoff([t.A, t.B1, t.B2, t.a, t.b])
-    seed = subspace_sum(image_basis(A), image_basis(a))
-    grown = smallest_invariant_containing(seed, [B2])
-    if grown.dim == t.v2:
+    reached = _sweep(image_basis(np.hstack([A, a])), [B2])
+    if reached.dim == t.v2:
         return ConditionReport(True)
-    return ConditionReport(False, grown)
+    return ConditionReport(False, reached)
 
 
 def _invert_or_raise(u: np.ndarray, exc_type, what: str) -> np.ndarray:

@@ -132,11 +132,15 @@ def test_smallest_invariant_containing_jordan_block():
 
 
 def test_two_operator_invariance():
-    # rotation + projection leave only 0 and the plane invariant
+    # rotation + projection leave only 0 and the plane invariant; the
+    # projection alone also keeps its range span(e1)
     rot = np.array([[0.0, -1.0], [1.0, 0.0]])
+    proj = np.array([[1.0, 0.0], [0.0, 0.0]])
     w = Subspace.span(np.array([[1.0], [0.0]]))
-    assert largest_invariant_inside(w, [rot], DEFAULT_TOL).dim == 0
-    assert smallest_invariant_containing(w, [rot], DEFAULT_TOL).dim == 2
+    assert largest_invariant_inside(w, [proj], DEFAULT_TOL).dim == 1
+    assert smallest_invariant_containing(w, [proj], DEFAULT_TOL).dim == 1
+    assert largest_invariant_inside(w, [proj, rot], DEFAULT_TOL).dim == 0
+    assert smallest_invariant_containing(w, [proj, rot], DEFAULT_TOL).dim == 2
 
 
 # --- property tests ---------------------------------------------------------

@@ -1,8 +1,10 @@
-"""Gauss-Newton and finite differences against closed-form answers."""
+"""Gauss-Newton and finite differences against closed-form answers, and
+the open check on a fiber solve's converged starts."""
 
 import numpy as np
 import pytest
 
+from bowlab.diagrams import parse_bow_diagram
 from bowlab.solve import (
     MaxItersExceeded,
     SolveConfig,
@@ -10,6 +12,7 @@ from bowlab.solve import (
     finite_diff_jacobian,
     gauss_newton,
 )
+from bowlab.total_space import InfeasibilityEvidence, solve_fiber
 
 from conftest import cgauss
 
@@ -131,3 +134,17 @@ def test_stalled_start_says_so():
         gauss_newton(f, np.zeros(1, dtype=complex), jacobian=fd(f))
     assert exc.value.reason == "stalled"
     assert exc.value.iterations == 0
+
+
+def test_open_check_rejects_a_converged_start_off_the_open_locus():
+    # [2, 1] is not cobalanced, so solve_fiber runs the bow's own starts
+    # and checks (S1)/(S2) on each solution.  Start 0 converges to a point
+    # with b = 0, B1 = 0 and Ker A != 0, which (S1) rejects; start 1 is open
+    d = parse_bow_diagram("bow { wavy a [2, 1]; }")
+    first = solve_fiber(d, {"a": 0.0}, seed=0, n_starts=1)
+    assert isinstance(first, InfeasibilityEvidence)
+    (start,) = first.starts
+    assert start.converged and start.residual_norm < 1e-10
+    assert start.open_conditions_ok is False
+    out = solve_fiber(d, {"a": 0.0}, seed=0)
+    assert out.start_index == 1 and out.open_conditions_ok

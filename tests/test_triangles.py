@@ -9,6 +9,7 @@ action exactly.
 import numpy as np
 import pytest
 
+from bowlab.linalg import Subspace, snap_roundoff
 from bowlab.triangles import (
     ConditionReport,
     NotATriangle,
@@ -123,6 +124,73 @@ def test_S2_holds_via_B2_orbit():
     assert check_S2(t).ok
     assert bool(ConditionReport(True)) is True
     assert bool(ConditionReport(False)) is False
+
+
+def _degenerate_B(rng, n):
+    kind = rng.integers(0, 5)
+    if kind == 0:
+        return np.diag(rng.integers(0, 2, n).astype(float))
+    if kind == 1:
+        return np.triu(rng.integers(0, 2, (n, n))).astype(float)
+    if kind == 2:
+        return np.zeros((n, n))
+    if kind == 3:
+        return 1e-17 * cgauss(rng, n, n)
+    return cgauss(rng, n, n)
+
+
+def _degenerate_triangle(rng):
+    """A tuple (A, B1, B2, a, b), not necessarily satisfying (a), whose
+    pieces are often rank-deficient or zero: A of low rank, each B a 0/1
+    diagonal, 0/1 upper-triangular, zero, roundoff or generic, a and b
+    zero or generic."""
+    v1, v2 = (int(v) for v in rng.integers(0, 5, 2))
+    r = int(rng.integers(0, min(v1, v2) + 1))
+    A = cgauss(rng, v2, r) @ cgauss(rng, r, v1)
+    a = cgauss(rng, v2, 1) * rng.integers(0, 2)
+    b = cgauss(rng, 1, v1) * rng.integers(0, 2)
+    return TriangleData(A=A, B1=_degenerate_B(rng, v1), B2=_degenerate_B(rng, v2), a=a, b=b)
+
+
+def _rank(m):
+    s = np.linalg.svd(m, compute_uv=False) if m.size else np.zeros(0)
+    return int(np.sum(s > 1e-9 * s[0])) if s.size else 0
+
+
+def _escapes(basis, m):
+    """Size of the part of m's columns outside the span of basis."""
+    return maxabs(m - basis @ (basis.conj().T @ m))
+
+
+def test_open_conditions_match_kalman_rank_tests():
+    # (S1) is observability of (B1, [A; b]) and (S2) controllability of
+    # (B2, [A a]); both are decided here by the rank of the Kalman matrix
+    # on the snapped blocks, and every failure's witness is checked
+    rng = np.random.default_rng(1963)
+    failures = 0
+    for _ in range(500):
+        t = _degenerate_triangle(rng)
+        A, B1, B2, a, b = snap_roundoff([t.A, t.B1, t.B2, t.a, t.b])
+        v1, v2 = t.v1, t.v2
+        c, m = np.vstack([A, b]), np.hstack([A, a])
+        obs = _rank(np.vstack([c] + [c @ np.linalg.matrix_power(B1, k) for k in range(1, v1)]))
+        ctrl = _rank(np.hstack([m] + [np.linalg.matrix_power(B2, k) @ m for k in range(1, v2)]))
+        s1, s2 = check_S1(t), check_S2(t)
+        assert s1.ok == (obs == v1)
+        assert s2.ok == (ctrl == v2)
+        tol = 1e-8 * max(1.0, t.scale())
+        if not s1.ok:
+            w = Subspace(v1, s1.witness.basis).basis
+            assert w.shape[1] == v1 - obs
+            assert maxabs(A @ w) < tol and maxabs(b @ w) < tol
+            assert _escapes(w, B1 @ w) < tol
+        if not s2.ok:
+            w = Subspace(v2, s2.witness.basis).basis
+            assert w.shape[1] == ctrl
+            assert _escapes(w, A) < tol and _escapes(w, a) < tol
+            assert _escapes(w, B2 @ w) < tol
+        failures += (not s1.ok) + (not s2.ok)
+    assert failures > 100
 
 
 # --- forward chart map ----------------------------------------------------------
