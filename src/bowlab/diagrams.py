@@ -37,6 +37,7 @@ __all__ = [
     "underlying_quiver",
     "is_cobalanced",
     "framed_dims_of_cobalanced",
+    "cobalanced_diagram",
     "embed_deformation",
     "embed_stability",
     "lambda_of_nu",
@@ -183,9 +184,9 @@ def _tokenize(text):
             i += 1
             col += 1
             continue
-        if c.isdigit():
+        if c.isdecimal():
             j = i
-            while j < n and text[j].isdigit():
+            while j < n and text[j].isdecimal():
                 j += 1
             yield ("int", int(text[i:j]), line, col)
             col += j - i

@@ -24,6 +24,7 @@ import numpy as np
 
 __all__ = [
     "Tolerances",
+    "DEFAULT_TOL",
     "Subspace",
     "as_matrix",
     "matrix_to_json",

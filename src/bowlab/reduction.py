@@ -7,8 +7,10 @@ subgroup of gauge transformations that fix the first segments then acts
 freely, and each orbit has exactly one representative with every
 A_x = id.  Reading (a_x, b_x) as framing columns/rows and (C, D) as
 arrow matrices identifies the reduced space with T*Rep(Q, v, w); the
-maps below realize that identification in both directions and check
-that moment maps and stability verdicts transport across it.
+maps below realize that identification in both directions.  The
+acceptance tests check the transport end to end: c01 that bow and
+quiver exact01 verdicts agree on solved points, c09 that the reduced
+moment map equals lambda on cobalanced instances.
 
 Both directions also run inside total_space: heuristic
 check_semistable searches the framed quiver point, and solve_fiber
@@ -30,26 +32,16 @@ from .diagrams import (
     framed_dims_of_cobalanced,
     is_cobalanced,
 )
-from .linalg import residual_cutoff
-from .quiver import (
-    QuiverRepPoint,
-    StabilityVerdict,
-    rep_moment_map,
-    rep_semistable,
-)
-from .solve import SolveConfig
+from .quiver import QuiverRepPoint
 from .total_space import (
-    FiberSolveReport,
     MuHNonzero,
     SingularA,
     TotalSpacePoint,
     _assemble,
-    _bow_semistable,
     _fix_H,
     _lift,
     _quiver_point,
     check_shapes,
-    solve_fiber,
 )
 
 __all__ = [
@@ -57,11 +49,9 @@ __all__ = [
     "SingularA",
     "MuHNonzero",
     "ShapeMismatch",
-    "ReductionReport",
     "gauge_fix_H",
     "to_quiver_point",
     "from_quiver_point",
-    "verify_reduction",
 ]
 
 
@@ -121,56 +111,3 @@ def from_quiver_point(d: BowDiagram, q: QuiverRepPoint) -> HReducedPoint:
     blocks = [m for k in range(len(d.bow.edges)) for m in (q.x[k], q.y[k])]
     blocks += [m for name, i in d.x_points() for m in (q.I[name][:, i:i + 1], q.J[name][i:i + 1])]
     return HReducedPoint(d, _assemble(d, _lift(d, blocks)))
-
-
-@dataclass(frozen=True)
-class ReductionReport:
-    """Outcome of the end-to-end level-set / stability transport check."""
-
-    solved: bool
-    moment_error: float
-    moment_ok: bool
-    stability_mode: str
-    bow_verdict: StabilityVerdict | None
-    quiver_verdict: StabilityVerdict | None
-    verdicts_agree: bool
-    solve_evidence: object = None
-
-    @property
-    def ok(self) -> bool:
-        return self.solved and self.moment_ok and self.verdicts_agree
-
-
-def verify_reduction(d: BowDiagram, lam: dict, theta: dict, seed: int = 0,
-                     n_starts: int = 20, cfg: SolveConfig | None = None) -> ReductionReport:
-    """Solve the bow fiber over lam, reduce, and compare both sides.
-
-    Checks that the quiver moment map of the image equals lam at every
-    vertex and that the two semistability checkers give matching
-    verdicts (exact01 when all dims allow it, heuristic otherwise).
-    """
-    outcome = solve_fiber(d, lam, seed=seed, n_starts=n_starts, cfg=cfg)
-    if not isinstance(outcome, FiberSolveReport):
-        return ReductionReport(solved=False, moment_error=float("inf"),
-                               moment_ok=False, stability_mode="none",
-                               bow_verdict=None, quiver_verdict=None,
-                               verdicts_agree=False, solve_evidence=outcome)
-    reduced = gauge_fix_H(d, outcome.point)
-    qp = to_quiver_point(reduced)
-    mu = rep_moment_map(qp)
-    err = 0.0
-    for name in d.bow.intervals:
-        target = complex(lam.get(name, 0.0)) * np.eye(qp.v[name])
-        if mu[name].size:
-            err = max(err, float(np.max(np.abs(mu[name] - target))))
-    moment_ok = err <= residual_cutoff(reduced.point.scale())
-
-    mode = "exact01" if all(val <= 1 for val in qp.v.values()) else "heuristic"
-    # the bow engine itself: check_semistable's heuristic would take the
-    # quiver route and compare the quiver checker with itself
-    bow_v = _bow_semistable(d, reduced.point, theta, mode, False)
-    quiver_v = rep_semistable(qp, theta, mode=mode)
-    return ReductionReport(solved=True, moment_error=err, moment_ok=moment_ok,
-                           stability_mode=mode, bow_verdict=bow_v,
-                           quiver_verdict=quiver_v,
-                           verdicts_agree=bow_v.kind == quiver_v.kind)

@@ -14,10 +14,10 @@ dense product unless the caller passes `gram`, its own J -> J J^H for a
 Jacobian of known sparsity (solve_fiber passes the moment Jacobian's
 pair table, see total_space).
 
-Constants: a start converges below residual norm RESIDUAL_TOL; the
-damping, from SolveConfig.damping_init, is multiplied by DAMPING_UP per
-rejected and DAMPING_DOWN per accepted step; MAX_REJECTS rejections in
-one iteration stall the start.
+Constants: a start converges below residual norm RESIDUAL_TOL within
+MAX_ITERS iterations; the damping starts at DAMPING_INIT and is
+multiplied by DAMPING_UP per rejected and DAMPING_DOWN per accepted
+step; MAX_REJECTS rejections in one iteration stall the start.
 
 finite_diff_jacobian takes real central-difference steps of FD_STEP
 along each complex coordinate, which for a holomorphic map is dr/dz
@@ -31,7 +31,6 @@ from dataclasses import dataclass
 import numpy as np
 
 __all__ = [
-    "SolveConfig",
     "SolveResult",
     "MaxItersExceeded",
     "gauss_newton",
@@ -40,6 +39,8 @@ __all__ = [
 
 
 RESIDUAL_TOL = 1e-12
+MAX_ITERS = 200
+DAMPING_INIT = 1e-3
 DAMPING_UP = 10.0
 DAMPING_DOWN = 0.5
 MAX_REJECTS = 60
@@ -49,7 +50,7 @@ FD_STEP = 1e-6
 class MaxItersExceeded(Exception):
     """Solver stopped without converging; carries the best iterate found
     and the reason: "stalled" (no damping level improved the residual) or
-    "budget" (max_iters ran out)."""
+    "budget" (MAX_ITERS ran out)."""
 
     def __init__(self, x, residual_norm, iterations, reason):
         super().__init__(f"no convergence after {iterations} iterations ({reason}), "
@@ -61,18 +62,6 @@ class MaxItersExceeded(Exception):
 
 
 @dataclass(frozen=True)
-class SolveConfig:
-    max_iters: int = 200
-    damping_init: float = 1e-3
-
-    def __post_init__(self):
-        if self.max_iters < 1:
-            raise ValueError("max_iters must be at least 1")
-        if self.damping_init <= 0:
-            raise ValueError("damping_init must be positive")
-
-
-@dataclass(frozen=True)
 class SolveResult:
     """A converged solve; gauss_newton raises MaxItersExceeded otherwise."""
 
@@ -81,8 +70,7 @@ class SolveResult:
     iterations: int
 
 
-def gauss_newton(residual, x0, cfg: SolveConfig = SolveConfig(), *, jacobian,
-                 gram=None) -> SolveResult:
+def gauss_newton(residual, x0, *, jacobian, gram=None) -> SolveResult:
     """Levenberg-damped Gauss-Newton on min ||residual(x)||^2.
 
     residual: map from C^n to C^m, complex-differentiable.
@@ -96,8 +84,8 @@ def gauss_newton(residual, x0, cfg: SolveConfig = SolveConfig(), *, jacobian,
     x = np.asarray(x0, dtype=complex).reshape(-1).copy()
 
     r = np.asarray(residual(x), dtype=complex).reshape(-1)
-    damping = cfg.damping_init
-    for it in range(cfg.max_iters):
+    damping = DAMPING_INIT
+    for it in range(MAX_ITERS):
         rnorm = np.linalg.norm(r)
         if rnorm < RESIDUAL_TOL:
             return SolveResult(x, float(rnorm), it)
@@ -127,8 +115,8 @@ def gauss_newton(residual, x0, cfg: SolveConfig = SolveConfig(), *, jacobian,
 
     rnorm = float(np.linalg.norm(r))
     if rnorm < RESIDUAL_TOL:
-        return SolveResult(x, rnorm, cfg.max_iters)
-    raise MaxItersExceeded(x, rnorm, cfg.max_iters, "budget")
+        return SolveResult(x, rnorm, MAX_ITERS)
+    raise MaxItersExceeded(x, rnorm, MAX_ITERS, "budget")
 
 
 def finite_diff_jacobian(f, x) -> np.ndarray:

@@ -73,6 +73,21 @@ def test_parse_rejects_bad_input(bad):
         parse_bow_diagram(bad)
 
 
+@pytest.mark.parametrize("text, line, column, message", [
+    ("bow { wavy a [2]\n  wavy b [1]; }", 2, 3, "expected ;, got 'wavy'"),
+    # a digit to str.isdigit but not a decimal, so int() cannot read it
+    ("bow { wavy a [²]; }", 1, 15, "unexpected character '²'"),
+])
+def test_syntax_errors_say_where(text, line, column, message):
+    with pytest.raises(BowSyntaxError, match=message) as exc:
+        parse_bow_diagram(text)
+    assert (exc.value.line, exc.value.column) == (line, column)
+
+
+def test_decimal_digits_of_any_script_are_dims():
+    assert parse_bow_diagram("bow { wavy a [٣]; }").seg_dims == {"a": (3,)}
+
+
 def test_model_validation():
     with pytest.raises(DuplicateInterval):
         Bow(("a", "a"), ())

@@ -14,11 +14,11 @@ import json
 import numpy as np
 import pytest
 
+from bowlab import solve
 from bowlab.cli import main
 from bowlab.diagrams import Bow, BowDiagram, embed_deformation, parse_bow_diagram
 from bowlab.linalg import rank
 from bowlab.reduction import from_quiver_point, gauge_fix_H, to_quiver_point
-from bowlab.solve import SolveConfig
 from bowlab.total_space import (
     FiberSolveReport,
     InfeasibilityEvidence,
@@ -104,7 +104,7 @@ def test_route_reaches_every_fiber_the_bow_starts_reach():
     bow_open = route_open = 0
     for k in range(60):
         d, lam = _random_cobalanced(rng)
-        bow = _start_loop(d, embed_deformation(d, lam), k, 8, SolveConfig())
+        bow = _start_loop(d, embed_deformation(d, lam), k, 8)
         route = solve_fiber(d, lam, seed=k, n_starts=8)
         if isinstance(bow, FiberSolveReport):
             bow_open += 1
@@ -159,15 +159,15 @@ def test_lift_is_from_quiver_point():
     assert np.array_equal(flatten_point(d, again.point), flatten_point(d, out.point))
 
 
-def test_route_evidence_holds_only_unconverged_starts():
+def test_route_evidence_holds_only_unconverged_starts(monkeypatch):
     # a b = lam id has no solution with rank(a b) <= 1 < 2: the quiver
     # fiber is empty, while the bow's starts converge onto its non-open locus
+    monkeypatch.setattr(solve, "MAX_ITERS", 20)
     d = parse_bow_diagram("bow { wavy a [2, 2]; }")
-    cfg = SolveConfig(max_iters=20)
-    out = solve_fiber(d, {"a": 1.0}, seed=0, n_starts=3, cfg=cfg)
+    out = solve_fiber(d, {"a": 1.0}, seed=0, n_starts=3)
     assert isinstance(out, InfeasibilityEvidence)
     assert [(s.converged, s.open_conditions_ok) for s in out.starts] == [(False, None)] * 3
-    bow = _start_loop(d, embed_deformation(d, {"a": 1.0}), 0, 3, cfg)
+    bow = _start_loop(d, embed_deformation(d, {"a": 1.0}), 0, 3)
     assert isinstance(bow, InfeasibilityEvidence)
     assert all(s.converged and s.open_conditions_ok is False for s in bow.starts)
 
@@ -179,7 +179,7 @@ def test_diagrams_off_the_route_keep_the_bow_loop(text, lam):
     # no x-points (already its own quiver), not cobalanced: the bow loop itself
     d = parse_bow_diagram(text)
     out = solve_fiber(d, lam, seed=2, n_starts=3)
-    bow = _start_loop(d, embed_deformation(d, lam), 2, 3, SolveConfig())
+    bow = _start_loop(d, embed_deformation(d, lam), 2, 3)
     assert type(out) is type(bow)
     if isinstance(out, FiberSolveReport):
         assert np.array_equal(flatten_point(d, out.point), flatten_point(d, bow.point))

@@ -20,7 +20,6 @@ from bowlab.reduction import (
     from_quiver_point,
     gauge_fix_H,
     to_quiver_point,
-    verify_reduction,
 )
 from bowlab.total_space import (
     FiberSolveReport,
@@ -172,40 +171,6 @@ def test_from_quiver_point_shape_guards(rng):
                              {"s": cgauss(rng, 2, 2)})
     with pytest.raises(ShapeMismatch):
         from_quiver_point(d, doubled)
-
-
-# --- end-to-end verification ---------------------------------------------------
-
-
-def test_verify_reduction_framed_point():
-    d = parse_bow_diagram(INTERVAL_111)
-    for theta in ({"s": 1}, {"s": -1}):
-        report = verify_reduction(d, {"s": 0.9 - 0.4j}, theta, seed=0, n_starts=10)
-        assert report.solved and report.stability_mode == "exact01"
-        assert report.moment_error < 1e-9
-        assert report.verdicts_agree and report.ok
-
-
-def test_verify_reduction_cycle():
-    d = parse_bow_diagram(CYCLE_11)
-    report = verify_reduction(d, {"a": 0.6, "b": -0.6 + 0.2j}, {"a": 1, "b": -1},
-                              seed=1, n_starts=10)
-    assert report.ok and report.stability_mode == "exact01"
-    assert report.bow_verdict.kind == report.quiver_verdict.kind
-
-
-def test_verify_reduction_heuristic_mode():
-    d = parse_bow_diagram(PLAIN_22)
-    report = verify_reduction(d, {"a": 0.0}, {"a": 1}, seed=2, n_starts=10)
-    assert report.solved and report.stability_mode == "heuristic"
-    assert report.moment_ok and report.verdicts_agree
-
-
-def test_verify_reduction_reports_unsolved():
-    d = parse_bow_diagram("bow { wavy a [2]; wavy b [5, 2]; edge a -> b; }")
-    report = verify_reduction(d, {"a": 0.0, "b": 0.0}, {"a": 0, "b": 0}, n_starts=3)
-    assert not report.solved and not report.ok
-    assert report.solve_evidence is not None
 
 
 # --- symplectic transport ---------------------------------------------------------

@@ -4,14 +4,9 @@ the open check on a fiber solve's converged starts."""
 import numpy as np
 import pytest
 
+from bowlab import solve
 from bowlab.diagrams import parse_bow_diagram
-from bowlab.solve import (
-    MaxItersExceeded,
-    SolveConfig,
-    SolveResult,
-    finite_diff_jacobian,
-    gauss_newton,
-)
+from bowlab.solve import MaxItersExceeded, finite_diff_jacobian, gauss_newton
 from bowlab.total_space import InfeasibilityEvidence, solve_fiber
 
 from conftest import cgauss
@@ -66,11 +61,12 @@ def test_matrix_commutator_system(rng):
     assert np.linalg.norm(m @ a - a @ m) < 1e-10
 
 
-def test_no_solution_raises_with_best_iterate():
+def test_no_solution_raises_with_best_iterate(monkeypatch):
     # |z^2 + 1|^2 + 1 > 0 always: residual cannot vanish
+    monkeypatch.setattr(solve, "MAX_ITERS", 50)
     f = lambda z: np.array([z[0] ** 2 + 1.0, 1.0])
     with pytest.raises(MaxItersExceeded) as exc:
-        gauss_newton(f, np.array([0.3 + 0.1j]), cfg=SolveConfig(max_iters=50), jacobian=fd(f))
+        gauss_newton(f, np.array([0.3 + 0.1j]), jacobian=fd(f))
     assert exc.value.residual_norm >= 1.0
     assert exc.value.x.shape == (1,)
 
@@ -84,13 +80,6 @@ def test_determinism(rng):
     r2 = gauss_newton(f, x0, jacobian=fd(f))
     assert np.array_equal(r1.x, r2.x)
     assert r1.iterations == r2.iterations
-
-
-def test_config_validation():
-    with pytest.raises(ValueError):
-        SolveConfig(max_iters=0)
-    with pytest.raises(ValueError):
-        SolveConfig(damping_init=0.0)
 
 
 def test_finite_diff_matches_analytic_polynomial(rng):
@@ -113,14 +102,15 @@ def test_finite_diff_matches_analytic_polynomial(rng):
 
 @pytest.mark.parametrize("m, n", ((3, 7), (7, 3)))
 @pytest.mark.parametrize("damping", (1e-3, 1.0, 50.0))
-def test_one_iteration_is_the_normal_equations_step(m, n, damping, rng):
+def test_one_iteration_is_the_normal_equations_step(m, n, damping, rng, monkeypatch):
     # the m-space step J^H (J J^H + l I)^-1 (-r) equals (J^H J + l I)^-1 J^H (-r)
+    monkeypatch.setattr(solve, "MAX_ITERS", 1)
+    monkeypatch.setattr(solve, "DAMPING_INIT", damping)
     a = cgauss(rng, m, n)
     b = cgauss(rng, m, 1)[:, 0]
     x0 = cgauss(rng, n, 1)[:, 0]
     with pytest.raises(MaxItersExceeded) as exc:
-        gauss_newton(lambda x: a @ x - b, x0, SolveConfig(max_iters=1, damping_init=damping),
-                     jacobian=lambda x: a)
+        gauss_newton(lambda x: a @ x - b, x0, jacobian=lambda x: a)
     jh = a.conj().T
     expect = x0 + np.linalg.solve(jh @ a + damping * np.eye(n), -jh @ (a @ x0 - b))
     assert exc.value.iterations == 1 and exc.value.reason == "budget"

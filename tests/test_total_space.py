@@ -12,6 +12,7 @@ import itertools
 import numpy as np
 import pytest
 
+from bowlab import solve
 from bowlab.diagrams import (
     SegmentRef,
     embed_deformation,
@@ -27,7 +28,7 @@ from bowlab.graded import (
 )
 from bowlab.linalg import DEFAULT_TOL, Subspace, Tolerances, image_basis, kernel_basis, rank
 from bowlab.quiver import Exact01Unavailable, Quiver, QuiverRepPoint, rep_semistable
-from bowlab.solve import SolveConfig, finite_diff_jacobian, gauss_newton
+from bowlab.solve import finite_diff_jacobian, gauss_newton
 from bowlab.total_space import (
     FiberSolveReport,
     InfeasibilityEvidence,
@@ -311,11 +312,13 @@ def test_solve_fiber_empty_example_yields_evidence():
         assert diag.converged and diag.open_conditions_ok is False
 
 
-def test_solve_fiber_records_why_starts_stopped():
+def test_solve_fiber_records_why_starts_stopped(monkeypatch):
+    monkeypatch.setattr(solve, "MAX_ITERS", 1)
     d = parse_bow_diagram(INTERVAL_111)
-    out = solve_fiber(d, {"s": 0.0}, seed=0, n_starts=3, cfg=SolveConfig(max_iters=1))
+    out = solve_fiber(d, {"s": 0.0}, seed=0, n_starts=3)
     assert isinstance(out, InfeasibilityEvidence)
     assert [(s.converged, s.reason) for s in out.starts] == [(False, "budget")] * 3
+    monkeypatch.undo()
     out = solve_fiber(parse_bow_diagram(EMPTY_252), {"a": 0.0, "b": 0.0}, seed=0, n_starts=2)
     assert [(s.converged, s.reason) for s in out.starts] == [(True, None)] * 2
 
