@@ -19,7 +19,7 @@ Text form:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 __all__ = [
     "Bow",

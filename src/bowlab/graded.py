@@ -59,6 +59,9 @@ __all__ = [
 LATTICE_DEPTH = 3
 LATTICE_CAP = 200
 
+# exact01 tests this many support bitmasks per numpy pass
+MASK_BLOCK = 1 << 16
+
 
 class Exact01Unavailable(ValueError):
     """exact01 mode was requested but some graded piece has dimension above 1."""
@@ -81,15 +84,18 @@ class GradedSubspace:
 class StabilityVerdict:
     """Outcome of a (semi)stability test.
 
-    kind: "semistable" (definitive), "unstable" (witness attached), or
-        "not-falsified" (heuristic search found no destabilizing
-        subspace; NOT a proof of semistability).
+    kind: "semistable" (definitive: from exact01, or in heuristic mode
+        from the quiver's moment-map trace certificate), "unstable"
+        (witness attached), or "not-falsified" (heuristic search found
+        no destabilizing subspace; NOT a proof of semistability).
     witness: destabilizing graded subspace when kind == "unstable".
     clause: "kernel" when the witness sits inside the kernel maps'
         kernels with positive pairing, "image" when it contains the
         image maps' images with negative copairing.
     searched: how many lattice elements (heuristic) or invariant 0/1
-        supports (exact01) had their candidates tested.
+        supports (exact01) had their candidates tested; 0 when no
+        search ran: zero weights, or a heuristic "semistable" that the
+        trace certificate decided.
     capped: the heuristic lattice reached LATTICE_CAP elements, so the
         search left part of the lattice unexplored.
     """
@@ -440,21 +446,38 @@ def _is_destabilizer(g: GradedSubspace, clause: str, dims: dict, maps, kernel_ma
             and _qualifies(g, clause, dims, maps, links, weights, stable))
 
 
+def _closed_masks(required: list):
+    """The bitmasks over len(required) bits, in increasing order, that
+    hold required[j] wherever they hold bit j: one numpy test per bit
+    over each block of MASK_BLOCK masks."""
+    k = len(required)
+    tests = [(1 << j, req) for j, req in enumerate(required) if req]
+    for start in range(0, 1 << k, MASK_BLOCK):
+        masks = np.arange(start, min(start + MASK_BLOCK, 1 << k), dtype=np.int64)
+        keep = np.ones(masks.shape, dtype=bool)
+        for b, req in tests:
+            keep &= ((masks & b) == 0) | ((masks & req) == req)
+        yield from masks[keep].tolist()
+
+
 def _support_candidates(dims, maps, kernel_maps, image_maps):
     """Every invariant 0/1 support, in bitmask order over the keys of dims,
     as the list of (clause, support) for each clause whose kernel or
     image maps it satisfies."""
     ones = [k for k, n in dims.items() if n == 1]
-    bit = {k: 1 << j for j, k in enumerate(ones)}
-    # with every dimension <= 1, a nonzero matrix joins two dimension-one keys
-    arrows = [(bit[src], bit[dst]) for src, dst, m in maps if src != dst and m.any()]
-    avoid = sum({bit[key] for key, m in kernel_maps if m.any()})
-    cover = sum({bit[key] for key, m in image_maps if m.any()})
-    full, zero = _support(dims, dims).parts, _support(dims, ()).parts
-    for mask in range(1 << len(ones)):
-        if any(mask & src and not mask & dst for src, dst in arrows):
-            continue
-        g = GradedSubspace({k: full[k] if mask & bit.get(k, 0) else zero[k] for k in dims})
+    index = {k: j for j, k in enumerate(ones)}
+    # with every dimension <= 1, a nonzero matrix joins two dimension-one
+    # keys, and a support holding its src must hold its dst
+    required = [0] * len(ones)
+    for src, dst, m in maps:
+        if src != dst and np.count_nonzero(m):
+            required[index[src]] |= 1 << index[dst]
+    avoid = sum({1 << index[key] for key, m in kernel_maps if np.count_nonzero(m)})
+    cover = sum({1 << index[key] for key, m in image_maps if np.count_nonzero(m)})
+    parts = [(k, Subspace.full(n), Subspace.zero(n), 1 << index[k] if k in index else 0)
+             for k, n in dims.items()]
+    for mask in _closed_masks(required):
+        g = GradedSubspace({k: full if mask & b else zero for k, full, zero, b in parts})
         tries = []
         if not mask & avoid:
             tries.append(("kernel", g))

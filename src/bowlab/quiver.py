@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import lcm
+from math import lcm, prod
 
 import numpy as np
 
@@ -24,6 +24,8 @@ from .linalg import (
     as_matrix,
     matrix_from_json,
     matrix_to_json,
+    residual_cutoff,
+    zero_cutoff,
 )
 
 __all__ = [
@@ -39,6 +41,10 @@ __all__ = [
     "quiver_point_to_json_dict",
     "quiver_point_from_json_dict",
 ]
+
+# the trace certificate enumerates every dimension vector 0 <= s <= v;
+# above this many it leaves the decision to the lattice search
+CERTIFICATE_CAP = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -175,7 +181,10 @@ def rep_semistable(p: QuiverRepPoint, theta: dict, mode: str = "heuristic") -> S
     Im I has theta-copairing >= 0.
 
     exact01 enumerates all graded supports and is a decision procedure,
-    available only when every v_i <= 1.  heuristic searches a finite
+    available only when every v_i <= 1.  heuristic first tries the
+    moment-map trace certificate (see _trace_certificate), which proves
+    "semistable" (searched = 0) from the dimension vectors alone when p
+    lies on a fiber mu = lambda id; otherwise it searches a finite
     lattice of invariant subspaces: "unstable" comes with a verified
     witness, "not-falsified" is not a proof.
 
@@ -191,10 +200,54 @@ def rep_semistable(p: QuiverRepPoint, theta: dict, mode: str = "heuristic") -> S
     return _destabilizer(p, {i: weights.get(i, 0) for i in vertices}, mode, False)
 
 
+def _trace_certificate(p: QuiverRepPoint, weights: dict, stable: bool) -> bool:
+    """Whether the moment map alone rules out every destabilizing
+    subspace of p for the integer weights (with stable, every one of
+    find_destabilizer's stable clauses).
+
+    Where every mu_i is lam_i id, an (x, y)-invariant graded subspace S
+    inside Ker J has lam . dim S = sum tr([x, y]|_S) = 0: the two traces
+    of each arrow's commutator cancel and IJ vanishes on S.  One
+    containing Im I has lam . codim S = 0 on the quotients
+    (Crawley-Boevey, Compositio Math. 126, 2001).  lam_i is read as
+    tr mu_i / v_i and E_i = mu_i - lam_i id; past the residual cut of
+    the H-gauge walk there is no certificate.  Otherwise |lam . s| is at
+    most sum_i s_i (|E_i|_F + slack), where the slack bounds the trace
+    error of what the engine's zero_cutoff lets pass as invariant or as
+    zero (a residual of zero_cutoff(N) per map against maps of total
+    Frobenius norm N, once per dimension of the framed space).  A
+    dimension vector past that bound is neither the dimension vector of
+    a kernel-clause witness nor the codimension vector of an image-clause
+    one.  So p is semistable when every vector left pairs to 0 with the
+    weights, and stable when 0 is the only one left.
+    """
+    verts = [i for i in p.quiver.vertices if p.v[i]]
+    sizes = [p.v[i] + 1 for i in verts]
+    if prod(sizes) > CERTIFICATE_CAP:
+        return False
+    mu = rep_moment_map(p)
+    lam = np.array([np.trace(mu[i]) / p.v[i] for i in verts], dtype=complex)
+    err = np.array([np.linalg.norm(mu[i] - lam_i * np.eye(p.v[i]))
+                    for i, lam_i in zip(verts, lam)])
+    if float(np.linalg.norm(err)) > residual_cutoff(p.scale()):
+        return False
+    total = sum(float(np.linalg.norm(m))
+                for m in (*p.x, *p.y, *p.I.values(), *p.J.values()))
+    slack = zero_cutoff(total) * total * sum(p.v[i] + p.w[i] for i in p.quiver.vertices)
+    # every 0 <= s <= v, one row each
+    s = np.indices(sizes).reshape(len(verts), -1).T if verts else np.zeros((1, 0), int)
+    kept = np.abs(s @ lam) <= s @ (err + slack)
+    pairing = s @ np.array([weights[i] for i in verts])
+    return not (kept & ((pairing != 0) | (stable & s.any(axis=1)))).any()
+
+
 def _destabilizer(p: QuiverRepPoint, weights: dict, mode: str, stable: bool) -> StabilityVerdict:
     """find_destabilizer on p's data: x and y of every arrow as maps, the
     J's as kernel maps, the I's as image maps, integer weights per
-    vertex."""
+    vertex.  In heuristic mode the trace certificate goes first; exact01
+    on a 0/1 quiver enumerates a handful of supports, which costs less."""
+    if mode == "heuristic" and _trace_certificate(p, weights, stable):
+        return StabilityVerdict("semistable")
     q = p.quiver
     maps = []
     for k, (t, h) in enumerate(q.arrows):

@@ -73,6 +73,16 @@ class HReducedPoint:
             if not np.array_equal(t.A, np.eye(t.v1)):
                 raise ValueError(f"triangle ({name!r}, {i}): A is not exactly the identity")
 
+    @classmethod
+    def _built(cls, diagram: BowDiagram, point: TotalSpacePoint) -> "HReducedPoint":
+        """The point this module has just built with the diagram's shapes
+        and every A the exact identity, without the checks of the public
+        constructor."""
+        r = object.__new__(cls)
+        object.__setattr__(r, "diagram", diagram)
+        object.__setattr__(r, "point", point)
+        return r
+
 
 def gauge_fix_H(d: BowDiagram, p: TotalSpacePoint) -> HReducedPoint:
     """Walk each wavy line, absorbing the A's into the gauge.
@@ -84,7 +94,7 @@ def gauge_fix_H(d: BowDiagram, p: TotalSpacePoint) -> HReducedPoint:
     where no such representative exists.
     """
     check_shapes(d, p)
-    return HReducedPoint(d, _fix_H(d, p))
+    return HReducedPoint._built(d, _fix_H(d, p))
 
 
 def to_quiver_point(r: HReducedPoint) -> QuiverRepPoint:
@@ -110,4 +120,4 @@ def from_quiver_point(d: BowDiagram, q: QuiverRepPoint) -> HReducedPoint:
 
     blocks = [m for k in range(len(d.bow.edges)) for m in (q.x[k], q.y[k])]
     blocks += [m for name, i in d.x_points() for m in (q.I[name][:, i:i + 1], q.J[name][i:i + 1])]
-    return HReducedPoint(d, _assemble(d, _lift(d, blocks)))
+    return HReducedPoint._built(d, _assemble(d, _lift(d, blocks)))

@@ -753,22 +753,29 @@ def check_semistable(d: BowDiagram, p: TotalSpacePoint, theta: dict,
 
     Heuristic mode decides through the quiver description first: on a
     cobalanced diagram, gauge_fix_H and to_quiver_point turn p into a
-    framed quiver point, whose lattice (one key per interval) is far
-    smaller than the bow's (one key per segment).  A quiver witness V'
-    is carried back along the A's (S_0 = V', S_{i+1} = A_i S_i) and
-    re-checked on the bow: killed by the b's or containing the a's
-    images, the A links, the sign, invariance under the snapped
-    structure maps.  searched and capped then count quiver lattice
-    elements.  The bow's own lattice search runs instead when the
-    diagram is not cobalanced (NotCobalanced), p is off the zero level
-    of the non-first-segment moment map (MuHNonzero, e.g. a random
-    point), some A is singular (SingularA), or the carried witness fails
-    the re-check.  exact01 is not routed.  On small 0/1 diagrams the
-    bow enumeration costs less than the reduction alone: 0.2-0.4 ms
-    against 0.4-0.7 ms on INTERVAL_111, CYCLE_11 and CYCLE3_11.  On
-    long ones it does not: on CYCLE3_1x5 the bow's 2^15 supports take
-    35 ms, the quiver's 2^3 take 0.16 ms after a 1.9 ms reduction
-    (benchmark points, timeit best of 5, Intel Xeon).
+    framed quiver point.  There the moment-map trace certificate comes
+    first: where every quiver moment is lambda_i id, an invariant
+    subspace in Ker J has lambda . dim = 0 and one containing Im I has
+    lambda . codim = 0, so when no dimension vector off that hyperplane
+    (up to the moment residual) pairs nonzero with theta, p is
+    semistable, and stable when only 0 lies on it; the verdict is then
+    "semistable" with searched = 0.  Every bow witness with A-isos
+    transports to such a quiver subspace, so the certificate covers the
+    bow.  Otherwise the quiver lattice (one key per interval, far
+    smaller than the bow's one key per segment) is searched.  A quiver
+    witness V' is carried back along the A's (S_0 = V',
+    S_{i+1} = A_i S_i) and re-checked on the bow: killed by the b's or
+    containing the a's images, the A links, the sign, invariance under
+    the snapped structure maps.  searched and capped then count quiver
+    lattice elements.  The bow's own lattice search runs instead when
+    the diagram is not cobalanced (NotCobalanced), p is off the zero
+    level of the non-first-segment moment map (MuHNonzero, e.g. a
+    random point), some A is singular (SingularA), or the carried
+    witness fails the re-check.  exact01 is not routed: it enumerates
+    only the 0/1 supports that every nonzero structure map preserves,
+    filtered by one numpy test per segment over all bitmasks at once, so
+    the 2^15 bitmasks of CYCLE3_1x5 take 0.7-1 ms, not 25 ms (benchmark
+    point, timeit best of 7, Intel Xeon, 2 cores).
     """
     check_shapes(d, p)
     if mode == "heuristic":

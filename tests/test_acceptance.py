@@ -15,11 +15,9 @@ import subprocess
 import sys
 
 import numpy as np
-import pytest
 
 from bowlab.cli import _evidence_json
 from bowlab.diagrams import (
-    SegmentRef,
     diagram_from_json_dict,
     diagram_to_json_dict,
     embed_deformation,

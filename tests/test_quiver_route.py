@@ -4,9 +4,10 @@ On a cobalanced diagram, check_semistable's heuristic mode reduces the
 point to a framed quiver point, searches that lattice and carries a
 witness back along the A's.  The bow's own lattice search
 (_bow_semistable) is the oracle: the routed verdict kind must agree
-with it, every routed witness must pass the bow clauses checked here on
-the matrices, and points the reduction does not cover must get the
-bow search's verdict itself.
+with it, except that the quiver's trace certificate may turn its
+"not-falsified" into "semistable"; every routed witness must pass the
+bow clauses checked here on the matrices, and points the reduction does
+not cover must get the bow search's verdict itself.
 """
 
 import itertools
@@ -15,7 +16,7 @@ import numpy as np
 import pytest
 
 from bowlab.diagrams import SegmentRef, parse_bow_diagram
-from bowlab.graded import LATTICE_CAP
+from bowlab.graded import LATTICE_CAP, find_destabilizer
 from bowlab.quiver import _destabilizer
 from bowlab.reduction import SingularA, gauge_fix_H, to_quiver_point
 from bowlab.total_space import (
@@ -130,7 +131,8 @@ def test_routed_verdict_matches_bow_search(case):
         for point in (p, moved):
             got = check_semistable(d, point, theta, mode="heuristic", stable=stable)
             want = _bow_semistable(d, point, theta, "heuristic", stable)
-            assert got.kind == want.kind
+            assert got.kind == want.kind or (want.kind, got.kind) == (
+                "not-falsified", "semistable")
             # the verdict is the quiver search's: same kind and size
             quiver = _destabilizer(to_quiver_point(gauge_fix_H(d, point)), theta,
                                    "heuristic", stable)
@@ -147,9 +149,14 @@ def test_moved_cycle_444_is_no_longer_capped():
     d, p = _solved(CYCLE_444, {"a": 0.5, "b": -0.5}, 1)
     moved = _unitary_gauge(d, p, np.random.default_rng(44))
     theta = {"a": 1, "b": -1}
+    # the quiver lattice itself, below the trace certificate
+    q = to_quiver_point(gauge_fix_H(d, moved))
+    maps = [m for (t, h), x, y in zip(q.quiver.arrows, q.x, q.y) for m in ((t, h, x), (h, t, y))]
+    lattice = find_destabilizer(q.v, maps, list(q.J.items()), list(q.I.items()), theta)
+    assert lattice.kind == "not-falsified" and not lattice.capped
+    assert 0 < lattice.searched < LATTICE_CAP
     routed = check_semistable(d, moved, theta, mode="heuristic")
-    assert routed.kind == "not-falsified" and not routed.capped
-    assert 0 < routed.searched < LATTICE_CAP
+    assert (routed.kind, routed.searched, routed.capped) == ("semistable", 0, False)
     assert _bow_semistable(d, moved, theta, "heuristic", False).capped
 
 

@@ -9,7 +9,7 @@ left it.
 import numpy as np
 import pytest
 
-from bowlab.diagrams import NotCobalanced, SegmentRef, parse_bow_diagram
+from bowlab.diagrams import NotCobalanced, parse_bow_diagram
 from bowlab.linalg import DEFAULT_TOL, kernel_basis
 from bowlab.quiver import QuiverRepPoint, rep_moment_map, rep_symplectic_pairing
 from bowlab.reduction import (

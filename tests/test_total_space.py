@@ -24,15 +24,18 @@ from bowlab.graded import (
     SAME_SUBSPACE_TOL,
     GradedSubspace,
     StabilityVerdict,
+    _snapped,
+    _support_candidates,
     candidate_lattice,
 )
-from bowlab.linalg import DEFAULT_TOL, Subspace, Tolerances, image_basis, kernel_basis, rank
+from bowlab.linalg import DEFAULT_TOL, Subspace, image_basis, kernel_basis, rank
 from bowlab.quiver import Exact01Unavailable, Quiver, QuiverRepPoint, rep_semistable
 from bowlab.solve import finite_diff_jacobian, gauss_newton
 from bowlab.total_space import (
     FiberSolveReport,
     InfeasibilityEvidence,
     TotalSpacePoint,
+    _bow_data,
     _compiled,
     _gram,
     action_differential,
@@ -618,6 +621,47 @@ def test_exact01_matches_enumeration(case):
         _assert_destabilizes(d, p, nu, stable, ztol, loose)
     if loose.kind == "semistable":
         assert want == "semistable"
+
+
+def _reference_supports(dims, maps, kernel_maps, image_maps):
+    """exact01's candidates by a plain per-mask loop: every 0/1 support
+    that each nonzero map between two dimension-one keys sends into
+    itself, in bitmask order over the dimension-one keys, each with the
+    clauses whose frame maps it satisfies."""
+    ones = [k for k, n in dims.items() if n == 1]
+    arrows = [(src, dst) for src, dst, m in maps if src != dst and m.any()]
+    out = []
+    for mask in range(1 << len(ones)):
+        support = {k for j, k in enumerate(ones) if mask >> j & 1}
+        if any(src in support and dst not in support for src, dst in arrows):
+            continue
+        clauses = []
+        if not any(key in support for key, m in kernel_maps if m.any()):
+            clauses.append(("kernel", frozenset(support)))
+        if all(key in support for key, m in image_maps if m.any()):
+            clauses.append(("image", frozenset(support)))
+        out.append(clauses)
+    return out
+
+
+def _enumeration_cases():
+    rng = np.random.default_rng(271)
+    d = parse_bow_diagram(CYCLE3_1x5)
+    report = solve_fiber(d, {"a": 0.4, "b": -0.1, "c": -0.3}, seed=0, n_starts=5)
+    theta = {"a": 1, "b": 1, "c": -2}
+    return [(d, p, theta) for d, p, theta, _ in _random_01_bows(35)] + [
+        (d, report.point, theta), (d, _mask_point(d, rng), theta)]
+
+
+def test_support_candidates_match_the_per_mask_loop():
+    for d, p, theta in _enumeration_cases():
+        data = _bow_data(d, p, theta)
+        maps, kernel_maps, image_maps = _snapped(
+            (data["maps"], data["kernel_maps"], data["image_maps"]))
+        got = [[(clause, frozenset(k for k, part in g.parts.items() if part.dim))
+                for clause, g in tries]
+               for tries in _support_candidates(data["dims"], maps, kernel_maps, image_maps)]
+        assert got == _reference_supports(data["dims"], maps, kernel_maps, image_maps)
 
 
 # --- stability: candidate lattice, gauge invariance, search report ---------------------
