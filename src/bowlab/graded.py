@@ -5,7 +5,8 @@ collection of maps (src key, dst key, matrix) is "respected" by a
 graded subspace when every map sends the src component into the dst
 component.  The two closure operators below are graded versions of the
 ones in linalg that iterate memoised part operations; the candidate
-lattice feeds the heuristic (un)stability falsifiers.
+lattice feeds the heuristic (un)stability falsifiers, which read it as
+it grows and stop it at their first witness.
 
 The lattice and the closures work on interned parts.  A part table
 keeps, per key, one representative Subspace for each distinct subspace
@@ -93,11 +94,14 @@ class StabilityVerdict:
         kernels with positive pairing, "image" when it contains the
         image maps' images with negative copairing.
     searched: how many lattice elements (heuristic) or invariant 0/1
-        supports (exact01) had their candidates tested; 0 when no
-        search ran: zero weights, or a heuristic "semistable" that the
-        trace certificate decided.
-    capped: the heuristic lattice reached LATTICE_CAP elements, so the
-        search left part of the lattice unexplored.
+        supports (exact01) had their candidates tested; both searches
+        stop at the first witness, so for "unstable" it is the witness's
+        position.  0 when no search ran: zero weights, or a heuristic
+        "semistable" that the trace certificate decided.
+    capped: a "not-falsified" search whose lattice reached LATTICE_CAP
+        elements, so it left part of the lattice unexplored.  Never set
+        on "unstable": that search stopped at its witness and left
+        nothing it needed unexplored.
     """
 
     kind: str
@@ -138,7 +142,8 @@ class _PartTable:
     Part id i at key position j names the representative _reps[j][i].
     A graded subspace is the tuple of its part ids in the key order of
     dims.  Sums and intersections are memoised per (position, i, j)
-    with i <= j, images and preimages per (map index, id).
+    with i <= j, images and preimages per (map index, id); the image of
+    the zero part and the preimage of the full part need no SVD.
     """
 
     def __init__(self, dims: dict, maps):
@@ -207,9 +212,11 @@ class _PartTable:
 
     def _image_part(self, m: int, i: int) -> int:
         """Image under map m of part i at its src."""
+        src, dst, mat = self.maps[m]
+        if i == self.zero[src]:  # m(0) = 0, exactly
+            return self.zero[dst]
         out = self._images.get((m, i))
         if out is None:
-            src, dst, mat = self.maps[m]
             out = self.intern(dst, subspace_image(mat, self._reps[src][i],
                                                   norm=self._norms[m]))
             self._images[(m, i)] = out
@@ -217,9 +224,11 @@ class _PartTable:
 
     def _preimage_part(self, m: int, i: int) -> int:
         """Preimage under map m of part i at its dst."""
+        src, dst, mat = self.maps[m]
+        if i == self.full[dst]:  # m^-1(V) = V, exactly
+            return self.full[src]
         out = self._preimages.get((m, i))
         if out is None:
-            src, dst, mat = self.maps[m]
             out = self.intern(src, subspace_preimage(mat, self._reps[dst][i],
                                                      norm=self._norms[m]))
             self._preimages[(m, i)] = out
@@ -315,55 +324,77 @@ def _eigenspace_seeds(dims: dict, endos) -> list:
     return seeds
 
 
-def candidate_lattice(dims: dict, maps, seeds, table: _PartTable | None = None) -> list:
+def _lattice_ids(table: _PartTable, dims: dict, maps, seeds):
+    """candidate_lattice's elements as part-id tuples, each yielded as it
+    joins; the eigenspace seeds are computed only once 0, V and the
+    given seeds have been read."""
+    unique, seen = [], set()
+
+    def heads():
+        yield table.zero
+        yield table.full
+        yield from map(table.ids, seeds)
+        endos = [(key, m) for key, dst, m in maps if key == dst]
+        yield from map(table.ids, _eigenspace_seeds(dims, endos))
+
+    def steps(frontier):
+        for g in frontier:
+            if len(unique) >= LATTICE_CAP:
+                return
+            yield table.image(g)
+            yield table.preimage(g)
+        for g in frontier:
+            for other in unique[:LATTICE_CAP]:
+                if len(unique) >= LATTICE_CAP:
+                    return
+                yield table.sum(g, other)
+                yield table.meet(g, other)
+
+    def fresh(gs, into: list):
+        for g in gs:
+            if g not in seen:
+                seen.add(g)
+                unique.append(g)
+                into.append(g)
+                yield g
+
+    frontier = []
+    yield from fresh(heads(), frontier)
+    for _ in range(LATTICE_DEPTH):
+        new_frontier = []
+        yield from fresh(steps(frontier), new_frontier)
+        if not new_frontier:
+            return
+        frontier = new_frontier
+
+
+def candidate_lattice(dims: dict, maps, seeds, stop, table: _PartTable | None = None) -> list:
     """Graded subspaces closed under images, preimages, sums, intersections.
 
     Starts from {0, V} plus the given seeds plus generalized eigenspaces
     of the maps whose source key is their target key (a bow's B's and
     one-segment self-edges, a quiver's loops), and closes LATTICE_DEPTH
     rounds with LATTICE_CAP as a hard cap on the candidate count; the
-    consumers are falsifiers, so an incomplete lattice is safe.  Elements whose parts all lie within
-    SAME_SUBSPACE_TOL of an earlier element's count once.
+    consumers are falsifiers, so an incomplete lattice is safe.
+    Elements whose parts all lie within SAME_SUBSPACE_TOL of an earlier
+    element's count once.
+
+    stop is called on each element as it joins, in that order; the
+    lattice grows only as far as stop reads it, and ends with the first
+    element for which stop is true (a search's witness).  A stop that is
+    never true gives the whole lattice.
 
     table: the part table of an enclosing search, built from the same
     dims and maps, whose interned parts and memoised results to share.
     """
     if table is None:
         table = _PartTable(dims, maps)
-    pool = [table.zero, table.full]
-    pool += [table.ids(g) for g in seeds]
-    endos = [(key, m) for key, dst, m in maps if key == dst]
-    pool += [table.ids(g) for g in _eigenspace_seeds(dims, endos)]
-    unique = list(dict.fromkeys(pool))
-    seen = set(unique)
-
-    def push(g, into: list):
-        if g not in seen:
-            seen.add(g)
-            unique.append(g)
-            into.append(g)
-
-    def grow():
-        frontier = list(unique)
-        for _ in range(LATTICE_DEPTH):
-            new_frontier = []
-            for g in frontier:
-                if len(unique) >= LATTICE_CAP:
-                    return
-                push(table.image(g), new_frontier)
-                push(table.preimage(g), new_frontier)
-            for g in frontier:
-                for other in unique[:LATTICE_CAP]:
-                    if len(unique) >= LATTICE_CAP:
-                        return
-                    push(table.sum(g, other), new_frontier)
-                    push(table.meet(g, other), new_frontier)
-            if not new_frontier:
-                return
-            frontier = new_frontier
-
-    grow()
-    return [table.graded(g) for g in unique]
+    lattice = []
+    for g in _lattice_ids(table, dims, maps, seeds):
+        lattice.append(table.graded(g))
+        if stop(lattice[-1]):
+            break
+    return lattice
 
 
 # --- the kernel/image stability engine ------------------------------------------
@@ -486,11 +517,12 @@ def _support_candidates(dims, maps, kernel_maps, image_maps):
         yield tries
 
 
-def _lattice_candidates(dims, maps, kernel_maps, image_maps):
-    """The candidate lattice's elements, each as the lazy pair: the largest
-    invariant subspace inside it and the kernels, then the smallest
-    invariant one containing it and the images; and whether the lattice
-    reached its cap."""
+def _lattice_search(dims, maps, kernel_maps, image_maps, qualifies):
+    """Test the candidate lattice's elements as they join, each as the
+    pair: the largest invariant subspace inside it and the kernels, then
+    the smallest invariant one containing it and the images.  Returns
+    the first (clause, g) that qualifies, or None, and how many elements
+    were built."""
     table = _PartTable(dims, maps)
     ker, im = list(table.full), list(table.zero)
     for key, m in kernel_maps:
@@ -500,14 +532,22 @@ def _lattice_candidates(dims, maps, kernel_maps, image_maps):
         j = table.pos[key]
         im[j] = table.sum_part(j, im[j], table.intern(j, image_basis(m)))
     ker, im = tuple(ker), tuple(im)
-    lattice = candidate_lattice(dims, maps, [table.graded(ker), table.graded(im)], table)
+    found = []
 
     def tries(cand):
         g = table.ids(cand)
         yield "kernel", largest_invariant_graded(table.graded(table.meet(g, ker)), maps, table)
         yield "image", smallest_invariant_graded(table.graded(table.sum(g, im)), maps, table)
 
-    return map(tries, lattice), len(lattice) >= LATTICE_CAP
+    def stop(cand) -> bool:
+        for clause, g in tries(cand):
+            if qualifies(g, clause):
+                found.append((clause, g))
+                return True
+        return False
+
+    lattice = candidate_lattice(dims, maps, [table.graded(ker), table.graded(im)], stop, table)
+    return (found[0] if found else None), len(lattice)
 
 
 def find_destabilizer(dims: dict, maps, kernel_maps, image_maps, weights: dict,
@@ -528,9 +568,10 @@ def find_destabilizer(dims: dict, maps, kernel_maps, image_maps, weights: dict,
     passed) read as exact zeros.  exact01 decides by enumerating
     supports and needs every dimension <= 1.  heuristic searches
     candidate_lattice, seeded with the generalized eigenspaces of the
-    maps from a key to itself: "unstable" comes with a checked witness,
-    "not-falsified" is not a proof.  The verdict records how much was
-    searched and whether the lattice was capped.
+    maps from a key to itself, growing it only until an element yields a
+    witness: "unstable" comes with a checked witness, "not-falsified" is
+    not a proof.  The verdict records how much was searched and whether
+    the lattice was capped.
     """
     if mode not in ("exact01", "heuristic"):
         raise ValueError(f"unknown mode {mode!r}; expected 'exact01' or 'heuristic'")
@@ -542,15 +583,20 @@ def find_destabilizer(dims: dict, maps, kernel_maps, image_maps, weights: dict,
             raise Exact01Unavailable(f"exact01 requires every dimension <= 1, got {big}")
 
     maps, kernel_maps, image_maps, links = _snapped((maps, kernel_maps, image_maps, links))
-    if mode == "exact01":
-        elements, capped = _support_candidates(dims, maps, kernel_maps, image_maps), False
-    else:
-        elements, capped = _lattice_candidates(dims, maps, kernel_maps, image_maps)
+
+    def qualifies(g, clause):
+        return _qualifies(g, clause, dims, maps, links, weights, stable)
+
+    if mode == "heuristic":
+        hit, searched = _lattice_search(dims, maps, kernel_maps, image_maps, qualifies)
+        if hit is not None:
+            return StabilityVerdict("unstable", hit[1], hit[0], searched)
+        return StabilityVerdict("not-falsified", searched=searched,
+                                capped=searched >= LATTICE_CAP)
     searched = 0
-    for tries in elements:
+    for tries in _support_candidates(dims, maps, kernel_maps, image_maps):
         searched += 1
         for clause, g in tries:
-            if _qualifies(g, clause, dims, maps, links, weights, stable):
-                return StabilityVerdict("unstable", g, clause, searched, capped)
-    return StabilityVerdict("semistable" if mode == "exact01" else "not-falsified",
-                            searched=searched, capped=capped)
+            if qualifies(g, clause):
+                return StabilityVerdict("unstable", g, clause, searched)
+    return StabilityVerdict("semistable", searched=searched)

@@ -675,7 +675,8 @@ def _unitary_gauge(d, p, rng):
 def _lattice(d, p):
     """candidate_lattice on the structure maps of p, seeded with the
     kernel of each b (full elsewhere) and the image of each a (zero
-    elsewhere), and with the B's as endos; returns (seeds, lattice)."""
+    elsewhere), and with the B's as endos, grown in full by a stop test
+    that is never true; returns (seeds, lattice)."""
     dims = {s: d.dim(s) for s in d.segments()}
     seeds, endos = [], []
     for name, i in d.x_points():
@@ -687,7 +688,7 @@ def _lattice(d, p):
         im[hi] = image_basis(t.a)
         seeds += [GradedSubspace(ker), GradedSubspace(im)]
         endos += [(lo, t.B1), (hi, t.B2)]
-    return seeds, candidate_lattice(dims, _all_maps(d, p), seeds)
+    return seeds, candidate_lattice(dims, _all_maps(d, p), seeds, lambda g: False)
 
 
 def _same_graded(g, h):
