@@ -37,14 +37,11 @@ __all__ = [
     "underlying_quiver",
     "is_cobalanced",
     "framed_dims_of_cobalanced",
-    "cobalanced_diagram",
     "embed_deformation",
     "embed_stability",
     "lambda_of_nu",
-    "theta_of_nu",
     "local_emptiness_check",
     "Violation",
-    "reverse_diagram",
 ]
 
 
@@ -332,12 +329,6 @@ def framed_dims_of_cobalanced(d: BowDiagram) -> tuple[dict[str, int], dict[str, 
     return v, w
 
 
-def cobalanced_diagram(bow: Bow, v: dict[str, int], w: dict[str, int]) -> BowDiagram:
-    """Inverse of framed_dims_of_cobalanced for a fixed bow."""
-    dims = {name: tuple([v[name]] * (w[name] + 1)) for name in bow.intervals}
-    return BowDiagram(bow, dims)
-
-
 # --- parameter embeddings -------------------------------------------------
 
 
@@ -372,13 +363,6 @@ def lambda_of_nu(d: BowDiagram, nu: dict[SegmentRef, complex]) -> dict[str, comp
     out = {name: 0j for name in d.bow.intervals}
     for seg, val in nu.items():
         out[seg.interval] += complex(val)
-    return out
-
-
-def theta_of_nu(d: BowDiagram, nu: dict[SegmentRef, int]) -> dict[str, int]:
-    out = {name: 0 for name in d.bow.intervals}
-    for seg, val in nu.items():
-        out[seg.interval] += int(val)
     return out
 
 
@@ -426,13 +410,3 @@ def local_emptiness_check(d: BowDiagram) -> list[Violation]:
                 violations.append(Violation(name, i, "surjective", v0, bound))
     return violations
 
-
-def reverse_diagram(d: BowDiagram) -> BowDiagram:
-    """Reverse every interval's orientation and every edge's direction.
-
-    Sends first segments to last segments, so the two local emptiness
-    configurations trade places; used by the symmetry property tests.
-    """
-    bow = Bow(d.bow.intervals, tuple((h, t) for t, h in d.bow.edges))
-    dims = {name: tuple(reversed(d.seg_dims[name])) for name in d.bow.intervals}
-    return BowDiagram(bow, dims)

@@ -1,14 +1,11 @@
 """Complex dense linear algebra and the package's one tolerance policy.
 
 Every numerical cutoff outside the solver's constants is written here,
-one rule per question: one singular-value cut for `rank`,
-`kernel_basis` and `image_basis`; `zero_cutoff` and `residual_cutoff`
-for "this is zero" at a given scale; SAME_SUBSPACE_TOL and
-EIGENVALUE_CLUSTER_TOL.  Every other module calls these rules without
-a `tol` and so gets the one policy: DEFAULT_TOL's rank cut and
-RESIDUAL_CUTOFF_TOL.  Only the primitives (rank, the bases, the
-subspace operations and the two closures) accept a Tolerances, so that
-a caller can ask one question at another rank cut.
+one rule per question: one singular-value cut, RANK_TOL, for `rank`,
+the bases, the subspace operations and the two closures; `zero_cutoff`
+and `residual_cutoff` for "this is zero" at a given scale;
+SAME_SUBSPACE_TOL and EIGENVALUE_CLUSTER_TOL.  No function takes a
+tolerance.
 
 Subspaces are stored as matrices with orthonormal columns.  All
 operations (sum, intersection, image, preimage) return orthonormal
@@ -23,8 +20,6 @@ from dataclasses import dataclass
 import numpy as np
 
 __all__ = [
-    "Tolerances",
-    "DEFAULT_TOL",
     "Subspace",
     "as_matrix",
     "matrix_to_json",
@@ -44,25 +39,9 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class Tolerances:
-    """The rank cut of the primitives below.
-
-    rank_tol: relative singular value cutoff for every rank decision,
-        and the relative size below which a matrix counts as zero.
-
-    The residual cut is RESIDUAL_CUTOFF_TOL below; the step of central
-    finite differences is solve.FD_STEP.
-    """
-
-    rank_tol: float = 1e-9
-
-    def __post_init__(self):
-        if not (0 < self.rank_tol < 1):
-            raise ValueError(f"rank_tol must be in (0, 1), got {self.rank_tol}")
-
-
-DEFAULT_TOL = Tolerances()
+# Relative singular-value cutoff for every rank decision, and the
+# relative size below which a matrix counts as zero.
+RANK_TOL = 1e-9
 
 # A residual norm (condition (a), the moment map on a fiber, chart round
 # trips) is zero below this share of its data's scale; the solver's own
@@ -119,25 +98,25 @@ def matrix_from_json(data, rows: int, cols: int) -> np.ndarray:
     return a
 
 
-def _cut(s: np.ndarray, tol: Tolerances, scale: float | None) -> int:
+def _cut(s: np.ndarray, scale: float | None) -> int:
     """How many of the descending singular values s count: those above
-    rank_tol times the largest of them, or times scale when larger."""
+    RANK_TOL times the largest of them, or times scale when larger."""
     top = max(float(s[0]), scale or 0.0) if s.size else (scale or 0.0)
-    return int(np.sum(s > tol.rank_tol * top))
+    return int(np.sum(s > RANK_TOL * top))
 
 
-def rank(m, tol: Tolerances = DEFAULT_TOL, scale: float | None = None) -> int:
+def rank(m, scale: float | None = None) -> int:
     """Numerical rank; `scale` as in kernel_basis."""
     a = as_matrix(m)
     if a.size == 0:
         return 0
-    return _cut(np.linalg.svd(a, compute_uv=False), tol, scale)
+    return _cut(np.linalg.svd(a, compute_uv=False), scale)
 
 
 def zero_cutoff(scale: float) -> float:
     """Entries of a map at most this are roundoff on data of magnitude
-    scale: rank_tol relative to scale, absolute below scale 1."""
-    return DEFAULT_TOL.rank_tol * max(1.0, scale)
+    scale: RANK_TOL relative to scale, absolute below scale 1."""
+    return RANK_TOL * max(1.0, scale)
 
 
 def residual_cutoff(scale: float) -> float:
@@ -207,13 +186,12 @@ class Subspace:
         return Subspace._orthonormal(ambient_dim, np.eye(ambient_dim, dtype=complex))
 
     @staticmethod
-    def span(vectors, tol: Tolerances = DEFAULT_TOL) -> "Subspace":
+    def span(vectors) -> "Subspace":
         """Subspace spanned by the columns of `vectors` (need not be independent)."""
-        v = as_matrix(vectors)
-        return image_basis(v, tol)
+        return image_basis(vectors)
 
 
-def kernel_basis(m, tol: Tolerances = DEFAULT_TOL, scale: float | None = None) -> Subspace:
+def kernel_basis(m, scale: float | None = None) -> Subspace:
     """Orthonormal basis of the (right) null space of m.
 
     The rank cutoff is relative to the largest singular value, or to
@@ -225,10 +203,10 @@ def kernel_basis(m, tol: Tolerances = DEFAULT_TOL, scale: float | None = None) -
     if a.size == 0:
         return Subspace.full(n)
     u, s, vh = np.linalg.svd(a, full_matrices=True)
-    return Subspace._orthonormal(n, vh[_cut(s, tol, scale):].conj().T)
+    return Subspace._orthonormal(n, vh[_cut(s, scale):].conj().T)
 
 
-def image_basis(m, tol: Tolerances = DEFAULT_TOL, scale: float | None = None) -> Subspace:
+def image_basis(m, scale: float | None = None) -> Subspace:
     """Orthonormal basis of the column space of m.
 
     `scale` plays the same role as in kernel_basis: the natural
@@ -239,16 +217,16 @@ def image_basis(m, tol: Tolerances = DEFAULT_TOL, scale: float | None = None) ->
     if a.size == 0:
         return Subspace.zero(n)
     u, s, vh = np.linalg.svd(a, full_matrices=True)
-    return Subspace._orthonormal(n, u[:, :_cut(s, tol, scale)])
+    return Subspace._orthonormal(n, u[:, :_cut(s, scale)])
 
 
-def subspace_sum(a: Subspace, b: Subspace, tol: Tolerances = DEFAULT_TOL) -> Subspace:
+def subspace_sum(a: Subspace, b: Subspace) -> Subspace:
     if a.ambient_dim != b.ambient_dim:
         raise ValueError("subspaces live in different ambient spaces")
-    return image_basis(np.hstack([a.basis, b.basis]), tol)
+    return image_basis(np.hstack([a.basis, b.basis]))
 
 
-def subspace_intersection(a: Subspace, b: Subspace, tol: Tolerances = DEFAULT_TOL) -> Subspace:
+def subspace_intersection(a: Subspace, b: Subspace) -> Subspace:
     """Intersection via the stacked complementary projectors.
 
     x is in both spaces iff (I - P_a) x = 0 and (I - P_b) x = 0, so the
@@ -262,34 +240,32 @@ def subspace_intersection(a: Subspace, b: Subspace, tol: Tolerances = DEFAULT_TO
     # the constraint rows are differences of unit projectors, so their
     # honest scale is 1; a purely relative cutoff would mistake the
     # roundoff left by two (nearly) identical subspaces for full rank
-    return kernel_basis(stacked, tol, scale=1.0)
+    return kernel_basis(stacked, scale=1.0)
 
 
 def _op_norm(a: np.ndarray) -> float:
     return float(np.linalg.norm(a, 2)) if a.size else 0.0
 
 
-def subspace_image(op, s: Subspace, tol: Tolerances = DEFAULT_TOL,
-                   norm: float | None = None) -> Subspace:
+def subspace_image(op, s: Subspace, norm: float | None = None) -> Subspace:
     """op(S) for a linear map given as a matrix acting from the left.
     norm is op's spectral norm, the cutoff scale; a caller applying op
     many times passes it, so that it is computed once."""
     a = as_matrix(op, cols=s.ambient_dim)
-    return image_basis(a @ s.basis, tol, scale=_op_norm(a) if norm is None else norm)
+    return image_basis(a @ s.basis, scale=_op_norm(a) if norm is None else norm)
 
 
-def subspace_preimage(op, s: Subspace, tol: Tolerances = DEFAULT_TOL,
-                      norm: float | None = None) -> Subspace:
+def subspace_preimage(op, s: Subspace, norm: float | None = None) -> Subspace:
     """op^{-1}(S) = { x : op(x) in S }, the kernel of (I - P_S) op; norm
     as in subspace_image."""
     a = as_matrix(op, rows=s.ambient_dim)
     proj_out = np.eye(s.ambient_dim, dtype=complex) - s.projector()
     # cutoff relative to |op|: when op lands (numerically) inside s the
     # product is roundoff at scale |op|, not a full-rank matrix
-    return kernel_basis(proj_out @ a, tol, scale=_op_norm(a) if norm is None else norm)
+    return kernel_basis(proj_out @ a, scale=_op_norm(a) if norm is None else norm)
 
 
-def _sweep(w: Subspace, ops, tol: Tolerances = DEFAULT_TOL) -> Subspace:
+def _sweep(w: Subspace, ops) -> Subspace:
     """Smallest subspace containing w and stable under every op, by one
     orthonormal block-Krylov sweep: each step stacks every op's image of
     the newest block, projects the basis found so far out of it twice,
@@ -303,7 +279,7 @@ def _sweep(w: Subspace, ops, tol: Tolerances = DEFAULT_TOL) -> Subspace:
         for _ in range(2):
             x = x - basis @ (basis.conj().T @ x)
         u, s, _ = np.linalg.svd(x, full_matrices=False)
-        new = u[:, :_cut(s, tol, scale)]
+        new = u[:, :_cut(s, scale)]
         basis = np.hstack([basis, new])
     return Subspace._orthonormal(w.ambient_dim, basis)
 
@@ -312,13 +288,13 @@ def _complement(s: Subspace) -> Subspace:
     return kernel_basis(s.basis.conj().T)
 
 
-def largest_invariant_inside(w: Subspace, ops, tol: Tolerances = DEFAULT_TOL) -> Subspace:
+def largest_invariant_inside(w: Subspace, ops) -> Subspace:
     """Largest subspace of w mapped into itself by every op in ops: the
     complement of the sweep of w's complement under the adjoints."""
     n = w.ambient_dim
-    return _complement(_sweep(_complement(w), [as_matrix(op, n, n).conj().T for op in ops], tol))
+    return _complement(_sweep(_complement(w), [as_matrix(op, n, n).conj().T for op in ops]))
 
 
-def smallest_invariant_containing(w: Subspace, ops, tol: Tolerances = DEFAULT_TOL) -> Subspace:
+def smallest_invariant_containing(w: Subspace, ops) -> Subspace:
     """Smallest subspace containing w and stable under every op (Krylov closure)."""
-    return _sweep(w, [as_matrix(op, w.ambient_dim, w.ambient_dim) for op in ops], tol)
+    return _sweep(w, [as_matrix(op, w.ambient_dim, w.ambient_dim) for op in ops])

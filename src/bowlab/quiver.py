@@ -34,7 +34,6 @@ __all__ = [
     "StabilityVerdict",
     "Exact01Unavailable",
     "rep_moment_map",
-    "rep_gauge_action",
     "rep_symplectic_pairing",
     "rep_semistable",
     "integerize_weights",
@@ -126,18 +125,6 @@ def rep_moment_map(p: QuiverRepPoint) -> dict:
         mu[h] = mu[h] + p.x[k] @ p.y[k]
         mu[t] = mu[t] - p.y[k] @ p.x[k]
     return mu
-
-
-def rep_gauge_action(g: dict, p: QuiverRepPoint) -> QuiverRepPoint:
-    """Base change by g_i in GL(v_i): (x, y, I, J) -> (gxg^-1, gyg^-1, gI, Jg^-1)."""
-    q = p.quiver
-    g = {i: as_matrix(g[i], p.v[i], p.v[i]) for i in q.vertices}
-    ginv = {i: np.linalg.inv(gi) for i, gi in g.items()}
-    x = tuple(g[h] @ p.x[k] @ ginv[t] for k, (t, h) in enumerate(q.arrows))
-    y = tuple(g[t] @ p.y[k] @ ginv[h] for k, (t, h) in enumerate(q.arrows))
-    I = {i: g[i] @ p.I[i] for i in q.vertices}
-    J = {i: p.J[i] @ ginv[i] for i in q.vertices}
-    return QuiverRepPoint(q, p.v, p.w, x, y, I, J)
 
 
 def rep_symplectic_pairing(t1: QuiverRepPoint, t2: QuiverRepPoint) -> complex:

@@ -38,6 +38,7 @@ from .total_space import (
     SingularA,
     TotalSpacePoint,
     _assemble,
+    _blocks,
     _fix_H,
     _lift,
     _quiver_point,
@@ -94,14 +95,14 @@ def gauge_fix_H(d: BowDiagram, p: TotalSpacePoint) -> HReducedPoint:
     where no such representative exists.
     """
     check_shapes(d, p)
-    return HReducedPoint._built(d, _fix_H(d, p))
+    return HReducedPoint._built(d, _assemble(d, _fix_H(d, p)))
 
 
 def to_quiver_point(r: HReducedPoint) -> QuiverRepPoint:
     """The identification with a framed representation: arrows carry
     (C, D) and per interval the a's stack into I, the b's into J,
     x-points ordered along the wavy line."""
-    return _quiver_point(r.diagram, r.point)
+    return _quiver_point(r.diagram, _blocks(r.diagram, r.point))
 
 
 def from_quiver_point(d: BowDiagram, q: QuiverRepPoint) -> HReducedPoint:

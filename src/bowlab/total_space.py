@@ -17,9 +17,9 @@ flattens to a complex vector: intervals in declaration order, per
 x-point the blocks A, B1, B2, a, b, then per edge C, D, each tagged
 with the segments it maps from and to (none on the framing side of a
 and b).  Flattening, the moment map, the gauge action and its Lie
-algebra action, the H-gauge walk and the stability data all walk its
-one block list; the solver evaluates the moment map on views into its
-flat vector, without building a point.
+algebra action, the H-gauge walk, the framed quiver point and the
+stability data all walk its one block list; the solver evaluates the
+moment map on views into its flat vector, without building a point.
 
 The moment map is quadratic, so by vec(M X N) = (M kron N^T) vec(X)
 each Jacobian entry is +-x[src], +-1 or a sum of two such terms; the
@@ -86,8 +86,6 @@ __all__ = [
     "FiberSolveReport",
     "StartDiagnostic",
     "InfeasibilityEvidence",
-    "LocalMapReport",
-    "zero_point",
     "random_point",
     "check_shapes",
     "point_dim",
@@ -106,7 +104,6 @@ __all__ = [
     "check_semistable",
     "translate_deformation",
     "expected_smooth_dimension",
-    "check_local_maps",
     "stabilizer_dimension",
     "total_symplectic_pairing",
     "open_conditions_hold",
@@ -296,13 +293,9 @@ def _assemble(d: BowDiagram, blocks) -> TotalSpacePoint:
     return TotalSpacePoint(triangles, tuple(TwoWayData(*islice(it, 2)) for _ in d.bow.edges))
 
 
-def zero_point(d: BowDiagram) -> TotalSpacePoint:
-    return _assemble(d, [np.zeros(shape) for shape in _compiled(d).layout])
-
-
-def random_point(d: BowDiagram, rng: np.random.Generator, scale: float = 1.0) -> TotalSpacePoint:
+def random_point(d: BowDiagram, rng: np.random.Generator) -> TotalSpacePoint:
     """Independent complex-Gaussian entries everywhere."""
-    return _assemble(d, [_cgauss(rng, r, c, scale) for r, c in _compiled(d).layout])
+    return _assemble(d, [_cgauss(rng, r, c) for r, c in _compiled(d).layout])
 
 
 def point_dim(d: BowDiagram) -> int:
@@ -646,9 +639,10 @@ class MuHNonzero(ValueError):
     components, so no H-orbit representative with A = id exists."""
 
 
-def _fix_H(d: BowDiagram, p: TotalSpacePoint) -> TotalSpacePoint:
-    """p, whose shapes the caller has checked, in the gauge where every
-    A is exactly the identity (the walk of reduction.gauge_fix_H)."""
+def _fix_H(d: BowDiagram, p: TotalSpacePoint) -> list:
+    """The flat-order blocks of p, whose shapes the caller has checked,
+    in the gauge where every A is exactly the identity (the walk of
+    reduction.gauge_fix_H)."""
     if not is_cobalanced(d):
         raise NotCobalanced("gauge_fix_H requires a cobalanced diagram")
     c = _compiled(d)
@@ -667,24 +661,32 @@ def _fix_H(d: BowDiagram, p: TotalSpacePoint) -> TotalSpacePoint:
                 raise SingularA(f"A at ({seg.interval!r}, {seg.index}) is numerically singular")
             g[hi] = g[lo] @ np.linalg.inv(A)
     # the walk makes A = id up to roundoff; store it exactly
-    return _assemble(d, [np.eye(m.shape[1]) if role == "A" else m
-                         for (role, _, _), m in zip(c.tags, _gauged(c, blocks, g))])
+    return [np.eye(m.shape[1]) if role == "A" else m
+            for (role, _, _), m in zip(c.tags, _gauged(c, blocks, g))]
 
 
-def _quiver_point(d: BowDiagram, p: TotalSpacePoint) -> QuiverRepPoint:
-    """The framed representation of a point with every A = id (the
-    identification of reduction.to_quiver_point)."""
+def _quiver_point(d: BowDiagram, blocks) -> QuiverRepPoint:
+    """The framed representation of the flat-order blocks of a point with
+    every A = id (the identification of reduction.to_quiver_point): each
+    edge's (C, D) is an arrow's (x, y), and along each interval the a's
+    are I's columns and the b's J's rows (none where it has no x-point)."""
     v, w = framed_dims_of_cobalanced(d)
-    x = tuple(e.C for e in p.edges)
-    y = tuple(e.D for e in p.edges)
-    I = {}
-    J = {}
-    for name in d.bow.intervals:
-        cols = [p.triangle(name, i).a for i in range(d.x_point_count(name))]
-        rows = [p.triangle(name, i).b for i in range(d.x_point_count(name))]
-        I[name] = np.hstack(cols) if cols else np.zeros((v[name], 0), dtype=complex)
-        J[name] = np.vstack(rows) if rows else np.zeros((0, v[name]), dtype=complex)
-    return QuiverRepPoint(underlying_quiver(d.bow), v, w, x, y, I, J)
+    c = _compiled(d)
+    x, y = [], []
+    I = {name: [np.zeros((v[name], 0), dtype=complex)] for name in d.bow.intervals}
+    J = {name: [np.zeros((0, v[name]), dtype=complex)] for name in d.bow.intervals}
+    for (role, row, col), m in zip(c.tags, blocks):
+        if role == "C":
+            x.append(m)
+        elif role == "D":
+            y.append(m)
+        elif role == "a":
+            I[c.segs[row].interval].append(m)
+        elif role == "b":
+            J[c.segs[col].interval].append(m)
+    return QuiverRepPoint(underlying_quiver(d.bow), v, w, tuple(x), tuple(y),
+                          {name: np.hstack(ms) for name, ms in I.items()},
+                          {name: np.vstack(ms) for name, ms in J.items()})
 
 
 def _lift(d: BowDiagram, blocks) -> list:
@@ -785,7 +787,7 @@ def check_semistable(d: BowDiagram, p: TotalSpacePoint, theta: dict,
     return _bow_semistable(d, p, theta, mode, stable)
 
 
-# --- translation, dimension, local maps --------------------------------------
+# --- translation, dimension --------------------------------------------------
 
 def translate_deformation(d: BowDiagram, p: TotalSpacePoint, nu: dict) -> TotalSpacePoint:
     """Shift both B's of x-point i by the partial sum of nu over the
@@ -813,45 +815,6 @@ def expected_smooth_dimension(d: BowDiagram) -> int:
     that locus is nonempty."""
     a_blocks = sum(d.seg_dims[name][i] * d.seg_dims[name][i + 1] for name, i in d.x_points())
     return point_dim(d) - a_blocks - 2 * gauge_dim(d)
-
-
-@dataclass(frozen=True)
-class LocalMapReport:
-    interval: str
-    x_index: int
-    config: str  # "injective" or "surjective"
-    rank: int
-    required: int
-
-    @property
-    def ok(self) -> bool:
-        return self.rank == self.required
-
-
-def check_local_maps(d: BowDiagram, p: TotalSpacePoint) -> list:
-    """Rank tests at boundary x-points.
-
-    At an x-point whose left segment is the first of its interval, the
-    stacked (A, b, D_e over incoming edges) must be injective; at one
-    whose right segment is the last, the concatenated (A, a, D_e over
-    outgoing edges) must be surjective.  These are the blocks out of the
-    first segment and into the last, in flat order, but for the B's.
-    """
-    check_shapes(d, p)
-    c = _compiled(d)
-    tagged = list(zip(c.tags, _blocks(d, p)))
-    reports = []
-    for (role, hi, lo), A in tagged:
-        if role != "A":
-            continue
-        name, i = c.segs[lo].interval, c.segs[lo].index
-        if i == 0:
-            alpha = np.vstack([m for (r, _, col), m in tagged if col == lo and r != "B1"])
-            reports.append(LocalMapReport(name, i, "injective", rank(alpha), A.shape[1]))
-        if i == d.x_point_count(name) - 1:
-            beta = np.hstack([m for (r, row, _), m in tagged if row == hi and r != "B2"])
-            reports.append(LocalMapReport(name, i, "surjective", rank(beta), A.shape[0]))
-    return reports
 
 
 def stabilizer_dimension(d: BowDiagram, p: TotalSpacePoint) -> int:

@@ -258,10 +258,10 @@ class TwoWayData:
         object.__setattr__(self, "D", as_matrix(self.D, C.shape[1], C.shape[0]))
 
 
-def _cgauss(rng: np.random.Generator, rows: int, cols: int, scale: float = 1.0) -> np.ndarray:
+def _cgauss(rng: np.random.Generator, rows: int, cols: int) -> np.ndarray:
     re = rng.standard_normal((rows, cols))
     im = rng.standard_normal((rows, cols))
-    return scale * (re + 1j * im) / np.sqrt(2.0)
+    return (re + 1j * im) / np.sqrt(2.0)
 
 
 def _well_conditioned(rng: np.random.Generator, n: int) -> np.ndarray:

@@ -8,7 +8,6 @@ lives in the per-module suites; this file reuses their oracles instead
 of duplicating them.
 """
 
-import dataclasses
 import itertools
 import json
 import subprocess
@@ -28,7 +27,7 @@ from bowlab.diagrams import (
     serialize,
 )
 from bowlab.linalg import (
-    DEFAULT_TOL,
+    RANK_TOL,
     Subspace,
     largest_invariant_inside,
     rank,
@@ -275,7 +274,6 @@ STABLE_INSTANCES = (
 
 
 def test_c06_ranks_at_stable_points():
-    tol = dataclasses.replace(DEFAULT_TOL, rank_tol=1e-9)
     n_points = 0
     for text, lam in STABLE_INSTANCES:
         d = parse_bow_diagram(text)
@@ -285,15 +283,15 @@ def test_c06_ranks_at_stable_points():
             strict = check_semistable(d, p, theta, mode="exact01", stable=True)
             assert strict.kind == "semistable"  # certified stable
 
-            assert rank(action_differential(d, p), tol) == gauge_dim(d)
+            assert rank(action_differential(d, p)) == gauge_dim(d)
             jac = moment_jacobian(d, p)
             n1 = _mu1_rows(d)
-            assert rank(jac[:n1], tol) == n1
-            assert rank(jac, tol) == jac.shape[0]
+            assert rank(jac[:n1]) == n1
+            assert rank(jac) == jac.shape[0]
             n_points += 1
     assert n_points == 20
     _ok(6, "20 stable points: free action, both moment Jacobians have "
-           "full row rank at rank_tol 1e-9")
+           "full row rank at RANK_TOL 1e-9")
 
 
 # --- 7: Hamiltonian identities ---------------------------------------------------------
@@ -436,8 +434,8 @@ def test_c08_checkers_match_enumeration():
                 wf = (Subspace.span(np.array(cols, dtype=float).T)
                       if cols else Subspace.span(np.zeros((dim, 0))))
                 opsf = [np.array(op, dtype=float) for op in ops]
-                assert largest_invariant_inside(wf, opsf, DEFAULT_TOL).dim == len(best_lo)
-                assert smallest_invariant_containing(wf, opsf, DEFAULT_TOL).dim == len(best_hi)
+                assert largest_invariant_inside(wf, opsf).dim == len(best_lo)
+                assert smallest_invariant_containing(wf, opsf).dim == len(best_hi)
 
     # the 0/1 decision procedure versus graded-support enumeration on
     # every small shape, up to six segments
@@ -449,7 +447,7 @@ def test_c08_checkers_match_enumeration():
         stable = bool(rng.integers(0, 2))
         nu = embed_stability(d, theta)
         nu = {s: nu.get(s, 0) for s in d.segments()}
-        ztol = DEFAULT_TOL.rank_tol * max(1.0, p.scale())
+        ztol = RANK_TOL * max(1.0, p.scale())
         want, _, _ = brute_force_01_bow(d, p, nu, stable, ztol)
         got = check_semistable(d, p, theta, mode="exact01", stable=stable)
         assert got.kind == want

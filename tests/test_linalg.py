@@ -14,11 +14,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from bowlab import linalg
 from bowlab.linalg import (
-    DEFAULT_TOL,
     ORTHONORMAL_TOL,
     Subspace,
-    Tolerances,
     as_matrix,
     image_basis,
     kernel_basis,
@@ -31,6 +30,7 @@ from bowlab.linalg import (
     subspace_intersection,
     subspace_preimage,
     subspace_sum,
+    zero_cutoff,
 )
 
 from conftest import cgauss
@@ -67,7 +67,7 @@ def _rank_cases(rng):
 def test_rank_matches_image_basis(seed):
     # rank takes values only; image_basis a full SVD: one cut for both
     for m, scale in _rank_cases(np.random.default_rng(seed)):
-        assert rank(m, DEFAULT_TOL, scale) == image_basis(m, DEFAULT_TOL, scale).dim
+        assert rank(m, scale) == image_basis(m, scale).dim
 
 
 def test_kernel_and_image_hand_cases():
@@ -104,12 +104,12 @@ def test_largest_invariant_inside_jordan_block():
     # shift J: e2 -> e1, e3 -> e2, e1 -> 0; invariant subspaces are the flags
     J = np.array([[0.0, 1.0, 0.0], [0.0, 0.0, 1.0], [0.0, 0.0, 0.0]])
     w12 = Subspace.span(np.eye(3)[:, :2])
-    got = largest_invariant_inside(w12, [J], DEFAULT_TOL)
+    got = largest_invariant_inside(w12, [J])
     assert got.dim == 2  # span(e1, e2) is already J-invariant
     # the invariant subspaces of the shift are the flags span(e1..ek);
     # none of positive dim fits inside span(e2, e3), so the answer is 0
     w23 = Subspace.span(np.eye(3)[:, 1:])
-    got = largest_invariant_inside(w23, [J], DEFAULT_TOL)
+    got = largest_invariant_inside(w23, [J])
     assert got.dim == 0
 
 
@@ -117,7 +117,7 @@ def test_largest_invariant_inside_jordan_block_exact():
     J = np.array([[0.0, 1.0, 0.0], [0.0, 0.0, 1.0], [0.0, 0.0, 0.0]])
     # inside span(e1, e3): J e3 = e2 escapes, J e1 = 0 stays -> span(e1)
     w13 = Subspace.span(np.eye(3)[:, [0, 2]])
-    got = largest_invariant_inside(w13, [J], DEFAULT_TOL)
+    got = largest_invariant_inside(w13, [J])
     assert got.dim == 1
     assert np.allclose(got.projector() @ [1.0, 0.0, 0.0], [1.0, 0.0, 0.0])
 
@@ -125,10 +125,10 @@ def test_largest_invariant_inside_jordan_block_exact():
 def test_smallest_invariant_containing_jordan_block():
     J = np.array([[0.0, 1.0, 0.0], [0.0, 0.0, 1.0], [0.0, 0.0, 0.0]])
     e3 = Subspace.span(np.eye(3)[:, 2:])
-    got = smallest_invariant_containing(e3, [J], DEFAULT_TOL)
+    got = smallest_invariant_containing(e3, [J])
     assert got.dim == 3  # e3 generates the whole chain
     e1 = Subspace.span(np.eye(3)[:, :1])
-    assert smallest_invariant_containing(e1, [J], DEFAULT_TOL).dim == 1
+    assert smallest_invariant_containing(e1, [J]).dim == 1
 
 
 def test_two_operator_invariance():
@@ -137,10 +137,10 @@ def test_two_operator_invariance():
     rot = np.array([[0.0, -1.0], [1.0, 0.0]])
     proj = np.array([[1.0, 0.0], [0.0, 0.0]])
     w = Subspace.span(np.array([[1.0], [0.0]]))
-    assert largest_invariant_inside(w, [proj], DEFAULT_TOL).dim == 1
-    assert smallest_invariant_containing(w, [proj], DEFAULT_TOL).dim == 1
-    assert largest_invariant_inside(w, [proj, rot], DEFAULT_TOL).dim == 0
-    assert smallest_invariant_containing(w, [proj, rot], DEFAULT_TOL).dim == 2
+    assert largest_invariant_inside(w, [proj]).dim == 1
+    assert smallest_invariant_containing(w, [proj]).dim == 1
+    assert largest_invariant_inside(w, [proj, rot]).dim == 0
+    assert smallest_invariant_containing(w, [proj, rot]).dim == 2
 
 
 # --- property tests ---------------------------------------------------------
@@ -185,8 +185,8 @@ def test_invariant_outputs_are_invariant(n, seed):
     rng = np.random.default_rng(seed)
     op = cgauss(rng, n, n)
     w = Subspace.span(cgauss(rng, n, rng.integers(0, n + 1)))
-    lo = largest_invariant_inside(w, [op], DEFAULT_TOL)
-    hi = smallest_invariant_containing(w, [op], DEFAULT_TOL)
+    lo = largest_invariant_inside(w, [op])
+    hi = smallest_invariant_containing(w, [op])
     for s in (lo, hi):
         if s.dim:
             proj = s.projector()
@@ -225,11 +225,20 @@ def test_as_matrix_shapes():
     assert z.shape == (0, 3)
 
 
-def test_tolerances_validation():
-    with pytest.raises(ValueError):
-        Tolerances(rank_tol=-1.0)
-    t = Tolerances(rank_tol=1e-6)
-    assert t.rank_tol == 1e-6
+def test_rank_tol_governs_every_cut(monkeypatch):
+    # singular values 1 and 1e-7 sit between the cuts 1e-9 and 1e-6
+    m = np.diag([1.0, 1e-7])
+    w = Subspace.span(np.array([[1.0], [0.0]]))
+    ops = [np.diag([1.0, 0.0]), np.array([[0.0, 0.0], [1e-7, 0.0]])]
+
+    def answers():
+        return (rank(m), kernel_basis(m).dim, image_basis(m).dim,
+                1e-7 <= zero_cutoff(1.0), smallest_invariant_containing(w, ops).dim)
+
+    assert linalg.RANK_TOL == 1e-9
+    assert answers() == (2, 0, 2, False, 2)
+    monkeypatch.setattr(linalg, "RANK_TOL", 1e-6)
+    assert answers() == (1, 1, 1, True, 1)
 
 
 def test_matrix_json_round_trip(rng):
@@ -406,5 +415,5 @@ def test_float_checkers_match_field_logic_on_shared_instances(p):
         hi = _smallest_invariant_containing_p(w, [J], p, dim)
         wf = Subspace.span(np.array(cols, dtype=float).T)
         jf = np.array(J, dtype=float)
-        assert largest_invariant_inside(wf, [jf], DEFAULT_TOL).dim == len(lo)
-        assert smallest_invariant_containing(wf, [jf], DEFAULT_TOL).dim == len(hi)
+        assert largest_invariant_inside(wf, [jf]).dim == len(lo)
+        assert smallest_invariant_containing(wf, [jf]).dim == len(hi)

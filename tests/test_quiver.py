@@ -21,7 +21,6 @@ from bowlab.quiver import (
     integerize_weights,
     quiver_point_from_json_dict,
     quiver_point_to_json_dict,
-    rep_gauge_action,
     rep_moment_map,
     rep_semistable,
     rep_symplectic_pairing,
@@ -97,10 +96,19 @@ def test_moment_equivariance(rng):
     v, w = {"a": 2, "b": 3}, {"a": 2, "b": 1}
     p = _random_point(rng, q, v, w)
     g = {i: cgauss(rng, v[i], v[i]) + 2 * np.eye(v[i]) for i in q.vertices}
-    mu_moved = rep_moment_map(rep_gauge_action(g, p))
+    ginv = {i: np.linalg.inv(gi) for i, gi in g.items()}
+    # base change (x, y, I, J) -> (g x g^-1, g y g^-1, g I, J g^-1)
+    moved = QuiverRepPoint(
+        q, v, w,
+        x=tuple(g[h] @ p.x[k] @ ginv[t] for k, (t, h) in enumerate(q.arrows)),
+        y=tuple(g[t] @ p.y[k] @ ginv[h] for k, (t, h) in enumerate(q.arrows)),
+        I={i: g[i] @ p.I[i] for i in q.vertices},
+        J={i: p.J[i] @ ginv[i] for i in q.vertices},
+    )
+    mu_moved = rep_moment_map(moved)
     mu = rep_moment_map(p)
     for i in q.vertices:
-        expect = g[i] @ mu[i] @ np.linalg.inv(g[i])
+        expect = g[i] @ mu[i] @ ginv[i]
         assert maxabs(mu_moved[i] - expect) < 1e-10
 
 
