@@ -265,10 +265,6 @@ class _Parser:
         tok = self.peek()
         if tok is not None:
             raise BowSyntaxError(f"trailing input after '}}': {tok[1]!r}", tok[2], tok[3])
-        for tail, head in edges:
-            for name in (tail, head):
-                if name not in dims:
-                    raise UnknownIntervalInEdge(f"edge references unknown interval {name!r}")
         return BowDiagram(Bow(tuple(intervals), tuple(edges)), dims)
 
 

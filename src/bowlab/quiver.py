@@ -103,14 +103,6 @@ class QuiverRepPoint:
         object.__setattr__(self, "J", {
             i: as_matrix(self.J[i], self.w[i], self.v[i]) for i in q.vertices})
 
-    @staticmethod
-    def zeros(quiver: Quiver, v: dict, w: dict) -> "QuiverRepPoint":
-        x = tuple(np.zeros((v[h], v[t]), dtype=complex) for t, h in quiver.arrows)
-        y = tuple(np.zeros((v[t], v[h]), dtype=complex) for t, h in quiver.arrows)
-        I = {i: np.zeros((v[i], w[i]), dtype=complex) for i in quiver.vertices}
-        J = {i: np.zeros((w[i], v[i]), dtype=complex) for i in quiver.vertices}
-        return QuiverRepPoint(quiver, dict(v), dict(w), x, y, I, J)
-
     def scale(self) -> float:
         """Largest entry magnitude over all matrices; 0 for the zero point."""
         return _largest_entry(*self.x, *self.y, *self.I.values(), *self.J.values())

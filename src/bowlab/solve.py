@@ -9,10 +9,10 @@ The step is solved in residual space, d = J^H (J J^H + l I)^-1 (-r): by
 the push-through identity it is the same step for every damping l > 0,
 and the moment equations have fewer residuals m than unknowns n, so the
 factored system is m x m.  Rejected steps are rare, so each is one more
-m x m solve rather than a reuse of an eigendecomposition.  J J^H is the
-dense product unless the caller passes `gram`, its own J -> J J^H for a
-Jacobian of known sparsity (solve_fiber passes the moment Jacobian's
-pair table, see total_space).
+m x m solve rather than a reuse of an eigendecomposition.  The caller
+passes `gram`, its own J -> J J^H: solve_fiber sums the moment
+Jacobian's pair table (see total_space), and where no sparsity is known
+it is the dense product, lambda jac: jac @ jac.conj().T.
 
 Constants: a start converges below residual norm RESIDUAL_TOL within
 MAX_ITERS iterations; the damping starts at DAMPING_INIT and is
@@ -70,13 +70,13 @@ class SolveResult:
     iterations: int
 
 
-def gauss_newton(residual, x0, *, jacobian, gram=None) -> SolveResult:
+def gauss_newton(residual, x0, *, jacobian, gram) -> SolveResult:
     """Levenberg-damped Gauss-Newton on min ||residual(x)||^2.
 
     residual: map from C^n to C^m, complex-differentiable.
     jacobian: dr/dz at x (finite_diff_jacobian where no closed form is at hand).
-    gram: J -> J J^H, for a Jacobian whose sparsity the caller knows;
-    None takes the dense product.
+    gram: J -> J J^H, the dense product or one that uses the Jacobian's
+    known sparsity.
     Raises MaxItersExceeded when no damping level improves the residual
     or the iteration budget runs out without reaching RESIDUAL_TOL.
     Deterministic: identical inputs give bitwise-identical iterates.
@@ -92,7 +92,7 @@ def gauss_newton(residual, x0, *, jacobian, gram=None) -> SolveResult:
 
         jac = np.asarray(jacobian(x), dtype=complex)
         jh = jac.conj().T
-        jjh = jac @ jh if gram is None else gram(jac)
+        jjh = gram(jac)
         eye = np.eye(r.size)
 
         accepted = False

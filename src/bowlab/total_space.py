@@ -17,9 +17,10 @@ flattens to a complex vector: intervals in declaration order, per
 x-point the blocks A, B1, B2, a, b, then per edge C, D, each tagged
 with the segments it maps from and to (none on the framing side of a
 and b).  Flattening, the moment map, the gauge action and its Lie
-algebra action, the H-gauge walk, the framed quiver point and the
-stability data all walk its one block list; the solver evaluates the
-moment map on views into its flat vector, without building a point.
+algebra action, the H-gauge walk, the framed quiver point, the
+stability data and the point file's reader and writer all walk its one
+block list; the solver draws its starts and evaluates the moment map on
+views into its flat vector, without building a point.
 
 The moment map is quadratic, so by vec(M X N) = (M kron N^T) vec(X)
 each Jacobian entry is +-x[src], +-1 or a sum of two such terms; the
@@ -75,9 +76,7 @@ from .triangles import (
     check_S1,
     check_S2,
     hurtubise_symplectic_pairing,
-    triangle_from_json_dict,
     triangle_to_hurtubise,
-    triangle_to_json_dict,
     two_way_symplectic_pairing,
 )
 
@@ -93,18 +92,15 @@ __all__ = [
     "flatten_point",
     "unflatten_point",
     "total_moment_map",
-    "mu1_residual",
     "moment_residual",
     "moment_differential",
     "moment_jacobian",
     "gauge_action",
-    "gauge_action_vector",
     "action_differential",
     "solve_fiber",
     "check_semistable",
     "translate_deformation",
     "expected_smooth_dimension",
-    "stabilizer_dimension",
     "total_symplectic_pairing",
     "open_conditions_hold",
     "point_to_json_dict",
@@ -355,11 +351,6 @@ def total_moment_map(d: BowDiagram, p: TotalSpacePoint) -> dict:
     return dict(zip(d.segments(), _moment_blocks(_compiled(d), _blocks(d, p))[1]))
 
 
-def mu1_residual(d: BowDiagram, p: TotalSpacePoint) -> dict:
-    """B2 A - A B1 + a b at every x-point, keyed (interval, index)."""
-    return dict(zip(d.x_points(), _moment_blocks(_compiled(d), _blocks(d, p))[0]))
-
-
 def moment_residual(d: BowDiagram, p: TotalSpacePoint, nu: dict) -> np.ndarray:
     """Flattened (mu1, mu2 - nu id); nu is a per-segment scalar dict."""
     check_shapes(d, p)
@@ -421,12 +412,6 @@ def _gauge_action_vectors(d: BowDiagram, p: TotalSpacePoint, xis: np.ndarray) ->
         left = 0 if row is None else x[row] @ m
         blocks.append(left if col is None else left - m @ x[col])
     return _join(blocks, xis.shape[:-1])
-
-
-def gauge_action_vector(d: BowDiagram, xi: dict, p: TotalSpacePoint) -> TotalSpacePoint:
-    """Infinitesimal gauge action: the tangent d(psi)(xi) at p."""
-    row = _join([as_matrix(xi[s], d.dim(s), d.dim(s)) for s in d.segments()])
-    return unflatten_point(d, _gauge_action_vectors(d, p, row[None])[0])
 
 
 def action_differential(d: BowDiagram, p: TotalSpacePoint) -> np.ndarray:
@@ -574,7 +559,7 @@ def _start_loop(d: BowDiagram, nu: dict, seed: int, n_starts: int):
     best = np.inf
     for k in range(n_starts):
         rng = np.random.default_rng([seed, k])
-        x0 = flatten_point(d, random_point(d, rng))
+        x0 = _join([_cgauss(rng, rows, cols) for rows, cols in c.layout])
         try:
             res = gauss_newton(residual, x0, jacobian=jacobian, gram=gram)
         except MaxItersExceeded as stuck:
@@ -813,13 +798,9 @@ def expected_smooth_dimension(d: BowDiagram) -> int:
     """dim of the ambient space, minus the x-point Hom(V-, V+) blocks,
     minus twice the gauge dimension; the stable-locus dimension when
     that locus is nonempty."""
-    a_blocks = sum(d.seg_dims[name][i] * d.seg_dims[name][i + 1] for name, i in d.x_points())
+    c = _compiled(d)
+    a_blocks = sum(r * k for (role, _, _), (r, k) in zip(c.tags, c.layout) if role == "A")
     return point_dim(d) - a_blocks - 2 * gauge_dim(d)
-
-
-def stabilizer_dimension(d: BowDiagram, p: TotalSpacePoint) -> int:
-    """dim of the gauge Lie algebra minus the rank of its action at p."""
-    return gauge_dim(d) - rank(action_differential(d, p))
 
 
 # --- symplectic pairing -------------------------------------------------------
@@ -867,15 +848,26 @@ def total_symplectic_pairing(d: BowDiagram, p: TotalSpacePoint,
 # --- serialization ------------------------------------------------------------
 
 def point_to_json_dict(d: BowDiagram, p: TotalSpacePoint) -> dict:
+    """p as nested lists: per interval a list of its triangles, each
+    {v1, v2, A, B1, B2, a, b}, then per edge {C, D}."""
     check_shapes(d, p)
-    return {
-        "triangles": {name: [triangle_to_json_dict(t) for t in p.triangles[name]]
-                      for name in d.bow.intervals},
-        "edges": [{"C": matrix_to_json(e.C), "D": matrix_to_json(e.D)} for e in p.edges],
-    }
+    c = _compiled(d)
+    triangles = {name: [] for name in d.bow.intervals}
+    edges = []
+    for (role, _, col), m in zip(c.tags, _blocks(d, p)):
+        if role == "A":
+            entry = {"v1": m.shape[1], "v2": m.shape[0]}
+            triangles[c.segs[col].interval].append(entry)
+        elif role == "C":
+            entry = {}
+            edges.append(entry)
+        entry[role] = matrix_to_json(m)
+    return {"triangles": triangles, "edges": edges}
 
 
 def point_from_json_dict(d: BowDiagram, data: dict) -> TotalSpacePoint:
+    """Inverse of point_to_json_dict.  Every matrix is read at the shape
+    the diagram gives it; a triangle's v1 and v2 must be the diagram's."""
     if not isinstance(data, dict) or "triangles" not in data or "edges" not in data:
         raise ValueError("point data must carry 'triangles' and 'edges' entries")
     missing = [name for name in d.bow.intervals if name not in data["triangles"]]
@@ -884,16 +876,23 @@ def point_from_json_dict(d: BowDiagram, data: dict) -> TotalSpacePoint:
     if len(data["edges"]) != len(d.bow.edges):
         raise ValueError(f"point data has {len(data['edges'])} edge entries, "
                          f"the diagram has {len(d.bow.edges)}")
-    triangles = {}
     for name in d.bow.intervals:
-        triangles[name] = tuple(triangle_from_json_dict(td)
-                                for td in data["triangles"][name])
-    edges = []
-    for k, ed in enumerate(data["edges"]):
-        vt = d.dim(d.edge_tail_segment(k))
-        vh = d.dim(d.edge_head_segment(k))
-        edges.append(TwoWayData(C=matrix_from_json(ed["C"], vh, vt),
-                                D=matrix_from_json(ed["D"], vt, vh)))
-    p = TotalSpacePoint(triangles, tuple(edges))
-    check_shapes(d, p)
-    return p
+        if len(data["triangles"][name]) != d.x_point_count(name):
+            raise ValueError(f"interval {name!r}: expected {d.x_point_count(name)} "
+                             f"triangles, got {len(data['triangles'][name])}")
+    c = _compiled(d)
+    triangles = iter([td for name in d.bow.intervals for td in data["triangles"][name]])
+    edges = iter(data["edges"])
+    blocks = []
+    for (role, _, col), (rows, cols) in zip(c.tags, c.layout):
+        if role == "A":
+            entry = next(triangles)
+            if [entry["v1"], entry["v2"]] != [cols, rows]:
+                seg = c.segs[col]
+                raise ValueError(f"triangle {seg.index} of interval {seg.interval!r} has "
+                                 f"(v1, v2) = ({entry['v1']!r}, {entry['v2']!r}), "
+                                 f"the diagram's are ({cols}, {rows})")
+        elif role == "C":
+            entry = next(edges)
+        blocks.append(matrix_from_json(entry[role], rows, cols))
+    return _assemble(d, blocks)

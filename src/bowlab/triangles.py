@@ -37,8 +37,6 @@ from .linalg import (
     _sweep,
     as_matrix,
     image_basis,
-    matrix_from_json,
-    matrix_to_json,
     rank,
     residual_cutoff,
     snap_roundoff,
@@ -62,7 +60,6 @@ __all__ = [
     "triangle_to_hurtubise",
     "triangle_moment",
     "triangle_gauge_action",
-    "form_gauge_action",
     "form_action_vector",
     "hurtubise_symplectic_pairing",
     "two_way_moment",
@@ -71,8 +68,6 @@ __all__ = [
     "rect_form_from_blocks",
     "random_square_form",
     "random_rect_form",
-    "triangle_to_json_dict",
-    "triangle_from_json_dict",
 ]
 
 
@@ -475,31 +470,6 @@ def triangle_gauge_action(g1, g2, t: TriangleData) -> TriangleData:
     )
 
 
-def _hat(form: RectForm, gm) -> np.ndarray:
-    full = np.eye(form.n, dtype=complex)
-    full[:form.m, :form.m] = gm
-    return full
-
-
-def form_gauge_action(g1, g2, f):
-    """Chart-side action matching triangle_gauge_action through the chart."""
-    if isinstance(f, SquareForm):
-        n = f.n
-        g1 = as_matrix(g1, n, n)
-        g2 = as_matrix(g2, n, n)
-        g2i = np.linalg.inv(g2)
-        return SquareForm(u=g2 @ f.u @ np.linalg.inv(g1),
-                          h=g2 @ f.h @ g2i, I=g2 @ f.I, J=f.J @ g2i)
-    gn, gm = (g1, g2) if f.v1 > f.v2 else (g2, g1)
-    gn = as_matrix(gn, f.n, f.n)
-    gm = as_matrix(gm, f.m, f.m)
-    ghat = _hat(f, gm)
-    ghat_inv = _hat(f, np.linalg.inv(gm))
-    return RectForm(f.v1, f.v2,
-                    u=ghat @ f.u @ np.linalg.inv(gn),
-                    eta=ghat @ f.eta @ ghat_inv)
-
-
 def form_action_vector(xi1, xi2, f):
     """Vector field of the chart action at f for Lie element (xi1, xi2)."""
     if isinstance(f, SquareForm):
@@ -546,26 +516,3 @@ def two_way_moment(d: TwoWayData) -> tuple:
 def two_way_symplectic_pairing(t1: TwoWayData, t2: TwoWayData) -> complex:
     """tr(dC ∧ dD) on a pair of edge tangents."""
     return complex(np.trace(t2.D @ t1.C) - np.trace(t1.D @ t2.C))
-
-
-def triangle_to_json_dict(t: TriangleData) -> dict:
-    return {
-        "v1": t.v1,
-        "v2": t.v2,
-        "A": matrix_to_json(t.A),
-        "B1": matrix_to_json(t.B1),
-        "B2": matrix_to_json(t.B2),
-        "a": matrix_to_json(t.a),
-        "b": matrix_to_json(t.b),
-    }
-
-
-def triangle_from_json_dict(data: dict) -> TriangleData:
-    v1, v2 = int(data["v1"]), int(data["v2"])
-    return TriangleData(
-        A=matrix_from_json(data["A"], v2, v1),
-        B1=matrix_from_json(data["B1"], v1, v1),
-        B2=matrix_from_json(data["B2"], v2, v2),
-        a=matrix_from_json(data["a"], v2, 1),
-        b=matrix_from_json(data["b"], 1, v1),
-    )

@@ -17,6 +17,11 @@ def fd(residual):
     return lambda z: finite_diff_jacobian(residual, z)
 
 
+def dense(jac):
+    """J J^H as the dense product, for gauss_newton's gram."""
+    return jac @ jac.conj().T
+
+
 def test_inconsistent_linear_system_stops_at_lstsq_answer(rng):
     # an inconsistent overdetermined linear residual cannot reach the
     # tolerance; the solver must raise, carrying (nearly) the
@@ -24,7 +29,7 @@ def test_inconsistent_linear_system_stops_at_lstsq_answer(rng):
     a = cgauss(rng, 6, 3)
     b = cgauss(rng, 6, 1)[:, 0]
     with pytest.raises(MaxItersExceeded) as exc:
-        gauss_newton(lambda x: a @ x - b, np.zeros(3), jacobian=lambda x: a)
+        gauss_newton(lambda x: a @ x - b, np.zeros(3), jacobian=lambda x: a, gram=dense)
     expect, *_ = np.linalg.lstsq(a, b, rcond=None)
     assert np.linalg.norm(exc.value.x - expect) < 1e-6
     assert abs(exc.value.residual_norm - np.linalg.norm(a @ expect - b)) < 1e-8
@@ -34,14 +39,14 @@ def test_linear_consistent_system(rng):
     a = cgauss(rng, 4, 4)
     x_true = cgauss(rng, 4, 1)[:, 0]
     b = a @ x_true
-    res = gauss_newton(lambda x: a @ x - b, np.zeros(4), jacobian=lambda x: a)
+    res = gauss_newton(lambda x: a @ x - b, np.zeros(4), jacobian=lambda x: a, gram=dense)
     assert np.linalg.norm(res.x - x_true) < 1e-8
 
 
 def test_complex_square_root():
     target = 2.0 + 1.5j
     f = lambda z: z * z - target
-    res = gauss_newton(f, np.array([1.0 + 0.5j]), jacobian=fd(f))
+    res = gauss_newton(f, np.array([1.0 + 0.5j]), jacobian=fd(f), gram=dense)
     assert abs(res.x[0] ** 2 - target) < 1e-10
 
 
@@ -56,7 +61,7 @@ def test_matrix_commutator_system(rng):
         pin = m[0, 0] - 1.0  # rule out the zero solution
         return np.concatenate([comm.ravel(), [pin]])
 
-    res = gauss_newton(residual, cgauss(rng, 4, 1)[:, 0], jacobian=fd(residual))
+    res = gauss_newton(residual, cgauss(rng, 4, 1)[:, 0], jacobian=fd(residual), gram=dense)
     m = res.x.reshape(2, 2)
     assert np.linalg.norm(m @ a - a @ m) < 1e-10
 
@@ -66,7 +71,7 @@ def test_no_solution_raises_with_best_iterate(monkeypatch):
     monkeypatch.setattr(solve, "MAX_ITERS", 50)
     f = lambda z: np.array([z[0] ** 2 + 1.0, 1.0])
     with pytest.raises(MaxItersExceeded) as exc:
-        gauss_newton(f, np.array([0.3 + 0.1j]), jacobian=fd(f))
+        gauss_newton(f, np.array([0.3 + 0.1j]), jacobian=fd(f), gram=dense)
     assert exc.value.residual_norm >= 1.0
     assert exc.value.x.shape == (1,)
 
@@ -76,8 +81,8 @@ def test_determinism(rng):
     b = cgauss(rng, 5, 1)[:, 0]
     x0 = cgauss(rng, 5, 1)[:, 0]
     f = lambda x: a @ x - b
-    r1 = gauss_newton(f, x0, jacobian=fd(f))
-    r2 = gauss_newton(f, x0, jacobian=fd(f))
+    r1 = gauss_newton(f, x0, jacobian=fd(f), gram=dense)
+    r2 = gauss_newton(f, x0, jacobian=fd(f), gram=dense)
     assert np.array_equal(r1.x, r2.x)
     assert r1.iterations == r2.iterations
 
@@ -110,7 +115,7 @@ def test_one_iteration_is_the_normal_equations_step(m, n, damping, rng, monkeypa
     b = cgauss(rng, m, 1)[:, 0]
     x0 = cgauss(rng, n, 1)[:, 0]
     with pytest.raises(MaxItersExceeded) as exc:
-        gauss_newton(lambda x: a @ x - b, x0, jacobian=lambda x: a)
+        gauss_newton(lambda x: a @ x - b, x0, jacobian=lambda x: a, gram=dense)
     jh = a.conj().T
     expect = x0 + np.linalg.solve(jh @ a + damping * np.eye(n), -jh @ (a @ x0 - b))
     assert exc.value.iterations == 1 and exc.value.reason == "budget"
@@ -121,7 +126,7 @@ def test_stalled_start_says_so():
     # at z = 0 the Jacobian of (z^2 + 1, 1) vanishes: no damping level moves
     f = lambda z: np.array([z[0] ** 2 + 1.0, 1.0])
     with pytest.raises(MaxItersExceeded) as exc:
-        gauss_newton(f, np.zeros(1, dtype=complex), jacobian=fd(f))
+        gauss_newton(f, np.zeros(1, dtype=complex), jacobian=fd(f), gram=dense)
     assert exc.value.reason == "stalled"
     assert exc.value.iterations == 0
 

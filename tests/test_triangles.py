@@ -2,8 +2,8 @@
 
 The chart conversion is validated three ways: the forward map is pinned
 to its case formulas entry by entry, the composite is the identity at
-1e-9 over six dimension pairs, and both directions intertwine the gauge
-action exactly.
+1e-9 over six dimension pairs, and the forward map carries the gauge
+action's vector field to the chart's.
 """
 
 import numpy as np
@@ -24,18 +24,15 @@ from bowlab.triangles import (
     check_S2,
     condition_a_residual,
     form_action_vector,
-    form_gauge_action,
     hurtubise_symplectic_pairing,
     hurtubise_to_triangle,
     random_rect_form,
     random_square_form,
     rect_blocks,
     rect_form_from_blocks,
-    triangle_from_json_dict,
     triangle_gauge_action,
     triangle_moment,
     triangle_to_hurtubise,
-    triangle_to_json_dict,
     two_way_moment,
     two_way_symplectic_pairing,
 )
@@ -316,14 +313,20 @@ def test_gauge_action_preserves_conditions(v1, v2):
 
 @pytest.mark.parametrize("v1,v2", DIM_PAIRS)
 def test_conversion_is_equivariant(v1, v2):
-    # chart fixing commutes with the gauge action on both sides
+    # chart fixing commutes with the gauge action to first order: moving
+    # the triangle along (xi1, xi2) moves its chart along form_action_vector
     rng = np.random.default_rng([10, v1, v2])
     f = _random_form(rng, v1, v2)
-    g1, g2 = _random_gl(rng, v1), _random_gl(rng, v2)
+    xi1, xi2 = cgauss(rng, v1, v1), cgauss(rng, v2, v2)
     t = hurtubise_to_triangle(f)
-    left = triangle_to_hurtubise(triangle_gauge_action(g1, g2, t))
-    right = form_gauge_action(g1, g2, triangle_to_hurtubise(t))
-    assert _form_distance(left, right) < 1e-8 * max(1.0, maxabs(right.u))
+    h = 1e-6
+    plus, minus = (triangle_to_hurtubise(
+        triangle_gauge_action(np.eye(v1) + s * xi1, np.eye(v2) + s * xi2, t)) for s in (h, -h))
+    expect = form_action_vector(xi1, xi2, triangle_to_hurtubise(t))
+    for name in ("u", "h", "I", "J") if isinstance(f, SquareForm) else ("u", "eta"):
+        fd = (getattr(plus, name) - getattr(minus, name)) / (2 * h)
+        vec = getattr(expect, "d" + name)
+        assert maxabs(fd - vec) < 1e-6 * max(1.0, maxabs(vec))
 
 
 def test_moment_is_the_B_pair(rng):
@@ -420,14 +423,7 @@ def test_two_way_hamiltonian_identity(rng):
         assert abs(lhs - rhs) < 1e-6 * max(1.0, abs(lhs))
 
 
-# --- serialization -------------------------------------------------------------------
-
-
-def test_triangle_json_round_trip(rng):
-    t = hurtubise_to_triangle(random_rect_form(rng, 2, 3))
-    back = triangle_from_json_dict(triangle_to_json_dict(t))
-    for name in ("A", "B1", "B2", "a", "b"):
-        assert np.array_equal(getattr(t, name), getattr(back, name))
+# --- chart blocks --------------------------------------------------------------------
 
 
 def test_eta_block_constraints_enforced(rng):
