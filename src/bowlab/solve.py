@@ -84,6 +84,7 @@ def gauss_newton(residual, x0, *, jacobian, gram) -> SolveResult:
     x = np.asarray(x0, dtype=complex).reshape(-1).copy()
 
     r = np.asarray(residual(x), dtype=complex).reshape(-1)
+    eye = np.eye(r.size)
     damping = DAMPING_INIT
     for it in range(MAX_ITERS):
         rnorm = np.linalg.norm(r)
@@ -93,7 +94,6 @@ def gauss_newton(residual, x0, *, jacobian, gram) -> SolveResult:
         jac = np.asarray(jacobian(x), dtype=complex)
         jh = jac.conj().T
         jjh = gram(jac)
-        eye = np.eye(r.size)
 
         accepted = False
         for _ in range(MAX_REJECTS):

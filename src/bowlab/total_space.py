@@ -16,29 +16,30 @@ One cached record per diagram shape, `_compiled(d)`, fixes how a point
 flattens to a complex vector: intervals in declaration order, per
 x-point the blocks A, B1, B2, a, b, then per edge C, D, each tagged
 with the segments it maps from and to (none on the framing side of a
-and b).  Flattening, the moment map, the gauge action and its Lie
-algebra action, the H-gauge walk, the framed quiver point, the
-stability data and the point file's reader and writer all walk its one
-block list; the solver draws its starts and evaluates the moment map on
-views into its flat vector, without building a point.
+and b).  Flattening, the gauge action and its Lie algebra action, the
+H-gauge walk, the framed quiver point, the stability data and the
+point file's reader and writer all walk its one block list; the solver
+works on flat vectors alone until a start converges.
 
 The moment map is quadratic, so by vec(M X N) = (M kron N^T) vec(X)
-each Jacobian entry is +-x[src], +-1 or a sum of two such terms; the
-record lists them once, and the Jacobian is a scatter of the point's
-entries.  Its nonzero pattern is fixed too, so the record also lists,
-per column, every pair (a, b) of the column's nonzeros: the solver's
+each Jacobian entry is +-x[src], +-1 or a sum of two such terms, and
+the record lists them once.  A monomial x_p x_q of mu is the term in
+column p reading x_q and the one in column q reading x_p; the record
+keeps the first (p < q) and the +-B terms, so the moment map is a
+bincount over that monomial table, as the Jacobian is over the terms.
+The nonzero pattern is fixed too, so the record also lists, per
+column, every pair (a, b) of the column's nonzeros: the solver's
 J J^H, passed to gauss_newton as its `gram` keyword, is one bincount of
-the pairs' products J[a, j] conj(J[b, j]) into entry (a, b), not a
-dense m x n by n x m product.  The gauge action's matrix is the action
-evaluated on the gauge Lie algebra's basis, by matmul broadcasting
-over a leading axis.
+the pairs' products J[a, j] conj(J[b, j]) into entry (a, b).  The gauge
+action's matrix is the action evaluated on the gauge Lie algebra's
+basis, by matmul broadcasting over a leading axis.
 """
 
 from __future__ import annotations
 
 from collections import namedtuple
-from dataclasses import dataclass, replace
-from functools import lru_cache
+from dataclasses import dataclass
+from functools import lru_cache, partial
 from itertools import islice
 
 import numpy as np
@@ -132,14 +133,7 @@ class TotalSpacePoint:
 
 def check_shapes(d: BowDiagram, p: TotalSpacePoint):
     """Raise unless p's matrix shapes match the diagram's segment dims."""
-    if set(p.triangles) != set(d.bow.intervals):
-        raise ValueError("triangles must be keyed by the diagram's intervals")
-    for name in d.bow.intervals:
-        if len(p.triangles[name]) != d.x_point_count(name):
-            raise ValueError(f"interval {name!r}: expected {d.x_point_count(name)} "
-                             f"triangles, got {len(p.triangles[name])}")
-    if len(p.edges) != len(d.bow.edges):
-        raise ValueError(f"expected {len(d.bow.edges)} edge pairs, got {len(p.edges)}")
+    _check_counts(d, p.triangles, p.edges)
     c = _compiled(d)
     for (role, row, col), shape, m in zip(c.tags, c.layout, _blocks(d, p)):
         if m.shape != shape:
@@ -148,18 +142,35 @@ def check_shapes(d: BowDiagram, p: TotalSpacePoint):
                              f"expected {shape}")
 
 
+def _check_counts(d: BowDiagram, triangles: dict, edges) -> None:
+    """Raise unless triangles, keyed by interval, and edges number as d's."""
+    missing = [name for name in d.bow.intervals if name not in triangles]
+    unknown = [name for name in triangles if name not in d.bow.intervals]
+    if missing or unknown:
+        raise ValueError(f"triangles must be keyed by the diagram's intervals; missing "
+                         f"{missing}, not intervals {unknown}")
+    for name in d.bow.intervals:
+        if len(triangles[name]) != d.x_point_count(name):
+            raise ValueError(f"interval {name!r}: expected {d.x_point_count(name)} "
+                             f"triangles, got {len(triangles[name])}")
+    if len(edges) != len(d.bow.edges):
+        raise ValueError(f"expected {len(d.bow.edges)} edge pairs, got {len(edges)}")
+
+
 # --- the compiled layout --------------------------------------------------------
 
 # What a diagram's flat coordinates fix, whatever the point.  Block k,
 # of shape layout[k], is tags[k] = (role, row, col): a map from segment
 # position col to row, either None on the framing side.  Jacobian term t
-# adds (x, 1, -x, -1)[jac_src[t]] to the flat entry jac_index[t].  Pair
-# u of J J^H adds J.flat[gram_p[u]] * conj(J.flat[gram_q[u]]) to the
-# flat m x m entry t, its real part at gram_target[2 u] = 2 t and its
-# imaginary part at gram_target[2 u + 1] (see _gram).  solve_fiber's
-# rescaling multiplies flat entry i by t ** lam_power[i].
+# adds (x, 1, -x, -1)[jac_src[t]] to the flat m x n entry e, monomial u
+# adds x[mono_col[u]] (x, 1, -x, -1)[mono_src[u]] to mu's row e, and
+# pair u of J J^H adds J.flat[gram_p[u]] conj(J.flat[gram_q[u]]) to the
+# flat m x m entry e, each by a bincount over floats: its real part at
+# *_target[2 u] = 2 e, its imaginary part at *_target[2 u + 1].
+# solve_fiber's rescaling multiplies flat entry i by t ** lam_power[i].
 _Compiled = namedtuple("_Compiled", "tags layout segs seg_dims x_segs edge_segs n m "
-                                    "jac_index jac_src gram_p gram_q gram_target lam_power")
+                                    "jac_target jac_src mono_col mono_src mono_target "
+                                    "gram_p gram_q gram_target lam_power")
 
 # the power of t by which solve_fiber's rescaling multiplies each role's block
 _LAMBDA_POWER = {"B1": 1, "B2": 1, "a": 1, "C": 0.5, "D": 0.5}
@@ -205,8 +216,8 @@ def _compile(bow, dims: tuple) -> _Compiled:
         term(row, sign, p, np.kron(np.eye(layout[p][0], dtype=int), ids(q).T))
         term(row, sign, q, np.kron(ids(p), np.eye(layout[q][1], dtype=int)))
 
-    # the terms in the order _moment_blocks adds them, so that an entry
-    # made of two terms adds them in that order too
+    # in the order of the module docstring's formulas, in which an entry
+    # of the Jacobian or the moment map made of several terms adds them
     for ix in range(len(x_segs)):
         A, B1, B2, a, b = range(5 * ix, 5 * ix + 5)
         product(ix, 1, B2, A)
@@ -221,13 +232,21 @@ def _compile(bow, dims: tuple) -> _Compiled:
         for row, sign, x in ((lo, 1, 5 * ix + 1), (hi, -1, 5 * ix + 2)):
             term(mu2 + row, sign, x, (n + 1) * np.eye(offs[x + 1] - offs[x], dtype=int))
     index, src = np.concatenate(index), np.concatenate(src)
+    mono = index % n < src % (n + 1)   # the monomial table; a +-B term reads n or 2 n + 1
     pairs = _gram_pairs(index, rows[-1], n)
     lam_power = np.repeat([float(_LAMBDA_POWER.get(role, 0)) for role, _, _ in tags],
                           [r * c for r, c in layout])
-    for table in (index, src, *pairs, lam_power):
+    tables = (_float_targets(index), src, index[mono] % n, src[mono],
+              _float_targets(index[mono] // n), *pairs, lam_power)
+    for table in tables:
         table.flags.writeable = False   # shared by every caller
     return _Compiled(tuple(tags), tuple(layout), segs, seg_dims, tuple(x_segs),
-                     tuple(edge_segs), n, rows[-1], index, src, *pairs, lam_power)
+                     tuple(edge_segs), n, rows[-1], *tables)
+
+
+def _float_targets(entries: np.ndarray) -> np.ndarray:
+    """Where a bincount over complex floats puts the parts of each entry's value."""
+    return np.stack([2 * entries, 2 * entries + 1], 1).ravel()
 
 
 def _gram_pairs(index: np.ndarray, m: int, n: int) -> tuple:
@@ -245,9 +264,7 @@ def _gram_pairs(index: np.ndarray, m: int, n: int) -> tuple:
     first = np.repeat((np.cumsum(per_col) - per_col)[nz % n], k)
     p = np.repeat(nz, k)
     q = nz[first + np.arange(p.size) - np.repeat(np.cumsum(k) - k, k)]
-    # _gram sums the real and imaginary part of pair u into floats 2 t, 2 t + 1
-    target = 2 * ((p // n) * m + q // n)
-    return tuple(a.astype(np.int32) for a in (p, q, np.stack([target, target + 1], 1).ravel()))
+    return tuple(a.astype(np.int32) for a in (p, q, _float_targets((p // n) * m + q // n)))
 
 
 def _gram(c: _Compiled, jac: np.ndarray) -> np.ndarray:
@@ -320,41 +337,35 @@ def unflatten_point(d: BowDiagram, vec: np.ndarray) -> TotalSpacePoint:
 
 # --- moment map -------------------------------------------------------------
 
-def _moment_blocks(c: _Compiled, blocks) -> tuple:
-    """mu1 per x-point and mu2 per segment of the point whose blocks, in
-    flat order, are `blocks` (see the module docstring for the rule)."""
-    xs = [blocks[5 * i:5 * i + 5] for i in range(len(c.x_segs))]
-    mu2 = [np.zeros((v, v), dtype=complex) for v in c.seg_dims]
-    for k, (t, h) in enumerate(c.edge_segs):
-        C, D = blocks[5 * len(xs) + 2 * k:5 * len(xs) + 2 * k + 2]
-        mu2[h] += C @ D
-        mu2[t] -= D @ C
-    for (lo, hi), (_, B1, B2, _, _) in zip(c.x_segs, xs):
-        mu2[lo] += B1   # x-point at the right end
-        mu2[hi] -= B2   # x-point at the left end
-    return [B2 @ A - A @ B1 + a @ b for A, B1, B2, a, b in xs], mu2
+_ONE = np.ones(1, dtype=complex)   # a term's value is (x, 1, -x, -1)[src]
 
 
-def _residual(c: _Compiled, blocks, shifts: list) -> np.ndarray:
-    """Flattened (mu1, mu2 - shifts) of the point with these blocks."""
-    mu1, mu2 = _moment_blocks(c, blocks)
-    return _join(mu1 + [m - shift for m, shift in zip(mu2, shifts)])
+def _moment(c: _Compiled, x: np.ndarray) -> np.ndarray:
+    """The flat (mu1 per x-point, mu2 per segment) at the complex flat
+    vector x: one bincount of c's monomials over the result's floats."""
+    prod = x[c.mono_col] * np.concatenate([x, _ONE, -x, -_ONE])[c.mono_src]
+    return np.bincount(c.mono_target, prod.view(float), 2 * c.m).view(complex)
 
 
-def _shifts(d: BowDiagram, nu: dict) -> list:
-    return [complex(nu.get(s, 0.0)) * np.eye(d.dim(s)) for s in d.segments()]
+def _shift(c: _Compiled, nu: dict) -> np.ndarray:
+    """The flat moment of nu id, nu a per-segment scalar dict: 0 on the mu1 rows."""
+    mu2 = [complex(nu.get(s, 0.0)) * np.eye(v).ravel() for s, v in zip(c.segs, c.seg_dims)]
+    return np.concatenate([np.zeros(c.m - sum(v * v for v in c.seg_dims), dtype=complex), *mu2])
 
 
 def total_moment_map(d: BowDiagram, p: TotalSpacePoint) -> dict:
     """Per-segment moment matrices (see module docstring for the rule)."""
     check_shapes(d, p)
-    return dict(zip(d.segments(), _moment_blocks(_compiled(d), _blocks(d, p))[1]))
+    c = _compiled(d)
+    mu2 = _moment(c, flatten_point(d, p))[c.m - sum(v * v for v in c.seg_dims):]
+    return dict(zip(c.segs, _split([(v, v) for v in c.seg_dims], mu2)))
 
 
 def moment_residual(d: BowDiagram, p: TotalSpacePoint, nu: dict) -> np.ndarray:
     """Flattened (mu1, mu2 - nu id); nu is a per-segment scalar dict."""
     check_shapes(d, p)
-    return _residual(_compiled(d), _blocks(d, p), _shifts(d, nu))
+    c = _compiled(d)
+    return _moment(c, flatten_point(d, p)) - _shift(c, nu)
 
 
 def moment_differential(d: BowDiagram, p: TotalSpacePoint, t: TotalSpacePoint) -> np.ndarray:
@@ -369,10 +380,9 @@ def moment_jacobian(d: BowDiagram, p) -> np.ndarray:
     x = flatten_point(d, p) if isinstance(p, TotalSpacePoint) else np.asarray(p, dtype=complex)
     if x.shape != (c.n,):
         raise ValueError(f"flat vector has shape {x.shape}, expected ({c.n},)")
-    one = np.ones(1, dtype=complex)
-    jac = np.zeros(c.m * c.n, dtype=complex)
     # in table order, so an entry of two terms is a - b as the formulas compute it
-    np.add.at(jac, c.jac_index, np.concatenate([x, one, -x, -one])[c.jac_src])
+    terms = np.concatenate([x, _ONE, -x, -_ONE])[c.jac_src]
+    jac = np.bincount(c.jac_target, terms.view(float), 2 * c.m * c.n).view(complex)
     return jac.reshape(c.m, c.n)
 
 
@@ -505,15 +515,14 @@ def solve_fiber(d: BowDiagram, lam: dict, seed: int = 0, n_starts: int = 20):
     dimension 1 for the framing (Crawley-Boevey), and w_i edges from the
     framing to interval i, one per x-point in x-point order, whose (C, D)
     are that x-point's (a, b).  The framing's moment is fixed by the trace
-    identity at -sum_i lam_i v_i.  The route has no x-points, so its open
-    check is vacuous and the starts are the route's.  The accepted
-    solution is lifted to the bow point with every A = id, the arrows'
-    (C, D) and the B's of the backward recursion that zeroes the moment
-    on every non-first segment (reduction.from_quiver_point); the lift
-    needs no open check, since an invertible A makes (S1) and (S2) hold
-    outright.  Conversely every open bow point has invertible A's (see
-    reduction), so the route loses no fiber.  Other diagrams are solved
-    as they are.
+    identity at -sum_i lam_i v_i.  The route has no x-points, so its
+    first converged start's flat solution is lifted to the bow point
+    with every A = id, the arrows' (C, D) and the B's of the backward
+    recursion that zeroes the moment on every non-first segment
+    (reduction.from_quiver_point); the lift needs no open check, since an
+    invertible A makes (S1) and (S2) hold outright.  Conversely every
+    open bow point has invertible A's (see reduction), so the route loses
+    no fiber.  Other diagrams are solved as they are.
 
     The moment map is homogeneous: (A, t B, t a, b, sqrt(t) C, sqrt(t) D)
     has moment t mu and the same (S1)/(S2).  So the starts, drawn at
@@ -532,52 +541,45 @@ def solve_fiber(d: BowDiagram, lam: dict, seed: int = 0, n_starts: int = 20):
         return _start_loop(d, nu, seed, n_starts)
     nu = embed_deformation(route, lam)
     nu[SegmentRef(_FRAMING, 0)] = -sum(val * route.dim(s) for s, val in nu.items())
-    out = _start_loop(route, nu, seed, n_starts)
-    if isinstance(out, InfeasibilityEvidence):
-        return out
-    return replace(out, point=_assemble(d, _lift(d, _blocks(route, out.point))))
+    return _start_loop(route, nu, seed, n_starts,
+                       lambda _, x: _assemble(d, _lift(d, _split(_compiled(route).layout, x))))
 
 
-def _start_loop(d: BowDiagram, nu: dict, seed: int, n_starts: int):
+def _open_point(d: BowDiagram, x: np.ndarray) -> TotalSpacePoint | None:
+    """The point at the flat vector x if it is open, else None."""
+    point = unflatten_point(d, x)
+    return point if open_conditions_hold(d, point) else None
+
+
+def _start_loop(d: BowDiagram, nu: dict, seed: int, n_starts: int, accept=_open_point):
     """solve_fiber's starts on the diagram d itself, over the per-segment
-    deformation nu."""
+    deformation nu; accept(d, x) is the point a converged start's flat
+    solution x reports, or None where x is not open."""
     c = _compiled(d)
     t = max([1.0] + [abs(v) for v in nu.values()])
-    shifts = [shift / t for shift in _shifts(d, nu)]
+    shift = _shift(c, nu) / t
     back = t ** c.lam_power
 
-    def residual(x):
-        return _residual(c, _split(c.layout, x), shifts)
-
-    def jacobian(x):
-        return moment_jacobian(d, x)
-
-    def gram(jac):
-        return _gram(c, jac)
-
     diags = []
-    best = np.inf
     for k in range(n_starts):
         rng = np.random.default_rng([seed, k])
         x0 = _join([_cgauss(rng, rows, cols) for rows, cols in c.layout])
         try:
-            res = gauss_newton(residual, x0, jacobian=jacobian, gram=gram)
+            res = gauss_newton(lambda x: _moment(c, x) - shift, x0,
+                               jacobian=partial(moment_jacobian, d), gram=partial(_gram, c))
         except MaxItersExceeded as stuck:
-            best = min(best, t * stuck.residual_norm)
             diags.append(StartDiagnostic(k, False, t * stuck.residual_norm,
                                          stuck.iterations, None, stuck.reason))
             continue
-        point = unflatten_point(d, res.x * back)
-        ok = open_conditions_hold(d, point)
+        point = accept(d, res.x * back)
         rnorm = t * res.residual_norm
-        best = min(best, rnorm)
-        diags.append(StartDiagnostic(k, True, rnorm, res.iterations, ok))
-        if ok:
+        diags.append(StartDiagnostic(k, True, rnorm, res.iterations, point is not None))
+        if point is not None:
             return FiberSolveReport(point=point, residual_norm=rnorm,
                                     iterations=res.iterations, open_conditions_ok=True,
                                     seed=seed, start_index=k)
-    return InfeasibilityEvidence(n_starts=n_starts, best_residual=float(best),
-                                 seed=seed, starts=tuple(diags))
+    return InfeasibilityEvidence(n_starts=n_starts, seed=seed, starts=tuple(diags),
+                                 best_residual=float(min(s.residual_norm for s in diags)))
 
 
 # --- stability ---------------------------------------------------------------
@@ -632,8 +634,9 @@ def _fix_H(d: BowDiagram, p: TotalSpacePoint) -> list:
         raise NotCobalanced("gauge_fix_H requires a cobalanced diagram")
     c = _compiled(d)
     blocks = _blocks(d, p)
-    chunks = [m.ravel() for s, m in zip(c.segs, _moment_blocks(c, blocks)[1]) if s.index > 0]
-    res = float(np.linalg.norm(np.concatenate(chunks))) if chunks else 0.0
+    first = np.repeat([s.index == 0 for s in c.segs], [v * v for v in c.seg_dims])
+    mu2 = _moment(c, _join(blocks).astype(complex))[c.m - first.size:]
+    res = float(np.linalg.norm(mu2[~first]))
     if res > residual_cutoff(p.scale()):
         raise MuHNonzero(f"moment residual {res:.3e} on non-first segments")
 
@@ -870,29 +873,24 @@ def point_from_json_dict(d: BowDiagram, data: dict) -> TotalSpacePoint:
     the diagram gives it; a triangle's v1 and v2 must be the diagram's."""
     if not isinstance(data, dict) or "triangles" not in data or "edges" not in data:
         raise ValueError("point data must carry 'triangles' and 'edges' entries")
-    missing = [name for name in d.bow.intervals if name not in data["triangles"]]
-    if missing:
-        raise ValueError(f"point data lacks triangles for interval(s) {missing}")
-    if len(data["edges"]) != len(d.bow.edges):
-        raise ValueError(f"point data has {len(data['edges'])} edge entries, "
-                         f"the diagram has {len(d.bow.edges)}")
-    for name in d.bow.intervals:
-        if len(data["triangles"][name]) != d.x_point_count(name):
-            raise ValueError(f"interval {name!r}: expected {d.x_point_count(name)} "
-                             f"triangles, got {len(data['triangles'][name])}")
+    _check_counts(d, data["triangles"], data["edges"])
     c = _compiled(d)
     triangles = iter([td for name in d.bow.intervals for td in data["triangles"][name]])
-    edges = iter(data["edges"])
+    edges = enumerate(data["edges"])
     blocks = []
     for (role, _, col), (rows, cols) in zip(c.tags, c.layout):
         if role == "A":
             entry = next(triangles)
+            seg = c.segs[col]
+            where = f"triangle {seg.index} of interval {seg.interval!r}"
             if [entry["v1"], entry["v2"]] != [cols, rows]:
-                seg = c.segs[col]
-                raise ValueError(f"triangle {seg.index} of interval {seg.interval!r} has "
-                                 f"(v1, v2) = ({entry['v1']!r}, {entry['v2']!r}), "
+                raise ValueError(f"{where} has (v1, v2) = ({entry['v1']!r}, {entry['v2']!r}), "
                                  f"the diagram's are ({cols}, {rows})")
         elif role == "C":
-            entry = next(edges)
-        blocks.append(matrix_from_json(entry[role], rows, cols))
+            k, entry = next(edges)
+            where = f"edge {k}"
+        try:
+            blocks.append(matrix_from_json(entry[role], rows, cols))
+        except (TypeError, ValueError) as err:
+            raise ValueError(f"{role} of {where}: {err}") from err
     return _assemble(d, blocks)

@@ -41,6 +41,7 @@ from bowlab.total_space import (
     _bow_data,
     _compiled,
     _gram,
+    _quiver_route,
     action_differential,
     check_semistable,
     check_shapes,
@@ -98,6 +99,56 @@ def _scalar_triangle(b1, b2, A=1.0, a=0.0, b=0.0):
 # --- moment map ---------------------------------------------------------------
 
 
+def _sum_order_bound(p):
+    """How far the moment map may sit from the same formula by matmul:
+    it sums a product's terms in its own order, and BLAS's order and fused
+    multiply-adds differ, so within 1e-13 scale**2 (and 1e-13 when small)."""
+    return 1e-13 * max(1.0, p.scale()) ** 2
+
+
+def _moment_oracle(d, p):
+    """mu1 per x-point and mu2 per segment by the module docstring's rule,
+    one matmul per product, as total_space evaluated it block by block."""
+    mu2 = {s: np.zeros((d.dim(s), d.dim(s)), dtype=complex) for s in d.segments()}
+    for k, e in enumerate(p.edges):
+        mu2[d.edge_head_segment(k)] += e.C @ e.D
+        mu2[d.edge_tail_segment(k)] -= e.D @ e.C
+    mu1 = []
+    for name, i in d.x_points():
+        t = p.triangle(name, i)
+        mu2[SegmentRef(name, i)] += t.B1      # x-point at the segment's right end
+        mu2[SegmentRef(name, i + 1)] -= t.B2  # x-point at the segment's left end
+        mu1.append(t.B2 @ t.A - t.A @ t.B1 + t.a @ t.b)
+    return mu1, mu2
+
+
+# a zero-dimension segment, an interval with no x-point and a self-edge
+RAGGED = "bow { wavy a [3, 1, 0, 2]; wavy b [2]; edge a -> a; edge b -> a; }"
+# quiver routes: their framing interval is an object(), not a name
+ROUTED = ("bow { wavy a [2, 2]; edge a -> a; }", MIX_3333_33)
+
+
+@pytest.mark.parametrize("text, route", [(RAGGED, False), (SELF_2, False),
+                                         (ROUTED[0], True), (ROUTED[1], True)])
+def test_moment_map_matches_the_block_formula(text, route, rng):
+    d = parse_bow_diagram(text)
+    if route:
+        d = _quiver_route(d)
+        assert not d.x_points()
+    for power in (-3, 0, 2):
+        p = unflatten_point(d, 10.0 ** power * flatten_point(d, random_point(d, rng)))
+        nu = {s: complex(*rng.normal(size=2)) for s in d.segments()}
+        mu1, mu2 = _moment_oracle(d, p)
+        expect = np.concatenate([m.ravel() for m in mu1] + [
+            (mu2[s] - nu[s] * np.eye(d.dim(s))).ravel() for s in d.segments()])
+        assert maxabs(moment_residual(d, p, nu) - expect) <= _sum_order_bound(p)
+        mu = total_moment_map(d, p)
+        assert list(mu) == list(d.segments())
+        for s in d.segments():
+            assert mu[s].shape == (d.dim(s), d.dim(s))
+            assert maxabs(mu[s] - mu2[s]) <= _sum_order_bound(p)
+
+
 def test_moment_hand_case_single_interval():
     d = parse_bow_diagram(INTERVAL_111)
     p = TotalSpacePoint(
@@ -114,7 +165,7 @@ def test_moment_hand_case_with_edge(rng):
     e = p.edges[0]
     t = p.triangles["b"][0]
     mu = total_moment_map(d, p)
-    assert maxabs(mu[SegmentRef("a", 0)] + e.D @ e.C) == 0.0
+    assert maxabs(mu[SegmentRef("a", 0)] + e.D @ e.C) <= _sum_order_bound(p)
     assert maxabs(mu[SegmentRef("b", 0)] - (e.C @ e.D + t.B1)) < 1e-14
     assert maxabs(mu[SegmentRef("b", 1)] + t.B2) == 0.0
 
@@ -125,7 +176,7 @@ def test_moment_hand_case_self_edge(rng):
     p = random_point(d, rng)
     e = p.edges[0]
     mu = total_moment_map(d, p)
-    assert maxabs(mu[SegmentRef("a", 0)] - (e.C @ e.D - e.D @ e.C)) == 0.0
+    assert maxabs(mu[SegmentRef("a", 0)] - (e.C @ e.D - e.D @ e.C)) <= _sum_order_bound(p)
 
 
 def _mu1(d, p):
@@ -151,7 +202,7 @@ def test_mu1_residual_is_condition_a(rng):
     t = p.triangles["b"][0]
     r = _mu1(d, p)
     assert set(r) == {("b", 0)}
-    assert maxabs(r[("b", 0)] - (t.B2 @ t.A - t.A @ t.B1 + t.a @ t.b)) == 0.0
+    assert maxabs(r[("b", 0)] - (t.B2 @ t.A - t.A @ t.B1 + t.a @ t.b)) <= _sum_order_bound(p)
 
 
 def test_moment_equivariance(rng):
@@ -410,6 +461,43 @@ def test_start_residuals_are_at_the_true_lambda():
     assert isinstance(out, InfeasibilityEvidence)
     assert out.best_residual == pytest.approx(5 * np.sqrt(2.0))
     assert [s.residual_norm for s in out.starts] == pytest.approx([5 * np.sqrt(2.0)] * 2)
+
+
+# Each start's (converged, open_conditions_ok, iterations, reason) per
+# seed, recorded when the moment map was still evaluated block by block:
+# the flat moment map moves iterates by roundoff only, not decisions.
+# INTERVAL_111 takes the quiver route, the other two the bow's own starts;
+# on "wavy a [2, 1]" the solve CI step reads start_index 1 at seed 0.
+_O, _X = (True, True), (True, False)   # converged and open, or not open
+PINNED_STARTS = {
+    (INTERVAL_111, (("s", 0),)): {s: [(*_O, 4, None)] for s in range(4)},
+    (EMPTY_252, (("a", 0.6 + 0.3j), ("b", -1.1 + 0.7j))): {
+        0: [(*_X, k, None) for k in (8, 8, 8, 8, 7, 8, 8, 7)],
+        1: [(*_X, k, None) for k in (7, 8, 7, 7, 7, 8, 7, 8)],
+        2: [(*_X, k, None) for k in (7, 7, 8, 7, 8, 10, 7, 7)],
+        3: [(*_X, k, None) for k in (7, 7, 7, 8, 9, 7, 8, 8)]},
+    ("bow { wavy a [2, 1]; }", (("a", 0),)): {
+        0: [(*_X, 7, None), (*_O, 6, None)],
+        1: [(*_O, 8, None)],
+        2: [(*_O, 6, None)],
+        3: [(*_X, 11, None), (*_O, 5, None)]},
+}
+
+
+def _start_decisions(d, lam, seed, n_starts):
+    out = solve_fiber(d, lam, seed=seed, n_starts=n_starts)
+    if isinstance(out, InfeasibilityEvidence):
+        return [(s.converged, s.open_conditions_ok, s.iterations, s.reason) for s in out.starts]
+    # starts are independent, so the first k starts alone are those before start k
+    before = _start_decisions(d, lam, seed, out.start_index) if out.start_index else []
+    return before + [(True, out.open_conditions_ok, out.iterations, None)]
+
+
+@pytest.mark.parametrize("text, lam", list(PINNED_STARTS))
+def test_solver_decisions_are_pinned(text, lam):
+    d = parse_bow_diagram(text)
+    for seed, starts in PINNED_STARTS[text, lam].items():
+        assert _start_decisions(d, dict(lam), seed, 8) == starts, seed
 
 
 # --- translation -------------------------------------------------------------------
@@ -844,10 +932,6 @@ def test_pairing_hamiltonian_identity(text, rng):
 # --- plumbing ------------------------------------------------------------------------
 
 
-# a zero-dimension segment, an interval with no x-point and a self-edge
-RAGGED = "bow { wavy a [3, 1, 0, 2]; wavy b [2]; edge a -> a; edge b -> a; }"
-
-
 @pytest.mark.parametrize("text", (EMPTY_252, RAGGED), ids=("empty_252", "ragged"))
 def test_point_json_round_trip(text, rng):
     d = parse_bow_diagram(text)
@@ -879,6 +963,30 @@ def test_point_file_triangle_dims_must_be_the_diagrams(v1, rng):
     data = point_to_json_dict(d, random_point(d, rng))
     data["triangles"]["s"][0]["v1"] = v1
     with pytest.raises(ValueError, match=re.escape(f"({v1!r}, 1), the diagram's are (1, 1)")):
+        point_from_json_dict(d, data)
+
+
+@pytest.mark.parametrize("path, bad, message", (
+    (("edges", 0, "D", 1), [[0.0, 0.0]] * 2, "D of edge 0: row 1: expected 1 entries, got 2"),
+    (("triangles", "a", 0, "B2", 1), [[0.0, 0.0]] * 3,
+     "B2 of triangle 0 of interval 'a': row 1: expected 2 entries, got 3"),
+    (("triangles", "a", 0, "b", 0, 0), 5, "b of triangle 0 of interval 'a': ")))
+def test_point_file_names_the_block_of_a_bad_matrix(path, bad, message, rng):
+    d = parse_bow_diagram("bow { wavy a [2, 2]; wavy b [1]; edge a -> b; }")
+    data = point_to_json_dict(d, random_point(d, rng))
+    entry = data
+    for key in path[:-1]:
+        entry = entry[key]
+    entry[path[-1]] = bad
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}"):
+        point_from_json_dict(d, data)
+
+
+def test_point_file_rejects_triangles_of_unknown_intervals(rng):
+    d = parse_bow_diagram("bow { wavy s [1, 1]; }")
+    data = point_to_json_dict(d, random_point(d, rng))
+    data["triangles"]["zzz"] = [{"junk": 1}]
+    with pytest.raises(ValueError, match=re.escape("['zzz']")):
         point_from_json_dict(d, data)
 
 
