@@ -20,6 +20,7 @@ Text form:
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
 __all__ = [
     "Bow",
@@ -89,8 +90,7 @@ class Bow:
                     raise UnknownIntervalInEdge(f"edge references unknown interval {name!r}")
 
 
-@dataclass(frozen=True)
-class SegmentRef:
+class SegmentRef(NamedTuple):
     """Segment `index` (0-based, orientation order) of `interval`."""
 
     interval: str

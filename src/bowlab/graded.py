@@ -453,6 +453,11 @@ def _qualifies(g: GradedSubspace, clause: str, dims: dict, maps, links, weights:
             and is_invariant(g, maps))
 
 
+# The key of a frame map's end in _is_destabilizer: equal to no key of the
+# caller's, which may be any hashable, tuples included.
+_FRAME = object()
+
+
 def _is_destabilizer(g: GradedSubspace, clause: str, dims: dict, maps, kernel_maps,
                      image_maps, weights: dict, links, stable: bool) -> bool:
     """Whether g, found by some other search, is a witness that
@@ -466,7 +471,7 @@ def _is_destabilizer(g: GradedSubspace, clause: str, dims: dict, maps, kernel_ma
     maps, kernel_maps, image_maps, links = _snapped((maps, kernel_maps, image_maps, links))
     parts, frame_maps = dict(g.parts), []
     for j, (key, m) in enumerate(kernel_maps if clause == "kernel" else image_maps):
-        frame = ("frame", j)
+        frame = (_FRAME, j)
         if clause == "kernel":
             parts[frame] = Subspace.zero(m.shape[0])
             frame_maps.append((key, frame, m))

@@ -32,7 +32,6 @@ import numpy as np
 
 __all__ = [
     "SolveResult",
-    "MaxItersExceeded",
     "gauss_newton",
     "finite_diff_jacobian",
 ]
@@ -47,27 +46,17 @@ MAX_REJECTS = 60
 FD_STEP = 1e-6
 
 
-class MaxItersExceeded(Exception):
-    """Solver stopped without converging; carries the best iterate found
-    and the reason: "stalled" (no damping level improved the residual) or
-    "budget" (MAX_ITERS ran out)."""
-
-    def __init__(self, x, residual_norm, iterations, reason):
-        super().__init__(f"no convergence after {iterations} iterations ({reason}), "
-                         f"residual {residual_norm:.3e}")
-        self.x = x
-        self.residual_norm = residual_norm
-        self.iterations = iterations
-        self.reason = reason
-
-
 @dataclass(frozen=True)
 class SolveResult:
-    """A converged solve; gauss_newton raises MaxItersExceeded otherwise."""
+    """Where a solve stopped: the last iterate, its residual norm, the
+    iterations taken, and the reason, None when the residual fell below
+    RESIDUAL_TOL, else "stalled" (no damping level improved the residual)
+    or "budget" (MAX_ITERS ran out)."""
 
     x: np.ndarray
     residual_norm: float
     iterations: int
+    reason: str | None = None
 
 
 def gauss_newton(residual, x0, *, jacobian, gram) -> SolveResult:
@@ -77,8 +66,8 @@ def gauss_newton(residual, x0, *, jacobian, gram) -> SolveResult:
     jacobian: dr/dz at x (finite_diff_jacobian where no closed form is at hand).
     gram: J -> J J^H, the dense product or one that uses the Jacobian's
     known sparsity.
-    Raises MaxItersExceeded when no damping level improves the residual
-    or the iteration budget runs out without reaching RESIDUAL_TOL.
+    Returns on every exit, with the reason None only when the residual
+    reached RESIDUAL_TOL; raises nothing for a solve that does not converge.
     Deterministic: identical inputs give bitwise-identical iterates.
     """
     x = np.asarray(x0, dtype=complex).reshape(-1).copy()
@@ -86,16 +75,17 @@ def gauss_newton(residual, x0, *, jacobian, gram) -> SolveResult:
     r = np.asarray(residual(x), dtype=complex).reshape(-1)
     eye = np.eye(r.size)
     damping = DAMPING_INIT
-    for it in range(MAX_ITERS):
-        rnorm = np.linalg.norm(r)
+    for it in range(MAX_ITERS + 1):
+        rnorm = float(np.linalg.norm(r))
         if rnorm < RESIDUAL_TOL:
-            return SolveResult(x, float(rnorm), it)
+            return SolveResult(x, rnorm, it)
+        if it == MAX_ITERS:
+            return SolveResult(x, rnorm, it, "budget")
 
         jac = np.asarray(jacobian(x), dtype=complex)
         jh = jac.conj().T
         jjh = gram(jac)
 
-        accepted = False
         for _ in range(MAX_REJECTS):
             try:
                 step = jh @ np.linalg.solve(jjh + damping * eye, -r)
@@ -107,16 +97,10 @@ def gauss_newton(residual, x0, *, jacobian, gram) -> SolveResult:
             if np.linalg.norm(r_trial) < rnorm:
                 x, r = trial, r_trial
                 damping *= DAMPING_DOWN
-                accepted = True
                 break
             damping *= DAMPING_UP
-        if not accepted:
-            raise MaxItersExceeded(x, float(rnorm), it, "stalled")
-
-    rnorm = float(np.linalg.norm(r))
-    if rnorm < RESIDUAL_TOL:
-        return SolveResult(x, rnorm, MAX_ITERS)
-    raise MaxItersExceeded(x, rnorm, MAX_ITERS, "budget")
+        else:
+            return SolveResult(x, rnorm, it, "stalled")
 
 
 def finite_diff_jacobian(f, x) -> np.ndarray:

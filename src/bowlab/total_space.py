@@ -66,7 +66,7 @@ from .linalg import (
     subspace_image,
 )
 from .quiver import QuiverRepPoint, _destabilizer, integerize_weights
-from .solve import FD_STEP, MaxItersExceeded, gauss_newton
+from .solve import FD_STEP, gauss_newton
 from .triangles import (
     RectTangent,
     SquareForm,
@@ -440,7 +440,7 @@ class StartDiagnostic:
     residual_norm: float
     iterations: int
     open_conditions_ok: bool | None  # None when the start did not converge
-    reason: str | None = None        # MaxItersExceeded.reason; None when it converged
+    reason: str | None = None        # SolveResult.reason; None when it converged
 
 
 @dataclass(frozen=True)
@@ -564,16 +564,13 @@ def _start_loop(d: BowDiagram, nu: dict, seed: int, n_starts: int, accept=_open_
     for k in range(n_starts):
         rng = np.random.default_rng([seed, k])
         x0 = _join([_cgauss(rng, rows, cols) for rows, cols in c.layout])
-        try:
-            res = gauss_newton(lambda x: _moment(c, x) - shift, x0,
-                               jacobian=partial(moment_jacobian, d), gram=partial(_gram, c))
-        except MaxItersExceeded as stuck:
-            diags.append(StartDiagnostic(k, False, t * stuck.residual_norm,
-                                         stuck.iterations, None, stuck.reason))
-            continue
-        point = accept(d, res.x * back)
+        res = gauss_newton(lambda x: _moment(c, x) - shift, x0,
+                           jacobian=partial(moment_jacobian, d), gram=partial(_gram, c))
+        converged = res.reason is None
+        point = accept(d, res.x * back) if converged else None
         rnorm = t * res.residual_norm
-        diags.append(StartDiagnostic(k, True, rnorm, res.iterations, point is not None))
+        diags.append(StartDiagnostic(k, converged, rnorm, res.iterations,
+                                     point is not None if converged else None, res.reason))
         if point is not None:
             return FiberSolveReport(point=point, residual_norm=rnorm,
                                     iterations=res.iterations, open_conditions_ok=True,
@@ -635,9 +632,10 @@ def _fix_H(d: BowDiagram, p: TotalSpacePoint) -> list:
     c = _compiled(d)
     blocks = _blocks(d, p)
     first = np.repeat([s.index == 0 for s in c.segs], [v * v for v in c.seg_dims])
-    mu2 = _moment(c, _join(blocks).astype(complex))[c.m - first.size:]
+    flat = _join(blocks).astype(complex)
+    mu2 = _moment(c, flat)[c.m - first.size:]
     res = float(np.linalg.norm(mu2[~first]))
-    if res > residual_cutoff(p.scale()):
+    if res > residual_cutoff(_largest_entry(flat)):
         raise MuHNonzero(f"moment residual {res:.3e} on non-first segments")
 
     g = {j: np.eye(c.seg_dims[j], dtype=complex) for j, s in enumerate(c.segs) if s.index == 0}
@@ -883,14 +881,23 @@ def point_from_json_dict(d: BowDiagram, data: dict) -> TotalSpacePoint:
             entry = next(triangles)
             seg = c.segs[col]
             where = f"triangle {seg.index} of interval {seg.interval!r}"
-            if [entry["v1"], entry["v2"]] != [cols, rows]:
-                raise ValueError(f"{where} has (v1, v2) = ({entry['v1']!r}, {entry['v2']!r}), "
+            v1, v2 = _field(entry, "v1", where), _field(entry, "v2", where)
+            if [v1, v2] != [cols, rows]:
+                raise ValueError(f"{where} has (v1, v2) = ({v1!r}, {v2!r}), "
                                  f"the diagram's are ({cols}, {rows})")
         elif role == "C":
             k, entry = next(edges)
             where = f"edge {k}"
+        m = _field(entry, role, where)
         try:
-            blocks.append(matrix_from_json(entry[role], rows, cols))
+            blocks.append(matrix_from_json(m, rows, cols))
         except (TypeError, ValueError) as err:
             raise ValueError(f"{role} of {where}: {err}") from err
     return _assemble(d, blocks)
+
+
+def _field(entry: dict, key: str, where: str):
+    """entry[key], or a ValueError that names the key and where it is missing."""
+    if key not in entry:
+        raise ValueError(f"{where} has no {key!r} entry")
+    return entry[key]

@@ -27,6 +27,7 @@ from bowlab.graded import (
     SAME_SUBSPACE_TOL,
     GradedSubspace,
     StabilityVerdict,
+    _is_destabilizer,
     _snapped,
     _support_candidates,
     candidate_lattice,
@@ -535,6 +536,19 @@ def _identity_A_point(d):
     return TotalSpacePoint(triangles, p.edges)
 
 
+@pytest.mark.parametrize("name", ("s", "frame"))
+def test_a_segment_key_is_no_frame_key(name):
+    # span(e1) at both segments of an A = id chain is no kernel-clause
+    # witness, since b = [1 0] does not kill e1, whatever the interval's name
+    d = parse_bow_diagram(f"bow {{ wavy {name} [2, 2]; }}")
+    zero = np.zeros((2, 2), dtype=complex)
+    t = TriangleData(A=np.eye(2), B1=zero, B2=zero, a=np.zeros((2, 1)), b=np.array([[1.0, 0.0]]))
+    e1 = Subspace.span(np.eye(2)[:, :1])
+    g = GradedSubspace({s: e1 for s in d.segments()})
+    data = _bow_data(d, TotalSpacePoint({name: (t,)}, ()), {name: 1})
+    assert not _is_destabilizer(g, "kernel", **data, stable=False)
+
+
 @pytest.mark.parametrize("mode", ("exact01", "heuristic"))
 def test_unframed_chain_is_destabilized(mode):
     # A = id, a = b = 0: the full space qualifies for the kernel clause
@@ -966,18 +980,27 @@ def test_point_file_triangle_dims_must_be_the_diagrams(v1, rng):
         point_from_json_dict(d, data)
 
 
+MISSING = object()  # the key is deleted rather than set
+
+
 @pytest.mark.parametrize("path, bad, message", (
     (("edges", 0, "D", 1), [[0.0, 0.0]] * 2, "D of edge 0: row 1: expected 1 entries, got 2"),
     (("triangles", "a", 0, "B2", 1), [[0.0, 0.0]] * 3,
      "B2 of triangle 0 of interval 'a': row 1: expected 2 entries, got 3"),
-    (("triangles", "a", 0, "b", 0, 0), 5, "b of triangle 0 of interval 'a': ")))
+    (("triangles", "a", 0, "b", 0, 0), 5, "b of triangle 0 of interval 'a': "),
+    (("triangles", "a", 0, "B1"), MISSING, "triangle 0 of interval 'a' has no 'B1' entry"),
+    (("triangles", "a", 0, "v2"), MISSING, "triangle 0 of interval 'a' has no 'v2' entry"),
+    (("edges", 0, "C"), MISSING, "edge 0 has no 'C' entry")))
 def test_point_file_names_the_block_of_a_bad_matrix(path, bad, message, rng):
     d = parse_bow_diagram("bow { wavy a [2, 2]; wavy b [1]; edge a -> b; }")
     data = point_to_json_dict(d, random_point(d, rng))
     entry = data
     for key in path[:-1]:
         entry = entry[key]
-    entry[path[-1]] = bad
+    if bad is MISSING:
+        del entry[path[-1]]
+    else:
+        entry[path[-1]] = bad
     with pytest.raises(ValueError, match=f"^{re.escape(message)}"):
         point_from_json_dict(d, data)
 
