@@ -67,7 +67,7 @@ def _read_point(d: BowDiagram, path: str) -> TotalSpacePoint:
         data = data["point"]  # accept solve-report files directly
     try:
         return point_from_json_dict(d, data)
-    except (KeyError, IndexError, TypeError) as exc:
+    except (KeyError, IndexError, TypeError, ValueError) as exc:
         raise ValueError(f"point file {path!r} does not match the diagram: {exc}")
 
 

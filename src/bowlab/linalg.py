@@ -95,6 +95,8 @@ def matrix_from_json(data, rows: int, cols: int) -> np.ndarray:
         for j, pair in enumerate(row):
             re, im = pair
             a[i, j] = complex(re, im)
+    if not np.isfinite(a).all():   # json reads NaN and Infinity
+        raise ValueError("matrix has non-finite entries")
     return a
 
 

@@ -9,10 +9,9 @@ The step is solved in residual space, d = J^H (J J^H + l I)^-1 (-r): by
 the push-through identity it is the same step for every damping l > 0,
 and the moment equations have fewer residuals m than unknowns n, so the
 factored system is m x m.  Rejected steps are rare, so each is one more
-m x m solve rather than a reuse of an eigendecomposition.  The caller
-passes `gram`, its own J -> J J^H: solve_fiber sums the moment
-Jacobian's pair table (see total_space), and where no sparsity is known
-it is the dense product, lambda jac: jac @ jac.conj().T.
+m x m solve rather than a reuse of an eigendecomposition.  J J^H is the
+dense product, formed once per iteration; an accepted trial's residual
+norm is carried into the next iteration rather than taken again.
 
 Constants: a start converges below residual norm RESIDUAL_TOL within
 MAX_ITERS iterations; the damping starts at DAMPING_INIT and is
@@ -59,13 +58,11 @@ class SolveResult:
     reason: str | None = None
 
 
-def gauss_newton(residual, x0, *, jacobian, gram) -> SolveResult:
+def gauss_newton(residual, x0, *, jacobian) -> SolveResult:
     """Levenberg-damped Gauss-Newton on min ||residual(x)||^2.
 
     residual: map from C^n to C^m, complex-differentiable.
     jacobian: dr/dz at x (finite_diff_jacobian where no closed form is at hand).
-    gram: J -> J J^H, the dense product or one that uses the Jacobian's
-    known sparsity.
     Returns on every exit, with the reason None only when the residual
     reached RESIDUAL_TOL; raises nothing for a solve that does not converge.
     Deterministic: identical inputs give bitwise-identical iterates.
@@ -73,10 +70,10 @@ def gauss_newton(residual, x0, *, jacobian, gram) -> SolveResult:
     x = np.asarray(x0, dtype=complex).reshape(-1).copy()
 
     r = np.asarray(residual(x), dtype=complex).reshape(-1)
+    rnorm = float(np.linalg.norm(r))
     eye = np.eye(r.size)
     damping = DAMPING_INIT
     for it in range(MAX_ITERS + 1):
-        rnorm = float(np.linalg.norm(r))
         if rnorm < RESIDUAL_TOL:
             return SolveResult(x, rnorm, it)
         if it == MAX_ITERS:
@@ -84,7 +81,7 @@ def gauss_newton(residual, x0, *, jacobian, gram) -> SolveResult:
 
         jac = np.asarray(jacobian(x), dtype=complex)
         jh = jac.conj().T
-        jjh = gram(jac)
+        jjh = jac @ jh
 
         for _ in range(MAX_REJECTS):
             try:
@@ -94,8 +91,9 @@ def gauss_newton(residual, x0, *, jacobian, gram) -> SolveResult:
                 continue
             trial = x + step
             r_trial = np.asarray(residual(trial), dtype=complex).reshape(-1)
-            if np.linalg.norm(r_trial) < rnorm:
-                x, r = trial, r_trial
+            trial_norm = float(np.linalg.norm(r_trial))
+            if trial_norm < rnorm:
+                x, r, rnorm = trial, r_trial, trial_norm
                 damping *= DAMPING_DOWN
                 break
             damping *= DAMPING_UP

@@ -27,12 +27,11 @@ the record lists them once.  A monomial x_p x_q of mu is the term in
 column p reading x_q and the one in column q reading x_p; the record
 keeps the first (p < q) and the +-B terms, so the moment map is a
 bincount over that monomial table, as the Jacobian is over the terms.
-The nonzero pattern is fixed too, so the record also lists, per
-column, every pair (a, b) of the column's nonzeros: the solver's
-J J^H, passed to gauss_newton as its `gram` keyword, is one bincount of
-the pairs' products J[a, j] conj(J[b, j]) into entry (a, b).  The gauge
-action's matrix is the action evaluated on the gauge Lie algebra's
-basis, by matmul broadcasting over a leading axis.
+A solver start is one draw of 2 n real Gaussians, which the record's
+draw table gathers into the flat vector: per block its real parts, then
+its imaginary parts, the stream of drawing the blocks one by one.  The
+gauge action's matrix is the action evaluated on the gauge Lie
+algebra's basis, by matmul broadcasting over a leading axis.
 """
 
 from __future__ import annotations
@@ -73,7 +72,6 @@ from .triangles import (
     SquareTangent,
     TriangleData,
     TwoWayData,
-    _cgauss,
     check_S1,
     check_S2,
     hurtubise_symplectic_pairing,
@@ -162,15 +160,15 @@ def _check_counts(d: BowDiagram, triangles: dict, edges) -> None:
 # What a diagram's flat coordinates fix, whatever the point.  Block k,
 # of shape layout[k], is tags[k] = (role, row, col): a map from segment
 # position col to row, either None on the framing side.  Jacobian term t
-# adds (x, 1, -x, -1)[jac_src[t]] to the flat m x n entry e, monomial u
-# adds x[mono_col[u]] (x, 1, -x, -1)[mono_src[u]] to mu's row e, and
-# pair u of J J^H adds J.flat[gram_p[u]] conj(J.flat[gram_q[u]]) to the
-# flat m x m entry e, each by a bincount over floats: its real part at
-# *_target[2 u] = 2 e, its imaginary part at *_target[2 u + 1].
-# solve_fiber's rescaling multiplies flat entry i by t ** lam_power[i].
+# adds (x, 1, -x, -1)[jac_src[t]] to the flat m x n entry e and monomial
+# u adds x[mono_col[u]] (x, 1, -x, -1)[mono_src[u]] to mu's row e, each
+# by a bincount over floats: its real part at *_target[2 u] = 2 e, its
+# imaginary part at *_target[2 u + 1].  A start's draw of 2 n reals holds
+# flat entry i's parts at draw[2 i] and draw[2 i + 1].  solve_fiber's
+# rescaling multiplies flat entry i by t ** lam_power[i].
 _Compiled = namedtuple("_Compiled", "tags layout segs seg_dims x_segs edge_segs n m "
                                     "jac_target jac_src mono_col mono_src mono_target "
-                                    "gram_p gram_q gram_target lam_power")
+                                    "draw lam_power")
 
 # the power of t by which solve_fiber's rescaling multiplies each role's block
 _LAMBDA_POWER = {"B1": 1, "B2": 1, "a": 1, "C": 0.5, "D": 0.5}
@@ -197,7 +195,8 @@ def _compile(bow, dims: tuple) -> _Compiled:
     layout = [tuple(1 if j is None else seg_dims[j] for j in (row, col)) for _, row, col in tags]
     x_segs = [(lo, hi) for role, hi, lo in tags if role == "A"]
     edge_segs = [(t, h) for role, h, t in tags if role == "C"]
-    offs = np.cumsum([0] + [r * c for r, c in layout]).tolist()
+    sizes = np.array([r * c for r, c in layout], dtype=int)
+    offs = np.cumsum([0, *sizes]).tolist()
     n = offs[-1]
     # residual rows: mu1 per x-point (shaped like A), then mu2 per segment
     rows = np.cumsum([0] + [r * c for r, c in layout[:5 * len(x_segs):5]]
@@ -233,11 +232,12 @@ def _compile(bow, dims: tuple) -> _Compiled:
             term(mu2 + row, sign, x, (n + 1) * np.eye(offs[x + 1] - offs[x], dtype=int))
     index, src = np.concatenate(index), np.concatenate(src)
     mono = index % n < src % (n + 1)   # the monomial table; a +-B term reads n or 2 n + 1
-    pairs = _gram_pairs(index, rows[-1], n)
-    lam_power = np.repeat([float(_LAMBDA_POWER.get(role, 0)) for role, _, _ in tags],
-                          [r * c for r, c in layout])
+    # in the block draw's order: block b's real parts from 2 offs[b] on, then its imaginary parts
+    real = np.repeat(np.cumsum(sizes) - sizes, sizes) + np.arange(n)
+    draw = np.stack([real, real + np.repeat(sizes, sizes)], 1).ravel()
+    lam_power = np.repeat([float(_LAMBDA_POWER.get(role, 0)) for role, _, _ in tags], sizes)
     tables = (_float_targets(index), src, index[mono] % n, src[mono],
-              _float_targets(index[mono] // n), *pairs, lam_power)
+              _float_targets(index[mono] // n), draw, lam_power)
     for table in tables:
         table.flags.writeable = False   # shared by every caller
     return _Compiled(tuple(tags), tuple(layout), segs, seg_dims, tuple(x_segs),
@@ -247,33 +247,6 @@ def _compile(bow, dims: tuple) -> _Compiled:
 def _float_targets(entries: np.ndarray) -> np.ndarray:
     """Where a bincount over complex floats puts the parts of each entry's value."""
     return np.stack([2 * entries, 2 * entries + 1], 1).ravel()
-
-
-def _gram_pairs(index: np.ndarray, m: int, n: int) -> tuple:
-    """The pair table of J J^H for an m x n Jacobian whose nonzeros lie at
-    the flat entries index: per column, every pair (a, b) of its nonzero
-    rows, as the pair's flat entries P and Q and its target, a m + b."""
-    # a mask rather than np.unique, which imports numpy.ma on first use
-    pattern = np.zeros(m * n, dtype=bool)
-    pattern[index] = True
-    nz = np.flatnonzero(pattern)
-    nz = nz[np.argsort(nz % n, kind="stable")]   # by column, rows ascending in each
-    per_col = np.bincount(nz % n, minlength=n)
-    k = per_col[nz % n]                          # nonzeros in each entry's column
-    # entry i pairs with the k_i entries of its column, from its column's first
-    first = np.repeat((np.cumsum(per_col) - per_col)[nz % n], k)
-    p = np.repeat(nz, k)
-    q = nz[first + np.arange(p.size) - np.repeat(np.cumsum(k) - k, k)]
-    return tuple(a.astype(np.int32) for a in (p, q, _float_targets((p // n) * m + q // n)))
-
-
-def _gram(c: _Compiled, jac: np.ndarray) -> np.ndarray:
-    """J J^H of a moment Jacobian, summed over c's pairs of its nonzeros,
-    real and imaginary parts in one bincount over the complex result's floats."""
-    flat = jac.reshape(-1)
-    prod = flat[c.gram_p] * flat[c.gram_q].conj()
-    size = 2 * c.m * c.m
-    return np.bincount(c.gram_target, prod.view(float), size).view(complex).reshape(c.m, c.m)
 
 
 def _split(layout: list, arr: np.ndarray) -> list:
@@ -299,16 +272,26 @@ def _join(blocks: list, lead: tuple = ()) -> np.ndarray:
 
 
 def _assemble(d: BowDiagram, blocks) -> TotalSpacePoint:
-    """The point whose blocks, in flat order, are `blocks`."""
+    """The point whose blocks, in flat order and each at its layout shape,
+    are `blocks`, checked for finiteness once, all together."""
+    blocks = [np.asarray(m, dtype=complex) for m in blocks]
+    if not np.isfinite(_join(blocks)).all():
+        raise ValueError("point has non-finite entries")
     it = iter(blocks)
-    triangles = {name: tuple(TriangleData(*islice(it, 5)) for _ in range(d.x_point_count(name)))
-                 for name in d.bow.intervals}
-    return TotalSpacePoint(triangles, tuple(TwoWayData(*islice(it, 2)) for _ in d.bow.edges))
+    triangles = {name: tuple(TriangleData._checked(*islice(it, 5))
+                             for _ in range(d.x_point_count(name))) for name in d.bow.intervals}
+    return TotalSpacePoint(triangles, [TwoWayData._checked(*islice(it, 2)) for _ in d.bow.edges])
+
+
+def _draw(c: _Compiled, rng: np.random.Generator) -> np.ndarray:
+    """Independent complex Gaussians at every flat entry, from one call for
+    2 n reals, divided as complex numbers for the bits of the block draw."""
+    return rng.standard_normal(2 * c.n)[c.draw].view(complex) / np.sqrt(2.0)
 
 
 def random_point(d: BowDiagram, rng: np.random.Generator) -> TotalSpacePoint:
     """Independent complex-Gaussian entries everywhere."""
-    return _assemble(d, [_cgauss(rng, r, c) for r, c in _compiled(d).layout])
+    return unflatten_point(d, _draw(_compiled(d), rng))
 
 
 def point_dim(d: BowDiagram) -> int:
@@ -563,9 +546,8 @@ def _start_loop(d: BowDiagram, nu: dict, seed: int, n_starts: int, accept=_open_
     diags = []
     for k in range(n_starts):
         rng = np.random.default_rng([seed, k])
-        x0 = _join([_cgauss(rng, rows, cols) for rows, cols in c.layout])
-        res = gauss_newton(lambda x: _moment(c, x) - shift, x0,
-                           jacobian=partial(moment_jacobian, d), gram=partial(_gram, c))
+        res = gauss_newton(lambda x: _moment(c, x) - shift, _draw(c, rng),
+                           jacobian=partial(moment_jacobian, d))
         converged = res.reason is None
         point = accept(d, res.x * back) if converged else None
         rnorm = t * res.residual_norm

@@ -8,6 +8,7 @@ installed entry point emits byte-identical text.
 import json
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -18,6 +19,7 @@ from bowlab.total_space import moment_residual, point_from_json_dict
 
 CANONICAL = "bow {\n  wavy s [1, 1, 1];\n}\n"
 EMPTY_252 = "bow { wavy a [2]; wavy b [5, 2]; edge a -> b; }"
+DEMO_DATA = Path(__file__).resolve().parent.parent / "demos" / "data"
 
 
 @pytest.fixture
@@ -264,6 +266,38 @@ def test_reduce_rejects_off_level_points(capsys, tmp_path, diagram_file, empty_f
     code, _, err = run_cli(capsys, ["reduce", empty_file, point])
     assert code == 1
     assert "error:" in err
+
+
+def _demo_point_file(tmp_path, edit):
+    """The demo S222 point with edit applied to its triangle 0, written out."""
+    data = json.loads((DEMO_DATA / "s222_point.json").read_text(encoding="utf-8"))
+    edit(data["point"]["triangles"]["s"][0])
+    path = tmp_path / "edited.json"
+    path.write_text(json.dumps(data), encoding="utf-8")
+    return str(path)
+
+
+@pytest.mark.parametrize("command", (["stability", "--theta", "1"], ["reduce"]))
+def test_point_file_errors_name_the_file(capsys, tmp_path, command):
+    point = _demo_point_file(tmp_path, lambda t: t.update(v1=3))
+    code, _, err = run_cli(capsys, [command[0], str(DEMO_DATA / "s222.bow"), point,
+                                    *command[1:]])
+    assert code == 1
+    assert point in err
+    assert "triangle 0 of interval 's' has (v1, v2) = (3, 2)" in err
+
+
+@pytest.mark.parametrize("bad, spelling", ((float("nan"), "NaN"), (float("inf"), "Infinity")))
+def test_non_finite_point_file_entry_names_its_block(capsys, tmp_path, bad, spelling):
+    def edit(t):
+        t["A"][1][0] = [bad, 0.0]
+    point = _demo_point_file(tmp_path, edit)
+    assert spelling in Path(point).read_text(encoding="utf-8")   # what json writes and reads
+    code, _, err = run_cli(capsys, ["stability", str(DEMO_DATA / "s222.bow"), point,
+                                    "--theta", "1"])
+    assert code == 1
+    assert point in err
+    assert "A of triangle 0 of interval 's': matrix has non-finite entries" in err
 
 
 # --- check-empty -----------------------------------------------------------------

@@ -17,18 +17,13 @@ def fd(residual):
     return lambda z: finite_diff_jacobian(residual, z)
 
 
-def dense(jac):
-    """J J^H as the dense product, for gauss_newton's gram."""
-    return jac @ jac.conj().T
-
-
 def test_inconsistent_linear_system_stops_at_lstsq_answer(rng):
     # an inconsistent overdetermined linear residual cannot reach the
     # tolerance; the solver must stop unconverged, carrying (nearly) the
     # normal-equation minimizer as its last iterate
     a = cgauss(rng, 6, 3)
     b = cgauss(rng, 6, 1)[:, 0]
-    res = gauss_newton(lambda x: a @ x - b, np.zeros(3), jacobian=lambda x: a, gram=dense)
+    res = gauss_newton(lambda x: a @ x - b, np.zeros(3), jacobian=lambda x: a)
     assert res.reason is not None
     expect, *_ = np.linalg.lstsq(a, b, rcond=None)
     assert np.linalg.norm(res.x - expect) < 1e-6
@@ -39,14 +34,14 @@ def test_linear_consistent_system(rng):
     a = cgauss(rng, 4, 4)
     x_true = cgauss(rng, 4, 1)[:, 0]
     b = a @ x_true
-    res = gauss_newton(lambda x: a @ x - b, np.zeros(4), jacobian=lambda x: a, gram=dense)
+    res = gauss_newton(lambda x: a @ x - b, np.zeros(4), jacobian=lambda x: a)
     assert np.linalg.norm(res.x - x_true) < 1e-8
 
 
 def test_complex_square_root():
     target = 2.0 + 1.5j
     f = lambda z: z * z - target
-    res = gauss_newton(f, np.array([1.0 + 0.5j]), jacobian=fd(f), gram=dense)
+    res = gauss_newton(f, np.array([1.0 + 0.5j]), jacobian=fd(f))
     assert abs(res.x[0] ** 2 - target) < 1e-10
 
 
@@ -61,7 +56,7 @@ def test_matrix_commutator_system(rng):
         pin = m[0, 0] - 1.0  # rule out the zero solution
         return np.concatenate([comm.ravel(), [pin]])
 
-    res = gauss_newton(residual, cgauss(rng, 4, 1)[:, 0], jacobian=fd(residual), gram=dense)
+    res = gauss_newton(residual, cgauss(rng, 4, 1)[:, 0], jacobian=fd(residual))
     m = res.x.reshape(2, 2)
     assert np.linalg.norm(m @ a - a @ m) < 1e-10
 
@@ -70,7 +65,7 @@ def test_no_solution_stops_with_last_iterate(monkeypatch):
     # |z^2 + 1|^2 + 1 > 0 always: residual cannot vanish
     monkeypatch.setattr(solve, "MAX_ITERS", 50)
     f = lambda z: np.array([z[0] ** 2 + 1.0, 1.0])
-    res = gauss_newton(f, np.array([0.3 + 0.1j]), jacobian=fd(f), gram=dense)
+    res = gauss_newton(f, np.array([0.3 + 0.1j]), jacobian=fd(f))
     assert res.reason is not None
     assert res.residual_norm >= 1.0
     assert res.x.shape == (1,)
@@ -89,14 +84,14 @@ def test_budget_boundary(monkeypatch):
         return finite_diff_jacobian(f, z)
 
     x0 = np.array([1.0 + 0.5j])
-    k = gauss_newton(f, x0, jacobian=jacobian, gram=dense).iterations
+    k = gauss_newton(f, x0, jacobian=jacobian).iterations
     assert k >= 2
     monkeypatch.setattr(solve, "MAX_ITERS", k)
     seen.clear()
-    full = gauss_newton(f, x0, jacobian=jacobian, gram=dense)
+    full = gauss_newton(f, x0, jacobian=jacobian)
     assert full.reason is None and full.iterations == k and len(seen) == k
     monkeypatch.setattr(solve, "MAX_ITERS", k - 1)
-    short = gauss_newton(f, x0, jacobian=jacobian, gram=dense)
+    short = gauss_newton(f, x0, jacobian=jacobian)
     assert short.reason == "budget" and short.iterations == k - 1
     assert np.array_equal(short.x, seen[k - 1])
     assert short.residual_norm == np.linalg.norm(f(short.x)) >= solve.RESIDUAL_TOL
@@ -107,8 +102,8 @@ def test_determinism(rng):
     b = cgauss(rng, 5, 1)[:, 0]
     x0 = cgauss(rng, 5, 1)[:, 0]
     f = lambda x: a @ x - b
-    r1 = gauss_newton(f, x0, jacobian=fd(f), gram=dense)
-    r2 = gauss_newton(f, x0, jacobian=fd(f), gram=dense)
+    r1 = gauss_newton(f, x0, jacobian=fd(f))
+    r2 = gauss_newton(f, x0, jacobian=fd(f))
     assert np.array_equal(r1.x, r2.x)
     assert r1.iterations == r2.iterations
 
@@ -140,7 +135,7 @@ def test_one_iteration_is_the_normal_equations_step(m, n, damping, rng, monkeypa
     a = cgauss(rng, m, n)
     b = cgauss(rng, m, 1)[:, 0]
     x0 = cgauss(rng, n, 1)[:, 0]
-    res = gauss_newton(lambda x: a @ x - b, x0, jacobian=lambda x: a, gram=dense)
+    res = gauss_newton(lambda x: a @ x - b, x0, jacobian=lambda x: a)
     jh = a.conj().T
     expect = x0 + np.linalg.solve(jh @ a + damping * np.eye(n), -jh @ (a @ x0 - b))
     assert res.iterations == 1 and res.reason == "budget"
@@ -150,7 +145,7 @@ def test_one_iteration_is_the_normal_equations_step(m, n, damping, rng, monkeypa
 def test_stalled_start_says_so():
     # at z = 0 the Jacobian of (z^2 + 1, 1) vanishes: no damping level moves
     f = lambda z: np.array([z[0] ** 2 + 1.0, 1.0])
-    res = gauss_newton(f, np.zeros(1, dtype=complex), jacobian=fd(f), gram=dense)
+    res = gauss_newton(f, np.zeros(1, dtype=complex), jacobian=fd(f))
     assert res.reason == "stalled"
     assert res.iterations == 0
     assert res.x.tolist() == [0j] and res.residual_norm == np.sqrt(2.0)
