@@ -5,7 +5,7 @@ validation and canonical output), solve (moment fiber search),
 stability (semistability verdict at a point), dim (expected smooth
 dimension), reduce (cobalanced quotient to a framed representation),
 check-empty (necessary emptiness condition plus optional solver
-evidence), selftest (pinned small examples).
+evidence).
 
 All structured output is JSON with complex entries as [re, im] pairs.
 Runs are deterministic: the same input, seed, and flags produce
@@ -34,8 +34,8 @@ from .diagrams import (
     parse_bow_diagram,
     serialize,
 )
-from .linalg import _largest_entry, matrix_to_json, residual_cutoff
-from .quiver import StabilityVerdict, quiver_point_to_json_dict, rep_moment_map
+from .linalg import _largest_entry, matrix_to_json
+from .quiver import StabilityVerdict, quiver_point_to_json_dict
 from .reduction import gauge_fix_H, to_quiver_point
 from .total_space import (
     FiberSolveReport,
@@ -227,6 +227,7 @@ def cmd_check_empty(args) -> int:
     if args.starts < 0:
         args._parser.error(f"--starts must be at least 0, got {args.starts}")
     d = _read_diagram(args.diagram)
+    lam = _per_interval(args._parser, d, args.lam, _cast_deformation, "lambda")
     violations = local_emptiness_check(d)
     out = {
         "necessary_condition": "fail" if violations else "pass",
@@ -244,7 +245,6 @@ def cmd_check_empty(args) -> int:
     }
     failed = None
     if args.starts > 0:
-        lam = _per_interval(args._parser, d, args.lam, _cast_deformation, "lambda")
         outcome = solve_fiber(d, lam, seed=args.seed, n_starts=args.starts)
         if isinstance(outcome, FiberSolveReport):
             out["solver_evidence"] = {"found_solution": True,
@@ -269,87 +269,6 @@ def cmd_check_empty(args) -> int:
     else:
         _emit(_dump(out))
     return 0
-
-
-def _selftest_tstar_p1(lines: list) -> bool:
-    d = parse_bow_diagram("bow { wavy s [1, 1, 1]; }")
-    ok = True
-
-    dim = expected_smooth_dimension(d)
-    passed = dim == 2
-    lines.append(("expected dimension 2", passed))
-    ok &= passed
-
-    outcome = solve_fiber(d, {"s": 0.0}, seed=_default_seed(), n_starts=10)
-    solved = (isinstance(outcome, FiberSolveReport)
-              and outcome.residual_norm <= residual_cutoff(outcome.point.scale()))
-    lines.append(("A1 bow [1,1,1] fiber solve at lambda=0", solved))
-    ok &= solved
-    if not solved:
-        return False
-
-    verdict = check_semistable(d, outcome.point, {"s": 1}, mode="exact01")
-    reduced = gauge_fix_H(d, outcome.point)
-    qp = to_quiver_point(reduced)
-    mu = rep_moment_map(qp)
-    cutoff = residual_cutoff(reduced.point.scale())
-    ij_zero = float(np.max(np.abs(mu["s"]))) <= cutoff
-    j_nonzero = float(np.linalg.norm(qp.J["s"])) > cutoff
-    transport = verdict.kind != "semistable" or (ij_zero and j_nonzero)
-    lines.append(("reduced point has IJ = 0, J != 0 when semistable", transport))
-    ok &= transport
-    return ok
-
-
-def _selftest_empty_example(lines: list) -> bool:
-    d = parse_bow_diagram("bow { wavy a [2]; wavy b [5, 2]; edge a -> b; }")
-    no_violation = not local_emptiness_check(d)
-    lines.append(("2-5-2 passes the counting condition", no_violation))
-    outcome = solve_fiber(d, {"a": 0.0, "b": 0.0}, seed=_default_seed(), n_starts=10)
-    empty = isinstance(outcome, InfeasibilityEvidence)
-    lines.append(("2-5-2 fiber solve finds no open solution", empty))
-    return no_violation and empty
-
-
-def _selftest_roundtrips(lines: list) -> bool:
-    from .triangles import (
-        hurtubise_to_triangle,
-        random_rect_form,
-        random_square_form,
-        triangle_to_hurtubise,
-    )
-
-    ok = True
-    for v1, v2 in ((1, 1), (2, 2), (2, 3), (3, 2)):
-        passed = True
-        for k in range(10):
-            rng = np.random.default_rng([_default_seed(), v1, v2, k])
-            if v1 == v2:
-                f = random_square_form(rng, v1)
-            else:
-                f = random_rect_form(rng, v1, v2)
-            t = hurtubise_to_triangle(f)
-            g = triangle_to_hurtubise(t)
-            if v1 == v2:
-                err = max(np.max(np.abs(f.u - g.u)), np.max(np.abs(f.h - g.h)),
-                          np.max(np.abs(f.I - g.I)), np.max(np.abs(f.J - g.J)))
-            else:
-                err = max(np.max(np.abs(f.u - g.u)), np.max(np.abs(f.eta - g.eta)))
-            passed &= float(err) <= residual_cutoff(t.scale())
-        lines.append((f"normal form round-trip at dims ({v1}, {v2})", passed))
-        ok &= passed
-    return ok
-
-
-def cmd_selftest(args) -> int:
-    lines: list = []
-    all_ok = True
-    for runner in (_selftest_tstar_p1, _selftest_empty_example, _selftest_roundtrips):
-        all_ok &= runner(lines)
-    for name, passed in lines:
-        _emit(f"{'PASS' if passed else 'FAIL'}  {name}")
-    _emit("self-test " + ("passed" if all_ok else "FAILED"))
-    return 0 if all_ok else 1
 
 
 @lru_cache(maxsize=1)
@@ -411,9 +330,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--lambda", dest="lam", default=None, metavar="C0,C1,...")
     add_format(p)
     p.set_defaults(func=cmd_check_empty)
-
-    p = sub.add_parser("selftest", help="run the pinned small examples")
-    p.set_defaults(func=cmd_selftest)
 
     return parser
 

@@ -335,23 +335,21 @@ def _known_intervals(d: BowDiagram, values: dict, what: str):
                          f"the diagram's intervals are {list(d.bow.intervals)}")
 
 
+def _embed(d: BowDiagram, values: dict, what: str, cast) -> dict:
+    _known_intervals(d, values, what)
+    return {seg: cast(values.get(seg.interval, 0) if seg.index == 0 else 0)
+            for seg in d.segments()}
+
+
 def embed_deformation(d: BowDiagram, lam: dict[str, complex]) -> dict[SegmentRef, complex]:
     """Place each interval's value on its first segment, zero elsewhere
     and at intervals lam omits; a key naming no interval is an error."""
-    _known_intervals(d, lam, "lambda")
-    out = {}
-    for seg in d.segments():
-        out[seg] = complex(lam.get(seg.interval, 0)) if seg.index == 0 else 0j
-    return out
+    return _embed(d, lam, "lambda", complex)
 
 
 def embed_stability(d: BowDiagram, theta: dict[str, int]) -> dict[SegmentRef, int]:
     """embed_deformation for integer weights."""
-    _known_intervals(d, theta, "theta")
-    out = {}
-    for seg in d.segments():
-        out[seg] = int(theta.get(seg.interval, 0)) if seg.index == 0 else 0
-    return out
+    return _embed(d, theta, "theta", int)
 
 
 def lambda_of_nu(d: BowDiagram, nu: dict[SegmentRef, complex]) -> dict[str, complex]:

@@ -203,17 +203,15 @@ def _compile(bow, dims: tuple) -> _Compiled:
                      + [v * v for v in seg_dims]).tolist()
     index, src = [np.zeros(0, int)], [np.zeros(0, int)]
 
-    def ids(b):   # 1 + the flat index of every entry of block b
-        return offs[b] + 1 + np.arange(offs[b + 1] - offs[b]).reshape(layout[b])
-
-    def term(row, sign, x, kron):   # kron: d(term)/d(block x), entries as ids, 0 for none
-        i, j = np.nonzero(kron)
-        index.append((rows[row] + i) * n + offs[x] + j)
-        src.append(kron[i, j] - 1 + (0 if sign > 0 else n + 1))
+    def term(row, sign, entry, col, read):   # read: the flat index of x read, n for 1
+        index.append((rows[row] + entry) * n + col)
+        src.append(read + (0 if sign > 0 else n + 1))
 
     def product(row, sign, p, q):   # sign d(P Q) = sign (dP Q + P dQ)
-        term(row, sign, p, np.kron(np.eye(layout[p][0], dtype=int), ids(q).T))
-        term(row, sign, q, np.kron(ids(p), np.eye(layout[q][1], dtype=int)))
+        (r, k), c = layout[p], layout[q][1]
+        i, j, l = np.indices((r, c, k)).reshape(3, -1)   # entry (i, j) sums over l
+        term(row, sign, i * c + j, offs[p] + i * k + l, offs[q] + l * c + j)   # dP Q reads Q[l, j]
+        term(row, sign, i * c + j, offs[q] + l * c + j, offs[p] + i * k + l)   # P dQ reads P[i, l]
 
     # in the order of the module docstring's formulas, in which an entry
     # of the Jacobian or the moment map made of several terms adds them
@@ -229,7 +227,8 @@ def _compile(bow, dims: tuple) -> _Compiled:
         product(mu2 + t, -1, C + 1, C)
     for ix, (lo, hi) in enumerate(x_segs):   # dB1 and -dB2, on the constant's slot
         for row, sign, x in ((lo, 1, 5 * ix + 1), (hi, -1, 5 * ix + 2)):
-            term(mu2 + row, sign, x, (n + 1) * np.eye(offs[x + 1] - offs[x], dtype=int))
+            e = np.arange(offs[x + 1] - offs[x])
+            term(mu2 + row, sign, e, offs[x] + e, np.full(e.size, n))
     index, src = np.concatenate(index), np.concatenate(src)
     mono = index % n < src % (n + 1)   # the monomial table; a +-B term reads n or 2 n + 1
     # in the block draw's order: block b's real parts from 2 offs[b] on, then its imaginary parts

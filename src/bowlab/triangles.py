@@ -66,7 +66,6 @@ __all__ = [
     "two_way_symplectic_pairing",
     "rect_blocks",
     "rect_form_from_blocks",
-    "random_square_form",
     "random_rect_form",
 ]
 
@@ -280,16 +279,6 @@ def _well_conditioned(rng: np.random.Generator, n: int) -> np.ndarray:
         u = _cgauss(rng, n, n)
         if n == 0 or np.linalg.cond(u) < 8.0:
             return u
-
-
-def random_square_form(rng: np.random.Generator, n: int) -> "SquareForm":
-    """Random chart point at v1 = v2 = n with a well-conditioned u."""
-    return SquareForm(
-        u=_well_conditioned(rng, n),
-        h=_cgauss(rng, n, n),
-        I=_cgauss(rng, n, 1),
-        J=_cgauss(rng, 1, n),
-    )
 
 
 def random_rect_form(rng: np.random.Generator, v1: int, v2: int) -> "RectForm":

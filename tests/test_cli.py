@@ -6,6 +6,7 @@ installed entry point emits byte-identical text.
 """
 
 import json
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -13,7 +14,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from bowlab.cli import main
+from bowlab.cli import build_parser, main
 from bowlab.diagrams import diagram_from_json_dict, parse_bow_diagram, serialize
 from bowlab.total_space import moment_residual, point_from_json_dict
 
@@ -124,9 +125,10 @@ def test_solve_table_format(capsys, diagram_file):
 
 
 def test_lambda_count_mismatch_is_usage_error(capsys, diagram_file):
-    with pytest.raises(SystemExit) as exc:
-        main(["solve", diagram_file, "--lambda", "1.0,2.0"])
-    assert exc.value.code == 2
+    for command in ("solve", "check-empty"):
+        with pytest.raises(SystemExit) as exc:
+            main([command, diagram_file, "--lambda", "1.0,2.0"])
+        assert exc.value.code == 2
 
 
 @pytest.mark.parametrize("argv", (
@@ -148,6 +150,7 @@ def test_bad_start_count_is_usage_error(capsys, diagram_file, argv):
     ["solve", "--lambda", "inf"],
     ["solve", "--lambda", "1e400"],
     ["check-empty", "--starts", "1", "--lambda", "nan"],
+    ["check-empty", "--lambda", "nan"],
 ))
 def test_non_finite_lambda_is_usage_error(capsys, diagram_file, argv):
     # a non-finite deformation has no fiber to search, and its evidence
@@ -340,11 +343,15 @@ def test_check_empty_finds_solutions_when_feasible(capsys, diagram_file):
     assert json.loads(out)["solver_evidence"]["found_solution"] is True
 
 
-# --- selftest --------------------------------------------------------------------
+# --- the command list -------------------------------------------------------------
 
 
-def test_selftest_passes(capsys):
-    code, out, _ = run_cli(capsys, ["selftest"])
-    assert code == 0
-    assert "self-test passed" in out
-    assert "FAIL" not in out
+def test_readme_lists_the_subcommands():
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text(encoding="utf-8")
+    block = readme.split("## Command line", 1)[1].split("```")[1]
+    listed = [line.split()[1] for line in block.splitlines() if line.startswith("bowlab ")]
+    choices = re.search(r"\{([^}]*)\}", build_parser().format_usage()).group(1)
+    assert listed == choices.split(",")
+    with pytest.raises(SystemExit) as exc:
+        main(["selftest"])
+    assert exc.value.code == 2

@@ -20,6 +20,8 @@ from bowlab.triangles import (
     SquareTangent,
     TriangleData,
     TwoWayData,
+    _cgauss,
+    _well_conditioned,
     check_S1,
     check_S2,
     condition_a_residual,
@@ -27,7 +29,6 @@ from bowlab.triangles import (
     hurtubise_symplectic_pairing,
     hurtubise_to_triangle,
     random_rect_form,
-    random_square_form,
     rect_blocks,
     rect_form_from_blocks,
     triangle_gauge_action,
@@ -40,6 +41,12 @@ from bowlab.triangles import (
 from conftest import cgauss, maxabs
 
 DIM_PAIRS = ((1, 1), (2, 2), (1, 3), (3, 1), (2, 3), (3, 2))
+
+
+def random_square_form(rng, n):
+    """Random chart point at v1 = v2 = n with a well-conditioned u."""
+    return SquareForm(u=_well_conditioned(rng, n), h=_cgauss(rng, n, n),
+                      I=_cgauss(rng, n, 1), J=_cgauss(rng, 1, n))
 
 
 def _random_form(rng, v1, v2):
