@@ -288,7 +288,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("diagram", help="path to a diagram DSL file")
     p.add_argument("--dsl", action="store_true",
                    help="print canonical DSL text instead of JSON")
-    p.set_defaults(func=cmd_parse)
+    p.set_defaults(func=cmd_parse, _parser=p)
 
     p = sub.add_parser("solve", help="search the moment fiber over lambda")
     p.add_argument("diagram")
@@ -297,7 +297,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int)
     p.add_argument("--starts", type=int, default=20)
     add_format(p)
-    p.set_defaults(func=cmd_solve)
+    p.set_defaults(func=cmd_solve, _parser=p)
 
     p = sub.add_parser("stability", help="semistability verdict at a point")
     p.add_argument("diagram")
@@ -308,18 +308,18 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--stable", action="store_true",
                    help="strict-inequality variant (stability, not semistability)")
     add_format(p)
-    p.set_defaults(func=cmd_stability)
+    p.set_defaults(func=cmd_stability, _parser=p)
 
     p = sub.add_parser("dim", help="expected smooth dimension of the diagram")
     p.add_argument("diagram")
-    p.set_defaults(func=cmd_dim)
+    p.set_defaults(func=cmd_dim, _parser=p)
 
     p = sub.add_parser("reduce", help="gauge-fix a cobalanced point, print its "
                                       "framed representation")
     p.add_argument("diagram")
     p.add_argument("point")
     add_format(p)
-    p.set_defaults(func=cmd_reduce)
+    p.set_defaults(func=cmd_reduce, _parser=p)
 
     p = sub.add_parser("check-empty", help="necessary emptiness condition, "
                                            "optional solver evidence")
@@ -329,7 +329,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int)
     p.add_argument("--lambda", dest="lam", default=None, metavar="C0,C1,...")
     add_format(p)
-    p.set_defaults(func=cmd_check_empty)
+    p.set_defaults(func=cmd_check_empty, _parser=p)
 
     return parser
 
@@ -337,7 +337,6 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    args._parser = parser
     try:
         if getattr(args, "seed", 0) is None:
             args.seed = _default_seed()

@@ -15,11 +15,19 @@ at most SAME_SUBSPACE_TOL), so a graded subspace is a tuple of part
 ids, deduplicated by hashing.  Per-key sums and intersections and
 per-map images and preimages are computed once per pair of ids; one
 table serves the whole heuristic search of a find_destabilizer call.
+Work whose result is known in advance is skipped: both closures return
+0 and V as they are, sums and intersections with a zero or full part
+are read off, and a map's spectral norm is taken only when an image or
+preimage first needs it.
 
 find_destabilizer is the one kernel/image stability test.  Framed quiver
 points (Nakajima) and bow points both reduce to it: a bow adds, per
 x-point, a link A that must restrict to an isomorphism on the subspace
 (kernel clause) or descend to one on the quotients (image clause).
+With every dimension <= 1 (exact01) the test is combinatorial: the
+candidates are the 0/1 supports closed under the nonzero maps, the
+unions of the keys' closures, and every clause is integer arithmetic
+on their bitmasks, so no subspace is built but the witness.
 """
 
 from __future__ import annotations
@@ -32,6 +40,7 @@ from .linalg import (
     EIGENVALUE_CLUSTER_TOL,
     SAME_SUBSPACE_TOL,
     Subspace,
+    _largest_entries,
     _op_norm,
     image_basis,
     kernel_basis,
@@ -60,8 +69,10 @@ __all__ = [
 LATTICE_DEPTH = 3
 LATTICE_CAP = 200
 
-# exact01 tests this many support bitmasks per numpy pass
-MASK_BLOCK = 1 << 16
+# exact01 builds the closed supports over at most this many free bits at
+# once (up to 2^16 of them), so that memory stays bounded however many
+# supports there are
+CHUNK_BITS = 16
 
 
 class Exact01Unavailable(ValueError):
@@ -142,8 +153,11 @@ class _PartTable:
     Part id i at key position j names the representative _reps[j][i].
     A graded subspace is the tuple of its part ids in the key order of
     dims.  Sums and intersections are memoised per (position, i, j)
-    with i <= j, images and preimages per (map index, id); the image of
-    the zero part and the preimage of the full part need no SVD.
+    with i <= j, images and preimages per (map index, id).  Results
+    known in advance need no SVD: the image of the zero part, the
+    preimage of the full part, and sums and intersections with either.
+    A map's spectral norm, the cutoff scale of its images and
+    preimages, is computed on its first image or preimage.
     """
 
     def __init__(self, dims: dict, maps):
@@ -151,7 +165,7 @@ class _PartTable:
         self.pos = {k: j for j, k in enumerate(self.keys)}
         self.maps = [(self.pos[src], self.pos[dst], np.asarray(m, dtype=complex))
                      for src, dst, m in maps]
-        self._norms = [_op_norm(m) for _, _, m in self.maps]
+        self._norms = [None] * len(self.maps)
         self.ambient = sum(dims.values())
         self._reps = [[] for _ in self.keys]
         self._rep_id = [{} for _ in self.keys]   # id(representative) -> part id
@@ -190,8 +204,6 @@ class _PartTable:
         return sum(self._reps[j][i].dim for j, i in enumerate(g))
 
     def _pair(self, memo: dict, op, j: int, a: int, b: int) -> int:
-        if a == b:  # S + S = S and S cap S = S, exactly
-            return a
         key = (j, a, b) if a < b else (j, b, a)
         out = memo.get(key)
         if out is None:
@@ -199,16 +211,26 @@ class _PartTable:
             out = memo[key] = self.intern(j, op(reps[key[1]], reps[key[2]]))
         return out
 
-    def _pairs(self, memo: dict, op, g: tuple, h: tuple) -> tuple:
-        if g == h:
-            return g
-        return tuple(self._pair(memo, op, j, a, b) for j, (a, b) in enumerate(zip(g, h)))
-
     def sum_part(self, j: int, a: int, b: int) -> int:
+        # S + S = S, 0 + S = S and V + S = V, exactly
+        if a == b or a == self.zero[j] or b == self.full[j]:
+            return b
+        if b == self.zero[j] or a == self.full[j]:
+            return a
         return self._pair(self._sums, subspace_sum, j, a, b)
 
     def meet_part(self, j: int, a: int, b: int) -> int:
+        # S cap S = S, V cap S = S and 0 cap S = 0, exactly
+        if a == b or a == self.full[j] or b == self.zero[j]:
+            return b
+        if b == self.full[j] or a == self.zero[j]:
+            return a
         return self._pair(self._meets, subspace_intersection, j, a, b)
+
+    def _norm(self, m: int) -> float:
+        if self._norms[m] is None:
+            self._norms[m] = _op_norm(self.maps[m][2])
+        return self._norms[m]
 
     def _image_part(self, m: int, i: int) -> int:
         """Image under map m of part i at its src."""
@@ -218,7 +240,7 @@ class _PartTable:
         out = self._images.get((m, i))
         if out is None:
             out = self.intern(dst, subspace_image(mat, self._reps[src][i],
-                                                  norm=self._norms[m]))
+                                                  norm=self._norm(m)))
             self._images[(m, i)] = out
         return out
 
@@ -230,15 +252,15 @@ class _PartTable:
         out = self._preimages.get((m, i))
         if out is None:
             out = self.intern(src, subspace_preimage(mat, self._reps[dst][i],
-                                                     norm=self._norms[m]))
+                                                     norm=self._norm(m)))
             self._preimages[(m, i)] = out
         return out
 
     def sum(self, g: tuple, h: tuple) -> tuple:
-        return self._pairs(self._sums, subspace_sum, g, h)
+        return g if g == h else tuple(map(self.sum_part, range(len(g)), g, h))
 
     def meet(self, g: tuple, h: tuple) -> tuple:
-        return self._pairs(self._meets, subspace_intersection, g, h)
+        return g if g == h else tuple(map(self.meet_part, range(len(g)), g, h))
 
     def image(self, g: tuple) -> tuple:
         """Sum over the maps of their images of g, zero where none lands."""
@@ -257,10 +279,13 @@ class _PartTable:
 
 def _closure(w: GradedSubspace, maps, table: _PartTable | None, step) -> GradedSubspace:
     """Fixed point of g -> step(table, g) from w, in table or a new one;
-    step is monotone in dimension, so ambient + 1 rounds reach it."""
+    step is monotone in dimension, so ambient + 1 rounds reach it.  0 and
+    V are fixed points of either step, exactly."""
     if table is None:
         table = _PartTable({k: s.ambient_dim for k, s in w.parts.items()}, maps)
     g = table.ids(w)
+    if g == table.zero or g == table.full:
+        return table.graded(g)
     for _ in range(table.ambient + 1):
         g, prev = step(table, g), g
         if table.dim(g) == table.dim(prev):
@@ -442,6 +467,17 @@ def _snapped(groups) -> list:
     return [[(*item[:-1], next(mats)) for item in g] for g in groups]
 
 
+def _nonzero(groups) -> list:
+    """Each group of (..., matrix) items with each matrix replaced by
+    whether it is nonzero once snapped (see _snapped): whether its
+    largest entry lies above zero_cutoff(largest entry of any matrix in
+    the groups)."""
+    groups = [list(g) for g in groups]
+    tops = _largest_entries([item[-1] for g in groups for item in g])
+    flags = iter((tops > zero_cutoff(float(tops.max(initial=0.0)))).tolist())
+    return [[(*item[:-1], next(flags)) for item in g] for g in groups]
+
+
 def _qualifies(g: GradedSubspace, clause: str, dims: dict, maps, links, weights: dict,
                stable: bool) -> bool:
     """g, which lies in the kernels (kernel clause) or contains the images
@@ -482,44 +518,106 @@ def _is_destabilizer(g: GradedSubspace, clause: str, dims: dict, maps, kernel_ma
             and _qualifies(g, clause, dims, maps, links, weights, stable))
 
 
-def _closed_masks(required: list):
-    """The bitmasks over len(required) bits, in increasing order, that
-    hold required[j] wherever they hold bit j: one numpy test per bit
-    over each block of MASK_BLOCK masks."""
+def _closed_supports(required: list):
+    """The bitmasks over len(required) bits that hold required[j] wherever
+    they hold bit j, in increasing order, as consecutive arrays (int64 up
+    to 62 bits, Python ints above): the unions of the bits' closures,
+    which Warshall's algorithm gives over bitmasks.  Each array is built
+    from at most CHUNK_BITS free bits, so a search that stops at an early
+    support never builds the rest."""
     k = len(required)
-    tests = [(1 << j, req) for j, req in enumerate(required) if req]
-    for start in range(0, 1 << k, MASK_BLOCK):
-        masks = np.arange(start, min(start + MASK_BLOCK, 1 << k), dtype=np.int64)
-        keep = np.ones(masks.shape, dtype=bool)
-        for b, req in tests:
-            keep &= ((masks & b) == 0) | ((masks & req) == req)
-        yield from masks[keep].tolist()
+    reach = [req | 1 << j for j, req in enumerate(required)]
+    for m in range(k):
+        reach = [r | reach[m] if r >> m & 1 else r for r in reach]
+    dtype = np.int64 if k < 63 else object
+
+    def chunks(free: int, fixed: int):
+        # the closed supports that hold fixed and lie within free | fixed,
+        # where fixed is closed and every free bit's closure lies there too
+        if free.bit_count() <= CHUNK_BITS:
+            closed = {fixed}
+            for closure in {reach[j] | fixed for j in range(k) if free >> j & 1}:
+                closed |= {c | closure for c in closed}
+            yield np.array(sorted(closed), dtype=dtype)
+            return
+        # those without the top free bit h, then those with it
+        h = free.bit_length() - 1
+        yield from chunks(free & ~sum(1 << j for j in range(k) if reach[j] >> h & 1), fixed)
+        yield from chunks(free & ~reach[h], fixed | reach[h])
+
+    yield from chunks((1 << k) - 1, 0)
 
 
-def _support_candidates(dims, maps, kernel_maps, image_maps):
-    """Every invariant 0/1 support, in bitmask order over the keys of dims,
-    as the list of (clause, support) for each clause whose kernel or
-    image maps it satisfies."""
-    ones = [k for k, n in dims.items() if n == 1]
-    index = {k: j for j, k in enumerate(ones)}
+def _support_masks(dims: dict, maps, kernel_maps, image_maps):
+    """exact01's candidates over the dimension-one keys of dims, bit
+    pos[k] for key k (pos is returned first), where each map is given by
+    whether it is nonzero (see _nonzero): the 0/1 supports that every
+    nonzero map preserves, in increasing order as _closed_supports gives
+    them, and the bits that a support must avoid to lie in the kernel
+    maps' kernels and hold to contain the image maps' images."""
+    pos = {k: j for j, k in enumerate(k for k, n in dims.items() if n == 1)}
     # with every dimension <= 1, a nonzero matrix joins two dimension-one
     # keys, and a support holding its src must hold its dst
-    required = [0] * len(ones)
-    for src, dst, m in maps:
-        if src != dst and np.count_nonzero(m):
-            required[index[src]] |= 1 << index[dst]
-    avoid = sum({1 << index[key] for key, m in kernel_maps if np.count_nonzero(m)})
-    cover = sum({1 << index[key] for key, m in image_maps if np.count_nonzero(m)})
-    parts = [(k, Subspace.full(n), Subspace.zero(n), 1 << index[k] if k in index else 0)
-             for k, n in dims.items()]
-    for mask in _closed_masks(required):
-        g = GradedSubspace({k: full if mask & b else zero for k, full, zero, b in parts})
-        tries = []
-        if not mask & avoid:
-            tries.append(("kernel", g))
-        if not cover & ~mask:
-            tries.append(("image", g))
-        yield tries
+    required = [0] * len(pos)
+    for src, dst, nonzero in maps:
+        if src != dst and nonzero:
+            required[pos[src]] |= 1 << pos[dst]
+    avoid = sum({1 << pos[key] for key, nonzero in kernel_maps if nonzero})
+    cover = sum({1 << pos[key] for key, nonzero in image_maps if nonzero})
+    return pos, _closed_supports(required), avoid, cover
+
+
+def _exact01(dims: dict, maps, kernel_maps, image_maps, weights: dict, links,
+             stable: bool) -> StabilityVerdict:
+    """find_destabilizer's exact01 verdict with every dimension <= 1, each
+    map given by whether it is nonzero once snapped (see _nonzero): the
+    first support of _support_masks that qualifies,
+    for the kernel clause before the image clause, by integer arithmetic
+    over each array of supports at once.
+
+    A support s is invariant by construction.  A link (lo, hi, A), with
+    n the dimensions, restricts to an isomorphism on s when s_lo = s_hi
+    and (s_lo = 0 or A != 0), and descends to one on the quotients when
+    n_lo - s_lo = n_hi - s_hi and (that codimension is 0 or A != 0).  So
+    a link with A != 0, where n_lo = n_hi = 1, asks s_lo = s_hi of both
+    clauses, and one with A = 0 asks the kernel clause to avoid its
+    dimension-one keys and the image clause to hold them.  The signs are
+    _destabilizes's: the pairing of 0 and the copairing of V are 0."""
+    pos, chunks, avoid, cover = _support_masks(dims, maps, kernel_maps, image_maps)
+    lo, hi = [], []
+    for src, dst, nonzero in links:
+        if nonzero:
+            lo.append(pos[src])
+            hi.append(pos[dst])
+        else:
+            ends = sum({1 << pos[k] for k in (src, dst) if k in pos})
+            avoid, cover = avoid | ends, cover | ends
+    w = [weights[k] for k in pos]
+    # int64 is exact for integer weights whose absolute sum it holds
+    small = all(isinstance(x, (int, np.integer)) for x in w) and sum(map(abs, w)) < 1 << 62
+    w = np.array(w, dtype=np.int64 if small else object)
+    full = (1 << len(pos)) - 1
+    searched = 0
+    for masks in chunks:
+        held = (masks[:, None] >> np.arange(len(pos)).astype(masks.dtype)) & 1
+        pairing = held @ w
+        copairing = w.sum() - pairing
+        if stable:
+            kernel = (pairing >= 0) & (masks != 0)
+            image = (copairing <= 0) & (masks != full)
+        else:
+            kernel, image = pairing > 0, copairing < 0
+        links_ok = (held[:, lo] == held[:, hi]).all(axis=1)
+        kernel &= links_ok & ((masks & avoid) == 0)
+        image &= links_ok & ((masks & cover) == cover)
+        hits = np.flatnonzero(kernel | image)
+        if hits.size:
+            i = int(hits[0])
+            witness = _support(dims, {k for k, s in zip(pos, held[i]) if s})
+            clause = "kernel" if kernel[i] else "image"
+            return StabilityVerdict("unstable", witness, clause, searched + i + 1)
+        searched += len(masks)
+    return StabilityVerdict("semistable", searched=searched)
 
 
 def _lattice_search(dims, maps, kernel_maps, image_maps, qualifies):
@@ -570,8 +668,8 @@ def find_destabilizer(dims: dict, maps, kernel_maps, image_maps, weights: dict,
     S != V when stable.
 
     Matrices with no entry above zero_cutoff(largest entry of any matrix
-    passed) read as exact zeros.  exact01 decides by enumerating
-    supports and needs every dimension <= 1.  heuristic searches
+    passed) read as exact zeros.  exact01 decides over the invariant
+    0/1 supports and needs every dimension <= 1.  heuristic searches
     candidate_lattice, seeded with the generalized eigenspaces of the
     maps from a key to itself, growing it only until an element yields a
     witness: "unstable" comes with a checked witness, "not-falsified" is
@@ -587,21 +685,17 @@ def find_destabilizer(dims: dict, maps, kernel_maps, image_maps, weights: dict,
         if big:
             raise Exact01Unavailable(f"exact01 requires every dimension <= 1, got {big}")
 
+    if mode == "exact01":
+        maps, kernel_maps, image_maps, links = _nonzero((maps, kernel_maps, image_maps, links))
+        return _exact01(dims, maps, kernel_maps, image_maps, weights, links, stable)
+
     maps, kernel_maps, image_maps, links = _snapped((maps, kernel_maps, image_maps, links))
 
     def qualifies(g, clause):
         return _qualifies(g, clause, dims, maps, links, weights, stable)
 
-    if mode == "heuristic":
-        hit, searched = _lattice_search(dims, maps, kernel_maps, image_maps, qualifies)
-        if hit is not None:
-            return StabilityVerdict("unstable", hit[1], hit[0], searched)
-        return StabilityVerdict("not-falsified", searched=searched,
-                                capped=searched >= LATTICE_CAP)
-    searched = 0
-    for tries in _support_candidates(dims, maps, kernel_maps, image_maps):
-        searched += 1
-        for clause, g in tries:
-            if qualifies(g, clause):
-                return StabilityVerdict("unstable", g, clause, searched)
-    return StabilityVerdict("semistable", searched=searched)
+    hit, searched = _lattice_search(dims, maps, kernel_maps, image_maps, qualifies)
+    if hit is not None:
+        return StabilityVerdict("unstable", hit[1], hit[0], searched)
+    return StabilityVerdict("not-falsified", searched=searched,
+                            capped=searched >= LATTICE_CAP)

@@ -16,6 +16,7 @@ closures are one orthonormal block-Krylov sweep (Paige's staircase).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import accumulate
 
 import numpy as np
 
@@ -131,6 +132,18 @@ def _largest_entry(*mats) -> float:
     return max((float(np.abs(m).max()) for m in mats if m.size), default=0.0)
 
 
+def _largest_entries(mats) -> np.ndarray:
+    """Each matrix's largest entry magnitude, 0 for an empty one, read
+    from one array of all their entries."""
+    tops = np.zeros(len(mats))
+    full = [j for j, m in enumerate(mats) if m.size]
+    if full:
+        entries = np.abs(np.concatenate([mats[j].ravel() for j in full]))
+        tops[full] = np.maximum.reduceat(
+            entries, list(accumulate((mats[j].size for j in full[:-1]), initial=0)))
+    return tops
+
+
 def snap_roundoff(mats) -> list:
     """mats, each one whose entries all lie within zero_cutoff(largest
     entry of any of them) replaced by an exact zero matrix.
@@ -141,9 +154,9 @@ def snap_roundoff(mats) -> list:
     entry is the honest scale of its data, before asking rank questions
     about them.  Never zeroes individual entries.
     """
-    tops = [float(np.abs(m).max()) if m.size else 0.0 for m in mats]
-    cutoff = zero_cutoff(max(tops, default=0.0))
-    return [np.zeros_like(m) if m.size and top <= cutoff else m for m, top in zip(mats, tops)]
+    tops = _largest_entries(mats)
+    small = (tops <= zero_cutoff(float(tops.max(initial=0.0)))).tolist()
+    return [np.zeros_like(m) if m.size and s else m for m, s in zip(mats, small)]
 
 
 @dataclass(frozen=True)

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import accumulate
 from math import lcm, prod
 
 import numpy as np
@@ -138,6 +139,8 @@ def integerize_weights(theta: dict) -> dict:
     Semistability is invariant under positive rescaling, so the scaled
     weights decide the same condition.
     """
+    if all(isinstance(val, (int, np.integer)) for val in theta.values()):
+        return {key: int(val) for key, val in theta.items()}
     fracs = {}
     for key, val in theta.items():
         if isinstance(val, Fraction):
@@ -208,10 +211,15 @@ def _trace_certificate(p: QuiverRepPoint, weights: dict, stable: bool) -> bool:
     lam = np.array([np.trace(mu[i]) / p.v[i] for i in verts], dtype=complex)
     err = np.array([np.linalg.norm(mu[i] - lam_i * np.eye(p.v[i]))
                     for i, lam_i in zip(verts, lam)])
-    if float(np.linalg.norm(err)) > residual_cutoff(p.scale()):
+    # the largest entry and the Frobenius norms from one array of every
+    # matrix's entries; one zero stands in when all are empty
+    mats = [m.ravel() for m in (*p.x, *p.y, *p.I.values(), *p.J.values()) if m.size]
+    mats = mats or [np.zeros(1)]
+    entries = np.abs(np.concatenate(mats))
+    if float(np.linalg.norm(err)) > residual_cutoff(float(entries.max())):
         return False
-    total = sum(float(np.linalg.norm(m))
-                for m in (*p.x, *p.y, *p.I.values(), *p.J.values()))
+    starts = list(accumulate((m.size for m in mats[:-1]), initial=0))
+    total = float(np.sqrt(np.add.reduceat(entries * entries, starts)).sum())
     slack = zero_cutoff(total) * total * sum(p.v[i] + p.w[i] for i in p.quiver.vertices)
     # every 0 <= s <= v, one row each
     s = np.indices(sizes).reshape(len(verts), -1).T if verts else np.zeros((1, 0), int)

@@ -740,11 +740,14 @@ def check_semistable(d: BowDiagram, p: TotalSpacePoint, theta: dict,
     the diagram is not cobalanced (NotCobalanced), p is off the zero
     level of the non-first-segment moment map (MuHNonzero, e.g. a
     random point), some A is singular (SingularA), or the carried
-    witness fails the re-check.  exact01 is not routed: it enumerates
-    only the 0/1 supports that every nonzero structure map preserves,
-    filtered by one numpy test per segment over all bitmasks at once, so
-    the 2^15 bitmasks of CYCLE3_1x5 take 0.7-1 ms, not 25 ms (benchmark
-    point, timeit best of 7, Intel Xeon, 2 cores).
+    witness fails the re-check.  exact01 is not routed: it reads only
+    the 0/1 supports that every nonzero structure map preserves, the
+    unions of the segments' closures under those maps (Warshall's
+    algorithm over bitmasks), and decides each clause by integer
+    arithmetic on their bitmasks, up to 2^16 supports per numpy pass.
+    On CYCLE3_1x5's benchmark point the 15 segments are one closure, so
+    2 supports stand for 2^15 bitmasks, and a check takes about 0.2 ms
+    (timeit best of 7, Intel Xeon, 2 cores).
     """
     check_shapes(d, p)
     if mode == "heuristic":

@@ -132,6 +132,17 @@ def test_lambda_count_mismatch_is_usage_error(capsys, diagram_file):
 
 
 @pytest.mark.parametrize("argv", (
+    ["check-empty", "--lambda", "1,2,3"],
+    ["solve", "--starts", "0"],
+))
+def test_usage_errors_print_the_subcommand_usage(capsys, diagram_file, argv):
+    with pytest.raises(SystemExit) as exc:
+        main([argv[0], diagram_file, *argv[1:]])
+    assert exc.value.code == 2
+    assert capsys.readouterr().err.startswith(f"usage: bowlab {argv[0]} ")
+
+
+@pytest.mark.parametrize("argv", (
     ["solve", "--starts", "0"],
     ["solve", "--starts", "-2", "--format", "table"],
     ["check-empty", "--starts", "-1"],

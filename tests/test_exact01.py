@@ -1,0 +1,158 @@
+"""exact01: the closed supports and the integer decision over them.
+
+The decision over all supports at once is compared with a per-mask loop
+that builds each support as a graded subspace and tests it with the
+engine's rank-based clauses (_qualifies), on bows whose segments have
+dimension 0 or 1.  Zero-dimensional segments matter for the image
+clause: there a link's codimensions, not its subspace dimensions, must
+agree.
+"""
+
+import itertools
+from dataclasses import replace
+
+import numpy as np
+import pytest
+
+from bowlab import graded
+from bowlab.diagrams import parse_bow_diagram
+from bowlab.graded import (
+    GradedSubspace,
+    _closed_supports,
+    _qualifies,
+    _snapped,
+    find_destabilizer,
+)
+from bowlab.linalg import Subspace
+from bowlab.total_space import TotalSpacePoint, _bow_data, check_semistable, random_point
+
+from test_total_space import _mask_point
+
+ZERO_DIM_BOWS = (
+    "bow { wavy a [1, 0, 1]; }",
+    "bow { wavy a [0, 1, 0]; wavy b [1]; edge a -> b; edge b -> a; }",
+    "bow { wavy a [1, 0, 1]; wavy b [1, 1]; edge a -> b; }",
+    "bow { wavy a [0, 1, 0, 1]; wavy b [1, 0]; edge a -> b; edge b -> a; }",
+)
+
+
+def _per_mask(dims, maps, kernel_maps, image_maps, weights, links, stable):
+    """exact01 one support at a time, in increasing bitmask order over the
+    dimension-one keys: (kind, clause, searched, support of the witness).
+    Zero weights are semistable with no search."""
+    if not stable and not any(weights.values()):
+        return "semistable", None, 0, None
+    maps, kernel_maps, image_maps, links = _snapped((maps, kernel_maps, image_maps, links))
+    ones = [k for k, n in dims.items() if n == 1]
+    searched = 0
+    for mask in range(1 << len(ones)):
+        support = frozenset(k for j, k in enumerate(ones) if mask >> j & 1)
+        if any(src in support and dst not in support for src, dst, m in maps if m.any()):
+            continue
+        searched += 1
+        g = GradedSubspace({k: Subspace.full(n) if k in support else Subspace.zero(n)
+                            for k, n in dims.items()})
+        tries = []
+        if not any(key in support for key, m in kernel_maps if m.any()):
+            tries.append("kernel")
+        if all(key in support for key, m in image_maps if m.any()):
+            tries.append("image")
+        for clause in tries:
+            if _qualifies(g, clause, dims, maps, links, weights, stable):
+                return "unstable", clause, searched, support
+    return "semistable", None, searched, None
+
+
+def _verdict(data, stable):
+    v = find_destabilizer(**data, mode="exact01", stable=stable)
+    if v.witness is None:
+        return v.kind, v.clause, v.searched, None
+    # the witness is full or zero at every key, as the loop builds it
+    assert all(part.dim in (0, part.ambient_dim) for part in v.witness.parts.values())
+    return v.kind, v.clause, v.searched, frozenset(
+        k for k, part in v.witness.parts.items() if part.dim)
+
+
+@pytest.mark.parametrize("chunk_bits", (graded.CHUNK_BITS, 1))
+def test_exact01_matches_the_per_mask_loop_with_zero_dimensional_segments(monkeypatch,
+                                                                           chunk_bits):
+    # with one free bit per array, searched adds up over many arrays
+    monkeypatch.setattr(graded, "CHUNK_BITS", chunk_bits)
+    rng = np.random.default_rng(7)
+    kinds = []
+    for text, zero_prob, _ in itertools.product(ZERO_DIM_BOWS, (0.0, 0.3, 0.6, 0.8), range(3)):
+        d = parse_bow_diagram(text)
+        p = _mask_point(d, rng, zero_prob)
+        for values in itertools.product(range(-2, 3), repeat=len(d.bow.intervals)):
+            data = _bow_data(d, p, dict(zip(d.bow.intervals, values)))
+            for stable in (False, True):
+                want = _per_mask(**data, stable=stable)
+                assert _verdict(data, stable) == want
+                kinds.append(want[:2])
+                # weights past int64 decide the same, exactly
+                big = dict(data, weights={k: w << 70 for k, w in data["weights"].items()})
+                assert _verdict(big, stable) == want
+    # the oracle is not vacuous: every outcome occurs often
+    for kind in (("unstable", "kernel"), ("unstable", "image"), ("semistable", None)):
+        assert kinds.count(kind) >= 50
+
+
+def _required_tables():
+    rng = np.random.default_rng(12)
+    for k in range(13):
+        yield [0] * k                                                   # empty
+        yield [1 << (j + 1) if j + 1 < k else 0 for j in range(k)]       # chain
+        yield [1 << ((j + 1) % k) for j in range(k)]                     # cycle
+        half = k // 2                                                    # two cycles
+        yield [1 << ((j + 1) % half if j < half else half + (j - half + 1) % (k - half))
+               for j in range(k)]
+        yield [int(sum(1 << i for i in range(k) if rng.random() < 0.15)) for _ in range(k)]
+
+
+def _flat(chunks) -> list:
+    return [mask for chunk in chunks for mask in chunk.tolist()]
+
+
+@pytest.mark.parametrize("chunk_bits", (graded.CHUNK_BITS, 3, 0))
+def test_closed_supports_match_the_brute_force_filter(monkeypatch, chunk_bits):
+    monkeypatch.setattr(graded, "CHUNK_BITS", chunk_bits)
+    for required in _required_tables():
+        k = len(required)
+        want = [mask for mask in range(1 << k)
+                if all(not mask >> j & 1 or mask & req == req for j, req in enumerate(required))]
+        chunks = list(_closed_supports(required))
+        assert _flat(chunks) == want
+        assert all(len(chunk) <= 1 << chunk_bits for chunk in chunks)
+
+
+def test_closed_supports_past_62_bits():
+    # a chain of 70 bits: the closed supports are 0 and every suffix
+    k = 70
+    got = _flat(_closed_supports([1 << (j + 1) if j + 1 < k else 0 for j in range(k)]))
+    assert got == sorted([0] + [(1 << k) - (1 << j) for j in range(k)])
+
+
+def test_exact01_past_62_segments():
+    # one interval of 64 dimension-one segments, every b zero: the A's
+    # tie the segments into one chain that only 0 and V satisfy, and V,
+    # the last of the 65 closed supports, lies in the kernels with
+    # pairing 1
+    d = parse_bow_diagram(f"bow {{ wavy a [{', '.join(['1'] * 64)}]; }}")
+    p = random_point(d, np.random.default_rng(64))
+    p = TotalSpacePoint({"a": tuple(replace(t, b=0 * t.b) for t in p.triangles["a"])}, p.edges)
+    v = check_semistable(d, p, {"a": 1}, mode="exact01")
+    assert (v.kind, v.clause, v.searched, v.witness.total_dim()) == ("unstable", "kernel", 65, 64)
+    assert check_semistable(d, p, {"a": -1}, mode="exact01").searched == 65
+
+
+@pytest.mark.parametrize("sign, clause, searched", ((-1, "image", 1), (1, "kernel", 2)))
+def test_exact01_stops_early_among_2_to_the_40_supports(sign, clause, searched):
+    # 40 one-segment intervals and no map between them: every support is
+    # closed, and the search stops at the first array of them, S = 0
+    # (copairing -40) or S = {first interval} (pairing 1)
+    names = [f"i{j}" for j in range(40)]
+    d = parse_bow_diagram("bow { " + " ".join(f"wavy {n} [1];" for n in names) + " }")
+    p = random_point(d, np.random.default_rng(40))
+    v = check_semistable(d, p, {n: sign for n in names}, mode="exact01")
+    assert (v.kind, v.clause, v.searched, v.witness.total_dim()) == (
+        "unstable", clause, searched, searched - 1)

@@ -18,6 +18,7 @@ from bowlab import graded
 from bowlab.diagrams import parse_bow_diagram
 from bowlab.graded import (
     LATTICE_CAP,
+    GradedSubspace,
     StabilityVerdict,
     _PartTable,
     _qualifies,
@@ -27,7 +28,7 @@ from bowlab.graded import (
     largest_invariant_graded,
     smallest_invariant_graded,
 )
-from bowlab.linalg import SAME_SUBSPACE_TOL, image_basis, kernel_basis
+from bowlab.linalg import SAME_SUBSPACE_TOL, Subspace, image_basis, kernel_basis
 from bowlab.quiver import Quiver, QuiverRepPoint, rep_semistable
 from bowlab.reduction import gauge_fix_H, to_quiver_point
 from bowlab.total_space import _bow_data, check_semistable, random_point
@@ -162,13 +163,53 @@ def test_loop_2_stops_at_its_first_witness(monkeypatch, theta, searched, clause,
     def never(*args, **kwargs):
         raise AssertionError("the eigenspace seeds were computed")
 
+    norms, svds = [], []
+    op_norm, svd = graded._op_norm, np.linalg.svd
+
+    def counted_norm(a):
+        norms.append(1)
+        return op_norm(a)
+
+    def counted_svd(*args, **kwargs):
+        svds.append(1)
+        return svd(*args, **kwargs)
+
     monkeypatch.setattr(graded, "candidate_lattice", counted)
     monkeypatch.setattr(graded, "_eigenspace_seeds", never)
+    monkeypatch.setattr(graded, "_op_norm", counted_norm)
+    monkeypatch.setattr(np.linalg, "svd", counted_svd)
     v = check_semistable(d, p, {"a": theta}, mode="heuristic")
     # theta = 1: V has pairing 2 > 0; theta = -1: 0 has copairing -2 < 0
     assert (v.kind, v.clause, v.searched, v.capped) == ("unstable", clause, searched, False)
     assert v.witness.total_dim() == witness_dim
     assert entered
+    # both witnesses are closures of 0 or V, met by sums and intersections
+    # with 0 or V, so the search takes no SVD and needs no map's norm
+    assert not norms and not svds
+
+
+def test_closures_of_zero_and_the_whole_space_make_no_svd(monkeypatch):
+    rng = np.random.default_rng(8)
+    dims = {"a": 2, "b": 3}
+    maps = [("a", "b", cgauss(rng, 3, 2)), ("b", "a", cgauss(rng, 2, 3)),
+            ("b", "b", cgauss(rng, 3, 3))]
+    zero = GradedSubspace({k: Subspace.zero(n) for k, n in dims.items()})
+    full = GradedSubspace({k: Subspace.full(n) for k, n in dims.items()})
+    svds = []
+    svd = np.linalg.svd
+
+    def counted(*args, **kwargs):
+        svds.append(1)
+        return svd(*args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "svd", counted)
+    assert largest_invariant_graded(zero, maps).total_dim() == 0
+    assert smallest_invariant_graded(full, maps).total_dim() == 5
+    assert not svds
+    # a start between them still runs the closure
+    line = GradedSubspace({"a": Subspace.span(np.array([[1.0], [0.0]])), "b": Subspace.zero(3)})
+    assert smallest_invariant_graded(line, maps).total_dim() == 5
+    assert svds
 
 
 def test_an_unstable_verdict_is_never_capped():

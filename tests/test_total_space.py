@@ -28,8 +28,9 @@ from bowlab.graded import (
     GradedSubspace,
     StabilityVerdict,
     _is_destabilizer,
+    _nonzero,
     _snapped,
-    _support_candidates,
+    _support_masks,
     candidate_lattice,
 )
 from bowlab.linalg import RANK_TOL, Subspace, image_basis, kernel_basis, rank
@@ -774,14 +775,18 @@ def _enumeration_cases():
         (d, report.point, theta), (d, _mask_point(d, rng), theta)]
 
 
-def test_support_candidates_match_the_per_mask_loop():
+def test_support_masks_match_the_per_mask_loop():
     for d, p, theta in _enumeration_cases():
         data = _bow_data(d, p, theta)
         maps, kernel_maps, image_maps = _snapped(
             (data["maps"], data["kernel_maps"], data["image_maps"]))
-        got = [[(clause, frozenset(k for k, part in g.parts.items() if part.dim))
-                for clause, g in tries]
-               for tries in _support_candidates(data["dims"], maps, kernel_maps, image_maps)]
+        flags = _nonzero((data["maps"], data["kernel_maps"], data["image_maps"]))
+        pos, chunks, avoid, cover = _support_masks(data["dims"], *flags)
+        got = []
+        for mask in itertools.chain.from_iterable(chunk.tolist() for chunk in chunks):
+            support = frozenset(k for k, j in pos.items() if mask >> j & 1)
+            got.append([(clause, support) for clause, ok in
+                        (("kernel", not mask & avoid), ("image", mask & cover == cover)) if ok])
         assert got == _reference_supports(data["dims"], maps, kernel_maps, image_maps)
 
 
