@@ -341,10 +341,7 @@ def main(argv=None) -> int:
         if getattr(args, "seed", 0) is None:
             args.seed = _default_seed()
         return args.func(args)
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except (ValueError, TypeError, np.linalg.LinAlgError) as exc:
+    except (OSError, ValueError, TypeError, np.linalg.LinAlgError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

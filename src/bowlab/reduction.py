@@ -38,7 +38,7 @@ from .total_space import (
     SingularA,
     TotalSpacePoint,
     _assemble,
-    _blocks,
+    _compiled,
     _fix_H,
     _lift,
     _quiver_point,
@@ -68,11 +68,13 @@ class HReducedPoint:
     point: TotalSpacePoint
 
     def __post_init__(self):
-        check_shapes(self.diagram, self.point)
-        for name, i in self.diagram.x_points():
-            t = self.point.triangle(name, i)
-            if not np.array_equal(t.A, np.eye(t.v1)):
-                raise ValueError(f"triangle ({name!r}, {i}): A is not exactly the identity")
+        blocks = check_shapes(self.diagram, self.point)
+        c = _compiled(self.diagram)
+        for (role, _, col), m in zip(c.tags, blocks):
+            if role == "A" and not np.array_equal(m, np.eye(m.shape[1])):
+                seg = c.segs[col]
+                raise ValueError(f"triangle ({seg.interval!r}, {seg.index}): "
+                                 f"A is not exactly the identity")
 
     @classmethod
     def _built(cls, diagram: BowDiagram, point: TotalSpacePoint) -> "HReducedPoint":
@@ -94,15 +96,16 @@ def gauge_fix_H(d: BowDiagram, p: TotalSpacePoint) -> HReducedPoint:
     identity matrices.  Raises NotCobalanced, MuHNonzero or SingularA
     where no such representative exists.
     """
-    check_shapes(d, p)
-    return HReducedPoint._built(d, _assemble(d, _fix_H(d, p)))
+    blocks = check_shapes(d, p)
+    return HReducedPoint._built(d, _assemble(d, _fix_H(d, _compiled(d), blocks)))
 
 
 def to_quiver_point(r: HReducedPoint) -> QuiverRepPoint:
     """The identification with a framed representation: arrows carry
     (C, D) and per interval the a's stack into I, the b's into J,
     x-points ordered along the wavy line."""
-    return _quiver_point(r.diagram, _blocks(r.diagram, r.point))
+    blocks = check_shapes(r.diagram, r.point)
+    return _quiver_point(r.diagram, _compiled(r.diagram), blocks)
 
 
 def from_quiver_point(d: BowDiagram, q: QuiverRepPoint) -> HReducedPoint:
@@ -121,4 +124,4 @@ def from_quiver_point(d: BowDiagram, q: QuiverRepPoint) -> HReducedPoint:
 
     blocks = [m for k in range(len(d.bow.edges)) for m in (q.x[k], q.y[k])]
     blocks += [m for name, i in d.x_points() for m in (q.I[name][:, i:i + 1], q.J[name][i:i + 1])]
-    return HReducedPoint._built(d, _assemble(d, _lift(d, blocks)))
+    return HReducedPoint._built(d, _assemble(d, _lift(_compiled(d), blocks)))

@@ -18,8 +18,10 @@ x-point the blocks A, B1, B2, a, b, then per edge C, D, each tagged
 with the segments it maps from and to (none on the framing side of a
 and b).  Flattening, the gauge action and its Lie algebra action, the
 H-gauge walk, the framed quiver point, the stability data and the
-point file's reader and writer all walk its one block list; the solver
-works on flat vectors alone until a start converges.
+point file's reader and writer all walk its one block list.  A public
+function cuts a point into that list once, by check_shapes, looks the
+record up once and hands both down; the solver works on flat vectors
+alone until a start converges.
 
 The moment map is quadratic, so by vec(M X N) = (M kron N^T) vec(X)
 each Jacobian entry is +-x[src], +-1 or a sum of two such terms, and
@@ -129,15 +131,31 @@ class TotalSpacePoint:
                               *(m for e in self.edges for m in (e.C, e.D)))
 
 
-def check_shapes(d: BowDiagram, p: TotalSpacePoint):
-    """Raise unless p's matrix shapes match the diagram's segment dims."""
+def check_shapes(d: BowDiagram, p: TotalSpacePoint) -> list:
+    """Raise unless p's matrix shapes match the diagram's segment dims;
+    return p's matrices in flat order (as _assemble reads them).
+
+    TriangleData ties a triangle's other shapes to its A's, and
+    TwoWayData D's to C's, so the shapes checked are A's and C's."""
     _check_counts(d, p.triangles, p.edges)
-    c = _compiled(d)
-    for (role, row, col), shape, m in zip(c.tags, c.layout, _blocks(d, p)):
-        if m.shape != shape:
-            ends = ["framing" if j is None else c.segs[j] for j in (col, row)]
-            raise ValueError(f"{role} from {ends[0]} to {ends[1]} has shape {m.shape}, "
-                             f"expected {shape}")
+    blocks = []
+    for name in d.bow.intervals:
+        dims = d.seg_dims[name]
+        for i, t in enumerate(p.triangles[name]):
+            if t.A.shape != (dims[i + 1], dims[i]):
+                raise _misshapen("A", t.A, SegmentRef(name, i), SegmentRef(name, i + 1),
+                                 (dims[i + 1], dims[i]))
+            blocks += (t.A, t.B1, t.B2, t.a, t.b)
+    for k, e in enumerate(p.edges):
+        tail, head = d.edge_tail_segment(k), d.edge_head_segment(k)
+        if e.C.shape != (d.dim(head), d.dim(tail)):
+            raise _misshapen("C", e.C, tail, head, (d.dim(head), d.dim(tail)))
+        blocks += (e.C, e.D)
+    return blocks
+
+
+def _misshapen(role: str, m: np.ndarray, src, dst, shape: tuple) -> ValueError:
+    return ValueError(f"{role} from {src} to {dst} has shape {m.shape}, expected {shape}")
 
 
 def _check_counts(d: BowDiagram, triangles: dict, edges) -> None:
@@ -302,15 +320,9 @@ def gauge_dim(d: BowDiagram) -> int:
     return sum(d.dim(s) ** 2 for s in d.segments())
 
 
-def _blocks(d: BowDiagram, p: TotalSpacePoint) -> list:
-    """p's matrices in flat order (field order is the layout's, as in _assemble)."""
-    mats = [m for name in d.bow.intervals for t in p.triangles[name]
-            for m in (t.A, t.B1, t.B2, t.a, t.b)]
-    return mats + [m for e in p.edges for m in (e.C, e.D)]
-
-
 def flatten_point(d: BowDiagram, p: TotalSpacePoint) -> np.ndarray:
-    return _join(_blocks(d, p)).astype(complex)
+    """p's flat vector, its shapes checked by check_shapes."""
+    return _join(check_shapes(d, p))
 
 
 def unflatten_point(d: BowDiagram, vec: np.ndarray) -> TotalSpacePoint:
@@ -337,29 +349,30 @@ def _shift(c: _Compiled, nu: dict) -> np.ndarray:
 
 def total_moment_map(d: BowDiagram, p: TotalSpacePoint) -> dict:
     """Per-segment moment matrices (see module docstring for the rule)."""
-    check_shapes(d, p)
+    x = flatten_point(d, p)
     c = _compiled(d)
-    mu2 = _moment(c, flatten_point(d, p))[c.m - sum(v * v for v in c.seg_dims):]
+    mu2 = _moment(c, x)[c.m - sum(v * v for v in c.seg_dims):]
     return dict(zip(c.segs, _split([(v, v) for v in c.seg_dims], mu2)))
 
 
 def moment_residual(d: BowDiagram, p: TotalSpacePoint, nu: dict) -> np.ndarray:
     """Flattened (mu1, mu2 - nu id); nu is a per-segment scalar dict."""
-    check_shapes(d, p)
+    x = flatten_point(d, p)
     c = _compiled(d)
-    return _moment(c, flatten_point(d, p)) - _shift(c, nu)
+    return _moment(c, x) - _shift(c, nu)
 
 
 def moment_differential(d: BowDiagram, p: TotalSpacePoint, t: TotalSpacePoint) -> np.ndarray:
-    """Directional derivative of (mu1, mu2) at p along tangent t, flattened."""
+    """Directional derivative of (mu1, mu2) at p along tangent t, flattened;
+    both points' shapes checked."""
     return moment_jacobian(d, p) @ flatten_point(d, t)
 
 
 def moment_jacobian(d: BowDiagram, p) -> np.ndarray:
     """Analytic Jacobian of the flattened (mu1, mu2) in the flattened
-    coordinates, at the point p or at the flat vector p."""
-    c = _compiled(d)
+    coordinates, at the point p (its shapes checked) or at the flat vector p."""
     x = flatten_point(d, p) if isinstance(p, TotalSpacePoint) else np.asarray(p, dtype=complex)
+    c = _compiled(d)
     if x.shape != (c.n,):
         raise ValueError(f"flat vector has shape {x.shape}, expected ({c.n},)")
     # in table order, so an entry of two terms is a - b as the formulas compute it
@@ -374,11 +387,11 @@ def gauge_action(d: BowDiagram, g: dict, p: TotalSpacePoint) -> TotalSpacePoint:
     """Segment-wise base change X -> g_row X g_col^-1 of every block, no
     factor on the framing side; g maps SegmentRef -> invertible matrix
     and is read only at the segments some block joins."""
-    check_shapes(d, p)
+    blocks = check_shapes(d, p)
     c = _compiled(d)
     joined = {j for _, row, col in c.tags for j in (row, col)} - {None}
     gs = {j: as_matrix(g[c.segs[j]], c.seg_dims[j], c.seg_dims[j]) for j in joined}
-    return _assemble(d, _gauged(c, _blocks(d, p), gs))
+    return _assemble(d, _gauged(c, blocks, gs))
 
 
 def _gauged(c: _Compiled, blocks, gs: dict) -> list:
@@ -393,24 +406,20 @@ def _gauged(c: _Compiled, blocks, gs: dict) -> list:
     return out
 
 
-def _gauge_action_vectors(d: BowDiagram, p: TotalSpacePoint, xis: np.ndarray) -> np.ndarray:
-    """Infinitesimal gauge action at p of every row of xis (k, gauge_dim),
-    each row the gl(v_seg) blocks in segment order; a (k, point_dim) array.
-    Block X moves by xi_row X - X xi_col, with no term on the framing side."""
-    c = _compiled(d)
-    x = _split([(v, v) for v in c.seg_dims], xis)
-    blocks = []
-    for (_, row, col), m in zip(c.tags, _blocks(d, p)):
-        left = 0 if row is None else x[row] @ m
-        blocks.append(left if col is None else left - m @ x[col])
-    return _join(blocks, xis.shape[:-1])
-
-
 def action_differential(d: BowDiagram, p: TotalSpacePoint) -> np.ndarray:
     """Matrix of the Lie algebra action, columns indexed by the E_kl basis
-    of every gl(v_seg) in segment order, rows by flattened tangents."""
-    return np.ascontiguousarray(
-        _gauge_action_vectors(d, p, np.eye(gauge_dim(d), dtype=complex)).T)
+    of every gl(v_seg) in segment order, rows by flattened tangents.
+    Along xi, block X moves by xi_row X - X xi_col, with no term on the
+    framing side: every basis direction at once, by matmul broadcasting."""
+    blocks = check_shapes(d, p)
+    c = _compiled(d)
+    xis = np.eye(sum(v * v for v in c.seg_dims), dtype=complex)
+    x = _split([(v, v) for v in c.seg_dims], xis)
+    moved = []
+    for (_, row, col), m in zip(c.tags, blocks):
+        left = 0 if row is None else x[row] @ m
+        moved.append(left if col is None else left - m @ x[col])
+    return np.ascontiguousarray(_join(moved, xis.shape[:-1]).T)
 
 
 # --- fiber solving -----------------------------------------------------------
@@ -451,11 +460,9 @@ class InfeasibilityEvidence:
 
 def open_conditions_hold(d: BowDiagram, p: TotalSpacePoint) -> bool:
     """(S1) and (S2) at every x-point."""
-    for name, i in d.x_points():
-        t = p.triangle(name, i)
-        if not check_S1(t) or not check_S2(t):
-            return False
-    return True
+    check_shapes(d, p)
+    return all(check_S1(t) and check_S2(t)
+               for name in d.bow.intervals for t in p.triangles[name])
 
 
 # The framing vertex of a quiver route: an interval name that no other
@@ -523,8 +530,9 @@ def solve_fiber(d: BowDiagram, lam: dict, seed: int = 0, n_starts: int = 20):
         return _start_loop(d, nu, seed, n_starts)
     nu = embed_deformation(route, lam)
     nu[SegmentRef(_FRAMING, 0)] = -sum(val * route.dim(s) for s, val in nu.items())
+    c, layout = _compiled(d), _compiled(route).layout
     return _start_loop(route, nu, seed, n_starts,
-                       lambda _, x: _assemble(d, _lift(d, _split(_compiled(route).layout, x))))
+                       lambda _, x: _assemble(d, _lift(c, _split(layout, x))))
 
 
 def _open_point(d: BowDiagram, x: np.ndarray) -> TotalSpacePoint | None:
@@ -562,16 +570,14 @@ def _start_loop(d: BowDiagram, nu: dict, seed: int, n_starts: int, accept=_open_
 
 # --- stability ---------------------------------------------------------------
 
-def _bow_data(d: BowDiagram, p: TotalSpacePoint, theta: dict) -> dict:
-    """find_destabilizer's arguments for the bow point p: every block
-    between segments as a map (the B's and one-segment self-edges seed
-    the search as self-maps), each b as a kernel map, each a as an image
-    map, each A also as a link; theta's integer weights on first
-    segments."""
-    c = _compiled(d)
-    nu = embed_stability(d, integerize_weights(theta))
+def _bow_data(c: _Compiled, blocks: list, nu: dict) -> dict:
+    """find_destabilizer's arguments for the point of the flat-order
+    blocks: every block between segments as a map (the B's and
+    one-segment self-edges seed the search as self-maps), each b as a
+    kernel map, each a as an image map, each A also as a link; nu's
+    integer weights, per segment."""
     maps, kernel_maps, image_maps, links = [], [], [], []
-    for (role, row, col), m in zip(c.tags, _blocks(d, p)):
+    for (role, row, col), m in zip(c.tags, blocks):
         if row is None:
             kernel_maps.append((c.segs[col], m))
         elif col is None:
@@ -582,12 +588,6 @@ def _bow_data(d: BowDiagram, p: TotalSpacePoint, theta: dict) -> dict:
                 links.append(maps[-1])
     return dict(dims=dict(zip(c.segs, c.seg_dims)), maps=maps, kernel_maps=kernel_maps,
                 image_maps=image_maps, weights={s: nu.get(s, 0) for s in c.segs}, links=links)
-
-
-def _bow_semistable(d: BowDiagram, p: TotalSpacePoint, theta: dict, mode: str,
-                    stable: bool) -> StabilityVerdict:
-    """The graded engine on the bow point itself, every segment a key."""
-    return find_destabilizer(**_bow_data(d, p, theta), mode=mode, stable=stable)
 
 
 # --- the H-gauge and the framed quiver description -----------------------------
@@ -604,16 +604,14 @@ class MuHNonzero(ValueError):
     components, so no H-orbit representative with A = id exists."""
 
 
-def _fix_H(d: BowDiagram, p: TotalSpacePoint) -> list:
-    """The flat-order blocks of p, whose shapes the caller has checked,
-    in the gauge where every A is exactly the identity (the walk of
-    reduction.gauge_fix_H)."""
+def _fix_H(d: BowDiagram, c: _Compiled, blocks: list) -> list:
+    """The flat-order blocks of a point, whose shapes the caller has
+    checked, in the gauge where every A is exactly the identity (the walk
+    of reduction.gauge_fix_H)."""
     if not is_cobalanced(d):
         raise NotCobalanced("gauge_fix_H requires a cobalanced diagram")
-    c = _compiled(d)
-    blocks = _blocks(d, p)
     first = np.repeat([s.index == 0 for s in c.segs], [v * v for v in c.seg_dims])
-    flat = _join(blocks).astype(complex)
+    flat = _join(blocks)
     mu2 = _moment(c, flat)[c.m - first.size:]
     res = float(np.linalg.norm(mu2[~first]))
     if res > residual_cutoff(_largest_entry(flat)):
@@ -632,13 +630,12 @@ def _fix_H(d: BowDiagram, p: TotalSpacePoint) -> list:
             for (role, _, _), m in zip(c.tags, _gauged(c, blocks, g))]
 
 
-def _quiver_point(d: BowDiagram, blocks) -> QuiverRepPoint:
+def _quiver_point(d: BowDiagram, c: _Compiled, blocks: list) -> QuiverRepPoint:
     """The framed representation of the flat-order blocks of a point with
     every A = id (the identification of reduction.to_quiver_point): each
     edge's (C, D) is an arrow's (x, y), and along each interval the a's
     are I's columns and the b's J's rows (none where it has no x-point)."""
     v, w = framed_dims_of_cobalanced(d)
-    c = _compiled(d)
     x, y = [], []
     I = {name: [np.zeros((v[name], 0), dtype=complex)] for name in d.bow.intervals}
     J = {name: [np.zeros((0, v[name]), dtype=complex)] for name in d.bow.intervals}
@@ -656,14 +653,13 @@ def _quiver_point(d: BowDiagram, blocks) -> QuiverRepPoint:
                           {name: np.vstack(ms) for name, ms in J.items()})
 
 
-def _lift(d: BowDiagram, blocks) -> list:
+def _lift(c: _Compiled, blocks: list) -> list:
     """The flat-order blocks of the bow point with every A = id over the
-    blocks of d's quiver route: each edge's (C, D), then per x-point the
+    blocks of c's quiver route: each edge's (C, D), then per x-point the
     framing edge's (C, D) as (a, b).  The B's come from the backward
     recursion B2_{w-1} = -sum_{tail edges} D C, B1_i = B2_i + a_i b_i,
     B2_{i-1} = B1_i, which zeroes mu1 and the moment on every non-first
     segment (the inverse of reduction.to_quiver_point)."""
-    c = _compiled(d)
     arrows = blocks[:2 * len(c.edge_segs)]
     frames = blocks[len(arrows):]
     # B[j]: segment j's B, the B1 of the x-point at its right end and the B2 at its left
@@ -677,33 +673,27 @@ def _lift(d: BowDiagram, blocks) -> list:
     return [m for tri in reversed(triangles) for m in tri] + list(arrows)
 
 
-def _quiver_semistable(d: BowDiagram, p: TotalSpacePoint, theta: dict,
+def _quiver_semistable(d: BowDiagram, c: _Compiled, blocks: list, nu: dict,
                        stable: bool) -> StabilityVerdict | None:
-    """The heuristic verdict of p's framed quiver point, its witness
-    carried back to the segments; None where the reduction does not
-    apply or the carried witness fails the bow checks."""
+    """The heuristic verdict of the blocks' framed quiver point at nu's
+    first-segment weights, a witness carried back to the segments but not
+    re-checked on the bow; None where the reduction does not apply."""
     try:
-        fixed = _fix_H(d, p)
+        fixed = _fix_H(d, c, blocks)
     except (NotCobalanced, MuHNonzero, SingularA):
         return None
-    nu = embed_stability(d, integerize_weights(theta))
     weights = {name: nu[SegmentRef(name, 0)] for name in d.bow.intervals}
-    verdict = _destabilizer(_quiver_point(d, fixed), weights, "heuristic", stable)
+    verdict = _destabilizer(_quiver_point(d, c, fixed), weights, "heuristic", stable)
     if verdict.kind != "unstable":
         return verdict
     # the walk's gauge is g_0 = id, g_{i+1} = g_i A_i^-1, so the vertex
     # subspace V' sits at S_0 = V' and S_{i+1} = A_i S_i
-    c = _compiled(d)
     parts = {s: verdict.witness.parts[s.interval] for s in c.segs if s.index == 0}
-    for (role, hi, lo), A in zip(c.tags, _blocks(d, p)):
+    for (role, hi, lo), A in zip(c.tags, blocks):
         if role == "A":
             parts[c.segs[hi]] = subspace_image(A, parts[c.segs[lo]])
-    witness = GradedSubspace({s: parts[s] for s in c.segs})
-    if not _is_destabilizer(witness, verdict.clause, **_bow_data(d, p, theta),
-                            stable=stable):
-        return None
-    return StabilityVerdict("unstable", witness, verdict.clause, verdict.searched,
-                            verdict.capped)
+    return StabilityVerdict("unstable", GradedSubspace({s: parts[s] for s in c.segs}),
+                            verdict.clause, verdict.searched, verdict.capped)
 
 
 def check_semistable(d: BowDiagram, p: TotalSpacePoint, theta: dict,
@@ -749,12 +739,18 @@ def check_semistable(d: BowDiagram, p: TotalSpacePoint, theta: dict,
     2 supports stand for 2^15 bitmasks, and a check takes about 0.2 ms
     (timeit best of 7, Intel Xeon, 2 cores).
     """
-    check_shapes(d, p)
-    if mode == "heuristic":
-        verdict = _quiver_semistable(d, p, theta, stable)
-        if verdict is not None:
-            return verdict
-    return _bow_semistable(d, p, theta, mode, stable)
+    blocks = check_shapes(d, p)
+    c = _compiled(d)
+    nu = embed_stability(d, integerize_weights(theta))
+    verdict = _quiver_semistable(d, c, blocks, nu, stable) if mode == "heuristic" else None
+    if verdict is not None and verdict.kind != "unstable":
+        return verdict
+    # the carried witness's re-check and the bow's own search read the same data
+    data = _bow_data(c, blocks, nu)
+    if verdict is not None and _is_destabilizer(verdict.witness, verdict.clause, **data,
+                                                stable=stable):
+        return verdict
+    return find_destabilizer(**data, mode=mode, stable=stable)
 
 
 # --- translation, dimension --------------------------------------------------
@@ -817,7 +813,8 @@ def total_symplectic_pairing(d: BowDiagram, p: TotalSpacePoint,
     preserve condition (a) to first order, or the differencing leaves
     the triangle locus.
     """
-    check_shapes(d, p)
+    for q in (p, t1, t2):
+        check_shapes(d, q)
     val = 0.0 + 0.0j
     for name, i in d.x_points():
         base = p.triangle(name, i)
@@ -835,11 +832,11 @@ def total_symplectic_pairing(d: BowDiagram, p: TotalSpacePoint,
 def point_to_json_dict(d: BowDiagram, p: TotalSpacePoint) -> dict:
     """p as nested lists: per interval a list of its triangles, each
     {v1, v2, A, B1, B2, a, b}, then per edge {C, D}."""
-    check_shapes(d, p)
+    blocks = check_shapes(d, p)
     c = _compiled(d)
     triangles = {name: [] for name in d.bow.intervals}
     edges = []
-    for (role, _, col), m in zip(c.tags, _blocks(d, p)):
+    for (role, _, col), m in zip(c.tags, blocks):
         if role == "A":
             entry = {"v1": m.shape[1], "v2": m.shape[0]}
             triangles[c.segs[col].interval].append(entry)

@@ -24,8 +24,9 @@ from bowlab.graded import (
     find_destabilizer,
 )
 from bowlab.linalg import Subspace
-from bowlab.total_space import TotalSpacePoint, _bow_data, check_semistable, random_point
+from bowlab.total_space import TotalSpacePoint, check_semistable, random_point
 
+from conftest import bow_data
 from test_total_space import _mask_point
 
 ZERO_DIM_BOWS = (
@@ -84,7 +85,7 @@ def test_exact01_matches_the_per_mask_loop_with_zero_dimensional_segments(monkey
         d = parse_bow_diagram(text)
         p = _mask_point(d, rng, zero_prob)
         for values in itertools.product(range(-2, 3), repeat=len(d.bow.intervals)):
-            data = _bow_data(d, p, dict(zip(d.bow.intervals, values)))
+            data = bow_data(d, p, dict(zip(d.bow.intervals, values)))
             for stable in (False, True):
                 want = _per_mask(**data, stable=stable)
                 assert _verdict(data, stable) == want

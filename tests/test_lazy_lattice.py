@@ -31,9 +31,9 @@ from bowlab.graded import (
 from bowlab.linalg import SAME_SUBSPACE_TOL, Subspace, image_basis, kernel_basis
 from bowlab.quiver import Quiver, QuiverRepPoint, rep_semistable
 from bowlab.reduction import gauge_fix_H, to_quiver_point
-from bowlab.total_space import _bow_data, check_semistable, random_point
+from bowlab.total_space import check_semistable, random_point
 
-from conftest import cgauss
+from conftest import bow_data, cgauss
 from test_quiver_route import CYCLE_11, LOOP_2, SOLVED, _solved, _theta, _unitary_gauge
 from test_trace_certificate import _solved_01_point
 
@@ -116,7 +116,7 @@ def test_lazy_search_matches_the_eager_lattice_on_solved_bows(case):
     for point, sign, stable in itertools.product((p, moved), (1, -1, 0), (False, True)):
         theta = _theta(d, sign)
         # the bow's own lattice, then its framed quiver's
-        _agree(_bow_data(d, point, theta), stable)
+        _agree(bow_data(d, point, theta), stable)
         q = to_quiver_point(gauge_fix_H(d, point))
         _agree(_quiver_data(q, theta), stable)
 
@@ -128,7 +128,7 @@ def test_lazy_search_matches_the_eager_lattice_off_the_fiber(text):
     d = parse_bow_diagram(text)
     p = random_point(d, np.random.default_rng(99))
     for th, stable in itertools.product((-1, 1, 2), (False, True)):
-        _agree(_bow_data(d, p, {name: th for name in d.bow.intervals}), stable)
+        _agree(bow_data(d, p, {name: th for name in d.bow.intervals}), stable)
 
 
 def test_a_witness_basis_can_move_but_spans_the_same_subspace():
@@ -138,7 +138,7 @@ def test_a_witness_basis_can_move_but_spans_the_same_subspace():
     # 30, and the lazy one keeps the closure's own, the same line up to
     # a sign
     d, p = _solved("bow { wavy a [2, 2]; wavy b [1, 1]; edge a -> b; }", {"a": 0, "b": 0}, 0)
-    data = _bow_data(d, p, {"a": 1, "b": 1})
+    data = bow_data(d, p, {"a": 1, "b": 1})
     lazy, eager = find_destabilizer(**data), _eager(**data)
     assert _report(lazy)[:3] == _report(eager)[:3] == ("unstable", "kernel", 30)
     moved = 0

@@ -3,7 +3,7 @@
 On a cobalanced diagram, check_semistable's heuristic mode reduces the
 point to a framed quiver point, searches that lattice and carries a
 witness back along the A's.  The bow's own lattice search
-(_bow_semistable) is the oracle: the routed verdict kind must agree
+(_bow_search) is the oracle: the routed verdict kind must agree
 with it, except that the quiver's trace certificate may turn its
 "not-falsified" into "semistable"; every routed witness must pass the
 bow clauses checked here on the matrices, and points the reduction does
@@ -22,7 +22,6 @@ from bowlab.reduction import SingularA, gauge_fix_H, to_quiver_point
 from bowlab.total_space import (
     FiberSolveReport,
     TotalSpacePoint,
-    _bow_semistable,
     check_semistable,
     gauge_action,
     random_point,
@@ -30,7 +29,7 @@ from bowlab.total_space import (
 )
 from bowlab.triangles import TriangleData, TwoWayData
 
-from conftest import cgauss
+from conftest import bow_data, cgauss
 
 S222 = "bow { wavy s [2, 2, 2]; }"
 CYCLE_11 = "bow { wavy a [1, 1]; wavy b [1, 1]; edge a -> b; edge b -> a; }"
@@ -70,6 +69,11 @@ def _theta(d, sign):
 def _summary(v):
     dims = None if v.witness is None else {s: part.dim for s, part in v.witness.parts.items()}
     return v.kind, v.clause, dims, v.searched, v.capped
+
+
+def _bow_search(d, p, theta, stable=False):
+    """The bow's own heuristic lattice search, every segment a key."""
+    return find_destabilizer(**bow_data(d, p, theta), mode="heuristic", stable=stable)
 
 
 def _small(m, scale):
@@ -130,7 +134,7 @@ def test_routed_verdict_matches_bow_search(case):
         dims = []
         for point in (p, moved):
             got = check_semistable(d, point, theta, mode="heuristic", stable=stable)
-            want = _bow_semistable(d, point, theta, "heuristic", stable)
+            want = _bow_search(d, point, theta, stable)
             assert got.kind == want.kind or (want.kind, got.kind) == (
                 "not-falsified", "semistable")
             # the verdict is the quiver search's: same kind and size
@@ -157,12 +161,12 @@ def test_moved_cycle_444_is_no_longer_capped():
     assert 0 < lattice.searched < LATTICE_CAP
     routed = check_semistable(d, moved, theta, mode="heuristic")
     assert (routed.kind, routed.searched, routed.capped) == ("semistable", 0, False)
-    assert _bow_semistable(d, moved, theta, "heuristic", False).capped
+    assert _bow_search(d, moved, theta).capped
 
 
 def _fell_back(d, p, theta, stable=False):
     got = check_semistable(d, p, theta, mode="heuristic", stable=stable)
-    want = _bow_semistable(d, p, theta, "heuristic", stable)
+    want = _bow_search(d, p, theta, stable)
     return _summary(got) == _summary(want)
 
 
@@ -212,7 +216,7 @@ def test_bow_search_seeds_with_one_segment_self_edges():
                          TwoWayData(C=np.array([[0.0, 1.0]]), D=np.array([[1.0], [0.0]]))))
     theta = {"a": 1, "b": -2}
     routed = check_semistable(d, p, theta, mode="heuristic")
-    bow = _bow_semistable(d, p, theta, "heuristic", False)
+    bow = _bow_search(d, p, theta)
     for v in (routed, bow):
         assert (v.kind, v.clause) == ("unstable", "kernel")
         assert {s: part.dim for s, part in v.witness.parts.items()} == {

@@ -7,6 +7,7 @@ one; there the subspace lattice is finite and the defining clauses can
 be evaluated directly.
 """
 
+import collections
 import itertools
 import json
 import re
@@ -15,7 +16,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from bowlab import solve
+from bowlab import reduction, solve, total_space
 from bowlab.diagrams import (
     SegmentRef,
     embed_deformation,
@@ -40,7 +41,6 @@ from bowlab.total_space import (
     FiberSolveReport,
     InfeasibilityEvidence,
     TotalSpacePoint,
-    _bow_data,
     _compiled,
     _join,
     _quiver_route,
@@ -51,6 +51,7 @@ from bowlab.total_space import (
     flatten_point,
     gauge_action,
     gauge_dim,
+    moment_differential,
     moment_jacobian,
     moment_residual,
     open_conditions_hold,
@@ -66,7 +67,7 @@ from bowlab.total_space import (
 )
 from bowlab.triangles import TriangleData, TwoWayData, _cgauss, triangle_gauge_action
 
-from conftest import cgauss, maxabs
+from conftest import bow_data, cgauss, maxabs
 
 INTERVAL_111 = "bow { wavy s [1, 1, 1]; }"
 EMPTY_252 = "bow { wavy a [2]; wavy b [5, 2]; edge a -> b; }"
@@ -547,7 +548,7 @@ def test_a_segment_key_is_no_frame_key(name):
     t = TriangleData(A=np.eye(2), B1=zero, B2=zero, a=np.zeros((2, 1)), b=np.array([[1.0, 0.0]]))
     e1 = Subspace.span(np.eye(2)[:, :1])
     g = GradedSubspace({s: e1 for s in d.segments()})
-    data = _bow_data(d, TotalSpacePoint({name: (t,)}, ()), {name: 1})
+    data = bow_data(d, TotalSpacePoint({name: (t,)}, ()), {name: 1})
     assert not _is_destabilizer(g, "kernel", **data, stable=False)
 
 
@@ -777,7 +778,7 @@ def _enumeration_cases():
 
 def test_support_masks_match_the_per_mask_loop():
     for d, p, theta in _enumeration_cases():
-        data = _bow_data(d, p, theta)
+        data = bow_data(d, p, theta)
         maps, kernel_maps, image_maps = _snapped(
             (data["maps"], data["kernel_maps"], data["image_maps"]))
         flags = _nonzero((data["maps"], data["kernel_maps"], data["image_maps"]))
@@ -1040,6 +1041,73 @@ def test_check_shapes_rejects_mismatches(rng):
     with pytest.raises(ValueError, match=r"^C .* shape \(4, 2\), expected \(5, 2\)"):
         check_shapes(other, TotalSpacePoint(
             good.triangles, (TwoWayData(np.zeros((4, 2)), np.zeros((2, 4))),)))
+
+
+# a point laid out for a [3, 2] read on a [2, 3]: its A is 2 x 3, not 3 x 2
+WIDE_23 = "bow { wavy a [2, 3]; }"
+MISSHAPEN = (r"^A from SegmentRef\(interval='a', index=0\) to "
+             r"SegmentRef\(interval='a', index=1\) has shape \(2, 3\), expected \(3, 2\)$")
+
+
+@pytest.mark.parametrize("call", (
+    lambda d, bad, good: flatten_point(d, bad),
+    lambda d, bad, good: moment_jacobian(d, bad),
+    lambda d, bad, good: moment_differential(d, bad, good),
+    lambda d, bad, good: moment_differential(d, good, bad),
+    lambda d, bad, good: action_differential(d, bad),
+    lambda d, bad, good: open_conditions_hold(d, bad),
+    lambda d, bad, good: total_symplectic_pairing(d, good, bad, good),
+    lambda d, bad, good: total_symplectic_pairing(d, good, good, bad),
+), ids=("flatten_point", "moment_jacobian", "moment_differential_point",
+        "moment_differential_tangent", "action_differential", "open_conditions_hold",
+        "symplectic_pairing_first_tangent", "symplectic_pairing_second_tangent"))
+def test_a_point_laid_out_for_another_diagram_is_refused(call, rng):
+    d = parse_bow_diagram(WIDE_23)
+    bad = random_point(parse_bow_diagram("bow { wavy a [3, 2]; }"), rng)
+    with pytest.raises(ValueError, match=MISSHAPEN):
+        call(d, bad, random_point(d, rng))
+
+
+@pytest.fixture
+def cuts(monkeypatch):
+    """Calls of check_shapes and _compiled, from whichever module calls them."""
+    counts = collections.Counter()
+    for name in ("check_shapes", "_compiled"):
+        def counted(*args, real=getattr(total_space, name), name=name):
+            counts[name] += 1
+            return real(*args)
+        for module in (total_space, reduction):
+            if hasattr(module, name):
+                monkeypatch.setattr(module, name, counted)
+    return counts
+
+
+def _cut_once(counts, call):
+    counts.clear()
+    out = call()
+    assert counts == {"check_shapes": 1, "_compiled": 1}
+    return out
+
+
+@pytest.mark.parametrize("theta, clause", ((1, "kernel"), (-1, "image")))
+def test_a_routed_check_cuts_the_point_once(cuts, theta, clause):
+    # LOOP_2 at lambda = 0 is unstable either way; the quiver witness is
+    # carried back and re-checked on the bow's blocks
+    d = parse_bow_diagram(LOOP_2)
+    report = solve_fiber(d, {"a": 0}, seed=0, n_starts=10)
+    v = _cut_once(cuts, lambda: check_semistable(d, report.point, {"a": theta}))
+    assert (v.kind, v.clause) == ("unstable", clause)
+
+
+def test_exact01_gauge_fix_json_and_gauge_action_cut_the_point_once(cuts, rng):
+    d = parse_bow_diagram(CYCLE_11)
+    p = solve_fiber(d, {"a": 0.4, "b": -0.4}, seed=0, n_starts=10).point
+    v = _cut_once(cuts, lambda: check_semistable(d, p, {"a": 1, "b": -1}, mode="exact01"))
+    assert v.kind == "semistable"
+    _cut_once(cuts, lambda: reduction.gauge_fix_H(d, p))
+    _cut_once(cuts, lambda: point_to_json_dict(d, p))
+    g = {s: np.linalg.qr(cgauss(rng, d.dim(s), d.dim(s)))[0] for s in d.segments()}
+    _cut_once(cuts, lambda: gauge_action(d, g, p))
 
 
 def test_random_point_scale():
