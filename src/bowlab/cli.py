@@ -22,6 +22,7 @@ import cmath
 import json
 import os
 import sys
+from dataclasses import asdict
 from fractions import Fraction
 from functools import lru_cache
 
@@ -231,16 +232,7 @@ def cmd_check_empty(args) -> int:
     violations = local_emptiness_check(d)
     out = {
         "necessary_condition": "fail" if violations else "pass",
-        "violations": [
-            {
-                "interval": v.interval,
-                "x_index": v.x_index,
-                "config": v.config,
-                "v0": v.v0,
-                "bound": v.bound,
-            }
-            for v in violations
-        ],
+        "violations": [asdict(v) for v in violations],
         "solver_evidence": None,
     }
     failed = None

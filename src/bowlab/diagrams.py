@@ -22,6 +22,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import NamedTuple
 
+from .linalg import _field
+
 __all__ = [
     "Bow",
     "BowDiagram",
@@ -148,9 +150,6 @@ class BowDiagram:
 
 
 # --- DSL ------------------------------------------------------------------
-
-_PUNCT = ("{", "}", "[", "]", ",", ";", "->")
-
 
 def _tokenize(text):
     """Yield (kind, value, line, col) with kind in ident/int/punct."""
@@ -293,9 +292,13 @@ def diagram_to_json_dict(d: BowDiagram) -> dict:
 
 
 def diagram_from_json_dict(data: dict) -> BowDiagram:
-    intervals = tuple(item["name"] for item in data["intervals"])
-    dims = {item["name"]: tuple(item["dims"]) for item in data["intervals"]}
-    edges = tuple((e["tail"], e["head"]) for e in data["edges"])
+    """Inverse of diagram_to_json_dict; a missing entry names its interval or edge."""
+    items = _field(data, "intervals", "diagram data")
+    intervals = tuple(_field(item, "name", f"interval {k}") for k, item in enumerate(items))
+    dims = {name: tuple(_field(item, "dims", f"interval {name!r}"))
+            for name, item in zip(intervals, items)}
+    edges = tuple((_field(e, "tail", f"edge {k}"), _field(e, "head", f"edge {k}"))
+                  for k, e in enumerate(_field(data, "edges", "diagram data")))
     return BowDiagram(Bow(intervals, edges), dims)
 
 

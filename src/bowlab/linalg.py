@@ -85,6 +85,13 @@ def matrix_to_json(m) -> list:
     return [[[float(z.real), float(z.imag)] for z in row] for row in a]
 
 
+def _field(entry: dict, key: str, where: str):
+    """entry[key], or a ValueError that names the key and where it is missing."""
+    if key not in entry:
+        raise ValueError(f"{where} has no {key!r} entry")
+    return entry[key]
+
+
 def matrix_from_json(data, rows: int, cols: int) -> np.ndarray:
     """Inverse of matrix_to_json; shape is taken from the caller, not the data."""
     a = np.zeros((rows, cols), dtype=complex)

@@ -21,6 +21,7 @@ import numpy as np
 
 from .graded import Exact01Unavailable, StabilityVerdict, find_destabilizer
 from .linalg import (
+    _field,
     _largest_entry,
     as_matrix,
     matrix_from_json,
@@ -260,13 +261,23 @@ def quiver_point_to_json_dict(p: QuiverRepPoint) -> dict:
 
 
 def quiver_point_from_json_dict(data: dict) -> QuiverRepPoint:
-    q = Quiver(data["vertices"], [tuple(a) for a in data["arrows"]])
-    v = {i: int(data["v"][str(i)]) for i in q.vertices}
-    w = {i: int(data["w"][str(i)]) for i in q.vertices}
+    """Inverse of quiver_point_to_json_dict; a missing entry names its vertex."""
+    top = "quiver point data"
+    q = Quiver(_field(data, "vertices", top), [tuple(a) for a in _field(data, "arrows", top)])
+
+    def per_vertex(key):
+        table = data.get(key, {})
+        missing = [i for i in q.vertices if str(i) not in table]
+        if missing:
+            raise ValueError(f"vertex {missing[0]!r} has no {key!r} entry")
+        return {i: table[str(i)] for i in q.vertices}
+
+    v = {i: int(n) for i, n in per_vertex("v").items()}
+    w = {i: int(n) for i, n in per_vertex("w").items()}
     x = tuple(matrix_from_json(m, v[h], v[t])
-              for m, (t, h) in zip(data["x"], q.arrows))
+              for m, (t, h) in zip(_field(data, "x", top), q.arrows))
     y = tuple(matrix_from_json(m, v[t], v[h])
-              for m, (t, h) in zip(data["y"], q.arrows))
-    I = {i: matrix_from_json(data["I"][str(i)], v[i], w[i]) for i in q.vertices}
-    J = {i: matrix_from_json(data["J"][str(i)], w[i], v[i]) for i in q.vertices}
+              for m, (t, h) in zip(_field(data, "y", top), q.arrows))
+    I = {i: matrix_from_json(m, v[i], w[i]) for i, m in per_vertex("I").items()}
+    J = {i: matrix_from_json(m, w[i], v[i]) for i, m in per_vertex("J").items()}
     return QuiverRepPoint(q, v, w, x, y, I, J)

@@ -26,12 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .diagrams import (
-    BowDiagram,
-    NotCobalanced,
-    framed_dims_of_cobalanced,
-    is_cobalanced,
-)
+from .diagrams import BowDiagram, NotCobalanced
 from .quiver import QuiverRepPoint
 from .total_space import (
     MuHNonzero,
@@ -96,16 +91,14 @@ def gauge_fix_H(d: BowDiagram, p: TotalSpacePoint) -> HReducedPoint:
     identity matrices.  Raises NotCobalanced, MuHNonzero or SingularA
     where no such representative exists.
     """
-    blocks = check_shapes(d, p)
-    return HReducedPoint._built(d, _assemble(d, _fix_H(d, _compiled(d), blocks)))
+    return HReducedPoint._built(d, _assemble(d, _fix_H(_compiled(d), check_shapes(d, p))))
 
 
 def to_quiver_point(r: HReducedPoint) -> QuiverRepPoint:
     """The identification with a framed representation: arrows carry
     (C, D) and per interval the a's stack into I, the b's into J,
     x-points ordered along the wavy line."""
-    blocks = check_shapes(r.diagram, r.point)
-    return _quiver_point(r.diagram, _compiled(r.diagram), blocks)
+    return _quiver_point(_compiled(r.diagram), check_shapes(r.diagram, r.point))
 
 
 def from_quiver_point(d: BowDiagram, q: QuiverRepPoint) -> HReducedPoint:
@@ -113,15 +106,16 @@ def from_quiver_point(d: BowDiagram, q: QuiverRepPoint) -> HReducedPoint:
     and the B's rebuilt by the exact backward recursion that zeroes the
     moment map on every non-first segment (total_space._lift, which
     solve_fiber's quiver route also lifts its solutions by)."""
-    if not is_cobalanced(d):
+    c = _compiled(d)
+    if c.framed is None:
         raise NotCobalanced("from_quiver_point requires a cobalanced diagram")
-    v, w = framed_dims_of_cobalanced(d)
-    if dict(q.v) != v or dict(q.w) != w:
+    v, w, _ = c.framed
+    if q.v != v or q.w != w:
         raise ShapeMismatch(f"quiver point dims {q.v}/{q.w} do not match "
-                            f"the diagram's framed dims {v}/{w}")
+                            f"the diagram's framed dims {dict(v)}/{dict(w)}")
     if tuple(q.quiver.arrows) != tuple(d.bow.edges):
         raise ShapeMismatch("quiver arrows do not match the bow edges")
 
     blocks = [m for k in range(len(d.bow.edges)) for m in (q.x[k], q.y[k])]
     blocks += [m for name, i in d.x_points() for m in (q.I[name][:, i:i + 1], q.J[name][i:i + 1])]
-    return HReducedPoint._built(d, _assemble(d, _lift(_compiled(d), blocks)))
+    return HReducedPoint._built(d, _assemble(d, _lift(c, blocks)))

@@ -21,7 +21,9 @@ H-gauge walk, the framed quiver point, the stability data and the
 point file's reader and writer all walk its one block list.  A public
 function cuts a point into that list once, by check_shapes, looks the
 record up once and hands both down; the solver works on flat vectors
-alone until a start converges.
+alone until a start converges.  On a cobalanced diagram the record also
+holds the framed quiver (v, w, quiver) that the H-gauge walk and the
+quiver point read, and, given an x-point, the route solve_fiber solves.
 
 The moment map is quadratic, so by vec(M X N) = (M kron N^T) vec(X)
 each Jacobian entry is +-x[src], +-1 or a sum of two such terms, and
@@ -42,6 +44,7 @@ from collections import namedtuple
 from dataclasses import dataclass
 from functools import lru_cache, partial
 from itertools import islice
+from types import MappingProxyType
 
 import numpy as np
 
@@ -58,6 +61,7 @@ from .diagrams import (
 )
 from .graded import GradedSubspace, StabilityVerdict, _is_destabilizer, find_destabilizer
 from .linalg import (
+    _field,
     _largest_entry,
     as_matrix,
     matrix_from_json,
@@ -183,10 +187,12 @@ def _check_counts(d: BowDiagram, triangles: dict, edges) -> None:
 # by a bincount over floats: its real part at *_target[2 u] = 2 e, its
 # imaginary part at *_target[2 u + 1].  A start's draw of 2 n reals holds
 # flat entry i's parts at draw[2 i] and draw[2 i + 1].  solve_fiber's
-# rescaling multiplies flat entry i by t ** lam_power[i].
+# rescaling multiplies flat entry i by t ** lam_power[i].  framed is a
+# cobalanced diagram's (v, w, quiver), v and w read-only, route its quiver
+# route (see solve_fiber) if it has an x-point; otherwise each is None.
 _Compiled = namedtuple("_Compiled", "tags layout segs seg_dims x_segs edge_segs n m "
                                     "jac_target jac_src mono_col mono_src mono_target "
-                                    "draw lam_power")
+                                    "draw lam_power framed route")
 
 # the power of t by which solve_fiber's rescaling multiplies each role's block
 _LAMBDA_POWER = {"B1": 1, "B2": 1, "a": 1, "C": 0.5, "D": 0.5}
@@ -257,8 +263,21 @@ def _compile(bow, dims: tuple) -> _Compiled:
               _float_targets(index[mono] // n), draw, lam_power)
     for table in tables:
         table.flags.writeable = False   # shared by every caller
+    framed = route = None
+    if is_cobalanced(d):
+        v, w = framed_dims_of_cobalanced(d)
+        framed = (MappingProxyType(v), MappingProxyType(w), underlying_quiver(bow))
+        if x_segs:
+            frames = tuple((_FRAMING, name) for name, _ in d.x_points())
+            route = BowDiagram(Bow(bow.intervals + (_FRAMING,), bow.edges + frames),
+                               {**{name: (dim,) for name, dim in v.items()}, _FRAMING: (1,)})
     return _Compiled(tuple(tags), tuple(layout), segs, seg_dims, tuple(x_segs),
-                     tuple(edge_segs), n, rows[-1], *tables)
+                     tuple(edge_segs), n, rows[-1], *tables, framed, route)
+
+
+# The framing vertex of a quiver route: an interval name that no other
+# diagram holds, since no other diagram can refer to this object.
+_FRAMING = object()
 
 
 def _float_targets(entries: np.ndarray) -> np.ndarray:
@@ -465,28 +484,6 @@ def open_conditions_hold(d: BowDiagram, p: TotalSpacePoint) -> bool:
                for name in d.bow.intervals for t in p.triangles[name])
 
 
-# The framing vertex of a quiver route: an interval name that no other
-# diagram holds, since no other diagram can refer to this object.
-_FRAMING = object()
-
-
-def _quiver_route(d: BowDiagram) -> BowDiagram | None:
-    """The framed quiver of a cobalanced diagram with an x-point, written
-    as a bow with no x-points (see solve_fiber); None for any other
-    diagram."""
-    return _route(d.bow, tuple(d.seg_dims[name] for name in d.bow.intervals))
-
-
-@lru_cache(maxsize=64)
-def _route(bow, dims: tuple) -> BowDiagram | None:
-    d = BowDiagram(bow, dict(zip(bow.intervals, dims)))
-    if not is_cobalanced(d) or not d.x_points():
-        return None
-    frames = tuple((_FRAMING, name) for name, _ in d.x_points())
-    return BowDiagram(Bow(bow.intervals + (_FRAMING,), bow.edges + frames),
-                      {**{name: v[:1] for name, v in zip(bow.intervals, dims)}, _FRAMING: (1,)})
-
-
 def solve_fiber(d: BowDiagram, lam: dict, seed: int = 0, n_starts: int = 20):
     """Find a moment fiber point over the deformation lam (per interval).
 
@@ -525,13 +522,13 @@ def solve_fiber(d: BowDiagram, lam: dict, seed: int = 0, n_starts: int = 20):
     if not all(np.isfinite(complex(v)) for v in lam.values()):
         raise ValueError(f"lam must be finite, got {lam}")
     nu = embed_deformation(d, lam)
-    route = _quiver_route(d)
-    if route is None:
+    c = _compiled(d)
+    if c.route is None:
         return _start_loop(d, nu, seed, n_starts)
-    nu = embed_deformation(route, lam)
-    nu[SegmentRef(_FRAMING, 0)] = -sum(val * route.dim(s) for s, val in nu.items())
-    c, layout = _compiled(d), _compiled(route).layout
-    return _start_loop(route, nu, seed, n_starts,
+    nu = embed_deformation(c.route, lam)
+    nu[SegmentRef(_FRAMING, 0)] = -sum(val * c.route.dim(s) for s, val in nu.items())
+    layout = _compiled(c.route).layout
+    return _start_loop(c.route, nu, seed, n_starts,
                        lambda _, x: _assemble(d, _lift(c, _split(layout, x))))
 
 
@@ -604,11 +601,11 @@ class MuHNonzero(ValueError):
     components, so no H-orbit representative with A = id exists."""
 
 
-def _fix_H(d: BowDiagram, c: _Compiled, blocks: list) -> list:
+def _fix_H(c: _Compiled, blocks: list) -> list:
     """The flat-order blocks of a point, whose shapes the caller has
     checked, in the gauge where every A is exactly the identity (the walk
     of reduction.gauge_fix_H)."""
-    if not is_cobalanced(d):
+    if c.framed is None:
         raise NotCobalanced("gauge_fix_H requires a cobalanced diagram")
     first = np.repeat([s.index == 0 for s in c.segs], [v * v for v in c.seg_dims])
     flat = _join(blocks)
@@ -630,15 +627,15 @@ def _fix_H(d: BowDiagram, c: _Compiled, blocks: list) -> list:
             for (role, _, _), m in zip(c.tags, _gauged(c, blocks, g))]
 
 
-def _quiver_point(d: BowDiagram, c: _Compiled, blocks: list) -> QuiverRepPoint:
+def _quiver_point(c: _Compiled, blocks: list) -> QuiverRepPoint:
     """The framed representation of the flat-order blocks of a point with
     every A = id (the identification of reduction.to_quiver_point): each
     edge's (C, D) is an arrow's (x, y), and along each interval the a's
     are I's columns and the b's J's rows (none where it has no x-point)."""
-    v, w = framed_dims_of_cobalanced(d)
+    v, w, quiver = c.framed
     x, y = [], []
-    I = {name: [np.zeros((v[name], 0), dtype=complex)] for name in d.bow.intervals}
-    J = {name: [np.zeros((0, v[name]), dtype=complex)] for name in d.bow.intervals}
+    I = {name: [np.zeros((dim, 0), dtype=complex)] for name, dim in v.items()}
+    J = {name: [np.zeros((0, dim), dtype=complex)] for name, dim in v.items()}
     for (role, row, col), m in zip(c.tags, blocks):
         if role == "C":
             x.append(m)
@@ -648,7 +645,7 @@ def _quiver_point(d: BowDiagram, c: _Compiled, blocks: list) -> QuiverRepPoint:
             I[c.segs[row].interval].append(m)
         elif role == "b":
             J[c.segs[col].interval].append(m)
-    return QuiverRepPoint(underlying_quiver(d.bow), v, w, tuple(x), tuple(y),
+    return QuiverRepPoint(quiver, v, w, tuple(x), tuple(y),
                           {name: np.hstack(ms) for name, ms in I.items()},
                           {name: np.vstack(ms) for name, ms in J.items()})
 
@@ -673,17 +670,19 @@ def _lift(c: _Compiled, blocks: list) -> list:
     return [m for tri in reversed(triangles) for m in tri] + list(arrows)
 
 
-def _quiver_semistable(d: BowDiagram, c: _Compiled, blocks: list, nu: dict,
+def _quiver_semistable(c: _Compiled, blocks: list, nu: dict,
                        stable: bool) -> StabilityVerdict | None:
     """The heuristic verdict of the blocks' framed quiver point at nu's
     first-segment weights, a witness carried back to the segments but not
     re-checked on the bow; None where the reduction does not apply."""
-    try:
-        fixed = _fix_H(d, c, blocks)
-    except (NotCobalanced, MuHNonzero, SingularA):
+    if c.framed is None:
         return None
-    weights = {name: nu[SegmentRef(name, 0)] for name in d.bow.intervals}
-    verdict = _destabilizer(_quiver_point(d, c, fixed), weights, "heuristic", stable)
+    try:
+        fixed = _fix_H(c, blocks)
+    except (MuHNonzero, SingularA):
+        return None
+    weights = {s.interval: nu[s] for s in c.segs if s.index == 0}
+    verdict = _destabilizer(_quiver_point(c, fixed), weights, "heuristic", stable)
     if verdict.kind != "unstable":
         return verdict
     # the walk's gauge is g_0 = id, g_{i+1} = g_i A_i^-1, so the vertex
@@ -727,7 +726,7 @@ def check_semistable(d: BowDiagram, p: TotalSpacePoint, theta: dict,
     containing the a's images, the A links, the sign, invariance under
     the snapped structure maps.  searched and capped then count quiver
     lattice elements.  The bow's own lattice search runs instead when
-    the diagram is not cobalanced (NotCobalanced), p is off the zero
+    the diagram is not cobalanced (no framed quiver), p is off the zero
     level of the non-first-segment moment map (MuHNonzero, e.g. a
     random point), some A is singular (SingularA), or the carried
     witness fails the re-check.  exact01 is not routed: it reads only
@@ -742,7 +741,7 @@ def check_semistable(d: BowDiagram, p: TotalSpacePoint, theta: dict,
     blocks = check_shapes(d, p)
     c = _compiled(d)
     nu = embed_stability(d, integerize_weights(theta))
-    verdict = _quiver_semistable(d, c, blocks, nu, stable) if mode == "heuristic" else None
+    verdict = _quiver_semistable(c, blocks, nu, stable) if mode == "heuristic" else None
     if verdict is not None and verdict.kind != "unstable":
         return verdict
     # the carried witness's re-check and the bow's own search read the same data
@@ -875,10 +874,3 @@ def point_from_json_dict(d: BowDiagram, data: dict) -> TotalSpacePoint:
         except (TypeError, ValueError) as err:
             raise ValueError(f"{role} of {where}: {err}") from err
     return _assemble(d, blocks)
-
-
-def _field(entry: dict, key: str, where: str):
-    """entry[key], or a ValueError that names the key and where it is missing."""
-    if key not in entry:
-        raise ValueError(f"{where} has no {key!r} entry")
-    return entry[key]

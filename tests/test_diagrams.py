@@ -128,6 +128,18 @@ def test_json_round_trip():
     assert diagram_from_json_dict(json.loads(blob)) == d
 
 
+@pytest.mark.parametrize("data, message", (
+    ({"intervals": [{"name": "a"}], "edges": []}, "interval 'a' has no 'dims' entry"),
+    ({"intervals": [{"dims": [1]}], "edges": []}, "interval 0 has no 'name' entry"),
+    ({"intervals": [{"name": "a", "dims": [1]}], "edges": [{"tail": "a"}]},
+     "edge 0 has no 'head' entry"),
+    ({"intervals": []}, "diagram data has no 'edges' entry"),
+))
+def test_json_reader_names_a_missing_entry(data, message):
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        diagram_from_json_dict(data)
+
+
 _names = st.lists(st.sampled_from("abcdefg"), min_size=1, max_size=4, unique=True)
 
 

@@ -345,3 +345,19 @@ def test_json_round_trip(rng):
     assert back.v == p.v and back.w == p.w
     assert all(np.array_equal(back.x[k], p.x[k]) for k in range(2))
     assert all(np.array_equal(back.J[i], p.J[i]) for i in q.vertices)
+
+
+@pytest.mark.parametrize("key, where, message", (
+    ("v", None, "vertex 'a' has no 'v' entry"),
+    ("I", "b", "vertex 'b' has no 'I' entry"),
+    ("x", None, "quiver point data has no 'x' entry"),
+))
+def test_json_reader_names_a_missing_entry(rng, key, where, message):
+    q = Quiver(("a", "b"), (("a", "b"),))
+    data = quiver_point_to_json_dict(_random_point(rng, q, {"a": 2, "b": 1}, {"a": 1, "b": 0}))
+    if where is None:
+        del data[key]
+    else:
+        del data[key][where]
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        quiver_point_from_json_dict(data)

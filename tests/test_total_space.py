@@ -16,12 +16,14 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from bowlab import reduction, solve, total_space
+from bowlab import diagrams, reduction, solve, total_space
 from bowlab.diagrams import (
     SegmentRef,
     embed_deformation,
+    framed_dims_of_cobalanced,
     lambda_of_nu,
     parse_bow_diagram,
+    underlying_quiver,
 )
 from bowlab.graded import (
     LATTICE_CAP,
@@ -43,7 +45,6 @@ from bowlab.total_space import (
     TotalSpacePoint,
     _compiled,
     _join,
-    _quiver_route,
     action_differential,
     check_semistable,
     check_shapes,
@@ -136,7 +137,7 @@ ROUTED = ("bow { wavy a [2, 2]; edge a -> a; }", MIX_3333_33)
 def test_moment_map_matches_the_block_formula(text, route, rng):
     d = parse_bow_diagram(text)
     if route:
-        d = _quiver_route(d)
+        d = _compiled(d).route
         assert not d.x_points()
     for power in (-3, 0, 2):
         p = unflatten_point(d, 10.0 ** power * flatten_point(d, random_point(d, rng)))
@@ -260,7 +261,7 @@ def test_start_draw_is_the_block_by_block_draw(text, route, seed):
     # draws CYCLE_444's starts on its quiver route, and BARE_2 has n = 0
     d = parse_bow_diagram(text)
     if route:
-        d = _quiver_route(d)
+        d = _compiled(d).route
     rng = np.random.default_rng(seed)
     blocks = _join([_cgauss(rng, rows, cols) for rows, cols in _compiled(d).layout])
     drawn = flatten_point(d, random_point(d, np.random.default_rng(seed)))
@@ -1108,6 +1109,74 @@ def test_exact01_gauge_fix_json_and_gauge_action_cut_the_point_once(cuts, rng):
     _cut_once(cuts, lambda: point_to_json_dict(d, p))
     g = {s: np.linalg.qr(cgauss(rng, d.dim(s), d.dim(s)))[0] for s in d.segments()}
     _cut_once(cuts, lambda: gauge_action(d, g, p))
+
+
+# --- the framed quiver description on the compiled record --------------------
+
+@pytest.mark.parametrize("text", (EMPTY_252, WIDE_23))
+def test_a_diagram_that_is_not_cobalanced_has_no_framed_quiver_or_route(text):
+    c = _compiled(parse_bow_diagram(text))
+    assert c.framed is None and c.route is None
+
+
+def _assert_framed(d):
+    v, w, quiver = _compiled(d).framed
+    assert (dict(v), dict(w)) == framed_dims_of_cobalanced(d)
+    assert quiver == underlying_quiver(d.bow)
+    for dims in (v, w):   # shared by every caller, so read-only
+        with pytest.raises(TypeError):
+            dims[d.bow.intervals[0]] = 5
+
+
+def test_loop_2_has_a_framed_quiver_and_is_solved_on_the_bow_itself(monkeypatch):
+    # cobalanced but with no x-point, so there is no route to solve on
+    d = parse_bow_diagram(LOOP_2)
+    _assert_framed(d)
+    assert _compiled(d).route is None
+    solved_on = []
+
+    def spy(diagram, *args, real=total_space._start_loop):
+        solved_on.append(diagram)
+        return real(diagram, *args)
+
+    monkeypatch.setattr(total_space, "_start_loop", spy)
+    # [C, D] is traceless, so lambda = 0 is the only nonempty fiber
+    report = solve_fiber(d, {"a": 0}, seed=0, n_starts=10)
+    assert isinstance(report, FiberSolveReport)
+    assert solved_on == [d]
+
+
+def test_interval_111_has_a_framed_quiver_and_a_route():
+    d = parse_bow_diagram(INTERVAL_111)
+    _assert_framed(d)
+    route = _compiled(d).route
+    framing = total_space._FRAMING
+    assert route.bow.intervals == ("s", framing)
+    assert route.bow.edges == ((framing, "s"), (framing, "s"))
+    assert route.seg_dims == {"s": (1,), framing: (1,)}
+
+
+def test_a_warm_shape_does_not_rework_its_framed_quiver(monkeypatch):
+    # the routed check, the H-gauge walk, the quiver point and its inverse
+    # read (v, w, quiver) off the record once the shape is compiled
+    d = parse_bow_diagram(CYCLE_11)
+    p = solve_fiber(d, {"a": 0.4, "b": -0.4}, seed=0, n_starts=10).point
+
+    def calls():
+        assert check_semistable(d, p, {"a": 1, "b": -1}).kind == "semistable"
+        reduction.from_quiver_point(d, reduction.to_quiver_point(reduction.gauge_fix_H(d, p)))
+
+    calls()
+    counts = collections.Counter()
+    for name in ("is_cobalanced", "framed_dims_of_cobalanced", "underlying_quiver"):
+        def counted(*args, real=getattr(diagrams, name), name=name):
+            counts[name] += 1
+            return real(*args)
+        for module in (diagrams, total_space, reduction):
+            if hasattr(module, name):
+                monkeypatch.setattr(module, name, counted)
+    calls()
+    assert counts == {}
 
 
 def test_random_point_scale():
