@@ -9,7 +9,7 @@ evidence).
 
 All structured output is JSON with complex entries as [re, im] pairs.
 Runs are deterministic: the same input, seed, and flags produce
-byte-identical output.  BOWLAB_SEED sets the default seed.
+byte-identical output.  --seed defaults to 0.
 
 Exit codes: 0 success, 1 domain error (bad input data, failed solve,
 non-cobalanced reduce target), 2 usage error.
@@ -20,7 +20,6 @@ from __future__ import annotations
 import argparse
 import cmath
 import json
-import os
 import sys
 from dataclasses import asdict
 from fractions import Fraction
@@ -50,10 +49,6 @@ from .total_space import (
 )
 
 __all__ = ["main"]
-
-
-def _default_seed() -> int:
-    return int(os.environ.get("BOWLAB_SEED", "0"))
 
 
 def _read_diagram(path: str) -> BowDiagram:
@@ -265,8 +260,7 @@ def cmd_check_empty(args) -> int:
 
 @lru_cache(maxsize=1)
 def build_parser() -> argparse.ArgumentParser:
-    """The parser, built once per process; --seed defaults to None, and
-    main reads BOWLAB_SEED for it on each call."""
+    """The parser, built once per process."""
     parser = argparse.ArgumentParser(
         prog="bowlab",
         description="Bow diagram calculus: moment fibers, stability, reduction.")
@@ -286,7 +280,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("diagram")
     p.add_argument("--lambda", dest="lam", default=None, metavar="C0,C1,...",
                    help="per-interval deformation values, declaration order")
-    p.add_argument("--seed", type=int)
+    p.add_argument("--seed", type=int, default=0)
     p.add_argument("--starts", type=int, default=20)
     add_format(p)
     p.set_defaults(func=cmd_solve, _parser=p)
@@ -318,7 +312,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("diagram")
     p.add_argument("--starts", type=int, default=0,
                    help="run this many solver starts as extra evidence")
-    p.add_argument("--seed", type=int)
+    p.add_argument("--seed", type=int, default=0)
     p.add_argument("--lambda", dest="lam", default=None, metavar="C0,C1,...")
     add_format(p)
     p.set_defaults(func=cmd_check_empty, _parser=p)
@@ -330,8 +324,6 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        if getattr(args, "seed", 0) is None:
-            args.seed = _default_seed()
         return args.func(args)
     except (OSError, ValueError, TypeError, np.linalg.LinAlgError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -12,12 +12,15 @@ acceptance tests check the transport end to end: c01 that bow and
 quiver exact01 verdicts agree on solved points, c09 that the reduced
 moment map equals lambda on cobalanced instances.
 
-Both directions also run inside total_space: heuristic
-check_semistable searches the framed quiver point, and solve_fiber
+Both directions read a point's quiver data, the blocks total_space's
+route_blocks name (each edge's (C, D), then each x-point's (a, b)):
+gauge_fix_H's walk moves just those, and every A = id point is their
+lift by from_quiver_point's recursion.  Heuristic check_semistable
+searches the framed quiver point of the walk's blocks, and solve_fiber
 solves a cobalanced fiber on the framed quiver and lifts the solution
-by from_quiver_point's recursion.  An open point has invertible A's,
-and a point with every A_x = id satisfies (S1)/(S2) outright, so the
-bow fiber has an open point exactly when the quiver fiber is nonempty.
+by the same recursion.  An open point has invertible A's, and a point
+with every A_x = id satisfies (S1)/(S2) outright, so the bow fiber has
+an open point exactly when the quiver fiber is nonempty.
 """
 
 from __future__ import annotations
@@ -87,18 +90,25 @@ def gauge_fix_H(d: BowDiagram, p: TotalSpacePoint) -> HReducedPoint:
 
     Successive segment gauges g_0 = id, g_{i+1} = g_i A_i^{-1} turn
     every A into the identity while fixing the first segments, which is
-    exactly an H-transformation.  The output snaps the A's to exact
-    identity matrices.  Raises NotCobalanced, MuHNonzero or SingularA
-    where no such representative exists.
+    exactly an H-transformation.  The walk moves only p's quiver data,
+    each edge's (C, D) and each x-point's (a, b); the result is its lift
+    by from_quiver_point's recursion, every A the exact identity and the
+    B's the recursion's.  On the level set they equal the walk's up to
+    p's moment residual; off condition (a) the result is the A = id point
+    that carries p's quiver data.  Raises NotCobalanced, MuHNonzero or
+    SingularA where no such representative exists.
     """
-    return HReducedPoint._built(d, _assemble(d, _fix_H(_compiled(d), check_shapes(d, p))))
+    c = _compiled(d)
+    return HReducedPoint._built(d, _assemble(d, _lift(c, _fix_H(c, check_shapes(d, p)))))
 
 
 def to_quiver_point(r: HReducedPoint) -> QuiverRepPoint:
     """The identification with a framed representation: arrows carry
     (C, D) and per interval the a's stack into I, the b's into J,
-    x-points ordered along the wavy line."""
-    return _quiver_point(_compiled(r.diagram), check_shapes(r.diagram, r.point))
+    x-points ordered along the wavy line; with every A = id the B's
+    follow from these (from_quiver_point), so they are not read."""
+    c, blocks = _compiled(r.diagram), check_shapes(r.diagram, r.point)
+    return _quiver_point(c, [blocks[j] for j in c.route_blocks])
 
 
 def from_quiver_point(d: BowDiagram, q: QuiverRepPoint) -> HReducedPoint:

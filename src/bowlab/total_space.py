@@ -17,13 +17,14 @@ flattens to a complex vector: intervals in declaration order, per
 x-point the blocks A, B1, B2, a, b, then per edge C, D, each tagged
 with the segments it maps from and to (none on the framing side of a
 and b).  Flattening, the gauge action and its Lie algebra action, the
-H-gauge walk, the framed quiver point, the stability data and the
-point file's reader and writer all walk its one block list.  A public
-function cuts a point into that list once, by check_shapes, looks the
-record up once and hands both down; the solver works on flat vectors
-alone until a start converges.  On a cobalanced diagram the record also
-holds the framed quiver (v, w, quiver) that the H-gauge walk and the
-quiver point read, and, given an x-point, the route solve_fiber solves.
+stability data and the point file's reader and writer all walk its one
+block list.  A public function cuts a point into that list once, by
+check_shapes, looks the record up once and hands both down; the solver
+works on flat vectors alone until a start converges.  On a cobalanced
+diagram the record also holds the framed quiver (v, w, quiver), the
+route solve_fiber solves and route_blocks, a point's quiver data in the
+route's order (each edge's C, D, then each x-point's a, b): the H-gauge
+walk moves just these, the quiver point reads them, _lift rebuilds.
 
 The moment map is quadratic, so by vec(M X N) = (M kron N^T) vec(X)
 each Jacobian entry is +-x[src], +-1 or a sum of two such terms, and
@@ -190,9 +191,10 @@ def _check_counts(d: BowDiagram, triangles: dict, edges) -> None:
 # rescaling multiplies flat entry i by t ** lam_power[i].  framed is a
 # cobalanced diagram's (v, w, quiver), v and w read-only, route its quiver
 # route (see solve_fiber) if it has an x-point; otherwise each is None.
+# route_blocks index the blocks the route reads, in its order.
 _Compiled = namedtuple("_Compiled", "tags layout segs seg_dims x_segs edge_segs n m "
                                     "jac_target jac_src mono_col mono_src mono_target "
-                                    "draw lam_power framed route")
+                                    "draw lam_power framed route route_blocks")
 
 # the power of t by which solve_fiber's rescaling multiplies each role's block
 _LAMBDA_POWER = {"B1": 1, "B2": 1, "a": 1, "C": 0.5, "D": 0.5}
@@ -271,8 +273,9 @@ def _compile(bow, dims: tuple) -> _Compiled:
             frames = tuple((_FRAMING, name) for name, _ in d.x_points())
             route = BowDiagram(Bow(bow.intervals + (_FRAMING,), bow.edges + frames),
                                {**{name: (dim,) for name, dim in v.items()}, _FRAMING: (1,)})
+    route_blocks = tuple(j for rs in ("CD", "ab") for j, t in enumerate(tags) if t[0] in rs)
     return _Compiled(tuple(tags), tuple(layout), segs, seg_dims, tuple(x_segs),
-                     tuple(edge_segs), n, rows[-1], *tables, framed, route)
+                     tuple(edge_segs), n, rows[-1], *tables, framed, route, route_blocks)
 
 
 # The framing vertex of a quiver route: an interval name that no other
@@ -410,15 +413,15 @@ def gauge_action(d: BowDiagram, g: dict, p: TotalSpacePoint) -> TotalSpacePoint:
     c = _compiled(d)
     joined = {j for _, row, col in c.tags for j in (row, col)} - {None}
     gs = {j: as_matrix(g[c.segs[j]], c.seg_dims[j], c.seg_dims[j]) for j in joined}
-    return _assemble(d, _gauged(c, blocks, gs))
+    return _assemble(d, _gauged(c.tags, blocks, gs))
 
 
-def _gauged(c: _Compiled, blocks, gs: dict) -> list:
-    """The blocks moved by X -> g_row X g_col^-1, gs keyed by segment
-    position and holding every segment some block joins."""
-    inv = {j: np.linalg.inv(m) for j, m in gs.items()}
+def _gauged(tags, blocks, gs: dict) -> list:
+    """The blocks, tagged by tags, moved by X -> g_row X g_col^-1, gs keyed
+    by segment position and holding every segment they join."""
+    inv = {j: np.linalg.inv(gs[j]) for j in {col for _, _, col in tags} - {None}}
     out = []
-    for (_, row, col), m in zip(c.tags, blocks):
+    for (_, row, col), m in zip(tags, blocks):
         if row is not None:
             m = gs[row] @ m
         out.append(m if col is None else m @ inv[col])
@@ -602,9 +605,9 @@ class MuHNonzero(ValueError):
 
 
 def _fix_H(c: _Compiled, blocks: list) -> list:
-    """The flat-order blocks of a point, whose shapes the caller has
-    checked, in the gauge where every A is exactly the identity (the walk
-    of reduction.gauge_fix_H)."""
+    """The blocks c.route_blocks of the point of the flat-order blocks,
+    whose shapes the caller has checked, moved by the H-gauge that makes
+    every A the identity (the walk of reduction.gauge_fix_H)."""
     if c.framed is None:
         raise NotCobalanced("gauge_fix_H requires a cobalanced diagram")
     first = np.repeat([s.index == 0 for s in c.segs], [v * v for v in c.seg_dims])
@@ -615,37 +618,28 @@ def _fix_H(c: _Compiled, blocks: list) -> list:
         raise MuHNonzero(f"moment residual {res:.3e} on non-first segments")
 
     g = {j: np.eye(c.seg_dims[j], dtype=complex) for j, s in enumerate(c.segs) if s.index == 0}
-    # the A tags run along each wavy line from its first segment
-    for (role, hi, lo), A in zip(c.tags, blocks):
-        if role == "A":
-            if rank(A) < A.shape[1]:
-                seg = c.segs[lo]
-                raise SingularA(f"A at ({seg.interval!r}, {seg.index}) is numerically singular")
-            g[hi] = g[lo] @ np.linalg.inv(A)
-    # the walk makes A = id up to roundoff; store it exactly
-    return [np.eye(m.shape[1]) if role == "A" else m
-            for (role, _, _), m in zip(c.tags, _gauged(c, blocks, g))]
+    # the A's, every fifth block, run along each wavy line from its first segment
+    for (lo, hi), A in zip(c.x_segs, blocks[::5]):
+        if rank(A) < A.shape[1]:
+            seg = c.segs[lo]
+            raise SingularA(f"A at ({seg.interval!r}, {seg.index}) is numerically singular")
+        g[hi] = g[lo] @ np.linalg.inv(A)
+    return _gauged([c.tags[j] for j in c.route_blocks], [blocks[j] for j in c.route_blocks], g)
 
 
 def _quiver_point(c: _Compiled, blocks: list) -> QuiverRepPoint:
-    """The framed representation of the flat-order blocks of a point with
-    every A = id (the identification of reduction.to_quiver_point): each
-    edge's (C, D) is an arrow's (x, y), and along each interval the a's
-    are I's columns and the b's J's rows (none where it has no x-point)."""
+    """The framed representation of the blocks c.route_blocks of a point
+    with every A = id (the identification of reduction.to_quiver_point):
+    each edge's (C, D) is an arrow's (x, y), and along each interval the
+    a's are I's columns and the b's J's rows (none without an x-point)."""
     v, w, quiver = c.framed
-    x, y = [], []
+    e = 2 * len(c.edge_segs)
     I = {name: [np.zeros((dim, 0), dtype=complex)] for name, dim in v.items()}
     J = {name: [np.zeros((0, dim), dtype=complex)] for name, dim in v.items()}
-    for (role, row, col), m in zip(c.tags, blocks):
-        if role == "C":
-            x.append(m)
-        elif role == "D":
-            y.append(m)
-        elif role == "a":
-            I[c.segs[row].interval].append(m)
-        elif role == "b":
-            J[c.segs[col].interval].append(m)
-    return QuiverRepPoint(quiver, v, w, tuple(x), tuple(y),
+    for (lo, _), a, b in zip(c.x_segs, blocks[e::2], blocks[e + 1::2]):
+        I[c.segs[lo].interval].append(a)
+        J[c.segs[lo].interval].append(b)
+    return QuiverRepPoint(quiver, v, w, tuple(blocks[:e:2]), tuple(blocks[1:e:2]),
                           {name: np.hstack(ms) for name, ms in I.items()},
                           {name: np.vstack(ms) for name, ms in J.items()})
 
@@ -656,7 +650,7 @@ def _lift(c: _Compiled, blocks: list) -> list:
     framing edge's (C, D) as (a, b).  The B's come from the backward
     recursion B2_{w-1} = -sum_{tail edges} D C, B1_i = B2_i + a_i b_i,
     B2_{i-1} = B1_i, which zeroes mu1 and the moment on every non-first
-    segment (the inverse of reduction.to_quiver_point)."""
+    segment (the inverse of _fix_H and reduction.to_quiver_point)."""
     arrows = blocks[:2 * len(c.edge_segs)]
     frames = blocks[len(arrows):]
     # B[j]: segment j's B, the B1 of the x-point at its right end and the B2 at its left
@@ -688,9 +682,8 @@ def _quiver_semistable(c: _Compiled, blocks: list, nu: dict,
     # the walk's gauge is g_0 = id, g_{i+1} = g_i A_i^-1, so the vertex
     # subspace V' sits at S_0 = V' and S_{i+1} = A_i S_i
     parts = {s: verdict.witness.parts[s.interval] for s in c.segs if s.index == 0}
-    for (role, hi, lo), A in zip(c.tags, blocks):
-        if role == "A":
-            parts[c.segs[hi]] = subspace_image(A, parts[c.segs[lo]])
+    for (lo, hi), A in zip(c.x_segs, blocks[::5]):
+        parts[c.segs[hi]] = subspace_image(A, parts[c.segs[lo]])
     return StabilityVerdict("unstable", GradedSubspace({s: parts[s] for s in c.segs}),
                             verdict.clause, verdict.searched, verdict.capped)
 
@@ -791,9 +784,14 @@ def _shifted_triangle(t: TriangleData, dt: TriangleData, s: float) -> TriangleDa
 
 
 def _chart_tangent(t: TriangleData, dt: TriangleData):
-    plus = triangle_to_hurtubise(_shifted_triangle(t, dt, FD_STEP))
-    minus = triangle_to_hurtubise(_shifted_triangle(t, dt, -FD_STEP))
-    inv = 1.0 / (2.0 * FD_STEP)
+    """The chart's derivative at t along dt, by central differences of step
+    h = FD_STEP sqrt(max(1, scale)) along dt / |dt|, times |dt|: the shifted
+    triangles' condition (a) residual, order h^2, stays below the cutoff."""
+    size = np.sqrt(sum(np.vdot(m, m).real for m in (dt.A, dt.B1, dt.B2, dt.a, dt.b))) or 1.0
+    step = FD_STEP * np.sqrt(max(1.0, t.scale())) / size
+    plus = triangle_to_hurtubise(_shifted_triangle(t, dt, step))
+    minus = triangle_to_hurtubise(_shifted_triangle(t, dt, -step))
+    inv = 1.0 / (2.0 * step)
     if isinstance(plus, SquareForm):
         return SquareTangent(du=(plus.u - minus.u) * inv, dh=(plus.h - minus.h) * inv,
                              dI=(plus.I - minus.I) * inv, dJ=(plus.J - minus.J) * inv)

@@ -173,18 +173,12 @@ def test_non_finite_lambda_is_usage_error(capsys, diagram_file, argv):
     assert out.out == "" and "--lambda" in out.err and "not finite" in out.err
 
 
-def test_seed_env_default(capsys, diagram_file, monkeypatch):
-    # BOWLAB_SEED is read on every call, not once per process
-    for seed in ("11", "12"):
-        monkeypatch.setenv("BOWLAB_SEED", seed)
+def test_seed_defaults_to_zero(capsys, diagram_file):
+    for seed, expected in (([], 0), (["--seed", "3"], 3)):
         code, out, _ = run_cli(capsys, ["solve", diagram_file, "--lambda", "0.4",
-                                        "--starts", "8"])
+                                        "--starts", "8", *seed])
         assert code == 0
-        assert json.loads(out)["seed"] == int(seed)
-    code, out, _ = run_cli(capsys, ["solve", diagram_file, "--lambda", "0.4",
-                                    "--starts", "8", "--seed", "3"])
-    assert code == 0
-    assert json.loads(out)["seed"] == 3
+        assert json.loads(out)["seed"] == expected
 
 
 # --- stability / dim / reduce pipeline ----------------------------------------------

@@ -9,7 +9,7 @@ left it.
 import numpy as np
 import pytest
 
-from bowlab.diagrams import NotCobalanced, parse_bow_diagram
+from bowlab.diagrams import NotCobalanced, SegmentRef, parse_bow_diagram
 from bowlab.linalg import kernel_basis
 from bowlab.quiver import QuiverRepPoint, rep_moment_map, rep_symplectic_pairing
 from bowlab.reduction import (
@@ -25,6 +25,7 @@ from bowlab.total_space import (
     FiberSolveReport,
     TotalSpacePoint,
     flatten_point,
+    gauge_action,
     moment_jacobian,
     open_conditions_hold,
     point_dim,
@@ -42,8 +43,10 @@ INTERVAL_111 = "bow { wavy s [1, 1, 1]; }"
 CYCLE_11 = "bow { wavy a [1, 1]; wavy b [1, 1]; edge a -> b; edge b -> a; }"
 PLAIN_22 = "bow { wavy a [2, 2]; }"
 # two x-points on a, none on b, and a self-edge: the quiver reader takes
-# every block by its role, and b gets a zero-width I and J
+# each x-point's a and b by position, and b gets a zero-width I and J
 MIXED_222_3 = "bow { wavy a [2, 2, 2]; wavy b [3]; edge a -> b; edge b -> b; }"
+# two x-points on a and one on b, with edges both ways
+CYCLE_222_22 = "bow { wavy a [2, 2, 2]; wavy b [2, 2]; edge a -> b; edge b -> a; }"
 
 
 def _solved(text, lam, seed=0):
@@ -152,13 +155,43 @@ def test_recursion_lands_on_level_set(text, rng):
             assert maxabs(mu[s] - rep_mu[s.interval]) < 1e-13
 
 
-def test_reduced_round_trip_through_quiver():
+def _H_gauge(d, rng):
+    # the identity on first segments, a random invertible matrix elsewhere
+    return {s: np.eye(d.dim(s)) + (s.index > 0) * cgauss(rng, d.dim(s), d.dim(s))
+            for s in d.segments()}
+
+
+def test_reduced_round_trip_through_quiver(rng):
+    # gauge_fix_H's B's are already the recursion's, so the round trip
+    # through the quiver point gives back the same bits
     d, p = _solved(INTERVAL_111, {"s": 1.2})
-    r = gauge_fix_H(d, p)
+    r = gauge_fix_H(d, gauge_action(d, _H_gauge(d, rng), p))
     again = from_quiver_point(d, to_quiver_point(r))
-    # B's are rebuilt from the exact recursion; they differ from the
-    # solver's B's only by how far the point sits off the level set
-    assert maxabs(flatten_point(d, again.point) - flatten_point(d, r.point)) < 1e-9
+    assert np.array_equal(flatten_point(d, again.point), flatten_point(d, r.point))
+
+
+def test_reduction_is_H_invariant_with_edges_and_two_x_points(rng):
+    d, p = _solved(CYCLE_222_22, {"a": 0.5, "b": -0.5})
+    r = gauge_fix_H(d, p)
+    q = to_quiver_point(r)
+    moved = to_quiver_point(gauge_fix_H(d, gauge_action(d, _H_gauge(d, rng), p)))
+    scale = max(maxabs(m) for m in (*q.x, *q.y, *q.I.values(), *q.J.values()))
+    for k in range(len(q.quiver.arrows)):
+        assert maxabs(moved.x[k] - q.x[k]) < 1e-12 * scale
+        assert maxabs(moved.y[k] - q.y[k]) < 1e-12 * scale
+    for i in q.quiver.vertices:
+        assert maxabs(moved.I[i] - q.I[i]) < 1e-12 * scale
+        assert maxabs(moved.J[i] - q.J[i]) < 1e-12 * scale
+    # the lift is the walk's own gauge move, g_0 = id and g_{i+1} = g_i A_i^-1
+    walk = {}
+    for name in d.bow.intervals:
+        g = np.eye(d.dim(SegmentRef(name, 0)))
+        walk[SegmentRef(name, 0)] = g
+        for i, t in enumerate(p.triangles[name]):
+            g = g @ np.linalg.inv(t.A)
+            walk[SegmentRef(name, i + 1)] = g
+    x = flatten_point(d, r.point)
+    assert maxabs(x - flatten_point(d, gauge_action(d, walk, p))) < 1e-12 * maxabs(x)
 
 
 def test_from_quiver_point_shape_guards(rng):

@@ -918,9 +918,15 @@ def _flat_tangents_on_locus(d, p, rng, count):
             for _ in range(count)]
 
 
-def test_pairing_antisymmetric(rng):
-    d = parse_bow_diagram(INTERVAL_111)
-    report = solve_fiber(d, {"s": 1.3}, seed=6, n_starts=10)
+# rectangular triangles, so the pairing's chart tangents are RectTangents
+RECT_121 = "bow { wavy a [1, 2, 1]; }"
+
+
+@pytest.mark.parametrize("text, lam", ((INTERVAL_111, 1.3), (RECT_121, 0.7)),
+                         ids=(INTERVAL_111, RECT_121))
+def test_pairing_antisymmetric(text, lam, rng):
+    d = parse_bow_diagram(text)
+    report = solve_fiber(d, {name: lam for name in d.bow.intervals}, seed=6, n_starts=10)
     assert isinstance(report, FiberSolveReport)
     p = report.point
     t1, t2 = _flat_tangents_on_locus(d, p, rng, 2)
@@ -929,10 +935,25 @@ def test_pairing_antisymmetric(rng):
     assert abs(w12 + w21) < 1e-9 * max(1.0, abs(w12))
 
 
-@pytest.mark.parametrize("text", (INTERVAL_111, CYCLE_11))
-def test_pairing_hamiltonian_identity(text, rng):
+@pytest.mark.parametrize("k", (1e-3, 1e-1, 10.0, 100.0, 1e4))
+def test_pairing_is_linear_in_the_tangents_scale(k, rng):
+    # the chart is differenced along the unit tangent, so a long tangent
+    # does not step off the triangle locus
+    d = parse_bow_diagram(INTERVAL_111)
+    report = solve_fiber(d, {"s": 1.3}, seed=6, n_starts=10)
+    assert isinstance(report, FiberSolveReport)
+    p = report.point
+    t1, t2 = _flat_tangents_on_locus(d, p, rng, 2)
+    w = total_symplectic_pairing(d, p, t1, t2)
+    scaled = unflatten_point(d, k * flatten_point(d, t1))
+    assert abs(total_symplectic_pairing(d, p, scaled, t2) / k - w) < 1e-12 * abs(w)
+
+
+@pytest.mark.parametrize("text, lam", ((INTERVAL_111, 1.0 + 0.4j), (CYCLE_11, 1.0 + 0.4j),
+                                       (RECT_121, 0.7)), ids=(INTERVAL_111, CYCLE_11, RECT_121))
+def test_pairing_hamiltonian_identity(text, lam, rng):
     d = parse_bow_diagram(text)
-    lam = {name: 1.0 + 0.4j for name in d.bow.intervals}
+    lam = {name: lam for name in d.bow.intervals}
     report = solve_fiber(d, lam, seed=7, n_starts=10)
     assert isinstance(report, FiberSolveReport)
     p = report.point
