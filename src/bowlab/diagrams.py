@@ -151,6 +151,23 @@ class BowDiagram:
 
 # --- DSL ------------------------------------------------------------------
 
+def _name_end(text: str, i: int) -> int:
+    """Where the name starting at text[i] ends, i where none starts: a
+    letter or _, then letters, digits or _ as str.isalnum reads them."""
+    if i < len(text) and (text[i].isalpha() or text[i] == "_"):
+        i += 1
+        while i < len(text) and (text[i].isalnum() or text[i] == "_"):
+            i += 1
+    return i
+
+
+def _check_name(name, where: str) -> None:
+    """Raise unless the diagram text can hold name (keywords can)."""
+    if not (isinstance(name, str) and name and _name_end(name, 0) == len(name)):
+        raise ValueError(f"{where} has name {name!r}, which the diagram text cannot "
+                         f"hold: a name is a letter or _, then letters, digits or _")
+
+
 def _tokenize(text):
     """Yield (kind, value, line, col) with kind in ident/int/punct."""
     line, col = 1, 1
@@ -188,10 +205,8 @@ def _tokenize(text):
             col += j - i
             i = j
             continue
-        if c.isalpha() or c == "_":
-            j = i
-            while j < n and (text[j].isalnum() or text[j] == "_"):
-                j += 1
+        j = _name_end(text, i)
+        if j > i:
             yield ("ident", text[i:j], line, col)
             col += j - i
             i = j
@@ -273,9 +288,11 @@ def parse_bow_diagram(text: str) -> BowDiagram:
 
 
 def serialize(d: BowDiagram) -> str:
-    """Canonical text: wavies then edges, each in declaration order."""
+    """Canonical text: wavies then edges, each in declaration order;
+    raises ValueError on an interval name the text cannot hold."""
     lines = ["bow {"]
-    for name in d.bow.intervals:
+    for k, name in enumerate(d.bow.intervals):
+        _check_name(name, f"interval {k}")
         dims = ", ".join(str(v) for v in d.seg_dims[name])
         lines.append(f"  wavy {name} [{dims}];")
     for tail, head in d.bow.edges:
@@ -292,9 +309,12 @@ def diagram_to_json_dict(d: BowDiagram) -> dict:
 
 
 def diagram_from_json_dict(data: dict) -> BowDiagram:
-    """Inverse of diagram_to_json_dict; a missing entry names its interval or edge."""
+    """Inverse of diagram_to_json_dict; an error (a missing entry, an
+    interval name the diagram text cannot hold) names its interval or edge."""
     items = _field(data, "intervals", "diagram data")
     intervals = tuple(_field(item, "name", f"interval {k}") for k, item in enumerate(items))
+    for k, name in enumerate(intervals):
+        _check_name(name, f"interval {k}")
     dims = {name: tuple(_field(item, "dims", f"interval {name!r}"))
             for name, item in zip(intervals, items)}
     edges = tuple((_field(e, "tail", f"edge {k}"), _field(e, "head", f"edge {k}"))

@@ -33,6 +33,7 @@ on their bitmasks, so no subspace is built but the witness.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import partial
 
 import numpy as np
 
@@ -40,7 +41,7 @@ from .linalg import (
     EIGENVALUE_CLUSTER_TOL,
     SAME_SUBSPACE_TOL,
     Subspace,
-    _largest_entries,
+    _nonzero_flags,
     _op_norm,
     image_basis,
     kernel_basis,
@@ -457,25 +458,19 @@ def _destabilizes(g: GradedSubspace, clause: str, dims: dict, weights: dict,
     return copairing < 0 or (stable and proper and copairing <= 0)
 
 
-def _snapped(groups) -> list:
-    """Each group of (..., matrix) items with the matrices that lie within
-    zero_cutoff(largest entry of any matrix in the groups) read as exact
-    zeros: otherwise their noise ranks poison every image and preimage
-    (see snap_roundoff)."""
+def _regrouped(f, groups) -> list:
+    """Each group of (..., matrix) items with its matrices replaced by what
+    f, given every matrix of every group in order, returns for them."""
     groups = [list(g) for g in groups]
-    mats = iter(snap_roundoff([item[-1] for g in groups for item in g]))
-    return [[(*item[:-1], next(mats)) for item in g] for g in groups]
+    out = iter(f([item[-1] for g in groups for item in g]))
+    return [[(*item[:-1], next(out)) for item in g] for g in groups]
 
 
-def _nonzero(groups) -> list:
-    """Each group of (..., matrix) items with each matrix replaced by
-    whether it is nonzero once snapped (see _snapped): whether its
-    largest entry lies above zero_cutoff(largest entry of any matrix in
-    the groups)."""
-    groups = [list(g) for g in groups]
-    tops = _largest_entries([item[-1] for g in groups for item in g])
-    flags = iter((tops > zero_cutoff(float(tops.max(initial=0.0)))).tolist())
-    return [[(*item[:-1], next(flags)) for item in g] for g in groups]
+# The groups with their roundoff matrices read as exact zeros, whose noise
+# ranks would poison every image and preimage (see snap_roundoff); and
+# with each matrix replaced by whether it is nonzero (see _nonzero_flags).
+_snapped = partial(_regrouped, snap_roundoff)
+_nonzero = partial(_regrouped, _nonzero_flags)
 
 
 def _qualifies(g: GradedSubspace, clause: str, dims: dict, maps, links, weights: dict,

@@ -4,8 +4,11 @@ Every numerical cutoff outside the solver's constants is written here,
 one rule per question: one singular-value cut, RANK_TOL, for `rank`,
 the bases, the subspace operations and the two closures; `zero_cutoff`
 and `residual_cutoff` for "this is zero" at a given scale;
-SAME_SUBSPACE_TOL and EIGENVALUE_CLUSTER_TOL.  No function takes a
-tolerance.
+SAME_SUBSPACE_TOL and EIGENVALUE_CLUSTER_TOL; whether a matrix is pure
+roundoff among its problem's is _nonzero_flags.  No function takes a
+tolerance.  _trusted is the package's one way to build a frozen
+dataclass past its public constructor's checks, on values it has just
+built: an SVD factor's basis, an assembled point, a framed quiver point.
 
 Subspaces are stored as matrices with orthonormal columns.  All
 operations (sum, intersection, image, preimage) return orthonormal
@@ -79,6 +82,17 @@ def as_matrix(m, rows=None, cols=None) -> np.ndarray:
     return a
 
 
+def _trusted(cls, *values):
+    """cls(*values) for a frozen dataclass, fields set in declaration order
+    and __post_init__ skipped: the package's one way past a public
+    constructor's checks.  Only for values the package has just built,
+    with the types, shapes and invariants that constructor checks;
+    input from outside the package goes through cls(...)."""
+    obj = object.__new__(cls)
+    obj.__dict__.update(zip(cls.__dataclass_fields__, values))
+    return obj
+
+
 def matrix_to_json(m) -> list:
     """Row-major nested list with complex entries as [re, im] pairs."""
     a = as_matrix(m)
@@ -139,21 +153,23 @@ def _largest_entry(*mats) -> float:
     return max((float(np.abs(m).max()) for m in mats if m.size), default=0.0)
 
 
-def _largest_entries(mats) -> np.ndarray:
-    """Each matrix's largest entry magnitude, 0 for an empty one, read
-    from one array of all their entries."""
+def _nonzero_flags(mats) -> list:
+    """Whether each matrix is nonzero at the scale of them all: whether
+    its largest entry, read from one array of all their entries, lies
+    above zero_cutoff(largest entry of any of them).  An empty one is not."""
     tops = np.zeros(len(mats))
     full = [j for j, m in enumerate(mats) if m.size]
     if full:
         entries = np.abs(np.concatenate([mats[j].ravel() for j in full]))
         tops[full] = np.maximum.reduceat(
             entries, list(accumulate((mats[j].size for j in full[:-1]), initial=0)))
-    return tops
+    return (tops > zero_cutoff(float(tops.max(initial=0.0)))).tolist()
 
 
 def snap_roundoff(mats) -> list:
-    """mats, each one whose entries all lie within zero_cutoff(largest
-    entry of any of them) replaced by an exact zero matrix.
+    """mats, each one that _nonzero_flags reads as zero (its entries all
+    within zero_cutoff(largest entry of any of them)) replaced by an
+    exact zero matrix.
 
     Rank decisions are relative to a matrix's own largest singular
     value, so a matrix made of pure roundoff reads as full rank.  A
@@ -161,9 +177,8 @@ def snap_roundoff(mats) -> list:
     entry is the honest scale of its data, before asking rank questions
     about them.  Never zeroes individual entries.
     """
-    tops = _largest_entries(mats)
-    small = (tops <= zero_cutoff(float(tops.max(initial=0.0)))).tolist()
-    return [np.zeros_like(m) if m.size and s else m for m, s in zip(mats, small)]
+    return [m if nonzero or not m.size else np.zeros_like(m)
+            for m, nonzero in zip(mats, _nonzero_flags(mats))]
 
 
 @dataclass(frozen=True)
@@ -182,16 +197,6 @@ class Subspace:
         if gram.size and np.max(np.abs(gram - np.eye(b.shape[1]))) > ORTHONORMAL_TOL:
             raise ValueError("basis columns are not orthonormal")
 
-    @classmethod
-    def _orthonormal(cls, ambient_dim: int, basis: np.ndarray) -> "Subspace":
-        """A Subspace on a complex basis that is orthonormal by construction
-        (the identity, an empty one, columns of a unitary SVD factor),
-        without the Gram check of user-supplied bases."""
-        s = object.__new__(cls)
-        object.__setattr__(s, "ambient_dim", ambient_dim)
-        object.__setattr__(s, "basis", basis)
-        return s
-
     @property
     def dim(self) -> int:
         return self.basis.shape[1]
@@ -201,11 +206,11 @@ class Subspace:
 
     @staticmethod
     def zero(ambient_dim: int) -> "Subspace":
-        return Subspace._orthonormal(ambient_dim, np.zeros((ambient_dim, 0), dtype=complex))
+        return _trusted(Subspace, ambient_dim, np.zeros((ambient_dim, 0), dtype=complex))
 
     @staticmethod
     def full(ambient_dim: int) -> "Subspace":
-        return Subspace._orthonormal(ambient_dim, np.eye(ambient_dim, dtype=complex))
+        return _trusted(Subspace, ambient_dim, np.eye(ambient_dim, dtype=complex))
 
     @staticmethod
     def span(vectors) -> "Subspace":
@@ -225,7 +230,7 @@ def kernel_basis(m, scale: float | None = None) -> Subspace:
     if a.size == 0:
         return Subspace.full(n)
     u, s, vh = np.linalg.svd(a, full_matrices=True)
-    return Subspace._orthonormal(n, vh[_cut(s, scale):].conj().T)
+    return _trusted(Subspace, n, vh[_cut(s, scale):].conj().T)
 
 
 def image_basis(m, scale: float | None = None) -> Subspace:
@@ -239,7 +244,7 @@ def image_basis(m, scale: float | None = None) -> Subspace:
     if a.size == 0:
         return Subspace.zero(n)
     u, s, vh = np.linalg.svd(a, full_matrices=True)
-    return Subspace._orthonormal(n, u[:, :_cut(s, scale)])
+    return _trusted(Subspace, n, u[:, :_cut(s, scale)])
 
 
 def subspace_sum(a: Subspace, b: Subspace) -> Subspace:
@@ -303,7 +308,7 @@ def _sweep(w: Subspace, ops) -> Subspace:
         u, s, _ = np.linalg.svd(x, full_matrices=False)
         new = u[:, :_cut(s, scale)]
         basis = np.hstack([basis, new])
-    return Subspace._orthonormal(w.ambient_dim, basis)
+    return _trusted(Subspace, w.ambient_dim, basis)
 
 
 def _complement(s: Subspace) -> Subspace:

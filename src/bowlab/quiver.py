@@ -144,14 +144,10 @@ def integerize_weights(theta: dict) -> dict:
         return {key: int(val) for key, val in theta.items()}
     fracs = {}
     for key, val in theta.items():
-        if isinstance(val, Fraction):
-            fracs[key] = val
-        elif isinstance(val, int) or isinstance(val, np.integer):
-            fracs[key] = Fraction(int(val))
-        elif isinstance(val, float):
-            fracs[key] = Fraction(val)
-        else:
+        # checked first: Fraction(val) would also parse a string such as "1/2"
+        if not isinstance(val, (int, np.integer, float, Fraction)):
             raise TypeError(f"weight for {key!r} must be int, float, or Fraction")
+        fracs[key] = Fraction(val)
     denom = lcm(*(f.denominator for f in fracs.values())) if fracs else 1
     return {key: int(f * denom) for key, f in fracs.items()}
 

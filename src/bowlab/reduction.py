@@ -21,6 +21,10 @@ solves a cobalanced fiber on the framed quiver and lifts the solution
 by the same recursion.  An open point has invertible A's, and a point
 with every A_x = id satisfies (S1)/(S2) outright, so the bow fiber has
 an open point exactly when the quiver fiber is nonempty.
+
+HReducedPoint's constructor checks that every A is exactly the identity;
+gauge_fix_H and from_quiver_point, whose A's _lift writes as identities,
+build theirs by linalg._trusted.
 """
 
 from __future__ import annotations
@@ -30,6 +34,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .diagrams import BowDiagram, NotCobalanced
+from .linalg import _trusted
 from .quiver import QuiverRepPoint
 from .total_space import (
     MuHNonzero,
@@ -74,16 +79,6 @@ class HReducedPoint:
                 raise ValueError(f"triangle ({seg.interval!r}, {seg.index}): "
                                  f"A is not exactly the identity")
 
-    @classmethod
-    def _built(cls, diagram: BowDiagram, point: TotalSpacePoint) -> "HReducedPoint":
-        """The point this module has just built with the diagram's shapes
-        and every A the exact identity, without the checks of the public
-        constructor."""
-        r = object.__new__(cls)
-        object.__setattr__(r, "diagram", diagram)
-        object.__setattr__(r, "point", point)
-        return r
-
 
 def gauge_fix_H(d: BowDiagram, p: TotalSpacePoint) -> HReducedPoint:
     """Walk each wavy line, absorbing the A's into the gauge.
@@ -99,7 +94,7 @@ def gauge_fix_H(d: BowDiagram, p: TotalSpacePoint) -> HReducedPoint:
     SingularA where no such representative exists.
     """
     c = _compiled(d)
-    return HReducedPoint._built(d, _assemble(d, _lift(c, _fix_H(c, check_shapes(d, p)))))
+    return _trusted(HReducedPoint, d, _assemble(d, _lift(c, _fix_H(c, check_shapes(d, p)))))
 
 
 def to_quiver_point(r: HReducedPoint) -> QuiverRepPoint:
@@ -128,4 +123,4 @@ def from_quiver_point(d: BowDiagram, q: QuiverRepPoint) -> HReducedPoint:
 
     blocks = [m for k in range(len(d.bow.edges)) for m in (q.x[k], q.y[k])]
     blocks += [m for name, i in d.x_points() for m in (q.I[name][:, i:i + 1], q.J[name][i:i + 1])]
-    return HReducedPoint._built(d, _assemble(d, _lift(c, blocks)))
+    return _trusted(HReducedPoint, d, _assemble(d, _lift(c, blocks)))

@@ -64,6 +64,7 @@ from .graded import GradedSubspace, StabilityVerdict, _is_destabilizer, find_des
 from .linalg import (
     _field,
     _largest_entry,
+    _trusted,
     as_matrix,
     matrix_from_json,
     matrix_to_json,
@@ -317,9 +318,10 @@ def _assemble(d: BowDiagram, blocks) -> TotalSpacePoint:
     if not np.isfinite(_join(blocks)).all():
         raise ValueError("point has non-finite entries")
     it = iter(blocks)
-    triangles = {name: tuple(TriangleData._checked(*islice(it, 5))
+    triangles = {name: tuple(_trusted(TriangleData, *islice(it, 5))
                              for _ in range(d.x_point_count(name))) for name in d.bow.intervals}
-    return TotalSpacePoint(triangles, [TwoWayData._checked(*islice(it, 2)) for _ in d.bow.edges])
+    return _trusted(TotalSpacePoint, triangles,
+                    tuple(_trusted(TwoWayData, *islice(it, 2)) for _ in d.bow.edges))
 
 
 def _draw(c: _Compiled, rng: np.random.Generator) -> np.ndarray:
@@ -631,7 +633,10 @@ def _quiver_point(c: _Compiled, blocks: list) -> QuiverRepPoint:
     """The framed representation of the blocks c.route_blocks of a point
     with every A = id (the identification of reduction.to_quiver_point):
     each edge's (C, D) is an arrow's (x, y), and along each interval the
-    a's are I's columns and the b's J's rows (none without an x-point)."""
+    a's are I's columns and the b's J's rows (none without an x-point).
+    Checked for finiteness once, as _assemble checks a bow point."""
+    if not np.isfinite(_join(blocks)).all():
+        raise ValueError("quiver point has non-finite entries")
     v, w, quiver = c.framed
     e = 2 * len(c.edge_segs)
     I = {name: [np.zeros((dim, 0), dtype=complex)] for name, dim in v.items()}
@@ -639,9 +644,10 @@ def _quiver_point(c: _Compiled, blocks: list) -> QuiverRepPoint:
     for (lo, _), a, b in zip(c.x_segs, blocks[e::2], blocks[e + 1::2]):
         I[c.segs[lo].interval].append(a)
         J[c.segs[lo].interval].append(b)
-    return QuiverRepPoint(quiver, v, w, tuple(blocks[:e:2]), tuple(blocks[1:e:2]),
-                          {name: np.hstack(ms) for name, ms in I.items()},
-                          {name: np.vstack(ms) for name, ms in J.items()})
+    return _trusted(QuiverRepPoint, quiver, dict(v), dict(w),
+                    tuple(blocks[:e:2]), tuple(blocks[1:e:2]),
+                    {name: np.hstack(ms) for name, ms in I.items()},
+                    {name: np.vstack(ms) for name, ms in J.items()})
 
 
 def _lift(c: _Compiled, blocks: list) -> list:
@@ -752,19 +758,13 @@ def translate_deformation(d: BowDiagram, p: TotalSpacePoint, nu: dict) -> TotalS
     segments to its right.  Sends the segment-granular fiber mu^-1(nu)
     to the interval-granular fiber over lambda_of_nu(nu), preserving
     conditions (a), (S1), (S2), equivariantly."""
-    check_shapes(d, p)
-    triangles = {}
-    for name in d.bow.intervals:
-        w = d.x_point_count(name)
-        ts = []
-        for i, t in enumerate(p.triangles[name]):
-            shift = sum(complex(nu.get(SegmentRef(name, j), 0.0))
-                        for j in range(i + 1, w + 1))
-            ts.append(TriangleData(
-                A=t.A, B1=t.B1 + shift * np.eye(t.v1), B2=t.B2 + shift * np.eye(t.v2),
-                a=t.a, b=t.b))
-        triangles[name] = tuple(ts)
-    return TotalSpacePoint(triangles, p.edges)
+    blocks = check_shapes(d, p)
+    for ix, (name, i) in enumerate(d.x_points()):
+        shift = sum(complex(nu.get(SegmentRef(name, j), 0.0))
+                    for j in range(i + 1, d.x_point_count(name) + 1))
+        for k in (5 * ix + 1, 5 * ix + 2):   # B1, B2
+            blocks[k] = blocks[k] + shift * np.eye(len(blocks[k]))
+    return _assemble(d, blocks)
 
 
 def expected_smooth_dimension(d: BowDiagram) -> int:

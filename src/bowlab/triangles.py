@@ -22,6 +22,9 @@ with the middle band deleted when n - m = 1.  Conversion back out of a
 triangle is exact linear algebra: the chart equations pin u column by
 column (Krylov chains of a or b), and the remaining free blocks solve a
 single square linear system.
+
+TriangleData and TwoWayData check every input; the package skips those
+checks (linalg._trusted) only on blocks it has just built and checked.
 """
 
 from __future__ import annotations
@@ -100,14 +103,6 @@ class TriangleData:
         object.__setattr__(self, "B2", as_matrix(self.B2, v2, v2))
         object.__setattr__(self, "a", as_matrix(self.a, v2, 1))
         object.__setattr__(self, "b", as_matrix(self.b, 1, v1))
-
-    @classmethod
-    def _checked(cls, A, B1, B2, a, b) -> "TriangleData":
-        """A triangle on blocks the caller has made complex, finite and of
-        matching shapes, without the constructor's checks."""
-        t = object.__new__(cls)
-        vars(t).update(A=A, B1=B1, B2=B2, a=a, b=b)
-        return t
 
     @property
     def v1(self) -> int:
@@ -258,13 +253,6 @@ class TwoWayData:
         C = as_matrix(self.C)
         object.__setattr__(self, "C", C)
         object.__setattr__(self, "D", as_matrix(self.D, C.shape[1], C.shape[0]))
-
-    @classmethod
-    def _checked(cls, C, D) -> "TwoWayData":
-        """An edge pair on blocks checked as for TriangleData._checked."""
-        e = object.__new__(cls)
-        vars(e).update(C=C, D=D)
-        return e
 
 
 def _cgauss(rng: np.random.Generator, rows: int, cols: int) -> np.ndarray:

@@ -140,6 +140,34 @@ def test_json_reader_names_a_missing_entry(data, message):
         diagram_from_json_dict(data)
 
 
+# names the diagram text cannot hold, and ones it can: a letter or _
+# first, then letters, digits or _ as str.isalnum reads them
+BAD_NAMES = ("x y", "12", 5, "", "a-b", "²a")
+GOOD_NAMES = ("wavy", "edge", "bow", "_", "a²", "é1", "x_2")
+
+
+@pytest.mark.parametrize("name", BAD_NAMES)
+def test_json_reader_rejects_a_name_the_text_cannot_hold(name):
+    data = {"intervals": [{"name": "a", "dims": [1]}, {"name": name, "dims": [2, 2]}],
+            "edges": []}
+    with pytest.raises(ValueError, match=f"^interval 1 has name {name!r}, which the diagram"):
+        diagram_from_json_dict(data)
+
+
+@pytest.mark.parametrize("name", BAD_NAMES)
+def test_serialize_refuses_a_name_the_text_cannot_hold(name):
+    d = BowDiagram(Bow(("a", name), ((name, "a"),)), {"a": (1,), name: (2, 2)})
+    with pytest.raises(ValueError, match=f"^interval 1 has name {name!r}, which the diagram"):
+        serialize(d)
+
+
+@pytest.mark.parametrize("name", GOOD_NAMES)
+def test_every_name_the_reader_accepts_parses_back(name):
+    data = {"intervals": [{"name": name, "dims": [1, 1]}], "edges": [{"tail": name, "head": name}]}
+    d = diagram_from_json_dict(data)
+    assert parse_bow_diagram(serialize(d)) == d
+
+
 _names = st.lists(st.sampled_from("abcdefg"), min_size=1, max_size=4, unique=True)
 
 

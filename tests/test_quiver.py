@@ -330,6 +330,19 @@ def test_integerize_weights():
         integerize_weights({"a": "heavy"})
 
 
+def test_integerize_weights_reads_numpy_scalars_and_bool():
+    got = integerize_weights({"a": np.int64(3), "b": np.float64(0.25), "c": True, "d": 0.5})
+    assert got == {"a": 12, "b": 1, "c": 4, "d": 2}
+    assert all(type(n) is int for n in got.values())
+    assert integerize_weights({"a": np.int32(-2), "b": False}) == {"a": -2, "b": 0}
+
+
+@pytest.mark.parametrize("bad", ("1/2", "3", 1 + 0j, np.complex128(1)))
+def test_integerize_weights_rejects_strings_and_complex(bad):
+    with pytest.raises(TypeError, match="^weight for 'a' must be int, float, or Fraction$"):
+        integerize_weights({"a": bad, "b": 0.5})
+
+
 def test_verdict_validation():
     with pytest.raises(ValueError):
         StabilityVerdict("maybe")

@@ -15,13 +15,15 @@ import itertools
 import numpy as np
 import pytest
 
+from bowlab import reduction, total_space
 from bowlab.diagrams import SegmentRef, parse_bow_diagram
 from bowlab.graded import LATTICE_CAP, find_destabilizer
-from bowlab.quiver import _destabilizer
+from bowlab.quiver import QuiverRepPoint, _destabilizer
 from bowlab.reduction import SingularA, gauge_fix_H, to_quiver_point
 from bowlab.total_space import (
     FiberSolveReport,
     TotalSpacePoint,
+    _compiled,
     check_semistable,
     gauge_action,
     random_point,
@@ -222,3 +224,86 @@ def test_bow_search_seeds_with_one_segment_self_edges():
         assert {s: part.dim for s, part in v.witness.parts.items()} == {
             SegmentRef("a", 0): 1, SegmentRef("b", 0): 0}
         _bow_witness_holds(d, p, theta, False, v)
+
+
+# --- the quiver point the walk builds ----------------------------------------------
+
+# (diagram, deformation, solver seed); interval b of the last has no
+# x-point, so its I and J are zero-width
+WALKED = (
+    (S222, {"s": 0.5}, 1),
+    (CYCLE_11, {"a": 0.4, "b": -0.4}, 0),
+    (LOOP_2, {"a": 0}, 0),
+    (INTERVAL_111, {"s": 0}, 0),
+    ("bow { wavy a [2, 2]; wavy b [2]; edge a -> b; edge b -> a; }", {"a": 0.5, "b": -0.5}, 0),
+)
+
+
+def _walked(case):
+    text, lam, seed = WALKED[case]
+    d, p = _solved(text, lam, seed)
+    return d, _unitary_gauge(d, p, np.random.default_rng([47, case]))
+
+
+def _routed_quiver_point(d, p, monkeypatch):
+    """The quiver point that the routed heuristic check searches."""
+    seen = []
+
+    def spy(q, *args):
+        seen.append(q)
+        return _destabilizer(q, *args)
+
+    with monkeypatch.context() as m:
+        m.setattr(total_space, "_destabilizer", spy)
+        check_semistable(d, p, _theta(d, 1))
+    (q,) = seen
+    return q
+
+
+@pytest.mark.parametrize("case", range(len(WALKED)))
+def test_walked_quiver_point_is_the_public_constructors(case, monkeypatch):
+    d, p = _walked(case)
+    for q in (to_quiver_point(gauge_fix_H(d, p)), _routed_quiver_point(d, p, monkeypatch)):
+        public = QuiverRepPoint(q.quiver, q.v, q.w, q.x, q.y, q.I, q.J)
+        assert q.quiver == public.quiver and q.v == public.v and q.w == public.w
+        assert type(q.x) is tuple and type(q.y) is tuple
+        for got, want in zip((*q.x, *q.y), (*public.x, *public.y), strict=True):
+            assert got.dtype == want.dtype and np.array_equal(got, want)
+        for i in q.quiver.vertices:
+            for got, want in ((q.I[i], public.I[i]), (q.J[i], public.J[i])):
+                assert got.dtype == want.dtype and np.array_equal(got, want)
+        for dims in (q.v, q.w):
+            assert type(dims) is dict and list(dims) == list(q.quiver.vertices)
+            assert all(type(n) is int for n in dims.values())
+
+
+@pytest.mark.parametrize("case", range(len(WALKED)))
+def test_mutating_a_quiver_points_dims_leaves_the_record(case, monkeypatch):
+    d, p = _walked(case)
+    framed = _compiled(d).framed
+    v, w = dict(framed[0]), dict(framed[1])
+    for q in (to_quiver_point(gauge_fix_H(d, p)), _routed_quiver_point(d, p, monkeypatch)):
+        for name in d.bow.intervals:
+            q.v[name] += 1
+            q.w[name] += 1
+        assert (dict(_compiled(d).framed[0]), dict(_compiled(d).framed[1])) == (v, w)
+        again = to_quiver_point(gauge_fix_H(d, p))
+        assert (again.v, again.w) == (v, w)
+
+
+@pytest.mark.parametrize("case", range(len(WALKED)))
+def test_a_non_finite_walk_block_raises(case, monkeypatch):
+    d, p = _walked(case)
+    fix_H = total_space._fix_H
+
+    def broken(c, blocks):
+        out = list(fix_H(c, blocks))
+        out[0] = np.full_like(out[0], np.nan)
+        return out
+
+    monkeypatch.setattr(total_space, "_fix_H", broken)
+    monkeypatch.setattr(reduction, "_fix_H", broken)
+    with pytest.raises(ValueError, match="non-finite"):
+        check_semistable(d, p, _theta(d, 1))
+    with pytest.raises(ValueError, match="non-finite"):
+        gauge_fix_H(d, p)
