@@ -12,13 +12,14 @@ The lattice and the closures work on interned parts.  A part table
 keeps, per key, one representative Subspace for each distinct subspace
 met during a search (two parts are one when their projectors differ by
 at most SAME_SUBSPACE_TOL), so a graded subspace is a tuple of part
-ids, deduplicated by hashing.  Per-key sums and intersections and
-per-map images and preimages are computed once per pair of ids; one
-table serves the whole heuristic search of a find_destabilizer call.
-Work whose result is known in advance is skipped: both closures return
-0 and V as they are, sums and intersections with a zero or full part
-are read off, and a map's spectral norm is taken only when an image or
-preimage first needs it.
+ids, deduplicated by hashing.  The table computes per-key sums and
+intersections, and per-map images and preimages cut at the map's
+spectral norm, once per pair of ids; one table serves the whole
+heuristic search of a find_destabilizer call.  Work whose result is
+known in advance is skipped: both closures return 0 and V as they are,
+sums and intersections with a zero or full part are read off, and a
+map's spectral norm is taken only when an image or preimage first
+needs it.
 
 find_destabilizer is the one kernel/image stability test.  Framed quiver
 points (Nakajima) and bow points both reduce to it: a bow adds, per
@@ -47,9 +48,7 @@ from .linalg import (
     kernel_basis,
     rank,
     snap_roundoff,
-    subspace_image,
     subspace_intersection,
-    subspace_preimage,
     subspace_sum,
     zero_cutoff,
 )
@@ -240,8 +239,8 @@ class _PartTable:
             return self.zero[dst]
         out = self._images.get((m, i))
         if out is None:
-            out = self.intern(dst, subspace_image(mat, self._reps[src][i],
-                                                  norm=self._norm(m)))
+            rep = self._reps[src][i]
+            out = self.intern(dst, image_basis(mat @ rep.basis, scale=self._norm(m)))
             self._images[(m, i)] = out
         return out
 
@@ -252,8 +251,12 @@ class _PartTable:
             return self.full[src]
         out = self._preimages.get((m, i))
         if out is None:
-            out = self.intern(src, subspace_preimage(mat, self._reps[dst][i],
-                                                     norm=self._norm(m)))
+            # the kernel of (I - P) m, cut at |m|: where m lands inside
+            # the part, the product is roundoff at scale |m|, not full rank
+            rep = self._reps[dst][i]
+            out = self.intern(src, kernel_basis(
+                (np.eye(rep.ambient_dim, dtype=complex) - rep.projector()) @ mat,
+                scale=self._norm(m)))
             self._preimages[(m, i)] = out
         return out
 
@@ -313,8 +316,9 @@ def smallest_invariant_graded(w: GradedSubspace, maps,
     return _closure(w, maps, table, lambda t, g: t.sum(g, t.image(g)))
 
 
-def _eigenspace_seeds(dims: dict, endos) -> list:
-    """Generalized eigenspaces of graded endomorphisms, padded by 0 or full."""
+def _eigenspace_seeds(endos) -> list:
+    """(key, generalized eigenspace) of each eigenvalue cluster of each
+    (key, endomorphism of that key's space)."""
     seeds = []
     for key, m in endos:
         m = np.asarray(m, dtype=complex)
@@ -337,23 +341,15 @@ def _eigenspace_seeds(dims: dict, endos) -> list:
             # generalized eigenspace, so its cutoff is relative to the power's
             # honest scale |m - lam|^n, not to its own largest singular value
             shifted = m - np.mean(cluster) * np.eye(n)
-            gen = kernel_basis(np.linalg.matrix_power(shifted, n),
-                               scale=float(np.linalg.norm(shifted, 2)) ** n)
-            for pad in ("zero", "full"):
-                parts = {}
-                for k, dk in dims.items():
-                    if k == key:
-                        parts[k] = gen
-                    else:
-                        parts[k] = Subspace.zero(dk) if pad == "zero" else Subspace.full(dk)
-                seeds.append(GradedSubspace(parts))
+            seeds.append((key, kernel_basis(np.linalg.matrix_power(shifted, n),
+                                            scale=float(np.linalg.norm(shifted, 2)) ** n)))
     return seeds
 
 
-def _lattice_ids(table: _PartTable, dims: dict, maps, seeds):
+def _lattice_ids(table: _PartTable, maps, seeds):
     """candidate_lattice's elements as part-id tuples, each yielded as it
     joins; the eigenspace seeds are computed only once 0, V and the
-    given seeds have been read."""
+    given seeds have been read, and each is padded by 0, then by V."""
     unique, seen = [], set()
 
     def heads():
@@ -361,7 +357,11 @@ def _lattice_ids(table: _PartTable, dims: dict, maps, seeds):
         yield table.full
         yield from map(table.ids, seeds)
         endos = [(key, m) for key, dst, m in maps if key == dst]
-        yield from map(table.ids, _eigenspace_seeds(dims, endos))
+        for key, gen in _eigenspace_seeds(endos):
+            j = table.pos[key]
+            i = table.intern(j, gen)
+            for pad in (table.zero, table.full):
+                yield pad[:j] + (i,) + pad[j + 1:]
 
     def steps(frontier):
         for g in frontier:
@@ -416,7 +416,7 @@ def candidate_lattice(dims: dict, maps, seeds, stop, table: _PartTable | None = 
     if table is None:
         table = _PartTable(dims, maps)
     lattice = []
-    for g in _lattice_ids(table, dims, maps, seeds):
+    for g in _lattice_ids(table, maps, seeds):
         lattice.append(table.graded(g))
         if stop(lattice[-1]):
             break

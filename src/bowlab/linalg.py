@@ -10,10 +10,11 @@ tolerance.  _trusted is the package's one way to build a frozen
 dataclass past its public constructor's checks, on values it has just
 built: an SVD factor's basis, an assembled point, a framed quiver point.
 
-Subspaces are stored as matrices with orthonormal columns.  All
-operations (sum, intersection, image, preimage) return orthonormal
+Subspaces are stored as matrices with orthonormal columns.  The
+operations (sum, intersection, image under a map) return orthonormal
 bases computed by SVD, never raw spanning sets; the two invariant
 closures are one orthonormal block-Krylov sweep (Paige's staircase).
+The stability search cuts its own images and preimages (graded._PartTable).
 """
 
 from __future__ import annotations
@@ -37,7 +38,6 @@ __all__ = [
     "subspace_sum",
     "subspace_intersection",
     "subspace_image",
-    "subspace_preimage",
     "largest_invariant_inside",
     "smallest_invariant_containing",
 ]
@@ -274,22 +274,11 @@ def _op_norm(a: np.ndarray) -> float:
     return float(np.linalg.norm(a, 2)) if a.size else 0.0
 
 
-def subspace_image(op, s: Subspace, norm: float | None = None) -> Subspace:
-    """op(S) for a linear map given as a matrix acting from the left.
-    norm is op's spectral norm, the cutoff scale; a caller applying op
-    many times passes it, so that it is computed once."""
+def subspace_image(op, s: Subspace) -> Subspace:
+    """op(S) for a linear map given as a matrix acting from the left, cut
+    at op's spectral norm."""
     a = as_matrix(op, cols=s.ambient_dim)
-    return image_basis(a @ s.basis, scale=_op_norm(a) if norm is None else norm)
-
-
-def subspace_preimage(op, s: Subspace, norm: float | None = None) -> Subspace:
-    """op^{-1}(S) = { x : op(x) in S }, the kernel of (I - P_S) op; norm
-    as in subspace_image."""
-    a = as_matrix(op, rows=s.ambient_dim)
-    proj_out = np.eye(s.ambient_dim, dtype=complex) - s.projector()
-    # cutoff relative to |op|: when op lands (numerically) inside s the
-    # product is roundoff at scale |op|, not a full-rank matrix
-    return kernel_basis(proj_out @ a, scale=_op_norm(a) if norm is None else norm)
+    return image_basis(a @ s.basis, scale=_op_norm(a))
 
 
 def _sweep(w: Subspace, ops) -> Subspace:

@@ -15,7 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import accumulate
-from math import lcm, prod
+from math import isfinite, lcm, prod
 
 import numpy as np
 
@@ -136,17 +136,21 @@ def rep_symplectic_pairing(t1: QuiverRepPoint, t2: QuiverRepPoint) -> complex:
 def integerize_weights(theta: dict) -> dict:
     """Scale rational weights to integers by the LCM of denominators.
 
-    Accepts ints, Fractions, and floats (taken at exact binary value).
-    Semistability is invariant under positive rescaling, so the scaled
-    weights decide the same condition.
+    Accepts ints, Fractions, and finite floats, numpy's included (taken
+    at exact binary value).  Semistability is invariant under positive
+    rescaling, so the scaled weights decide the same condition.
     """
     if all(isinstance(val, (int, np.integer)) for val in theta.values()):
         return {key: int(val) for key, val in theta.items()}
     fracs = {}
     for key, val in theta.items():
         # checked first: Fraction(val) would also parse a string such as "1/2"
-        if not isinstance(val, (int, np.integer, float, Fraction)):
+        if not isinstance(val, (int, np.integer, float, np.floating, Fraction)):
             raise TypeError(f"weight for {key!r} must be int, float, or Fraction")
+        if isinstance(val, (float, np.floating)):
+            if not isfinite(val):
+                raise ValueError(f"weight for {key!r} must be finite, got {val}")
+            val = Fraction(*val.as_integer_ratio())   # exact for every float width
         fracs[key] = Fraction(val)
     denom = lcm(*(f.denominator for f in fracs.values())) if fracs else 1
     return {key: int(f * denom) for key, f in fracs.items()}

@@ -734,8 +734,7 @@ def check_semistable(d: BowDiagram, p: TotalSpacePoint, theta: dict,
     algorithm over bitmasks), and decides each clause by integer
     arithmetic on their bitmasks, up to 2^16 supports per numpy pass.
     On CYCLE3_1x5's benchmark point the 15 segments are one closure, so
-    2 supports stand for 2^15 bitmasks, and a check takes about 0.2 ms
-    (timeit best of 7, Intel Xeon, 2 cores).
+    2 supports stand for 2^15 bitmasks.
     """
     blocks = check_shapes(d, p)
     c = _compiled(d)

@@ -124,6 +124,13 @@ def test_solve_table_format(capsys, diagram_file):
     assert out.startswith("solved: residual ")
 
 
+def test_solve_table_format_without_a_solution(capsys, empty_file):
+    code, out, _ = run_cli(capsys, ["solve", empty_file, "--starts", "3", "--format", "table"])
+    assert code == 1
+    assert re.fullmatch(r"no open solution in 3 starts \(best residual \d\.\d{3}e[+-]\d\d; "
+                        r"evidence, not proof\)\n", out), out
+
+
 def test_lambda_count_mismatch_is_usage_error(capsys, diagram_file):
     for command in ("solve", "check-empty"):
         with pytest.raises(SystemExit) as exc:
@@ -269,6 +276,22 @@ def test_reduce_table_format(capsys, tmp_path, diagram_file):
     assert "arrow" not in out  # no edges on the chain
 
 
+def test_reduce_table_format_lists_the_arrows(capsys, tmp_path):
+    diagram = tmp_path / "cycle.bow"
+    diagram.write_text("bow { wavy a [2, 2]; wavy b [2, 2]; edge a -> b; edge b -> a; }",
+                       encoding="utf-8")
+    point = _solved_point_file(capsys, tmp_path, str(diagram), lam="0.5,-0.5")
+    code, out, _ = run_cli(capsys, ["reduce", str(diagram), point, "--format", "table"])
+    assert code == 0
+    number = r"\d\.\d{3}e[+-]\d\d"
+    lines = out.splitlines()
+    assert [line[:len("vertex a: v=2, w=1,")] for line in lines[:2]] == [
+        "vertex a: v=2, w=1,", "vertex b: v=2, w=1,"]
+    assert re.fullmatch(f"arrow a -> b: \\|x\\|={number}, \\|y\\|={number}", lines[2]), lines
+    assert re.fullmatch(f"arrow b -> a: \\|x\\|={number}, \\|y\\|={number}", lines[3]), lines
+    assert len(lines) == 4
+
+
 def test_reduce_rejects_off_level_points(capsys, tmp_path, diagram_file, empty_file):
     point = _solved_point_file(capsys, tmp_path, diagram_file)
     code, _, err = run_cli(capsys, ["reduce", empty_file, point])
@@ -347,6 +370,12 @@ def test_check_empty_finds_solutions_when_feasible(capsys, diagram_file):
     assert code == 0
     assert json.loads(out)["solver_evidence"]["found_solution"] is True
 
+
+def test_check_empty_table_format_with_a_solution(capsys, diagram_file):
+    code, out, _ = run_cli(capsys, ["check-empty", diagram_file, "--starts", "3",
+                                    "--lambda", "0.6", "--format", "table"])
+    assert code == 0
+    assert out == "necessary condition: pass; solver evidence: found a solution\n"
 
 # --- the command list -------------------------------------------------------------
 

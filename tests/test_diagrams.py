@@ -83,6 +83,9 @@ def test_parse_rejects_bad_input(bad):
     ("bow { wavy a [2]\n  wavy b [1]; }", 2, 3, "expected ;, got 'wavy'"),
     # a digit to str.isdigit but not a decimal, so int() cannot read it
     ("bow { wavy a [²]; }", 1, 15, "unexpected character '²'"),
+    ("bow { wavy a [1", 1, 15, "unexpected end of input, expected ]"),
+    ("bow { node a; }", 1, 7, "expected 'wavy' or 'edge', got 'node'"),
+    ("bow { wavy a [1]; } x", 1, 21, "trailing input after '}': 'x'"),
 ])
 def test_syntax_errors_say_where(text, line, column, message):
     with pytest.raises(BowSyntaxError, match=message) as exc:

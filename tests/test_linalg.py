@@ -14,7 +14,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from bowlab import linalg
+from bowlab import graded, linalg
 from bowlab.linalg import (
     ORTHONORMAL_TOL,
     Subspace,
@@ -28,7 +28,6 @@ from bowlab.linalg import (
     smallest_invariant_containing,
     subspace_image,
     subspace_intersection,
-    subspace_preimage,
     subspace_sum,
     zero_cutoff,
 )
@@ -91,13 +90,20 @@ def test_sum_intersection_hand_case():
     assert subspace_intersection(e1, e23).dim == 0
 
 
+def _table_preimage(op, s: Subspace) -> Subspace:
+    """op^{-1}(S), as the stability search's part table cuts it."""
+    op = np.asarray(op, dtype=complex)
+    table = graded._PartTable({"src": op.shape[1], "dst": op.shape[0]}, [("src", "dst", op)])
+    return table._reps[0][table._preimage_part(0, table.intern(1, s))]
+
+
 def test_preimage_hand_case():
     # m sends e1 -> e1, e2 -> 0; preimage of span(e1) is everything
     m = np.array([[1.0, 0.0], [0.0, 0.0]])
     w = Subspace.span(np.array([[1.0], [0.0]]))
-    assert subspace_preimage(m, w).dim == 2
+    assert _table_preimage(m, w).dim == 2
     # preimage of 0 is the kernel
-    assert subspace_preimage(m, Subspace.zero(2)).dim == 1
+    assert _table_preimage(m, Subspace.zero(2)).dim == 1
 
 
 def test_largest_invariant_inside_jordan_block():
@@ -171,7 +177,7 @@ def test_image_preimage_adjunction(n, m, seed):
     rng = np.random.default_rng(seed)
     a = cgauss(rng, m, n)
     w = Subspace.span(cgauss(rng, m, rng.integers(0, m + 1)))
-    pre = subspace_preimage(a, w)
+    pre = _table_preimage(a, w)
     # a maps the preimage into w
     img = subspace_image(a, pre)
     if img.dim:
@@ -223,6 +229,23 @@ def test_as_matrix_shapes():
         as_matrix([[1, 2]], 2, 2)
     z = as_matrix(np.zeros((0, 3)))
     assert z.shape == (0, 3)
+
+
+@pytest.mark.parametrize("call, message", (
+    (lambda: as_matrix(np.zeros(3)), "expected a matrix, got array of shape (3,)"),
+    (lambda: as_matrix([[1.0, np.nan]]), "matrix has non-finite entries"),
+    (lambda: as_matrix(np.zeros((2, 3)), cols=2), "expected 2 columns, got 3"),
+    (lambda: matrix_from_json([[[1.0, 0.0]]], 2, 1), "expected 2 rows, got 1"),
+    (lambda: Subspace(1, [[1.0, 0.0]]), "more basis vectors than ambient dimension"),
+    (lambda: subspace_sum(Subspace.zero(1), Subspace.zero(2)),
+     "subspaces live in different ambient spaces"),
+    (lambda: subspace_intersection(Subspace.full(1), Subspace.full(2)),
+     "subspaces live in different ambient spaces"),
+))
+def test_malformed_input_is_named(call, message):
+    with pytest.raises(ValueError) as exc:
+        call()
+    assert str(exc.value) == message
 
 
 def test_rank_tol_governs_every_cut(monkeypatch):

@@ -7,6 +7,7 @@ plain linear algebra on the matrices, independent of the library's
 support bookkeeping.
 """
 
+import dataclasses
 import itertools
 from fractions import Fraction
 
@@ -67,6 +68,19 @@ def test_rep_point_shape_checks(rng):
     with pytest.raises(ValueError):
         QuiverRepPoint(A1, {"z": -1}, {"z": 0}, x=(), y=(), I={"z": np.zeros((0, 0))},
                        J={"z": np.zeros((0, 0))})
+    q = Quiver(("a", "b"), (("a", "b"),))
+    p = _random_point(rng, q, {"a": 1, "b": 1}, {"a": 1, "b": 1})
+    for edit, message in ((dict(v={"a": 1}), "v and w must be keyed by the quiver vertices"),
+                          (dict(w={"a": 1, "b": 1, "c": 1}),
+                           "v and w must be keyed by the quiver vertices"),
+                          (dict(x=()), "need one (x, y) pair per arrow")):
+        with pytest.raises(ValueError) as exc:
+            dataclasses.replace(p, **edit)
+        assert str(exc.value) == message
+    other = _random_point(rng, Quiver(("a", "b"), (("b", "a"),)), p.v, p.w)
+    with pytest.raises(ValueError) as exc:
+        rep_symplectic_pairing(p, other)
+    assert str(exc.value) == "tangents belong to different quivers"
 
 
 # --- moment map ---------------------------------------------------------------
@@ -331,8 +345,12 @@ def test_integerize_weights():
 
 
 def test_integerize_weights_reads_numpy_scalars_and_bool():
-    got = integerize_weights({"a": np.int64(3), "b": np.float64(0.25), "c": True, "d": 0.5})
-    assert got == {"a": 12, "b": 1, "c": 4, "d": 2}
+    got = integerize_weights({"a": np.int64(3), "b": np.float64(0.25), "c": True, "d": 0.5,
+                              "e": np.float32(0.5), "f": np.float16(0.25)})
+    assert got == {"a": 12, "b": 1, "c": 4, "d": 2, "e": 2, "f": 1}
+    third = np.longdouble(1) / 3   # taken at its exact value, wider than a float's
+    num, den = third.as_integer_ratio()
+    assert integerize_weights({"a": third, "b": 1}) == {"a": num, "b": den}
     assert all(type(n) is int for n in got.values())
     assert integerize_weights({"a": np.int32(-2), "b": False}) == {"a": -2, "b": 0}
 
@@ -341,6 +359,26 @@ def test_integerize_weights_reads_numpy_scalars_and_bool():
 def test_integerize_weights_rejects_strings_and_complex(bad):
     with pytest.raises(TypeError, match="^weight for 'a' must be int, float, or Fraction$"):
         integerize_weights({"a": bad, "b": 0.5})
+
+
+@pytest.mark.parametrize("bad", (float("inf"), -float("inf"), float("nan"),
+                                 np.float32("inf"), np.float64("nan")))
+def test_integerize_weights_rejects_non_finite(bad):
+    with pytest.raises(ValueError, match="^weight for 'a' must be finite, got "):
+        integerize_weights({"a": bad, "b": 0.5})
+
+
+def test_rep_semistable_weights_numpy_floats_and_non_finite(rng):
+    # J = 0 with positive weight: the full space destabilizes
+    p = QuiverRepPoint(JORDAN, {"z": 2}, {"z": 1},
+                       (cgauss(rng, 2, 2),), (cgauss(rng, 2, 2),),
+                       {"z": cgauss(rng, 2, 1)}, {"z": np.zeros((1, 2))})
+    for theta in (np.float32(0.5), np.float16(0.5)):
+        got = rep_semistable(p, {"z": theta})
+        assert got.kind == "unstable" and got.clause == "kernel"
+    for bad in (float("inf"), float("nan")):
+        with pytest.raises(ValueError, match="^weight for 'z' must be finite, got "):
+            rep_semistable(p, {"z": bad})
 
 
 def test_verdict_validation():

@@ -11,7 +11,7 @@ import pytest
 
 from bowlab.diagrams import NotCobalanced, SegmentRef, parse_bow_diagram
 from bowlab.linalg import kernel_basis
-from bowlab.quiver import QuiverRepPoint, rep_moment_map, rep_symplectic_pairing
+from bowlab.quiver import Quiver, QuiverRepPoint, rep_moment_map, rep_symplectic_pairing
 from bowlab.reduction import (
     HReducedPoint,
     MuHNonzero,
@@ -208,6 +208,16 @@ def test_from_quiver_point_shape_guards(rng):
     with pytest.raises(ShapeMismatch):
         from_quiver_point(d, doubled)
 
+
+
+def test_from_quiver_point_needs_the_bow_edges_as_arrows(rng):
+    d = parse_bow_diagram(CYCLE_11)
+    q = _random_quiver_point(d, rng)
+    flipped = QuiverRepPoint(Quiver(q.quiver.vertices, q.quiver.arrows[::-1]), q.v, q.w,
+                             q.x[::-1], q.y[::-1], q.I, q.J)
+    with pytest.raises(ShapeMismatch) as exc:
+        from_quiver_point(d, flipped)
+    assert str(exc.value) == "quiver arrows do not match the bow edges"
 
 # --- symplectic transport ---------------------------------------------------------
 

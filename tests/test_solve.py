@@ -17,6 +17,26 @@ def fd(residual):
     return lambda z: finite_diff_jacobian(residual, z)
 
 
+def test_a_singular_damped_solve_raises_the_damping(rng, monkeypatch):
+    # the first damped system raises LinAlgError; the solver retries at
+    # DAMPING_UP times the damping instead of giving up
+    a = cgauss(rng, 3, 3)
+    b = cgauss(rng, 3, 1)[:, 0]
+    dampings, linalg_solve = [], np.linalg.solve
+
+    def failing_once(m, rhs):
+        dampings.append(float((m - a @ a.conj().T)[0, 0].real))
+        if len(dampings) == 1:
+            raise np.linalg.LinAlgError("singular matrix")
+        return linalg_solve(m, rhs)
+
+    monkeypatch.setattr(np.linalg, "solve", failing_once)
+    res = gauss_newton(lambda x: a @ x - b, np.zeros(3), jacobian=lambda x: a)
+    assert res.reason is None and res.residual_norm < solve.RESIDUAL_TOL
+    assert dampings[:2] == pytest.approx([solve.DAMPING_INIT,
+                                          solve.DAMPING_INIT * solve.DAMPING_UP])
+
+
 def test_inconsistent_linear_system_stops_at_lstsq_answer(rng):
     # an inconsistent overdetermined linear residual cannot reach the
     # tolerance; the solver must stop unconverged, carrying (nearly) the

@@ -567,6 +567,29 @@ def test_unframed_chain_is_destabilized(mode):
     assert v.witness.total_dim() == 0
 
 
+@pytest.mark.parametrize("mode", ("exact01", "heuristic"))
+def test_weights_may_be_numpy_floats_but_not_non_finite(mode):
+    d = parse_bow_diagram(INTERVAL_111)
+    p = _identity_A_point(d)
+    for theta in (np.float32(0.5), np.float16(0.5)):
+        v = check_semistable(d, p, {"s": theta}, mode=mode)
+        assert v.kind == "unstable" and v.clause == "kernel"
+    for bad in (float("inf"), float("nan")):
+        with pytest.raises(ValueError, match="^weight for 's' must be finite, got "):
+            check_semistable(d, p, {"s": bad}, mode=mode)
+
+
+def test_flat_vector_and_point_file_shape_errors():
+    d = parse_bow_diagram(INTERVAL_111)
+    n = point_dim(d)
+    with pytest.raises(ValueError) as exc:
+        moment_jacobian(d, np.zeros(n + 1))
+    assert str(exc.value) == f"flat vector has shape ({n + 1},), expected ({n},)"
+    with pytest.raises(ValueError) as exc:
+        point_from_json_dict(d, {"edges": []})
+    assert str(exc.value) == "point data must carry 'triangles' and 'edges' entries"
+
+
 def test_zero_weight_short_circuits(rng):
     d = parse_bow_diagram(INTERVAL_111)
     p = random_point(d, rng)

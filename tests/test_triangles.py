@@ -292,7 +292,23 @@ def test_rejects_non_triangles():
                           a=np.zeros((2, 1)), b=np.zeros((1, 2)))
     with pytest.raises(NotATriangle):
         triangle_to_hurtubise(bad_s1)
+    # A = a = 0: Im A + Im a = 0 is invariant, a (S2) witness of dim 0;
+    # condition (a) and (S1) hold, b = 1 killing no vector
+    z = np.zeros((1, 1))
+    bad_s2 = TriangleData(A=z, B1=z, B2=z, a=z, b=np.ones((1, 1)))
+    with pytest.raises(NotATriangle) as exc:
+        triangle_to_hurtubise(bad_s2)
+    assert str(exc.value) == "(S2) fails: invariant subspace of dim 0 contains Im A + Im a"
 
+
+
+def test_chart_forms_are_checked():
+    with pytest.raises(ValueError) as exc:
+        RectForm(1, 1, np.eye(1), np.zeros((1, 1)))
+    assert str(exc.value) == "RectForm requires v1 != v2; use SquareForm"
+    with pytest.raises(TypeError) as exc:
+        hurtubise_to_triangle(np.eye(2))
+    assert str(exc.value) == "expected SquareForm or RectForm, got ndarray"
 
 # --- gauge action -----------------------------------------------------------------
 
