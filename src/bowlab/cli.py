@@ -90,6 +90,11 @@ def _cast_deformation(text: str) -> complex:
     return value
 
 
+def _check_seed(parser, seed: int) -> None:
+    if seed < 0:
+        parser.error(f"--seed must be non-negative, got {seed}")
+
+
 def _cast_weight(text: str):
     try:
         return int(text)
@@ -98,7 +103,8 @@ def _cast_weight(text: str):
 
 
 def _dump(data) -> str:
-    return json.dumps(data, indent=2)
+    # a NaN or infinite float is no JSON: ValueError, so an error line and exit 1
+    return json.dumps(data, indent=2, allow_nan=False)
 
 
 def _emit(text: str):
@@ -165,6 +171,7 @@ def cmd_solve(args) -> int:
     parser = args._parser
     if args.starts < 1:
         parser.error(f"--starts must be at least 1, got {args.starts}")
+    _check_seed(parser, args.seed)
     d = _read_diagram(args.diagram)
     lam = _per_interval(parser, d, args.lam, _cast_deformation, "lambda")
     outcome = solve_fiber(d, lam, seed=args.seed, n_starts=args.starts)
@@ -222,6 +229,7 @@ def cmd_reduce(args) -> int:
 def cmd_check_empty(args) -> int:
     if args.starts < 0:
         args._parser.error(f"--starts must be at least 0, got {args.starts}")
+    _check_seed(args._parser, args.seed)
     d = _read_diagram(args.diagram)
     lam = _per_interval(args._parser, d, args.lam, _cast_deformation, "lambda")
     violations = local_emptiness_check(d)

@@ -40,7 +40,6 @@ from .total_space import (
     MuHNonzero,
     SingularA,
     TotalSpacePoint,
-    _assemble,
     _compiled,
     _fix_H,
     _lift,
@@ -94,7 +93,7 @@ def gauge_fix_H(d: BowDiagram, p: TotalSpacePoint) -> HReducedPoint:
     SingularA where no such representative exists.
     """
     c = _compiled(d)
-    return _trusted(HReducedPoint, d, _assemble(d, _lift(c, _fix_H(c, check_shapes(d, p)))))
+    return _trusted(HReducedPoint, d, _lift(d, c, _fix_H(c, check_shapes(d, p))))
 
 
 def to_quiver_point(r: HReducedPoint) -> QuiverRepPoint:
@@ -123,4 +122,4 @@ def from_quiver_point(d: BowDiagram, q: QuiverRepPoint) -> HReducedPoint:
 
     blocks = [m for k in range(len(d.bow.edges)) for m in (q.x[k], q.y[k])]
     blocks += [m for name, i in d.x_points() for m in (q.I[name][:, i:i + 1], q.J[name][i:i + 1])]
-    return _trusted(HReducedPoint, d, _assemble(d, _lift(c, blocks)))
+    return _trusted(HReducedPoint, d, _lift(d, c, blocks))

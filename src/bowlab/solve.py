@@ -10,8 +10,12 @@ the push-through identity it is the same step for every damping l > 0,
 and the moment equations have fewer residuals m than unknowns n, so the
 factored system is m x m.  Rejected steps are rare, so each is one more
 m x m solve rather than a reuse of an eigendecomposition.  J J^H is the
-dense product, formed once per iteration; an accepted trial's residual
-norm is carried into the next iteration rather than taken again.
+dense product, formed once per iteration, and each trial adds the
+damping to the diagonal of a copy of it; an accepted trial's residual
+norm is carried into the next iteration rather than taken again.  A
+residual norm is np.linalg.norm's own arithmetic on a complex vector,
+sqrt(re . re + im . im) over its real and imaginary parts, without the
+wrapper's argument handling: the same float, bit for bit.
 
 Constants: a start converges below residual norm RESIDUAL_TOL within
 MAX_ITERS iterations; the damping starts at DAMPING_INIT and is
@@ -25,6 +29,7 @@ itself.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -70,8 +75,7 @@ def gauss_newton(residual, x0, *, jacobian) -> SolveResult:
     x = np.asarray(x0, dtype=complex).reshape(-1).copy()
 
     r = np.asarray(residual(x), dtype=complex).reshape(-1)
-    rnorm = float(np.linalg.norm(r))
-    eye = np.eye(r.size)
+    rnorm = _norm(r)
     damping = DAMPING_INIT
     for it in range(MAX_ITERS + 1):
         if rnorm < RESIDUAL_TOL:
@@ -84,14 +88,17 @@ def gauss_newton(residual, x0, *, jacobian) -> SolveResult:
         jjh = jac @ jh
 
         for _ in range(MAX_REJECTS):
+            # jjh + damping I bit for bit: + 0.0 turns -0.0 into +0.0 as that sum does
+            damped = jjh + 0.0
+            damped.reshape(-1)[::r.size + 1] += damping
             try:
-                step = jh @ np.linalg.solve(jjh + damping * eye, -r)
+                step = jh @ np.linalg.solve(damped, -r)
             except np.linalg.LinAlgError:
                 damping *= DAMPING_UP
                 continue
             trial = x + step
             r_trial = np.asarray(residual(trial), dtype=complex).reshape(-1)
-            trial_norm = float(np.linalg.norm(r_trial))
+            trial_norm = _norm(r_trial)
             if trial_norm < rnorm:
                 x, r, rnorm = trial, r_trial, trial_norm
                 damping *= DAMPING_DOWN
@@ -99,6 +106,13 @@ def gauss_newton(residual, x0, *, jacobian) -> SolveResult:
             damping *= DAMPING_UP
         else:
             return SolveResult(x, rnorm, it, "stalled")
+
+
+def _norm(r: np.ndarray) -> float:
+    """np.linalg.norm(r) of a complex vector r, by that function's own
+    arithmetic."""
+    re, im = r.real, r.imag
+    return math.sqrt(re.dot(re) + im.dot(im))
 
 
 def finite_diff_jacobian(f, x) -> np.ndarray:

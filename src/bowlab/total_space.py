@@ -16,15 +16,23 @@ One cached record per diagram shape, `_compiled(d)`, fixes how a point
 flattens to a complex vector: intervals in declaration order, per
 x-point the blocks A, B1, B2, a, b, then per edge C, D, each tagged
 with the segments it maps from and to (none on the framing side of a
-and b).  Flattening, the gauge action and its Lie algebra action, the
-stability data and the point file's reader and writer all walk its one
-block list.  A public function cuts a point into that list once, by
+and b).  It is memoised on d after the first lookup, so that a lookup
+per solver iteration is an attribute read; equal diagrams share
+_compile's record.  Flattening, the gauge action and its Lie algebra
+action, the stability data and the point file's reader and writer all
+walk its one block list.  A public function cuts a point into that list once, by
 check_shapes, looks the record up once and hands both down; the solver
 works on flat vectors alone until a start converges.  On a cobalanced
 diagram the record also holds the framed quiver (v, w, quiver), the
 route solve_fiber solves and route_blocks, a point's quiver data in the
 route's order (each edge's C, D, then each x-point's a, b): the H-gauge
-walk moves just these, the quiver point reads them, _lift rebuilds.
+walk moves just these, the quiver point reads them, and _lift, the one
+lift of solve_fiber's route, gauge_fix_H and from_quiver_point, writes
+the A = id point they determine into one flat vector, which is checked
+for finiteness and cut into blocks once.  A flat vector becomes a point
+by that one check and cut too, and a converged start's (S1)/(S2) check
+reads the sweeps' dimensions on its blocks before any point is built:
+a refused start builds neither the point nor check_S1's witness.
 
 The moment map is quadratic, so by vec(M X N) = (M kron N^T) vec(X)
 each Jacobian entry is +-x[src], +-1 or a sum of two such terms, and
@@ -41,6 +49,8 @@ algebra's basis, by matmul broadcasting over a leading axis.
 
 from __future__ import annotations
 
+import cmath
+import math
 from collections import namedtuple
 from dataclasses import dataclass
 from functools import lru_cache, partial
@@ -80,8 +90,7 @@ from .triangles import (
     SquareTangent,
     TriangleData,
     TwoWayData,
-    check_S1,
-    check_S2,
+    _open,
     hurtubise_symplectic_pairing,
     triangle_to_hurtubise,
     two_way_symplectic_pairing,
@@ -189,21 +198,34 @@ def _check_counts(d: BowDiagram, triangles: dict, edges) -> None:
 # by a bincount over floats: its real part at *_target[2 u] = 2 e, its
 # imaginary part at *_target[2 u + 1].  A start's draw of 2 n reals holds
 # flat entry i's parts at draw[2 i] and draw[2 i + 1].  solve_fiber's
-# rescaling multiplies flat entry i by t ** lam_power[i].  framed is a
+# rescaling multiplies flat entry i by t ** lam_power[i].  Residual row e
+# is 1 + the position of its segment, eye_rows[e], on the mu2 rows and 0
+# on the mu1 rows; eye_pattern[e] is 1 where the row is a diagonal entry
+# of its segment's block, else 0: the moment of nu id is the per-row
+# value of nu times that pattern.  lift_base is the flat vector with every
+# A the identity and every other entry 0, which _lift fills.  framed is a
 # cobalanced diagram's (v, w, quiver), v and w read-only, route its quiver
 # route (see solve_fiber) if it has an x-point; otherwise each is None.
 # route_blocks index the blocks the route reads, in its order.
 _Compiled = namedtuple("_Compiled", "tags layout segs seg_dims x_segs edge_segs n m "
                                     "jac_target jac_src mono_col mono_src mono_target "
-                                    "draw lam_power framed route route_blocks")
+                                    "draw lam_power eye_rows eye_pattern lift_base framed "
+                                    "route route_blocks")
 
 # the power of t by which solve_fiber's rescaling multiplies each role's block
 _LAMBDA_POWER = {"B1": 1, "B2": 1, "a": 1, "C": 0.5, "D": 0.5}
 
 
 def _compiled(d: BowDiagram) -> _Compiled:
-    # BowDiagram holds a dict, so the cache is keyed on what defines it
-    return _compile(d.bow, tuple(d.seg_dims[name] for name in d.bow.intervals))
+    """d's record, memoised on d after the first lookup; _compile's cache
+    holds one record per shape, so equal diagrams share theirs."""
+    try:
+        return d._compiled
+    except AttributeError:
+        # BowDiagram holds a dict, so the cache is keyed on what defines it
+        c = _compile(d.bow, tuple(d.seg_dims[name] for name in d.bow.intervals))
+        object.__setattr__(d, "_compiled", c)   # not a field: ==, repr and replace ignore it
+        return c
 
 
 @lru_cache(maxsize=64)
@@ -262,8 +284,17 @@ def _compile(bow, dims: tuple) -> _Compiled:
     real = np.repeat(np.cumsum(sizes) - sizes, sizes) + np.arange(n)
     draw = np.stack([real, real + np.repeat(sizes, sizes)], 1).ravel()
     lam_power = np.repeat([float(_LAMBDA_POWER.get(role, 0)) for role, _, _ in tags], sizes)
+    mu1 = rows[len(x_segs)]
+    eye_rows = np.repeat(np.arange(len(segs) + 1), [mu1] + [v * v for v in seg_dims])
+    eye_pattern = np.concatenate([np.zeros(mu1, dtype=complex),
+                                  *(np.eye(v, dtype=complex).ravel() for v in seg_dims)])
+    lift_base = np.zeros(n, dtype=complex)
+    for (role, _, _), block in zip(tags, _split(layout, lift_base)):
+        if role == "A":
+            block[...] = np.eye(*block.shape)
     tables = (_float_targets(index), src, index[mono] % n, src[mono],
-              _float_targets(index[mono] // n), draw, lam_power)
+              _float_targets(index[mono] // n), draw, lam_power, eye_rows, eye_pattern,
+              lift_base)
     for table in tables:
         table.flags.writeable = False   # shared by every caller
     framed = route = None
@@ -315,8 +346,20 @@ def _assemble(d: BowDiagram, blocks) -> TotalSpacePoint:
     """The point whose blocks, in flat order and each at its layout shape,
     are `blocks`, checked for finiteness once, all together."""
     blocks = [np.asarray(m, dtype=complex) for m in blocks]
-    if not np.isfinite(_join(blocks)).all():
+    _finite(_join(blocks))
+    return _point(d, blocks)
+
+
+def _finite(x: np.ndarray) -> np.ndarray:
+    """x, refused unless every entry is finite."""
+    if not np.isfinite(x).all():
         raise ValueError("point has non-finite entries")
+    return x
+
+
+def _point(d: BowDiagram, blocks: list) -> TotalSpacePoint:
+    """The point of complex blocks in flat order at their layout shapes,
+    which the caller has checked for finiteness."""
     it = iter(blocks)
     triangles = {name: tuple(_trusted(TriangleData, *islice(it, 5))
                              for _ in range(d.x_point_count(name))) for name in d.bow.intervals}
@@ -350,7 +393,10 @@ def flatten_point(d: BowDiagram, p: TotalSpacePoint) -> np.ndarray:
 
 
 def unflatten_point(d: BowDiagram, vec: np.ndarray) -> TotalSpacePoint:
-    return _assemble(d, _split(_compiled(d).layout, np.asarray(vec, dtype=complex).ravel()))
+    """The point at the flat vector vec, checked and cut once: its blocks
+    are views of vec as a complex vector."""
+    x = _finite(np.asarray(vec, dtype=complex).ravel())
+    return _point(d, _split(_compiled(d).layout, x))
 
 
 # --- moment map -------------------------------------------------------------
@@ -367,8 +413,7 @@ def _moment(c: _Compiled, x: np.ndarray) -> np.ndarray:
 
 def _shift(c: _Compiled, nu: dict) -> np.ndarray:
     """The flat moment of nu id, nu a per-segment scalar dict: 0 on the mu1 rows."""
-    mu2 = [complex(nu.get(s, 0.0)) * np.eye(v).ravel() for s, v in zip(c.segs, c.seg_dims)]
-    return np.concatenate([np.zeros(c.m - sum(v * v for v in c.seg_dims), dtype=complex), *mu2])
+    return np.array([0j] + [complex(nu.get(s, 0.0)) for s in c.segs])[c.eye_rows] * c.eye_pattern
 
 
 def total_moment_map(d: BowDiagram, p: TotalSpacePoint) -> dict:
@@ -483,10 +528,15 @@ class InfeasibilityEvidence:
 
 
 def open_conditions_hold(d: BowDiagram, p: TotalSpacePoint) -> bool:
-    """(S1) and (S2) at every x-point."""
-    check_shapes(d, p)
-    return all(check_S1(t) and check_S2(t)
-               for name in d.bow.intervals for t in p.triangles[name])
+    """(S1) and (S2) at every x-point, decided as check_S1 and check_S2
+    decide them."""
+    return _is_open(_compiled(d), check_shapes(d, p))
+
+
+def _is_open(c: _Compiled, blocks: list) -> bool:
+    """(S1) and (S2) at every x-point of the point of the flat-order
+    blocks, from the sweeps' dimensions: no failure builds a witness."""
+    return all(_open(blocks[k:k + 5]) for k in range(0, 5 * len(c.x_segs), 5))
 
 
 def solve_fiber(d: BowDiagram, lam: dict, seed: int = 0, n_starts: int = 20):
@@ -497,8 +547,9 @@ def solve_fiber(d: BowDiagram, lam: dict, seed: int = 0, n_starts: int = 20):
     accepts only solutions that also satisfy the open conditions
     (S1)/(S2) at every x-point.  Returns a FiberSolveReport on the first
     accepted solution, else an InfeasibilityEvidence record.  n_starts
-    must be at least 1: evidence from no start is no evidence; lam must
-    be finite, or there is no fiber to search.
+    must be at least 1: evidence from no start is no evidence; seed must
+    be non-negative, as numpy's seeding needs; lam must be finite, or
+    there is no fiber to search.
 
     A cobalanced diagram with an x-point is solved on its framed quiver
     (Nakajima), written as a bow with no x-points, its quiver route: one
@@ -520,10 +571,13 @@ def solve_fiber(d: BowDiagram, lam: dict, seed: int = 0, n_starts: int = 20):
     scale 1, solve over lam / t with t = max(1, max |lam_i|) (on the
     quiver route the framing's value counts too), and each solution is
     carried back by that map; residuals are reported over lam itself, t
-    times those over lam / t.
+    times those over lam / t.  A finite lam whose t or framing value
+    overflows a float is refused with a ValueError before any start.
     """
     if n_starts < 1:
         raise ValueError(f"n_starts must be at least 1, got {n_starts}")
+    if seed < 0:
+        raise ValueError(f"seed must be non-negative, got {seed}")
     if not all(np.isfinite(complex(v)) for v in lam.values()):
         raise ValueError(f"lam must be finite, got {lam}")
     nu = embed_deformation(d, lam)
@@ -531,35 +585,54 @@ def solve_fiber(d: BowDiagram, lam: dict, seed: int = 0, n_starts: int = 20):
     if c.route is None:
         return _start_loop(d, nu, seed, n_starts)
     nu = embed_deformation(c.route, lam)
-    nu[SegmentRef(_FRAMING, 0)] = -sum(val * c.route.dim(s) for s, val in nu.items())
+    nu[SegmentRef(c.route.bow.intervals[-1], 0)] = -sum(val * c.route.dim(s)
+                                                       for s, val in nu.items())
     layout = _compiled(c.route).layout
-    return _start_loop(c.route, nu, seed, n_starts,
-                       lambda _, x: _assemble(d, _lift(c, _split(layout, x))))
+    return _start_loop(c.route, nu, seed, n_starts, lambda _, x: _lift(d, c, _split(layout, x)))
 
 
 def _open_point(d: BowDiagram, x: np.ndarray) -> TotalSpacePoint | None:
-    """The point at the flat vector x if it is open, else None."""
-    point = unflatten_point(d, x)
-    return point if open_conditions_hold(d, point) else None
+    """The point at the complex flat vector x if it is open, else None:
+    a refused x builds no point."""
+    c = _compiled(d)
+    blocks = _split(c.layout, _finite(x))
+    return _point(d, blocks) if _is_open(c, blocks) else None
 
 
 def _start_loop(d: BowDiagram, nu: dict, seed: int, n_starts: int, accept=_open_point):
     """solve_fiber's starts on the diagram d itself, over the per-segment
     deformation nu; accept(d, x) is the point a converged start's flat
-    solution x reports, or None where x is not open."""
+    solution x reports, or None where x is not open.  The rescaling by t
+    is skipped at t = 1, where it changes no bit.  Raises ValueError,
+    before any start, where some nu_s or t is not finite: a framing
+    moment or a modulus beyond the largest float."""
+    try:
+        t = max([1.0] + [abs(v) for v in nu.values()])
+    except OverflowError:   # abs of a finite complex number
+        t = math.inf
+    if not (math.isfinite(t) and all(cmath.isfinite(v) for v in nu.values())):
+        raise ValueError("lam is too large to solve over: its moments or their modulus "
+                         "overflow a float")
     c = _compiled(d)
-    t = max([1.0] + [abs(v) for v in nu.values()])
-    shift = _shift(c, nu) / t
-    back = t ** c.lam_power
+    shift = _shift(c, nu)
+    back = None
+    if t != 1.0:
+        shift = shift / t
+        back = t ** c.lam_power
 
+    def residual(x):
+        return _moment(c, x) - shift
+
+    jacobian = partial(moment_jacobian, d)
     diags = []
     for k in range(n_starts):
         rng = np.random.default_rng([seed, k])
-        res = gauss_newton(lambda x: _moment(c, x) - shift, _draw(c, rng),
-                           jacobian=partial(moment_jacobian, d))
+        res = gauss_newton(residual, _draw(c, rng), jacobian=jacobian)
         converged = res.reason is None
-        point = accept(d, res.x * back) if converged else None
-        rnorm = t * res.residual_norm
+        point = None
+        if converged:
+            point = accept(d, res.x if back is None else res.x * back)
+        rnorm = res.residual_norm if back is None else t * res.residual_norm
         diags.append(StartDiagnostic(k, converged, rnorm, res.iterations,
                                      point is not None if converged else None, res.reason))
         if point is not None:
@@ -650,24 +723,32 @@ def _quiver_point(c: _Compiled, blocks: list) -> QuiverRepPoint:
                     {name: np.vstack(ms) for name, ms in J.items()})
 
 
-def _lift(c: _Compiled, blocks: list) -> list:
-    """The flat-order blocks of the bow point with every A = id over the
-    blocks of c's quiver route: each edge's (C, D), then per x-point the
-    framing edge's (C, D) as (a, b).  The B's come from the backward
-    recursion B2_{w-1} = -sum_{tail edges} D C, B1_i = B2_i + a_i b_i,
+def _lift(d: BowDiagram, c: _Compiled, blocks: list) -> TotalSpacePoint:
+    """The bow point with every A = id over the blocks of c's quiver
+    route: each edge's (C, D), then per x-point the framing edge's (C, D)
+    as (a, b).  The B's come from the backward recursion
+    B2_{w-1} = -sum_{tail edges} D C, B1_i = B2_i + a_i b_i,
     B2_{i-1} = B1_i, which zeroes mu1 and the moment on every non-first
-    segment (the inverse of _fix_H and reduction.to_quiver_point)."""
-    arrows = blocks[:2 * len(c.edge_segs)]
-    frames = blocks[len(arrows):]
+    segment (the inverse of _fix_H and reduction.to_quiver_point).  All
+    of it is written into one flat vector, a copy of c.lift_base, which
+    is checked for finiteness and cut once."""
+    e = 2 * len(c.edge_segs)
+    x = c.lift_base.copy()
+    out = _split(c.layout, x)
     # B[j]: segment j's B, the B1 of the x-point at its right end and the B2 at its left
     B = [np.zeros((v, v), dtype=complex) for v in c.seg_dims]
-    for (tail, _), C, D in zip(c.edge_segs, arrows[::2], arrows[1::2]):
+    for (tail, _), C, D in zip(c.edge_segs, blocks[:e:2], blocks[1:e:2]):
         B[tail] = B[tail] - D @ C
-    triangles = []
-    for (lo, hi), a, b in reversed(list(zip(c.x_segs, frames[::2], frames[1::2]))):
+    for ix in reversed(range(len(c.x_segs))):
+        lo, hi = c.x_segs[ix]
+        a, b = blocks[e + 2 * ix], blocks[e + 2 * ix + 1]
         B[lo] = B[hi] + a @ b
-        triangles.append((np.eye(c.seg_dims[lo]), B[lo], B[hi], a, b))
-    return [m for tri in reversed(triangles) for m in tri] + list(arrows)
+        for block, m in zip(out[5 * ix + 1:5 * ix + 5], (B[lo], B[hi], a, b)):
+            block[...] = m
+    for block, m in zip(out[5 * len(c.x_segs):], blocks[:e]):
+        block[...] = m
+    _finite(x)
+    return _point(d, out)
 
 
 def _quiver_semistable(c: _Compiled, blocks: list, nu: dict,

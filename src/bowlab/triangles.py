@@ -307,7 +307,7 @@ def check_S1(t: TriangleData) -> ConditionReport:
     A block that is roundoff on the triangle's scale is made exactly
     zero first, so that no rank reads it as full; (S2) likewise."""
     A, B1, _, _, b = snap_roundoff([t.A, t.B1, t.B2, t.a, t.b])
-    seen = _sweep(image_basis(np.vstack([A, b]).conj().T), [B1.conj().T])
+    seen = _observed(A, B1, b)
     if seen.dim == t.v1:
         return ConditionReport(True)
     return ConditionReport(False, _complement(seen))
@@ -318,10 +318,29 @@ def check_S2(t: TriangleData) -> ConditionReport:
     (B2, [A a]) is controllable.  The witness of a failure is the sweep
     of Im [A a] under B2."""
     A, _, B2, a, _ = snap_roundoff([t.A, t.B1, t.B2, t.a, t.b])
-    reached = _sweep(image_basis(np.hstack([A, a])), [B2])
+    reached = _reached(A, B2, a)
     if reached.dim == t.v2:
         return ConditionReport(True)
     return ConditionReport(False, reached)
+
+
+def _observed(A, B1, b) -> Subspace:
+    """(S1)'s sweep: Im [A; b]^H swept under B1^H, all of V1 exactly when (S1) holds."""
+    return _sweep(image_basis(np.vstack([A, b]).conj().T), [B1.conj().T])
+
+
+def _reached(A, B2, a) -> Subspace:
+    """(S2)'s sweep: Im [A a] swept under B2, all of V2 exactly when (S2) holds."""
+    return _sweep(image_basis(np.hstack([A, a])), [B2])
+
+
+def _open(blocks) -> bool:
+    """check_S1(t) and check_S2(t) for the triangle t of the blocks
+    (A, B1, B2, a, b), whose shapes the caller has checked: the sweeps'
+    dimensions alone, with no witness built for a failure."""
+    A, B1, B2, a, b = snap_roundoff(blocks)
+    return (_observed(A, B1, b).dim == A.shape[1]
+            and _reached(A, B2, a).dim == A.shape[0])
 
 
 def _invert_or_raise(u: np.ndarray, exc_type, what: str) -> np.ndarray:

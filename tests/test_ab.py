@@ -1,0 +1,41 @@
+"""tools/ab.py's summary of paired benchmark runs, on fixed numbers."""
+
+import importlib.util
+from pathlib import Path
+
+TOOL = Path(__file__).resolve().parent.parent / "tools" / "ab.py"
+_spec = importlib.util.spec_from_file_location("ab", TOOL)
+ab = importlib.util.module_from_spec(_spec)
+_spec.loader.exec_module(ab)
+
+
+def test_summary_counts_wins_ties_for_neither_and_takes_inclusive_quartiles():
+    pairs = [({"wall_s": 4.0, "rate": 1.0, "traced_only": 9.0}, {"wall_s": 3.0, "rate": 2.0}),
+             ({"wall_s": 2.0, "rate": 5.0}, {"wall_s": 2.0, "rate": 5.0}),   # a tie
+             ({"wall_s": 1.0, "rate": 3.0}, {"wall_s": 1.5, "rate": 1.0}),
+             ({"wall_s": 3.0, "rate": 2.0}, {"wall_s": 0.5, "rate": 4.0})]
+    better = {"wall_s": "lower", "rate": "higher", "traced_only": "lower", "absent": "lower"}
+    out = ab.summarize(pairs, better)
+    assert sorted(out) == ["rate", "wall_s"]   # only metrics every run reports
+    wall = out["wall_s"]
+    assert (wall["better"], wall["pairs"], wall["change_wins"]) == ("lower", 4, 2)
+    assert wall["parent"] == {"values": [4.0, 2.0, 1.0, 3.0], "q1": 1.75, "median": 2.5,
+                              "q3": 3.25}
+    assert wall["change"] == {"values": [3.0, 2.0, 1.5, 0.5], "q1": 1.25, "median": 1.75,
+                              "q3": 2.25}
+    rate = out["rate"]
+    assert (rate["better"], rate["change_wins"]) == ("higher", 2)
+    assert (rate["parent"]["median"], rate["change"]["median"]) == (2.5, 3.0)
+
+
+def test_summary_of_one_pair_and_of_none():
+    one = ab.summarize([({"wall_s": 2.0}, {"wall_s": 1.0})], {"wall_s": "lower"})
+    assert one["wall_s"]["change"] == {"values": [1.0], "q1": 1.0, "median": 1.0, "q3": 1.0}
+    assert one["wall_s"]["change_wins"] == 1
+    assert ab.summarize([], {"wall_s": "lower"}) == {}
+
+
+def test_seed_ranges():
+    assert ab._seeds("41-44") == [41, 42, 43, 44]
+    assert ab._seeds("7") == [7]
+    assert ab._seeds("3,9") == [3, 9]

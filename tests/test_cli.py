@@ -180,6 +180,38 @@ def test_non_finite_lambda_is_usage_error(capsys, diagram_file, argv):
     assert out.out == "" and "--lambda" in out.err and "not finite" in out.err
 
 
+@pytest.mark.parametrize("argv", (
+    ["solve", "--seed", "-1"],
+    ["solve", "--seed", "-3", "--starts", "2"],
+    ["check-empty", "--seed", "-1"],
+    ["check-empty", "--seed", "-1", "--starts", "2"],
+))
+def test_negative_seed_is_usage_error(capsys, diagram_file, argv):
+    # numpy refuses to seed from a negative number, and check-empty
+    # without starts would accept one it never uses
+    with pytest.raises(SystemExit) as exc:
+        main([argv[0], diagram_file, *argv[1:]])
+    assert exc.value.code == 2
+    out = capsys.readouterr()
+    assert out.out == "" and "--seed must be non-negative" in out.err
+
+
+@pytest.mark.parametrize("text, lam, what", (
+    # the quiver route's framing moment -2e308 overflows before any start
+    ("bow { wavy a [2, 2]; }", "1e308", "lam is too large"),
+    # [C, D] is traceless, so every residual is at least sqrt(2) |lam|
+    ("bow { wavy a [2]; edge a -> a; }", "1.5e308", "not JSON compliant"),
+))
+@pytest.mark.parametrize("command", ("solve", "check-empty"))
+def test_an_overflow_is_a_domain_error_not_a_nan_or_infinity(capsys, tmp_path, text, lam,
+                                                             what, command):
+    path = tmp_path / "huge.bow"
+    path.write_text(text, encoding="utf-8")
+    code, out, err = run_cli(capsys, [command, str(path), "--lambda", lam, "--starts", "2"])
+    assert code == 1 and out == ""
+    assert err.startswith("error: ") and what in err
+
+
 def test_seed_defaults_to_zero(capsys, diagram_file):
     for seed, expected in (([], 0), (["--seed", "3"], 3)):
         code, out, _ = run_cli(capsys, ["solve", diagram_file, "--lambda", "0.4",

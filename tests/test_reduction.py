@@ -161,6 +161,25 @@ def _H_gauge(d, rng):
             for s in d.segments()}
 
 
+@pytest.mark.parametrize("text, lam", (
+    ("bow { wavy a [4, 4, 4]; wavy b [4, 4, 4]; edge a -> b; edge b -> a; }",
+     {"a": 0.5, "b": -0.5}),
+    ("bow { wavy a [3, 3, 3, 3]; wavy b [3, 3]; edge a -> b; edge b -> a; }",
+     {"a": 0.5, "b": -0.5}),
+    ("bow { wavy s [2, 2, 2]; }", {"s": 0.5}),
+    (INTERVAL_111, {"s": 0.0}),
+))
+@pytest.mark.parametrize("seed", (0, 1, 2))
+def test_solved_route_points_round_trip_bit_for_bit(text, lam, seed):
+    # solve_fiber, gauge_fix_H and from_quiver_point build every A = id
+    # point by one lift, so each step gives back the same bytes
+    d, p = _solved(text, lam, seed)
+    r = gauge_fix_H(d, p)
+    again = from_quiver_point(d, to_quiver_point(r))
+    blocks = [flatten_point(d, x).tobytes() for x in (p, r.point, again.point)]
+    assert blocks[0] == blocks[1] == blocks[2]
+
+
 def test_reduced_round_trip_through_quiver(rng):
     # gauge_fix_H's B's are already the recursion's, so the round trip
     # through the quiver point gives back the same bits

@@ -5,9 +5,16 @@ import numpy as np
 import pytest
 
 from bowlab import solve
-from bowlab.diagrams import parse_bow_diagram
+from bowlab.diagrams import embed_deformation, parse_bow_diagram
 from bowlab.solve import finite_diff_jacobian, gauss_newton
-from bowlab.total_space import InfeasibilityEvidence, solve_fiber
+from bowlab.total_space import (
+    InfeasibilityEvidence,
+    _start_loop,
+    open_conditions_hold,
+    solve_fiber,
+    unflatten_point,
+)
+from bowlab.triangles import check_S1, check_S2
 
 from conftest import cgauss
 
@@ -183,3 +190,68 @@ def test_open_check_rejects_a_converged_start_off_the_open_locus():
     assert start.open_conditions_ok is False
     out = solve_fiber(d, {"a": 0.0}, seed=0)
     assert out.start_index == 1 and out.open_conditions_ok
+
+
+def _reported_norm(r) -> float:
+    """The residual norm gauss_newton reports at a start where r is the
+    residual everywhere and the Jacobian vanishes: it stalls at once,
+    unless r is already below RESIDUAL_TOL."""
+    res = gauss_newton(lambda x: r, np.zeros(1, dtype=complex),
+                       jacobian=lambda x: np.zeros((r.size, 1), dtype=complex))
+    assert res.iterations == 0 and res.reason in (None, "stalled")
+    return res.residual_norm
+
+
+def test_the_residual_norm_is_np_linalg_norm_bit_for_bit(rng):
+    z = np.zeros(0, dtype=complex)
+    signed = np.array([0.0, -0.0, complex(-0.0, 0.0), complex(0.0, -0.0), complex(-0.0, -0.0)])
+    vectors = [z, signed, signed * 1e-13]
+    for scale in (1.0, 1e-170, 1e-13, 1e150):   # squares underflow, or come near overflow
+        for size in (1, 3, 17, 64):
+            r = cgauss(rng, size, 1)[:, 0] * scale
+            vectors += [r, np.concatenate([r, signed])]
+    vectors.append(cgauss(rng, 64, 1)[:, 0] * rng.choice([1e-150, 1.0, 1e150], 64))
+    for r in vectors:
+        assert np.float64(_reported_norm(r)).tobytes() == np.linalg.norm(r).tobytes(), r
+
+
+def test_solve_fiber_needs_a_non_negative_seed():
+    d = parse_bow_diagram("bow { wavy s [1, 1, 1]; }")
+    with pytest.raises(ValueError, match="seed must be non-negative, got -1"):
+        solve_fiber(d, {"s": 0.0}, seed=-1, n_starts=1)
+
+
+@pytest.mark.parametrize("text, lam", (
+    # the quiver route's framing moment -2 lam overflows to -inf
+    ("bow { wavy a [2, 2]; }", {"a": 1e308}),
+    # -(2 lam_a + 2 lam_b) is -(inf - inf): NaN
+    ("bow { wavy a [2, 2]; wavy b [2, 2]; edge a -> b; }", {"a": 1.7e308, "b": -1.7e308}),
+    # finite, but its modulus overflows, off the route and on it
+    ("bow { wavy a [2]; wavy b [5, 2]; edge a -> b; }", {"a": complex(1.7e308, 1.7e308)}),
+    ("bow { wavy a [2, 2]; }", {"a": complex(1.7e308, 1.7e308)}),
+))
+def test_solve_fiber_refuses_a_lambda_whose_moments_overflow(text, lam):
+    with pytest.raises(ValueError, match="lam is too large"):
+        solve_fiber(parse_bow_diagram(text), lam, seed=0, n_starts=2)
+
+
+def _converged_starts(text, lam, n_starts):
+    """The flat solutions of the bow's own converged starts, none accepted."""
+    d = parse_bow_diagram(text)
+    xs = []
+    out = _start_loop(d, embed_deformation(d, lam), 0, n_starts, lambda _, x: xs.append(x))
+    assert isinstance(out, InfeasibilityEvidence) and all(s.converged for s in out.starts)
+    return [unflatten_point(d, x) for x in xs], d
+
+
+@pytest.mark.parametrize("text, lam, n_starts, expected", (
+    # every start converges onto the non-open locus
+    ("bow { wavy a [2]; wavy b [5, 2]; edge a -> b; }", {"a": 0.6, "b": -1.1}, 8, [False] * 8),
+    # start 0 is (S1)'s refusal of the CI step, start 1 is open
+    ("bow { wavy a [2, 1]; }", {"a": 0.0}, 2, [False, True]),
+))
+def test_open_conditions_hold_decides_as_check_S1_and_check_S2(text, lam, n_starts, expected):
+    points, d = _converged_starts(text, lam, n_starts)
+    by_reports = [all(check_S1(t) and check_S2(t) for ts in p.triangles.values() for t in ts)
+                  for p in points]
+    assert [open_conditions_hold(d, p) for p in points] == by_reports == expected

@@ -8,6 +8,7 @@ be evaluated directly.
 """
 
 import collections
+import dataclasses
 import itertools
 import json
 import re
@@ -293,6 +294,20 @@ def test_compiled_layout_cache_keeps_diagrams_apart(rng):
     for text in (INTERVAL_111, S222, "bow { wavy s [2, 2, 2]; edge s -> s; }", S222,
                  INTERVAL_111):
         _check_jacobian_against_finite_differences(parse_bow_diagram(text), rng)
+
+
+def test_the_compiled_record_is_memoised_on_the_diagram():
+    d, twin = parse_bow_diagram(S222), parse_bow_diagram(S222)
+    text = repr(d)
+    c = _compiled(d)
+    assert _compiled(d) is c
+    assert _compiled(twin) is c   # one record per shape, from _compile's cache
+    assert d == twin and repr(d) == repr(twin) == text
+    copy = dataclasses.replace(d)
+    assert copy == d and repr(copy) == text and _compiled(copy) is c
+    other = dataclasses.replace(d, seg_dims={"s": (2, 2)})
+    assert other != d and _compiled(other) is not c
+    assert _compiled(other).n == point_dim(parse_bow_diagram("bow { wavy s [2, 2]; }"))
 
 
 def test_gauge_vector_matches_finite_differences(rng):
