@@ -11,6 +11,14 @@ All structured output is JSON with complex entries as [re, im] pairs.
 Runs are deterministic: the same input, seed, and flags produce
 byte-identical output.  --seed defaults to 0.
 
+_dump writes that JSON: its bytes are json.dumps(data, indent=2,
+allow_nan=False)'s, but it builds each container's text by one join
+over its items, and a list of floats (a matrix entry's [re, im] pair)
+by one join over float.__repr__, not token by token through json's
+pure-Python indenting encoder.  reduce reads the framed quiver point
+off the H-gauge walk's blocks, as heuristic check_semistable does,
+without building the A = id lift that to_quiver_point would discard.
+
 Exit codes: 0 success, 1 domain error (bad input data, failed solve,
 non-cobalanced reduce target), 2 usage error.
 """
@@ -24,6 +32,7 @@ import sys
 from dataclasses import asdict
 from fractions import Fraction
 from functools import lru_cache
+from json.encoder import encode_basestring_ascii
 
 import numpy as np
 
@@ -36,12 +45,15 @@ from .diagrams import (
 )
 from .linalg import _largest_entry, matrix_to_json
 from .quiver import StabilityVerdict, quiver_point_to_json_dict
-from .reduction import gauge_fix_H, to_quiver_point
 from .total_space import (
     FiberSolveReport,
     InfeasibilityEvidence,
     TotalSpacePoint,
+    _compiled,
+    _fix_H,
+    _quiver_point,
     check_semistable,
+    check_shapes,
     expected_smooth_dimension,
     point_from_json_dict,
     point_to_json_dict,
@@ -103,8 +115,59 @@ def _cast_weight(text: str):
 
 
 def _dump(data) -> str:
-    # a NaN or infinite float is no JSON: ValueError, so an error line and exit 1
-    return json.dumps(data, indent=2, allow_nan=False)
+    """json.dumps(data, indent=2, allow_nan=False), byte for byte, for the
+    payloads the subcommands build: dicts with str keys, lists, tuples,
+    str, int, float, bool and None.  A NaN or infinite float is no JSON:
+    json's ValueError, so an error line and exit 1."""
+    return _json(data, "\n")
+
+
+def _json(x, pad: str) -> str:
+    """x as json.dumps(indent=2) writes it after the line break and
+    indent pad; a list of floats is written by one join."""
+    if isinstance(x, (list, tuple)):
+        if not x:
+            return "[]"
+        inner = pad + "  "
+        body = None
+        if isinstance(x[0], float):
+            try:
+                body = ("," + inner).join(map(float.__repr__, x))
+            except TypeError:   # an item that is not a float
+                pass
+            else:
+                if "n" in body:   # nan, inf or -inf: no finite float's repr has an n
+                    for v in x:
+                        _float(v)
+        if body is None:
+            body = ("," + inner).join([_json(v, inner) for v in x])
+        return "[" + inner + body + pad + "]"
+    if isinstance(x, dict):
+        if not x:
+            return "{}"
+        inner = pad + "  "
+        return "{" + inner + ("," + inner).join(
+            [encode_basestring_ascii(k) + ": " + _json(v, inner) for k, v in x.items()]) + pad + "}"
+    if isinstance(x, str):
+        return encode_basestring_ascii(x)
+    if x is None:
+        return "null"
+    if x is True:
+        return "true"
+    if x is False:
+        return "false"
+    if isinstance(x, int):
+        return int.__repr__(x)
+    if isinstance(x, float):
+        return _float(x)
+    raise TypeError(f"Object of type {type(x).__name__} is not JSON serializable")
+
+
+def _float(x: float) -> str:
+    text = float.__repr__(x)
+    if "n" in text:
+        raise ValueError(f"Out of range float values are not JSON compliant: {x!r}")
+    return text
 
 
 def _emit(text: str):
@@ -213,7 +276,9 @@ def cmd_dim(args) -> int:
 def cmd_reduce(args) -> int:
     d = _read_diagram(args.diagram)
     p = _read_point(d, args.point)
-    rep = to_quiver_point(gauge_fix_H(d, p))
+    c = _compiled(d)
+    # reduction.to_quiver_point(gauge_fix_H(d, p)) without the lift it discards
+    rep = _quiver_point(c, _fix_H(c, check_shapes(d, p)))
     if args.format == "table":
         for i in rep.quiver.vertices:
             _emit(f"vertex {i}: v={rep.v[i]}, w={rep.w[i]}, "

@@ -94,9 +94,11 @@ def _trusted(cls, *values):
 
 
 def matrix_to_json(m) -> list:
-    """Row-major nested list with complex entries as [re, im] pairs."""
+    """Row-major nested list with complex entries as [re, im] pairs: the
+    matrix's own doubles, -0.0 included, read by one tolist of its real
+    view."""
     a = as_matrix(m)
-    return [[[float(z.real), float(z.imag)] for z in row] for row in a]
+    return np.ascontiguousarray(a).view(float).reshape(*a.shape, 2).tolist()
 
 
 def _field(entry: dict, key: str, where: str):
@@ -116,7 +118,10 @@ def matrix_from_json(data, rows: int, cols: int) -> np.ndarray:
             raise ValueError(f"row {i}: expected {cols} entries, got {len(row)}")
         for j, pair in enumerate(row):
             re, im = pair
-            a[i, j] = complex(re, im)
+            try:
+                a[i, j] = complex(re, im)
+            except OverflowError as err:   # a JSON integer beyond float range
+                raise ValueError(f"row {i}, entry {j}: {err}") from err
     if not np.isfinite(a).all():   # json reads NaN and Infinity
         raise ValueError("matrix has non-finite entries")
     return a

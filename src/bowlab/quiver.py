@@ -261,7 +261,8 @@ def quiver_point_to_json_dict(p: QuiverRepPoint) -> dict:
 
 
 def quiver_point_from_json_dict(data: dict) -> QuiverRepPoint:
-    """Inverse of quiver_point_to_json_dict; a missing entry names its vertex."""
+    """Inverse of quiver_point_to_json_dict; a missing entry names its
+    vertex, and a matrix that cannot be read names its block."""
     top = "quiver point data"
     q = Quiver(_field(data, "vertices", top), [tuple(a) for a in _field(data, "arrows", top)])
 
@@ -274,10 +275,16 @@ def quiver_point_from_json_dict(data: dict) -> QuiverRepPoint:
 
     v = {i: int(n) for i, n in per_vertex("v").items()}
     w = {i: int(n) for i, n in per_vertex("w").items()}
-    x = tuple(matrix_from_json(m, v[h], v[t])
-              for m, (t, h) in zip(_field(data, "x", top), q.arrows))
-    y = tuple(matrix_from_json(m, v[t], v[h])
-              for m, (t, h) in zip(_field(data, "y", top), q.arrows))
-    I = {i: matrix_from_json(m, v[i], w[i]) for i, m in per_vertex("I").items()}
-    J = {i: matrix_from_json(m, w[i], v[i]) for i, m in per_vertex("J").items()}
+    def read(m, rows, cols, where):
+        try:
+            return matrix_from_json(m, rows, cols)
+        except (TypeError, ValueError) as err:
+            raise ValueError(f"{where}: {err}") from err
+
+    x = tuple(read(m, v[h], v[t], f"x of arrow {k}")
+              for k, (m, (t, h)) in enumerate(zip(_field(data, "x", top), q.arrows)))
+    y = tuple(read(m, v[t], v[h], f"y of arrow {k}")
+              for k, (m, (t, h)) in enumerate(zip(_field(data, "y", top), q.arrows)))
+    I = {i: read(m, v[i], w[i], f"I of vertex {i!r}") for i, m in per_vertex("I").items()}
+    J = {i: read(m, w[i], v[i], f"J of vertex {i!r}") for i, m in per_vertex("J").items()}
     return QuiverRepPoint(q, v, w, x, y, I, J)

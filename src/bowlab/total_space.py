@@ -30,9 +30,11 @@ walk moves just these, the quiver point reads them, and _lift, the one
 lift of solve_fiber's route, gauge_fix_H and from_quiver_point, writes
 the A = id point they determine into one flat vector, which is checked
 for finiteness and cut into blocks once.  A flat vector becomes a point
-by that one check and cut too, and a converged start's (S1)/(S2) check
-reads the sweeps' dimensions on its blocks before any point is built:
-a refused start builds neither the point nor check_S1's witness.
+by that one check and cut too, as do a point file's [re, im] pairs,
+which point_from_json_dict reads into one array.  A converged start's
+(S1)/(S2) check reads the sweeps' dimensions on its blocks before any
+point is built: a refused start builds neither the point nor
+check_S1's witness.
 
 The moment map is quadratic, so by vec(M X N) = (M kron N^T) vec(X)
 each Jacobian entry is +-x[src], +-1 or a sum of two such terms, and
@@ -926,14 +928,41 @@ def point_to_json_dict(d: BowDiagram, p: TotalSpacePoint) -> dict:
 
 def point_from_json_dict(d: BowDiagram, data: dict) -> TotalSpacePoint:
     """Inverse of point_to_json_dict.  Every matrix is read at the shape
-    the diagram gives it; a triangle's v1 and v2 must be the diagram's."""
+    the diagram gives it; a triangle's v1 and v2 must be the diagram's.
+
+    Each block's row count and row lengths are checked and the [re, im]
+    pairs of all blocks go into one np.array, read as complex, checked
+    for finiteness once and cut by the compiled layout.  Data that this
+    cannot take as it is (a missing entry or a wrong shape, an entry
+    that is not a pair of JSON numbers, an integer beyond 64 bits, a
+    non-finite value) is read again block by block by
+    linalg.matrix_from_json: its error, prefixed with the block's name,
+    is the message, and a point that passes there comes from there."""
     if not isinstance(data, dict) or "triangles" not in data or "edges" not in data:
         raise ValueError("point data must carry 'triangles' and 'edges' entries")
     _check_counts(d, data["triangles"], data["edges"])
     c = _compiled(d)
+    try:
+        x = _read_pairs(_json_blocks(d, c, data))
+    except (TypeError, ValueError):   # a len() of a scalar, a missing entry, a ragged array
+        x = None
+    if x is not None:
+        return _point(d, _split(c.layout, x))
+    blocks = []
+    for role, where, m, rows, cols in _json_blocks(d, c, data):
+        try:
+            blocks.append(matrix_from_json(m, rows, cols))
+        except (TypeError, ValueError) as err:
+            raise ValueError(f"{role} of {where}: {err}") from err
+    return _assemble(d, blocks)
+
+
+def _json_blocks(d: BowDiagram, c: _Compiled, data: dict):
+    """Per block of point data in flat order: its role, where it is, its
+    entry and its layout shape.  A missing entry, or a triangle's (v1,
+    v2) that is not the diagram's, raises when its block is reached."""
     triangles = iter([td for name in d.bow.intervals for td in data["triangles"][name]])
     edges = enumerate(data["edges"])
-    blocks = []
     for (role, _, col), (rows, cols) in zip(c.tags, c.layout):
         if role == "A":
             entry = next(triangles)
@@ -946,9 +975,22 @@ def point_from_json_dict(d: BowDiagram, data: dict) -> TotalSpacePoint:
         elif role == "C":
             k, entry = next(edges)
             where = f"edge {k}"
-        m = _field(entry, role, where)
-        try:
-            blocks.append(matrix_from_json(m, rows, cols))
-        except (TypeError, ValueError) as err:
-            raise ValueError(f"{role} of {where}: {err}") from err
-    return _assemble(d, blocks)
+        yield role, where, _field(entry, role, where), rows, cols
+
+
+def _read_pairs(blocks) -> np.ndarray | None:
+    """The flat complex vector of the blocks' [re, im] pairs, or None
+    where a block's shape, an entry or a value is not one it can take."""
+    pairs = []
+    for _, _, m, rows, cols in blocks:
+        if len(m) != rows:
+            return None
+        for row in m:
+            if len(row) != cols:
+                return None
+            pairs += row
+    arr = np.array(pairs)   # no dtype: "1" must stay a string
+    if arr.shape != (len(pairs), 2) or arr.dtype.kind not in "biuf":
+        return None
+    x = arr.astype(float, copy=False).view(complex).ravel()
+    return x if np.isfinite(x).all() else None

@@ -14,6 +14,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from bowlab import cli
 from bowlab.cli import build_parser, main
 from bowlab.diagrams import diagram_from_json_dict, parse_bow_diagram, serialize
 from bowlab.total_space import moment_residual, point_from_json_dict
@@ -421,3 +422,119 @@ def test_readme_lists_the_subcommands():
     with pytest.raises(SystemExit) as exc:
         main(["selftest"])
     assert exc.value.code == 2
+
+
+# --- the JSON writer ------------------------------------------------------------------
+
+ROOT = Path(__file__).resolve().parent.parent
+README_DIAGRAM = "bow { wavy a [1, 1]; wavy b [1, 1]; edge a -> b; edge b -> a; }"
+
+
+def _cli_workload_argvs(tmp_path, monkeypatch):
+    """The cli benchmark workload's argvs, its inputs written under tmp_path."""
+    monkeypatch.setattr(sys, "dont_write_bytecode", True)   # write nothing under benchmark/
+    monkeypatch.syspath_prepend(str(ROOT / "benchmark"))
+    import workloads
+    monkeypatch.setattr(workloads, "WORK_DIR", tmp_path)
+    return workloads.Cli(1, smoke=False).argvs
+
+
+def _readme_argvs(capsys, tmp_path):
+    """The README's commands on a two-interval diagram, and the CI's
+    witness and no-solution cases."""
+    diagram, loop, flat = tmp_path / "readme.bow", tmp_path / "loop.bow", tmp_path / "flat.bow"
+    diagram.write_text(README_DIAGRAM, encoding="utf-8")
+    loop.write_text("bow { wavy a [2]; edge a -> a; }", encoding="utf-8")
+    flat.write_text("bow { wavy a [2, 2]; }", encoding="utf-8")
+    point = _solved_point_file(capsys, tmp_path, str(diagram), lam="0.5,-0.5")
+    loop_point = tmp_path / "loop_point.json"
+    code, out, _ = run_cli(capsys, ["solve", str(loop), "--lambda", "0", "--seed", "0"])
+    assert code == 0
+    loop_point.write_text(out, encoding="utf-8")
+    return [["parse", str(diagram)],
+            ["solve", str(diagram), "--lambda", "0.5,-0.5", "--seed", "3", "--starts", "20"],
+            ["stability", str(diagram), point, "--theta", "1,-1", "--mode", "exact01"],
+            ["reduce", str(diagram), point],
+            ["check-empty", str(diagram)],
+            ["check-empty", str(diagram), "--starts", "2"],
+            ["stability", str(loop), str(loop_point), "--theta", "1"],
+            ["stability", str(loop), str(loop_point), "--theta", "-1"],
+            ["solve", str(flat), "--lambda", "1", "--starts", "2", "--seed", "0"]]
+
+
+def test_dump_writes_what_json_dumps_writes_for_every_printed_payload(capsys, tmp_path,
+                                                                       monkeypatch):
+    argvs = _cli_workload_argvs(tmp_path, monkeypatch) + _readme_argvs(capsys, tmp_path)
+    dump, payloads = cli._dump, []
+
+    def recording(data):
+        payloads.append(data)
+        return dump(data)
+
+    monkeypatch.setattr(cli, "_dump", recording)
+    for argv in argvs:
+        assert main(argv) in (0, 1), argv
+    capsys.readouterr()
+    assert len(payloads) == sum(a[0] != "dim" and "--dsl" not in a for a in argvs) == 24
+    for data in payloads:
+        assert dump(data) == json.dumps(data, indent=2, allow_nan=False)
+
+
+@pytest.mark.parametrize("data", (
+    -0.0, 5e-324, 1.7976931348623157e308, 1e16, 0.1, 0, -7, 10 ** 30, True, False, None,
+    [], {}, [[]], [{}], {"a": []}, {"a": {}}, [[], [[]], {}], (1.5, -0.0), ((), (2, [3.0])),
+    [0.1, -0.0, 5e-324], [[0.5, -1e-300], [2.0, 3]], [1.5, "x", None, True],
+    {"k": [1.0, 2.0], "m": {"n": [[-0.0, 1e16]], "o": "p"}, "q": (None, False)},
+    "plain", "quote \" and backslash \\", "é and  ", "tab\tnew\nline\x00\x1f\x7f",
+    {"é \"k\"\n": 1}, np.float64(0.1), [np.float64(-0.0), 1.5], [1.5, np.float64(2.5)]))
+def test_dump_is_json_dumps_with_indent_two(data):
+    assert cli._dump(data) == json.dumps(data, indent=2, allow_nan=False)
+
+
+@pytest.mark.parametrize("bad", (float("nan"), float("inf"), float("-inf"), np.float64("nan")))
+@pytest.mark.parametrize("where", (
+    lambda x: x, lambda x: [x], lambda x: [1.0, x], lambda x: [x, 1.0], lambda x: [1, x],
+    lambda x: {"a": x}, lambda x: {"a": [[0.5, 0.25], [0.0, x]]}, lambda x: (2.0, x),
+    lambda x: [{"b": [None, x]}]))
+def test_dump_refuses_a_non_finite_float_with_jsons_message(bad, where):
+    with pytest.raises(ValueError) as expected:
+        json.dumps(where(bad), indent=2, allow_nan=False)
+    with pytest.raises(ValueError) as got:
+        cli._dump(where(bad))
+    assert str(got.value) == str(expected.value)
+
+
+# --- point files beyond float range, and the reduction without the lift --------------
+
+
+@pytest.mark.parametrize("command", (["stability", "--theta", "1"], ["reduce"]))
+def test_a_point_file_integer_beyond_float_range_is_an_error_line(capsys, tmp_path,
+                                                                   diagram_file, command):
+    point = Path(_solved_point_file(capsys, tmp_path, diagram_file, lam="0.3"))
+    data = json.loads(point.read_text(encoding="utf-8"))
+    data["point"]["triangles"]["s"][0]["A"][0][0] = [10 ** 400, 0.0]
+    point.write_text(json.dumps(data), encoding="utf-8")
+    assert "1" + "0" * 400 + "," in point.read_text(encoding="utf-8")
+    code, out, err = run_cli(capsys, [command[0], diagram_file, str(point), *command[1:]])
+    assert (code, out) == (1, "")
+    assert err.startswith("error: point file ")
+    assert err.endswith("A of triangle 0 of interval 's': row 0, entry 0: "
+                        "int too large to convert to float\n")
+
+
+def test_reduce_prints_the_quiver_point_where_the_lift_would_overflow(capsys, tmp_path):
+    # off condition (a): every A = id and B = 0, each a b = 1e308, so the
+    # quiver point is finite and the lift's B at s:0 would be 2e308
+    diagram = tmp_path / "s111.bow"
+    diagram.write_text(CANONICAL, encoding="utf-8")
+    big = [[[1e154, 0.0]]]
+    triangle = {"v1": 1, "v2": 1, "A": [[[1.0, 0.0]]], "B1": [[[0.0, 0.0]]],
+                "B2": [[[0.0, 0.0]]], "a": big, "b": big}
+    point = tmp_path / "big.json"
+    point.write_text(json.dumps({"triangles": {"s": [triangle, triangle]}, "edges": []}),
+                     encoding="utf-8")
+    code, out, err = run_cli(capsys, ["reduce", str(diagram), str(point)])
+    assert (code, err) == (0, "")
+    data = json.loads(out)
+    assert data["I"] == {"s": [[[1e154, 0.0], [1e154, 0.0]]]}
+    assert data["J"] == {"s": [[[1e154, 0.0]], [[1e154, 0.0]]]}

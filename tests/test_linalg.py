@@ -272,6 +272,42 @@ def test_matrix_json_round_trip(rng):
     assert empty.shape == (0, 2)
 
 
+def _old_matrix_to_json(m) -> list:
+    """matrix_to_json as it was, entry by entry: the reference."""
+    return [[[float(z.real), float(z.imag)] for z in row] for row in as_matrix(m)]
+
+
+def _float_bits(x):
+    """x's nested lists with each float replaced by its bytes, so that
+    -0.0 and 0.0 differ; the types must be float."""
+    if isinstance(x, list):
+        return [_float_bits(v) for v in x]
+    assert type(x) is float
+    return np.float64(x).tobytes()
+
+
+@pytest.mark.parametrize("make", (
+    lambda rng: cgauss(rng, 3, 4),
+    lambda rng: cgauss(rng, 4, 3).T,
+    lambda rng: cgauss(rng, 5, 6)[::2, 1::2],
+    lambda rng: np.array([[-0.0 + 0.0j, complex(0.0, -0.0)], [complex(-0.0, -0.0), 1e-310]]),
+    lambda rng: np.array([[complex(-0.0, 5e-324)], [complex(1.7976931348623157e308, -1.0)]]).T,
+    lambda rng: np.zeros((0, 3)), lambda rng: np.zeros((3, 0)),
+    lambda rng: [[1, 2.5], [True, -3]],
+))
+def test_matrix_to_json_is_the_entry_by_entry_list(make, rng):
+    m = make(rng)
+    got, want = matrix_to_json(m), _old_matrix_to_json(m)
+    assert got == want
+    assert _float_bits(got) == _float_bits(want)
+
+
+def test_matrix_from_json_names_an_integer_beyond_float_range():
+    with pytest.raises(ValueError) as exc:
+        matrix_from_json([[[0.5, 0.0], [0.0, 10 ** 400]]], 1, 2)
+    assert str(exc.value) == "row 0, entry 1: int too large to convert to float"
+
+
 # --- exact finite-field oracle ----------------------------------------------
 #
 # The float checkers above implement two fixed-point algorithms:

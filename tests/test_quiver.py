@@ -412,3 +412,16 @@ def test_json_reader_names_a_missing_entry(rng, key, where, message):
         del data[key][where]
     with pytest.raises(ValueError, match=f"^{message}$"):
         quiver_point_from_json_dict(data)
+
+
+def test_json_reader_names_the_block_of_an_integer_beyond_float_range(rng):
+    q = Quiver(("a", "b"), (("a", "b"),))
+    data = quiver_point_to_json_dict(_random_point(rng, q, {"a": 2, "b": 1}, {"a": 1, "b": 0}))
+    data["J"]["a"][0][1] = [10 ** 400, 0.0]
+    with pytest.raises(ValueError, match="^J of vertex 'a': row 0, entry 1: "
+                                         "int too large to convert to float$"):
+        quiver_point_from_json_dict(data)
+    data["J"]["a"][0][1] = [0.0, 0.0]
+    data["x"][0] = [[[1.0, 0.0]]]
+    with pytest.raises(ValueError, match="^x of arrow 0: row 0: expected 2 entries, got 1$"):
+        quiver_point_from_json_dict(data)

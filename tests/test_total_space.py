@@ -37,7 +37,7 @@ from bowlab.graded import (
     _support_masks,
     candidate_lattice,
 )
-from bowlab.linalg import RANK_TOL, Subspace, image_basis, kernel_basis, rank
+from bowlab.linalg import RANK_TOL, Subspace, image_basis, kernel_basis, matrix_from_json, rank
 from bowlab.quiver import Exact01Unavailable, Quiver, QuiverRepPoint, rep_semistable
 from bowlab.solve import finite_diff_jacobian
 from bowlab.total_space import (
@@ -1071,6 +1071,91 @@ def test_point_file_names_the_block_of_a_bad_matrix(path, bad, message, rng):
     else:
         entry[path[-1]] = bad
     with pytest.raises(ValueError, match=f"^{re.escape(message)}"):
+        point_from_json_dict(d, data)
+
+
+FROZEN_POINTS = Path(__file__).resolve().parent.parent / "benchmark" / "fixtures" / "points.json"
+FROZEN_TEXTS = {"INTERVAL_111": INTERVAL_111, "LOOP_2": LOOP_2, "CYCLE_11": CYCLE_11,
+                "S222": S222, "MIX_3333_33": MIX_3333_33, "CYCLE_444": CYCLE_444,
+                "CYCLE3_11": CYCLE3_11, "CYCLE3_1x5": CYCLE3_1x5}
+
+
+def _read_by_entry(d, data) -> list:
+    """The point data's blocks in flat order, each read entry by entry by
+    matrix_from_json: the reference for the one-array reader."""
+    ms = [td[role] for name in d.bow.intervals for td in data["triangles"][name]
+          for role in ("A", "B1", "B2", "a", "b")]
+    ms += [ed[role] for ed in data["edges"] for role in ("C", "D")]
+    return [matrix_from_json(m, rows, cols) for m, (rows, cols) in zip(ms, _compiled(d).layout)]
+
+
+def _same_blocks(got: list, want: list) -> bool:
+    """Equal shapes, complex dtype and bytes, so -0.0 is not 0.0."""
+    return len(got) == len(want) and all(
+        g.dtype == w.dtype == complex and g.shape == w.shape and g.tobytes() == w.tobytes()
+        for g, w in zip(got, want))
+
+
+@pytest.mark.parametrize("name", sorted(FROZEN_TEXTS))
+def test_point_reader_reads_the_frozen_points_as_entry_by_entry(name):
+    d = parse_bow_diagram(FROZEN_TEXTS[name])
+    data = json.loads(FROZEN_POINTS.read_text(encoding="utf-8"))[name]["point"]
+    got = check_shapes(d, point_from_json_dict(d, data))
+    assert _same_blocks(got, _read_by_entry(d, data))
+
+
+def _interval_data(rng):
+    d = parse_bow_diagram(INTERVAL_111)
+    return d, json.loads(json.dumps(point_to_json_dict(d, random_point(d, rng))))
+
+
+@pytest.mark.parametrize("entry", ([-0.0, -0.0], [True, False], [100000000000000000000, 0],
+                                   [2 ** 63, -1], [2 ** 64 - 1, 7], [3, 0.5]))
+def test_point_reader_takes_every_entry_the_entry_by_entry_reader_takes(entry, rng):
+    d, data = _interval_data(rng)
+    data["triangles"]["s"][0]["A"][0][0] = entry
+    data["triangles"]["s"][1]["b"][0][0] = entry
+    got = check_shapes(d, point_from_json_dict(d, data))
+    assert _same_blocks(got, _read_by_entry(d, data))
+    assert got[0][0, 0] == complex(*entry)
+
+
+A0 = "A of triangle 0 of interval 's': "
+
+
+@pytest.mark.parametrize("role, edit, message", (
+    ("A", lambda m: m.clear(), A0 + "expected 1 rows, got 0"),
+    ("A", lambda m: m[0].append([1.0, 2.0]), A0 + "row 0: expected 1 entries, got 2"),
+    ("A", lambda m: m[0].__setitem__(0, [1.0]),
+     A0 + "not enough values to unpack (expected 2, got 1)"),
+    ("A", lambda m: m[0].__setitem__(0, [1.0, 2.0, 3.0]),
+     A0 + "too many values to unpack (expected 2)"),
+    ("A", lambda m: m[0].__setitem__(0, 1.0), A0 + "cannot unpack non-iterable float object"),
+    ("A", lambda m: m[0].__setitem__(0, ["1", 0]),
+     A0 + "complex() can't take second arg if first is a string"),
+    ("A", lambda m: m[0].__setitem__(0, [None, 0]),
+     A0 + "complex() first argument must be a string or a number, not 'NoneType'"),
+    ("A", lambda m: m[0].__setitem__(0, [[1.0], 0]),
+     A0 + "complex() first argument must be a string or a number, not 'list'"),
+    ("b", lambda m: m[0].__setitem__(0, [float("nan"), 0.0]),
+     "b of triangle 1 of interval 's': matrix has non-finite entries"),
+    ("A", lambda m: m[0].__setitem__(0, [10 ** 400, 0]),
+     A0 + "row 0, entry 0: int too large to convert to float"),
+))
+def test_point_reader_errors_are_the_entry_by_entry_readers(role, edit, message, rng):
+    d, data = _interval_data(rng)
+    edit(data["triangles"]["s"][0 if role == "A" else 1][role])
+    with pytest.raises(ValueError) as exc:
+        point_from_json_dict(d, data)
+    assert str(exc.value) == message
+
+
+def test_point_reader_reports_the_first_bad_block_in_flat_order(rng):
+    d, data = _interval_data(rng)
+    data["triangles"]["s"][0]["B2"][0][0] = ["x", 0]
+    data["triangles"]["s"][1]["A"].clear()
+    del data["triangles"]["s"][1]["b"]
+    with pytest.raises(ValueError, match="^B2 of triangle 0 of interval 's': complex"):
         point_from_json_dict(d, data)
 
 
