@@ -16,7 +16,7 @@ allow_nan=False)'s, but it builds each container's text by one join
 over its items, and a list of floats (a matrix entry's [re, im] pair)
 by one join over float.__repr__, not token by token through json's
 pure-Python indenting encoder.  reduce reads the framed quiver point
-off the H-gauge walk's blocks, as heuristic check_semistable does,
+off the H-gauge walk's blocks, as check_semistable's quiver route does,
 without building the A = id lift that to_quiver_point would discard.
 
 Exit codes: 0 success, 1 domain error (bad input data, failed solve,
@@ -363,7 +363,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("point", help="point JSON file (solve output accepted)")
     p.add_argument("--theta", default=None, metavar="T0,T1,...",
                    help="per-interval weights, declaration order")
-    p.add_argument("--mode", choices=("exact01", "heuristic"), default="heuristic")
+    p.add_argument("--mode", choices=("exact01", "heuristic"), default="heuristic",
+                   help="an input check: the dimensions pick the test; exact01 asserts all <= 1")
     p.add_argument("--stable", action="store_true",
                    help="strict-inequality variant (stability, not semistability)")
     add_format(p)

@@ -5,8 +5,8 @@ collection of maps (src key, dst key, matrix) is "respected" by a
 graded subspace when every map sends the src component into the dst
 component.  The two closure operators below are graded versions of the
 ones in linalg that iterate memoised part operations; the candidate
-lattice feeds the heuristic (un)stability falsifiers, which read it as
-it grows and stop it at their first witness.
+lattice feeds the (un)stability falsifier above dimension 1, which
+reads it as it grows and stops it at its first witness.
 
 The lattice and the closures work on interned parts.  A part table
 keeps, per key, one representative Subspace for each distinct subspace
@@ -15,7 +15,7 @@ at most SAME_SUBSPACE_TOL), so a graded subspace is a tuple of part
 ids, deduplicated by hashing.  The table computes per-key sums and
 intersections, and per-map images and preimages cut at the map's
 spectral norm, once per pair of ids; one table serves the whole
-heuristic search of a find_destabilizer call.  Work whose result is
+lattice search of a find_destabilizer call.  Work whose result is
 known in advance is skipped: both closures return 0 and V as they are,
 sums and intersections with a zero or full part are read off, and a
 map's spectral norm is taken only when an image or preimage first
@@ -25,7 +25,7 @@ find_destabilizer is the one kernel/image stability test.  Framed quiver
 points (Nakajima) and bow points both reduce to it: a bow adds, per
 x-point, a link A that must restrict to an isomorphism on the subspace
 (kernel clause) or descend to one on the quotients (image clause).
-With every dimension <= 1 (exact01) the test is combinatorial: the
+With every dimension <= 1 the test decides, and is combinatorial: the
 candidates are the 0/1 supports closed under the nonzero maps, the
 unions of the keys' closures, and every clause is integer arithmetic
 on their bitmasks, so no subspace is built but the witness.
@@ -96,19 +96,19 @@ class GradedSubspace:
 class StabilityVerdict:
     """Outcome of a (semi)stability test.
 
-    kind: "semistable" (definitive: from exact01, or in heuristic mode
-        from the quiver's moment-map trace certificate), "unstable"
-        (witness attached), or "not-falsified" (heuristic search found
-        no destabilizing subspace; NOT a proof of semistability).
+    kind: "semistable" (definitive: from the 0/1 support enumeration
+        where every dimension is <= 1, or from the quiver's moment-map
+        trace certificate), "unstable" (witness attached), or
+        "not-falsified" (the lattice search found no destabilizing
+        subspace; NOT a proof of semistability).
     witness: destabilizing graded subspace when kind == "unstable".
     clause: "kernel" when the witness sits inside the kernel maps'
         kernels with positive pairing, "image" when it contains the
         image maps' images with negative copairing.
-    searched: how many lattice elements (heuristic) or invariant 0/1
-        supports (exact01) had their candidates tested; both searches
-        stop at the first witness, so for "unstable" it is the witness's
-        position.  0 when no search ran: zero weights, or a heuristic
-        "semistable" that the trace certificate decided.
+    searched: how many lattice elements or invariant 0/1 supports had
+        their candidates tested; both searches stop at the first witness,
+        so for "unstable" it is the witness's position.  0 when no search
+        ran: zero weights, or a certificate's "semistable".
     capped: a "not-falsified" search whose lattice reached LATTICE_CAP
         elements, so it left part of the lattice unexplored.  Never set
         on "unstable": that search stopped at its witness and left
@@ -564,11 +564,11 @@ def _support_masks(dims: dict, maps, kernel_maps, image_maps):
 
 def _exact01(dims: dict, maps, kernel_maps, image_maps, weights: dict, links,
              stable: bool) -> StabilityVerdict:
-    """find_destabilizer's exact01 verdict with every dimension <= 1, each
-    map given by whether it is nonzero once snapped (see _nonzero): the
-    first support of _support_masks that qualifies,
-    for the kernel clause before the image clause, by integer arithmetic
-    over each array of supports at once.
+    """find_destabilizer's verdict with every dimension <= 1, each map
+    read as whether it is nonzero once snapped (see _nonzero): the first
+    support of _support_masks that qualifies, for the kernel clause
+    before the image clause, by integer arithmetic over each array of
+    supports at once.
 
     A support s is invariant by construction.  A link (lo, hi, A), with
     n the dimensions, restricts to an isomorphism on s when s_lo = s_hi
@@ -578,6 +578,7 @@ def _exact01(dims: dict, maps, kernel_maps, image_maps, weights: dict, links,
     clauses, and one with A = 0 asks the kernel clause to avoid its
     dimension-one keys and the image clause to hold them.  The signs are
     _destabilizes's: the pairing of 0 and the copairing of V are 0."""
+    maps, kernel_maps, image_maps, links = _nonzero((maps, kernel_maps, image_maps, links))
     pos, chunks, avoid, cover = _support_masks(dims, maps, kernel_maps, image_maps)
     lo, hi = [], []
     for src, dst, nonzero in links:
@@ -615,12 +616,14 @@ def _exact01(dims: dict, maps, kernel_maps, image_maps, weights: dict, links,
     return StabilityVerdict("semistable", searched=searched)
 
 
-def _lattice_search(dims, maps, kernel_maps, image_maps, qualifies):
-    """Test the candidate lattice's elements as they join, each as the
-    pair: the largest invariant subspace inside it and the kernels, then
-    the smallest invariant one containing it and the images.  Returns
-    the first (clause, g) that qualifies, or None, and how many elements
-    were built."""
+def _lattice_search(dims: dict, maps, kernel_maps, image_maps, weights: dict, links,
+                    stable: bool) -> StabilityVerdict:
+    """find_destabilizer's verdict above dimension 1, on the snapped
+    matrices: the candidate lattice's elements are tested as they join,
+    each as the pair: the largest invariant subspace inside it and the
+    kernels, then the smallest invariant one containing it and the
+    images.  The first that qualifies is the witness."""
+    maps, kernel_maps, image_maps, links = _snapped((maps, kernel_maps, image_maps, links))
     table = _PartTable(dims, maps)
     ker, im = list(table.full), list(table.zero)
     for key, m in kernel_maps:
@@ -639,17 +642,33 @@ def _lattice_search(dims, maps, kernel_maps, image_maps, qualifies):
 
     def stop(cand) -> bool:
         for clause, g in tries(cand):
-            if qualifies(g, clause):
+            if _qualifies(g, clause, dims, maps, links, weights, stable):
                 found.append((clause, g))
                 return True
         return False
 
-    lattice = candidate_lattice(dims, maps, [table.graded(ker), table.graded(im)], stop, table)
-    return (found[0] if found else None), len(lattice)
+    seeds = [table.graded(ker), table.graded(im)]
+    searched = len(candidate_lattice(dims, maps, seeds, stop, table))
+    if found:
+        return StabilityVerdict("unstable", found[0][1], found[0][0], searched)
+    return StabilityVerdict("not-falsified", searched=searched, capped=searched >= LATTICE_CAP)
+
+
+def _check_mode(mode: str, dims: dict, weights: dict, stable: bool, name) -> None:
+    """The input check that is all check_semistable's and rep_semistable's
+    mode does: ValueError for an unknown mode, and for exact01
+    Exact01Unavailable naming by name(key) the first key of dims above
+    dimension 1, unless zero weights decide (not stable) without a test."""
+    if mode not in ("exact01", "heuristic"):
+        raise ValueError(f"unknown mode {mode!r}; expected 'exact01' or 'heuristic'")
+    big = [k for k, n in dims.items() if n > 1]
+    if mode == "exact01" and big and (stable or any(weights.values())):
+        raise Exact01Unavailable(f"exact01 requires every dimension <= 1; "
+                                 f"{name(big[0])} has dimension {dims[big[0]]}")
 
 
 def find_destabilizer(dims: dict, maps, kernel_maps, image_maps, weights: dict,
-                      links=(), mode: str = "heuristic", stable: bool = False) -> StabilityVerdict:
+                      links=(), stable: bool = False) -> StabilityVerdict:
     """Kernel/image (semi)stability test for a graded representation.
 
     A graded subspace S invariant under every (src, dst, m) in maps
@@ -663,34 +682,15 @@ def find_destabilizer(dims: dict, maps, kernel_maps, image_maps, weights: dict,
     S != V when stable.
 
     Matrices with no entry above zero_cutoff(largest entry of any matrix
-    passed) read as exact zeros.  exact01 decides over the invariant
-    0/1 supports and needs every dimension <= 1.  heuristic searches
-    candidate_lattice, seeded with the generalized eigenspaces of the
-    maps from a key to itself, growing it only until an element yields a
-    witness: "unstable" comes with a checked witness, "not-falsified" is
-    not a proof.  The verdict records how much was searched and whether
-    the lattice was capped.
+    passed) read as exact zeros.  Where every dimension is <= 1 the
+    invariant 0/1 supports decide exactly.  Above, candidate_lattice is
+    searched, seeded with the generalized eigenspaces of the maps from a
+    key to itself, growing it only until an element yields a witness:
+    "unstable" comes with a checked witness, "not-falsified" is not a
+    proof.  The verdict records how much was searched and whether the
+    lattice was capped.
     """
-    if mode not in ("exact01", "heuristic"):
-        raise ValueError(f"unknown mode {mode!r}; expected 'exact01' or 'heuristic'")
     if not stable and all(val == 0 for val in weights.values()):
         return StabilityVerdict("semistable")
-    if mode == "exact01":
-        big = {k: n for k, n in dims.items() if n > 1}
-        if big:
-            raise Exact01Unavailable(f"exact01 requires every dimension <= 1, got {big}")
-
-    if mode == "exact01":
-        maps, kernel_maps, image_maps, links = _nonzero((maps, kernel_maps, image_maps, links))
-        return _exact01(dims, maps, kernel_maps, image_maps, weights, links, stable)
-
-    maps, kernel_maps, image_maps, links = _snapped((maps, kernel_maps, image_maps, links))
-
-    def qualifies(g, clause):
-        return _qualifies(g, clause, dims, maps, links, weights, stable)
-
-    hit, searched = _lattice_search(dims, maps, kernel_maps, image_maps, qualifies)
-    if hit is not None:
-        return StabilityVerdict("unstable", hit[1], hit[0], searched)
-    return StabilityVerdict("not-falsified", searched=searched,
-                            capped=searched >= LATTICE_CAP)
+    search = _exact01 if all(n <= 1 for n in dims.values()) else _lattice_search
+    return search(dims, maps, kernel_maps, image_maps, weights, links, stable)

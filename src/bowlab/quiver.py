@@ -19,7 +19,7 @@ from math import isfinite, lcm, prod
 
 import numpy as np
 
-from .graded import Exact01Unavailable, StabilityVerdict, find_destabilizer
+from .graded import Exact01Unavailable, StabilityVerdict, _check_mode, find_destabilizer
 from .linalg import (
     _field,
     _largest_entry,
@@ -163,13 +163,13 @@ def rep_semistable(p: QuiverRepPoint, theta: dict, mode: str = "heuristic") -> S
     contained in Ker J has theta-pairing <= 0, and every one containing
     Im I has theta-copairing >= 0.
 
-    exact01 enumerates all graded supports and is a decision procedure,
-    available only when every v_i <= 1.  heuristic first tries the
-    moment-map trace certificate (see _trace_certificate), which proves
-    "semistable" (searched = 0) from the dimension vectors alone when p
-    lies on a fiber mu = lambda id; otherwise it searches a finite
-    lattice of invariant subspaces: "unstable" comes with a verified
-    witness, "not-falsified" is not a proof.
+    Where every v_i <= 1 all graded supports are enumerated, an exact
+    verdict.  Otherwise the moment-map trace certificate (see
+    _trace_certificate) goes first, proving "semistable" (searched = 0)
+    from the dimension vectors alone when p lies on a fiber
+    mu = lambda id; then a finite lattice of invariant subspaces is
+    searched: "unstable" comes with a verified witness, "not-falsified"
+    is not a proof.  mode only checks the input, as in check_semistable.
 
     A vertex theta omits has weight 0, as an interval has in
     check_semistable; a key naming no vertex is an error.
@@ -179,8 +179,9 @@ def rep_semistable(p: QuiverRepPoint, theta: dict, mode: str = "heuristic") -> S
     if unknown:
         raise ValueError(f"theta names unknown vertex(es) {unknown}; "
                          f"the quiver's vertices are {list(vertices)}")
-    weights = integerize_weights(theta)
-    return _destabilizer(p, {i: weights.get(i, 0) for i in vertices}, mode, False)
+    weights = dict.fromkeys(vertices, 0) | integerize_weights(theta)
+    _check_mode(mode, p.v, weights, False, lambda i: f"vertex {i!r}")
+    return _destabilizer(p, weights, False)
 
 
 def _trace_certificate(p: QuiverRepPoint, weights: dict, stable: bool) -> bool:
@@ -229,12 +230,12 @@ def _trace_certificate(p: QuiverRepPoint, weights: dict, stable: bool) -> bool:
     return not (kept & ((pairing != 0) | (stable & s.any(axis=1)))).any()
 
 
-def _destabilizer(p: QuiverRepPoint, weights: dict, mode: str, stable: bool) -> StabilityVerdict:
+def _destabilizer(p: QuiverRepPoint, weights: dict, stable: bool) -> StabilityVerdict:
     """find_destabilizer on p's data: x and y of every arrow as maps, the
     J's as kernel maps, the I's as image maps, integer weights per
-    vertex.  In heuristic mode the trace certificate goes first; exact01
-    on a 0/1 quiver enumerates a handful of supports, which costs less."""
-    if mode == "heuristic" and _trace_certificate(p, weights, stable):
+    vertex; the trace certificate goes first where some v_i is above 1
+    (below, find_destabilizer decides exactly, at less cost)."""
+    if any(n > 1 for n in p.v.values()) and _trace_certificate(p, weights, stable):
         return StabilityVerdict("semistable")
     q = p.quiver
     maps = []
@@ -243,7 +244,7 @@ def _destabilizer(p: QuiverRepPoint, weights: dict, mode: str, stable: bool) -> 
     return find_destabilizer(p.v, maps,
                              [(i, p.J[i]) for i in q.vertices],
                              [(i, p.I[i]) for i in q.vertices],
-                             weights, mode=mode, stable=stable)
+                             weights, stable=stable)
 
 
 def quiver_point_to_json_dict(p: QuiverRepPoint) -> dict:

@@ -15,8 +15,8 @@ moment map equals lambda on cobalanced instances.
 Both directions read a point's quiver data, the blocks total_space's
 route_blocks name (each edge's (C, D), then each x-point's (a, b)):
 gauge_fix_H's walk moves just those, and every A = id point is their
-lift by from_quiver_point's recursion.  Heuristic check_semistable
-searches the framed quiver point of the walk's blocks and `bowlab
+lift by from_quiver_point's recursion.  check_semistable's quiver
+route searches the framed quiver point of the walk's blocks and `bowlab
 reduce` prints it, neither building the lift.  solve_fiber solves a
 cobalanced fiber on the framed quiver and lifts the solution by the
 same recursion.  An open point has invertible A's, and a point

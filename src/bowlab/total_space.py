@@ -72,7 +72,13 @@ from .diagrams import (
     is_cobalanced,
     underlying_quiver,
 )
-from .graded import GradedSubspace, StabilityVerdict, _is_destabilizer, find_destabilizer
+from .graded import (
+    GradedSubspace,
+    StabilityVerdict,
+    _check_mode,
+    _is_destabilizer,
+    find_destabilizer,
+)
 from .linalg import (
     _field,
     _largest_entry,
@@ -686,7 +692,7 @@ def _fix_H(c: _Compiled, blocks: list) -> list:
     whose shapes the caller has checked, moved by the H-gauge that makes
     every A the identity (the walk of reduction.gauge_fix_H)."""
     if c.framed is None:
-        raise NotCobalanced("gauge_fix_H requires a cobalanced diagram")
+        raise NotCobalanced("diagram is not cobalanced: an x-point has unequal adjacent dims")
     first = np.repeat([s.index == 0 for s in c.segs], [v * v for v in c.seg_dims])
     flat = _join(blocks)
     mu2 = _moment(c, flat)[c.m - first.size:]
@@ -755,9 +761,9 @@ def _lift(d: BowDiagram, c: _Compiled, blocks: list) -> TotalSpacePoint:
 
 def _quiver_semistable(c: _Compiled, blocks: list, nu: dict,
                        stable: bool) -> StabilityVerdict | None:
-    """The heuristic verdict of the blocks' framed quiver point at nu's
-    first-segment weights, a witness carried back to the segments but not
-    re-checked on the bow; None where the reduction does not apply."""
+    """The verdict of the blocks' framed quiver point at nu's first-segment
+    weights, a witness carried back to the segments but not re-checked on
+    the bow; None where the reduction does not apply."""
     if c.framed is None:
         return None
     try:
@@ -765,7 +771,7 @@ def _quiver_semistable(c: _Compiled, blocks: list, nu: dict,
     except (MuHNonzero, SingularA):
         return None
     weights = {s.interval: nu[s] for s in c.segs if s.index == 0}
-    verdict = _destabilizer(_quiver_point(c, fixed), weights, "heuristic", stable)
+    verdict = _destabilizer(_quiver_point(c, fixed), weights, stable)
     if verdict.kind != "unstable":
         return verdict
     # the walk's gauge is g_0 = id, g_{i+1} = g_i A_i^-1, so the vertex
@@ -788,21 +794,19 @@ def check_semistable(d: BowDiagram, p: TotalSpacePoint, theta: dict,
     The image clause is dual: contains every Im a, A descends to
     quotient isomorphisms, copairing >= 0 (or > 0 unless full).
 
-    theta is per interval (embedded onto first segments); mode exact01
-    decides, mode heuristic falsifies or returns "not-falsified".
+    theta is per interval (embedded onto first segments).  The
+    dimensions pick the test; mode only checks the input (exact01
+    raises Exact01Unavailable where some segment is above dimension 1).
+    Where every segment has dimension <= 1 find_destabilizer decides
+    exactly, over the 0/1 supports (see graded._exact01).
 
-    Heuristic mode decides through the quiver description first: on a
-    cobalanced diagram, gauge_fix_H and to_quiver_point turn p into a
-    framed quiver point.  There the moment-map trace certificate comes
-    first: where every quiver moment is lambda_i id, an invariant
-    subspace in Ker J has lambda . dim = 0 and one containing Im I has
-    lambda . codim = 0, so when no dimension vector off that hyperplane
-    (up to the moment residual) pairs nonzero with theta, p is
-    semistable, and stable when only 0 lies on it; the verdict is then
-    "semistable" with searched = 0.  Every bow witness with A-isos
-    transports to such a quiver subspace, so the certificate covers the
-    bow.  Otherwise the quiver lattice (one key per interval, far
-    smaller than the bow's one key per segment) is searched.  A quiver
+    Above dimension 1, on a cobalanced diagram, the test runs on the
+    framed quiver point of gauge_fix_H and to_quiver_point (one key per
+    interval, not one per segment).  There the moment-map trace
+    certificate (see quiver._trace_certificate) goes first; every bow
+    witness with A-isos transports to a quiver subspace, so a
+    certificate covers the bow, and the verdict is "semistable" with
+    searched = 0.  Otherwise the quiver lattice is searched.  A quiver
     witness V' is carried back along the A's (S_0 = V',
     S_{i+1} = A_i S_i) and re-checked on the bow: killed by the b's or
     containing the a's images, the A links, the sign, invariance under
@@ -811,26 +815,19 @@ def check_semistable(d: BowDiagram, p: TotalSpacePoint, theta: dict,
     the diagram is not cobalanced (no framed quiver), p is off the zero
     level of the non-first-segment moment map (MuHNonzero, e.g. a
     random point), some A is singular (SingularA), or the carried
-    witness fails the re-check.  exact01 is not routed: it reads only
-    the 0/1 supports that every nonzero structure map preserves, the
-    unions of the segments' closures under those maps (Warshall's
-    algorithm over bitmasks), and decides each clause by integer
-    arithmetic on their bitmasks, up to 2^16 supports per numpy pass.
-    On CYCLE3_1x5's benchmark point the 15 segments are one closure, so
-    2 supports stand for 2^15 bitmasks.
+    witness fails the re-check.
     """
     blocks = check_shapes(d, p)
     c = _compiled(d)
     nu = embed_stability(d, integerize_weights(theta))
-    verdict = _quiver_semistable(c, blocks, nu, stable) if mode == "heuristic" else None
-    if verdict is not None and verdict.kind != "unstable":
-        return verdict
-    # the carried witness's re-check and the bow's own search read the same data
     data = _bow_data(c, blocks, nu)
-    if verdict is not None and _is_destabilizer(verdict.witness, verdict.clause, **data,
-                                                stable=stable):
+    _check_mode(mode, data["dims"], nu, stable, lambda s: f"segment {s.interval}:{s.index}")
+    verdict = _quiver_semistable(c, blocks, nu, stable) if any(n > 1 for n in c.seg_dims) else None
+    # a routed witness stands once the bow's own data re-checks it
+    if verdict is not None and (verdict.kind != "unstable" or _is_destabilizer(
+            verdict.witness, verdict.clause, **data, stable=stable)):
         return verdict
-    return find_destabilizer(**data, mode=mode, stable=stable)
+    return find_destabilizer(**data, stable=stable)
 
 
 # --- translation, dimension --------------------------------------------------

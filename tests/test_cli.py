@@ -280,6 +280,26 @@ def test_stability_reports_witness(capsys, tmp_path):
     assert all(w["dim"] == 1 for w in data["witness"].values())
 
 
+def test_exact01_above_dimension_one_names_the_first_segment(capsys, tmp_path):
+    diagram = tmp_path / "a22.bow"
+    diagram.write_text("bow { wavy a [2, 2]; }", encoding="utf-8")
+    point = _solved_point_file(capsys, tmp_path, str(diagram), lam="0")
+    code, out, err = run_cli(capsys, ["stability", str(diagram), point,
+                                      "--theta", "1", "--mode", "exact01"])
+    assert code == 1 and out == ""
+    assert err == "error: exact01 requires every dimension <= 1; segment a:0 has dimension 2\n"
+
+
+def test_reduce_on_a_diagram_that_is_not_cobalanced_names_the_condition(capsys, tmp_path):
+    diagram = tmp_path / "a21.bow"
+    diagram.write_text("bow { wavy a [2, 1]; }", encoding="utf-8")
+    point = _solved_point_file(capsys, tmp_path, str(diagram), lam="0")
+    code, out, err = run_cli(capsys, ["reduce", str(diagram), point])
+    assert code == 1 and out == ""
+    assert err == "error: diagram is not cobalanced: an x-point has unequal adjacent dims\n"
+    assert "gauge_fix_H" not in err
+
+
 def test_dim_prints_number(capsys, diagram_file, empty_file):
     code, out, _ = run_cli(capsys, ["dim", diagram_file])
     assert code == 0 and out == "2\n"

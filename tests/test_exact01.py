@@ -24,10 +24,20 @@ from bowlab.graded import (
     find_destabilizer,
 )
 from bowlab.linalg import Subspace
-from bowlab.total_space import TotalSpacePoint, check_semistable, random_point
+from bowlab.quiver import _destabilizer, rep_semistable
+from bowlab.reduction import gauge_fix_H, to_quiver_point
+from bowlab.total_space import (
+    FiberSolveReport,
+    TotalSpacePoint,
+    check_semistable,
+    random_point,
+    solve_fiber,
+)
 
 from conftest import bow_data
+from test_lazy_lattice import _quiver_data
 from test_total_space import _mask_point
+from test_trace_certificate import _solved_01_point
 
 ZERO_DIM_BOWS = (
     "bow { wavy a [1, 0, 1]; }",
@@ -65,7 +75,7 @@ def _per_mask(dims, maps, kernel_maps, image_maps, weights, links, stable):
 
 
 def _verdict(data, stable):
-    v = find_destabilizer(**data, mode="exact01", stable=stable)
+    v = find_destabilizer(**data, stable=stable)
     if v.witness is None:
         return v.kind, v.clause, v.searched, None
     # the witness is full or zero at every key, as the loop builds it
@@ -157,3 +167,81 @@ def test_exact01_stops_early_among_2_to_the_40_supports(sign, clause, searched):
     v = check_semistable(d, p, {n: sign for n in names}, mode="exact01")
     assert (v.kind, v.clause, v.searched, v.witness.total_dim()) == (
         "unstable", clause, searched, searched - 1)
+
+
+# --- default mode on 0/1 points --------------------------------------------------
+
+
+def _decided(v):
+    """A verdict's kind, clause and witness, the witness as (key, dim,
+    basis bytes) per part; searched is left out."""
+    witness = None if v.witness is None else [
+        (repr(k), part.dim, part.basis.tobytes()) for k, part in v.witness.parts.items()]
+    return v.kind, v.clause, witness
+
+
+def _random_01_bow(rng) -> str:
+    names = ["a", "b"][:int(rng.integers(1, 3))]
+    wavy = " ".join(f"wavy {n} [{', '.join(map(str, rng.integers(0, 2, rng.integers(1, 4))))}];"
+                    for n in names)
+    edges = " ".join(f"edge {t} -> {h};" for t in names for h in names if rng.random() < 0.3)
+    return f"bow {{ {wavy} {edges} }}"
+
+
+def test_default_mode_decides_solved_01_bows_as_exact01():
+    rng = np.random.default_rng(1501)
+    kinds = []
+    for k in range(120):
+        d = parse_bow_diagram(_random_01_bow(rng))
+        names = list(d.bow.intervals)
+        for lam in (dict.fromkeys(names, 0.0), dict(zip(names, rng.uniform(-1, 1, len(names))))):
+            report = solve_fiber(d, lam, seed=k, n_starts=3)
+            if not isinstance(report, FiberSolveReport):
+                continue
+            theta = dict(zip(names, (int(x) for x in rng.integers(-2, 3, len(names)))))
+            for stable in (False, True):
+                got = check_semistable(d, report.point, theta, stable=stable)
+                want = check_semistable(d, report.point, theta, mode="exact01", stable=stable)
+                assert _decided(got) == _decided(want)
+                assert got.searched == want.searched
+                kinds.append(got.kind)
+    # the oracle is not vacuous: both verdicts occur often
+    assert kinds.count("semistable") >= 30 and kinds.count("unstable") >= 30
+
+
+def test_default_mode_decides_solved_01_quivers_as_exact01():
+    rng = np.random.default_rng(1502)
+    kinds = []
+    for _ in range(300):
+        p = _solved_01_point(rng)
+        theta = {i: int(rng.integers(-2, 3)) for i in p.quiver.vertices}
+        got, want = rep_semistable(p, theta), rep_semistable(p, theta, mode="exact01")
+        assert (_decided(got), got.searched) == (_decided(want), want.searched)
+        kinds.append(got.kind)
+        # stable: no certificate in front, so the same supports are searched
+        got = _destabilizer(p, theta, True)
+        want = find_destabilizer(**_quiver_data(p, theta), stable=True)
+        assert (_decided(got), got.searched) == (_decided(want), want.searched)
+    assert kinds.count("semistable") >= 50 and kinds.count("unstable") >= 50
+
+
+def test_stable_default_mode_on_cycle3_1x5_is_semistable():
+    # the 15 segments are one closure, so exact01 reads 2 supports; the
+    # lattice search could only say "not-falsified" here
+    d = parse_bow_diagram("bow { wavy a [1, 1, 1, 1, 1]; wavy b [1, 1, 1, 1, 1]; "
+                          "wavy c [1, 1, 1, 1, 1]; edge a -> b; edge b -> c; edge c -> a; }")
+    report = solve_fiber(d, {"a": 0.4, "b": -0.1, "c": -0.3}, seed=0)
+    assert isinstance(report, FiberSolveReport)
+    v = check_semistable(d, report.point, {"a": 1, "b": 1, "c": -2}, stable=True)
+    assert (v.kind, v.searched) == ("semistable", 2)
+
+
+def test_the_route_case_the_closures_leave_undecided_is_semistable():
+    # the 2-cycle a [1], b [1, 1] at lambda = 0: the lattice of its framed
+    # quiver stops after 4 elements with no witness, and exact01 decides
+    d = parse_bow_diagram("bow { wavy a [1]; wavy b [1, 1]; edge a -> b; edge b -> a; }")
+    report = solve_fiber(d, {"a": 0.0, "b": 0.0}, seed=68, n_starts=5)
+    assert isinstance(report, FiberSolveReport)
+    theta = {"a": -1, "b": 1}
+    assert check_semistable(d, report.point, theta).kind == "semistable"
+    assert rep_semistable(to_quiver_point(gauge_fix_H(d, report.point)), theta).kind == "semistable"

@@ -1,12 +1,13 @@
-"""The heuristic search reads the candidate lattice as it grows.
+"""The lattice search reads the candidate lattice as it grows.
 
-find_destabilizer tests each lattice element as it joins and stops at
-the first witness.  The oracle is the eager search kept here: the whole
-lattice, grown by a stop test that is never true, then each element's
-two closures tested in order.  Both must give the same verdict kind,
-clause, number of elements searched and witness bytes.  Only the
-verdict's capped flag differs by design: an unstable verdict is never
-capped.
+_lattice_search, find_destabilizer's test where some dimension is
+above 1, tests each lattice element as it joins and stops at the first
+witness; it is called here directly, on 0/1 points too.  The oracle is
+the eager search kept here: the whole lattice, grown by a stop test
+that is never true, then each element's two closures tested in order.
+Both must give the same verdict kind, clause, number of elements
+searched and witness bytes.  Only the verdict's capped flag differs by
+design: an unstable verdict is never capped.
 """
 
 import itertools
@@ -20,11 +21,11 @@ from bowlab.graded import (
     LATTICE_CAP,
     GradedSubspace,
     StabilityVerdict,
+    _lattice_search,
     _PartTable,
     _qualifies,
     _snapped,
     candidate_lattice,
-    find_destabilizer,
     largest_invariant_graded,
     smallest_invariant_graded,
 )
@@ -39,10 +40,8 @@ from test_trace_certificate import _solved_01_point
 
 
 def _eager(dims, maps, kernel_maps, image_maps, weights, links=(), stable=False):
-    """find_destabilizer's heuristic verdict from the whole lattice, built
-    before any element is tested; capped as the lattice's size says."""
-    if not stable and all(val == 0 for val in weights.values()):
-        return StabilityVerdict("semistable")
+    """_lattice_search's verdict from the whole lattice, built before any
+    element is tested; capped as the lattice's size says."""
     maps, kernel_maps, image_maps, links = _snapped((maps, kernel_maps, image_maps, links))
     table = _PartTable(dims, maps)
     ker, im = list(table.full), list(table.zero)
@@ -79,7 +78,7 @@ def _report(v):
 def _agree(data, stable):
     """The lazy and eager verdicts on find_destabilizer's arguments data;
     returns the verdict kind."""
-    lazy = find_destabilizer(**data, stable=stable)
+    lazy = _lattice_search(**data, stable=stable)
     eager = _eager(**data, stable=stable)
     assert _report(lazy) == _report(eager)
     assert lazy.capped == (eager.capped and lazy.kind != "unstable")
@@ -87,13 +86,13 @@ def _agree(data, stable):
 
 
 def _quiver_data(p: QuiverRepPoint, weights: dict) -> dict:
-    """quiver._destabilizer's arguments, without the trace certificate
-    in front, so that the lattice search always runs."""
+    """quiver._destabilizer's find_destabilizer arguments, without the
+    trace certificate in front."""
     maps = []
     for (t, h), x, y in zip(p.quiver.arrows, p.x, p.y):
         maps += [(t, h, x), (h, t, y)]
     return dict(dims=p.v, maps=maps, kernel_maps=list(p.J.items()),
-                image_maps=list(p.I.items()), weights=weights)
+                image_maps=list(p.I.items()), weights=weights, links=())
 
 
 def test_lazy_search_matches_the_eager_lattice_on_random_01_quivers():
@@ -139,7 +138,7 @@ def test_a_witness_basis_can_move_but_spans_the_same_subspace():
     # a sign
     d, p = _solved("bow { wavy a [2, 2]; wavy b [1, 1]; edge a -> b; }", {"a": 0, "b": 0}, 0)
     data = bow_data(d, p, {"a": 1, "b": 1})
-    lazy, eager = find_destabilizer(**data), _eager(**data)
+    lazy, eager = _lattice_search(**data, stable=False), _eager(**data)
     assert _report(lazy)[:3] == _report(eager)[:3] == ("unstable", "kernel", 30)
     moved = 0
     for k, part in lazy.witness.parts.items():

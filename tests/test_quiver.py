@@ -14,6 +14,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from bowlab.graded import _lattice_search
 from bowlab.quiver import (
     Exact01Unavailable,
     Quiver,
@@ -28,6 +29,7 @@ from bowlab.quiver import (
 )
 
 from conftest import cgauss, maxabs
+from test_lazy_lattice import _quiver_data
 
 JORDAN = Quiver(("z",), (("z", "z"),))
 A1 = Quiver(("z",), ())
@@ -272,9 +274,10 @@ def test_heuristic_sound_against_exact01(case):
     p, theta = _random_01_instances(40)[case]
     ztol = 1e-9 * max(1.0, p.scale())
     exact = rep_semistable(p, theta, mode="exact01")
-    heur = rep_semistable(p, theta, mode="heuristic")
+    # the lattice search, run here although every v_i <= 1
+    heur = _lattice_search(**_quiver_data(p, theta), stable=False)
     if heur.kind == "unstable":
-        # a heuristic witness must be genuinely destabilizing
+        # a lattice witness must be genuinely destabilizing
         assert exact.kind == "unstable"
         assert _witness_is_destabilizing(p, heur, theta, ztol)
     if heur.kind == "semistable":
@@ -304,7 +307,7 @@ def test_heuristic_finds_kernel_line(rng):
 
 def test_exact01_unavailable_above_dim_one(rng):
     p = _random_point(rng, A1, {"z": 2}, {"z": 1})
-    with pytest.raises(Exact01Unavailable, match="'z': 2"):
+    with pytest.raises(Exact01Unavailable, match=r"vertex 'z' has dimension 2$"):
         rep_semistable(p, {"z": 1}, mode="exact01")
 
 

@@ -1,13 +1,16 @@
-"""Heuristic bow stability through the framed quiver description.
+"""Bow stability through the framed quiver description.
 
-On a cobalanced diagram, check_semistable's heuristic mode reduces the
-point to a framed quiver point, searches that lattice and carries a
-witness back along the A's.  The bow's own lattice search
-(_bow_search) is the oracle: the routed verdict kind must agree
-with it, except that the quiver's trace certificate may turn its
-"not-falsified" into "semistable"; every routed witness must pass the
-bow clauses checked here on the matrices, and points the reduction does
-not cover must get the bow search's verdict itself.
+On a cobalanced diagram with a segment above dimension 1,
+check_semistable reduces the point to a framed quiver point, decides
+there (trace certificate, then lattice) and carries a witness back
+along the A's.  With every segment of dimension <= 1 it decides the bow
+by exact01 instead; the route itself (_routed, total_space's
+_quiver_semistable) is still tested there, where the quiver decides by
+exact01.  The bow's own lattice search (_bow_search) is the oracle: the
+routed verdict kind must agree with it, except that the route may turn
+its "not-falsified" into "semistable"; every routed witness must pass
+the bow clauses checked here on the matrices, and points the reduction
+does not cover must get the bow search's verdict itself.
 """
 
 import itertools
@@ -16,15 +19,17 @@ import numpy as np
 import pytest
 
 from bowlab import reduction, total_space
-from bowlab.diagrams import SegmentRef, parse_bow_diagram
-from bowlab.graded import LATTICE_CAP, find_destabilizer
-from bowlab.quiver import QuiverRepPoint, _destabilizer
+from bowlab.diagrams import SegmentRef, embed_stability, parse_bow_diagram
+from bowlab.graded import LATTICE_CAP, StabilityVerdict, _lattice_search, find_destabilizer
+from bowlab.quiver import QuiverRepPoint, _destabilizer, integerize_weights
 from bowlab.reduction import SingularA, gauge_fix_H, to_quiver_point
 from bowlab.total_space import (
     FiberSolveReport,
     TotalSpacePoint,
     _compiled,
+    _quiver_semistable,
     check_semistable,
+    check_shapes,
     gauge_action,
     random_point,
     solve_fiber,
@@ -74,8 +79,26 @@ def _summary(v):
 
 
 def _bow_search(d, p, theta, stable=False):
-    """The bow's own heuristic lattice search, every segment a key."""
-    return find_destabilizer(**bow_data(d, p, theta), mode="heuristic", stable=stable)
+    """The bow's own lattice search, every segment a key, after
+    find_destabilizer's zero-weights shortcut; run at every dimension,
+    although find_destabilizer decides dimensions <= 1 by exact01."""
+    if not stable and not any(theta.values()):
+        return StabilityVerdict("semistable")
+    return _lattice_search(**bow_data(d, p, theta), stable=stable)
+
+
+def _above_one(d):
+    """Whether check_semistable takes the route on d: some segment has
+    dimension above 1."""
+    return max(d.dim(s) for s in d.segments()) > 1
+
+
+def _routed(d, p, theta, stable=False):
+    """check_semistable's quiver route, taken at every dimension: the
+    verdict of p's framed quiver point, a witness carried back to the
+    segments but not re-checked."""
+    nu = embed_stability(d, integerize_weights(theta))
+    return _quiver_semistable(_compiled(d), check_shapes(d, p), nu, stable)
 
 
 def _small(m, scale):
@@ -135,13 +158,14 @@ def test_routed_verdict_matches_bow_search(case):
         theta = _theta(d, sign)
         dims = []
         for point in (p, moved):
-            got = check_semistable(d, point, theta, mode="heuristic", stable=stable)
+            got = _routed(d, point, theta, stable)
+            if _above_one(d):
+                assert _summary(check_semistable(d, point, theta, stable=stable)) == _summary(got)
             want = _bow_search(d, point, theta, stable)
             assert got.kind == want.kind or (want.kind, got.kind) == (
                 "not-falsified", "semistable")
-            # the verdict is the quiver search's: same kind and size
-            quiver = _destabilizer(to_quiver_point(gauge_fix_H(d, point)), theta,
-                                   "heuristic", stable)
+            # the verdict is the quiver's: same kind and size
+            quiver = _destabilizer(to_quiver_point(gauge_fix_H(d, point)), theta, stable)
             assert (got.kind, got.searched, got.capped) == (
                 quiver.kind, quiver.searched, quiver.capped)
             if got.kind == "unstable":
@@ -201,7 +225,7 @@ def test_witness_failing_the_bow_checks_takes_the_bow_search():
     t = TriangleData(A=np.eye(2), B1=np.array([[0, 0], [1, 0]]), B2=np.zeros((2, 2)),
                      a=np.array([[1], [0]]), b=np.zeros((1, 2)))
     p = TotalSpacePoint({"s": (t,)}, ())
-    quiver = _destabilizer(to_quiver_point(gauge_fix_H(d, p)), {"s": -1}, "heuristic", False)
+    quiver = _destabilizer(to_quiver_point(gauge_fix_H(d, p)), {"s": -1}, False)
     assert quiver.kind == "unstable" and quiver.witness.dim("s") == 1
     assert _fell_back(d, p, {"s": -1})
     assert check_semistable(d, p, {"s": -1}).kind == "not-falsified"
@@ -246,7 +270,7 @@ def _walked(case):
 
 
 def _routed_quiver_point(d, p, monkeypatch):
-    """The quiver point that the routed heuristic check searches."""
+    """The quiver point that the route searches."""
     seen = []
 
     def spy(q, *args):
@@ -255,7 +279,7 @@ def _routed_quiver_point(d, p, monkeypatch):
 
     with monkeypatch.context() as m:
         m.setattr(total_space, "_destabilizer", spy)
-        check_semistable(d, p, _theta(d, 1))
+        _routed(d, p, _theta(d, 1))
     (q,) = seen
     return q
 
@@ -304,6 +328,9 @@ def test_a_non_finite_walk_block_raises(case, monkeypatch):
     monkeypatch.setattr(total_space, "_fix_H", broken)
     monkeypatch.setattr(reduction, "_fix_H", broken)
     with pytest.raises(ValueError, match="non-finite"):
-        check_semistable(d, p, _theta(d, 1))
+        _routed(d, p, _theta(d, 1))
+    if _above_one(d):
+        with pytest.raises(ValueError, match="non-finite"):
+            check_semistable(d, p, _theta(d, 1))
     with pytest.raises(ValueError, match="non-finite"):
         gauge_fix_H(d, p)

@@ -32,6 +32,7 @@ from bowlab.graded import (
     GradedSubspace,
     StabilityVerdict,
     _is_destabilizer,
+    _lattice_search,
     _nonzero,
     _snapped,
     _support_masks,
@@ -613,7 +614,7 @@ def test_zero_weight_short_circuits(rng):
 
 def test_exact01_needs_small_dims(rng):
     d = parse_bow_diagram(EMPTY_252)
-    with pytest.raises(Exact01Unavailable, match="SegmentRef"):
+    with pytest.raises(Exact01Unavailable, match=r"segment a:0 has dimension 2$"):
         check_semistable(d, random_point(d, rng), {"a": 1, "b": -1}, mode="exact01")
 
 
@@ -640,8 +641,8 @@ def test_solved_point_is_semistable():
     for theta in ({"s": 1}, {"s": -1}):
         exact = check_semistable(d, report.point, theta, mode="exact01")
         assert exact.kind == "semistable"
-        loose = check_semistable(d, report.point, theta, mode="heuristic")
-        assert loose.kind in ("semistable", "not-falsified")
+        # every dimension <= 1: the default mode decides too
+        assert check_semistable(d, report.point, theta).kind == "semistable"
 
 
 # --- stability: enumeration oracle ----------------------------------------------------
@@ -776,8 +777,9 @@ def test_exact01_matches_enumeration(case):
         # the returned witness must itself qualify and violate
         _assert_destabilizes(d, p, nu, stable, ztol, got)
 
-    # the lattice heuristic may abstain but must never contradict
-    loose = check_semistable(d, p, theta, mode="heuristic", stable=stable)
+    # the lattice search, run here although every dimension is <= 1,
+    # may abstain but must never contradict
+    loose = _lattice_search(**bow_data(d, p, theta), stable=stable)
     if loose.kind == "unstable":
         assert want == "unstable"
         _assert_destabilizes(d, p, nu, stable, ztol, loose)
@@ -904,12 +906,17 @@ def test_heuristic_reports_search_size_and_cap(rng):
     d = parse_bow_diagram(CYCLE_444)
     big = check_semistable(d, random_point(d, rng), {"a": 1, "b": -1}, mode="heuristic")
     assert big.kind == "not-falsified" and big.capped and big.searched >= LATTICE_CAP
-    d = parse_bow_diagram(INTERVAL_111)
+    # a segment of dimension 2, so that the lattice is searched
+    d = parse_bow_diagram("bow { wavy s [1, 2, 1]; }")
     small = check_semistable(d, random_point(d, rng), {"s": 1}, mode="heuristic")
     assert small.kind == "not-falsified" and not small.capped
     assert 0 < small.searched < LATTICE_CAP
-    exact = check_semistable(d, random_point(d, rng), {"s": 1}, mode="exact01")
+    d = parse_bow_diagram(INTERVAL_111)
+    p = random_point(d, rng)
+    exact = check_semistable(d, p, {"s": 1}, mode="exact01")
     assert exact.searched > 0 and not exact.capped
+    # every dimension <= 1: heuristic mode enumerates the same supports
+    assert check_semistable(d, p, {"s": 1}).searched == exact.searched
     # the report is not part of the verdict's value
     assert small == StabilityVerdict("not-falsified")
 

@@ -1,11 +1,12 @@
-"""The moment-map trace certificate of heuristic quiver stability.
+"""The moment-map trace certificate of quiver stability.
 
 On a point with every mu_i = lam_i id, an invariant subspace inside
 Ker J has lam . dim = 0, and one containing Im I has lam . codim = 0,
 so dimension vectors away from that hyperplane hold no witness.  The
 oracle is exact01 on solved 0/1 framed quivers: a certificate must
 never claim (semi)stability where the support enumeration finds a
-witness.  The certificate must also stay silent where its premise
+witness.  _destabilizer runs the certificate only where some v_i is
+above 1, so it is called directly here.  The certificate must also stay silent where its premise
 fails: off the fiber, at lam = 0, and where lam . s is zero up to what
 the engine reads as roundoff.
 """
@@ -91,8 +92,10 @@ def test_a_certificate_never_contradicts_exact01():
             checks += 1
             if _trace_certificate(p, weights, stable):
                 issued += 1
-                assert _destabilizer(p, weights, "exact01", stable).kind == "semistable"
-                assert _destabilizer(p, weights, "heuristic", stable).searched == 0
+                verdict = _destabilizer(p, weights, stable)
+                assert verdict.kind == "semistable"
+                # the enumeration decided it, not the certificate
+                assert verdict.searched > 0 or not (stable or any(weights.values()))
     # the oracle is not vacuous: both outcomes occur often
     assert 200 <= issued <= checks - 200
 
@@ -134,12 +137,12 @@ def test_no_certificate_where_lambda_dot_s_is_roundoff():
     weights = {"a": 2, "b": -1}
     for stable in (False, True):
         assert not _trace_certificate(p, weights, stable)
-        assert _destabilizer(p, weights, "exact01", stable).kind == "unstable"
+        assert _destabilizer(p, weights, stable).kind == "unstable"
     # away from roundoff the same dimension vector is ruled out
     far = QuiverRepPoint(q, p.v, p.w, p.x, p.y, p.I, {"a": np.full((1, 1), 0.1),
                                                       "b": np.zeros((0, 1))})
     assert _trace_certificate(far, weights, False)
-    assert _destabilizer(far, weights, "exact01", False).kind == "semistable"
+    assert _destabilizer(far, weights, False).kind == "semistable"
 
 
 def test_no_certificate_past_the_cap():

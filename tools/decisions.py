@@ -9,11 +9,13 @@ unchanged" quotes both trees' lines, one that moves decisions lists the
 moves.  The families:
 
     heuristic  heuristic verdicts, bow (check_semistable) and quiver
-               (the reduced point), at both stable settings, on the
-               benchmark's frozen points, unmoved and under seeded
-               unitary gauges 1-3: kind, clause, searched, capped and
-               the witness's basis bytes
-    exact01    the same in exact01 mode, where it applies
+               (the reduced point, by _quiver_verdict), at both stable
+               settings, on the benchmark's frozen points, unmoved and
+               under seeded unitary gauges 1-3: kind, clause, searched,
+               capped and the witness's basis bytes
+    exact01    the same in exact01 mode, where it applies: both modes
+               decide a point whose dimensions are all <= 1 the same
+               way, and exact01 raises Exact01Unavailable elsewhere
     sweep      seeded random small bows, solved at lambda = 0 and at a
                random lambda, then both modes at both stable settings
                at random integer weights in [-2, 2]
@@ -51,7 +53,7 @@ sys.path[:0] = [str(ROOT / "src"), str(ROOT / "benchmark")]
 
 import numpy as np  # noqa: E402
 
-from bowlab import cli, diagrams, quiver, total_space  # noqa: E402
+from bowlab import cli, diagrams, graded, quiver, total_space  # noqa: E402
 
 import inputs  # noqa: E402
 import workloads  # noqa: E402
@@ -92,9 +94,12 @@ def _frozen_points():
 
 
 def _quiver_verdict(q, theta, mode, stable):
+    """rep_semistable's verdict at either stable setting: mode checks the
+    input as there, and quiver._destabilizer, which has no mode, decides."""
     weights = quiver.integerize_weights(theta)
-    v = quiver._destabilizer(q, {i: weights.get(i, 0) for i in q.quiver.vertices}, mode, stable)
-    return _verdict(v)
+    weights = {i: weights.get(i, 0) for i in q.quiver.vertices}
+    graded._check_mode(mode, q.v, weights, stable, lambda i: f"vertex {i!r}")
+    return _verdict(quiver._destabilizer(q, weights, stable))
 
 
 def _verdicts(mode: str):
