@@ -364,7 +364,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--theta", default=None, metavar="T0,T1,...",
                    help="per-interval weights, declaration order")
     p.add_argument("--mode", choices=("exact01", "heuristic"), default="heuristic",
-                   help="an input check: the dimensions pick the test; exact01 asserts all <= 1")
+                   help="an input check: the dimensions pick the test; exact01 asserts all "
+                   "<= 1, except at all-zero weights without --stable (semistable)")
     p.add_argument("--stable", action="store_true",
                    help="strict-inequality variant (stability, not semistability)")
     add_format(p)

@@ -27,14 +27,14 @@ x-point, a link A that must restrict to an isomorphism on the subspace
 (kernel clause) or descend to one on the quotients (image clause).
 With every dimension <= 1 the test decides, and is combinatorial: the
 candidates are the 0/1 supports closed under the nonzero maps, the
-unions of the keys' closures, and every clause is integer arithmetic
-on their bitmasks, so no subspace is built but the witness.
+unions of the keys' closures.  One pass reads every map's nonzero
+flag; then each support is tested by Python int operations on its
+bitmask, and no array, nor any subspace but the witness, is built.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import partial
 
 import numpy as np
 
@@ -70,8 +70,8 @@ LATTICE_DEPTH = 3
 LATTICE_CAP = 200
 
 # exact01 builds the closed supports over at most this many free bits at
-# once (up to 2^16 of them), so that memory stays bounded however many
-# supports there are
+# once (a sorted list of up to 2^16 ints, tested one at a time), so that
+# memory stays bounded however many supports there are
 CHUNK_BITS = 16
 
 
@@ -458,19 +458,13 @@ def _destabilizes(g: GradedSubspace, clause: str, dims: dict, weights: dict,
     return copairing < 0 or (stable and proper and copairing <= 0)
 
 
-def _regrouped(f, groups) -> list:
-    """Each group of (..., matrix) items with its matrices replaced by what
-    f, given every matrix of every group in order, returns for them."""
+def _snapped(groups) -> list:
+    """Each group of (..., matrix) items with its roundoff matrices read as
+    exact zeros, whose noise ranks would poison every image and preimage
+    (see snap_roundoff, given every matrix of every group at once)."""
     groups = [list(g) for g in groups]
-    out = iter(f([item[-1] for g in groups for item in g]))
+    out = iter(snap_roundoff([item[-1] for g in groups for item in g]))
     return [[(*item[:-1], next(out)) for item in g] for g in groups]
-
-
-# The groups with their roundoff matrices read as exact zeros, whose noise
-# ranks would poison every image and preimage (see snap_roundoff); and
-# with each matrix replaced by whether it is nonzero (see _nonzero_flags).
-_snapped = partial(_regrouped, snap_roundoff)
-_nonzero = partial(_regrouped, _nonzero_flags)
 
 
 def _qualifies(g: GradedSubspace, clause: str, dims: dict, maps, links, weights: dict,
@@ -515,16 +509,15 @@ def _is_destabilizer(g: GradedSubspace, clause: str, dims: dict, maps, kernel_ma
 
 def _closed_supports(required: list):
     """The bitmasks over len(required) bits that hold required[j] wherever
-    they hold bit j, in increasing order, as consecutive arrays (int64 up
-    to 62 bits, Python ints above): the unions of the bits' closures,
-    which Warshall's algorithm gives over bitmasks.  Each array is built
-    from at most CHUNK_BITS free bits, so a search that stops at an early
-    support never builds the rest."""
+    they hold bit j, in increasing order, as consecutive sorted lists of
+    ints: the unions of the bits' closures, which Warshall's algorithm
+    gives over bitmasks.  Each list is built from at most CHUNK_BITS free
+    bits, so a search that stops at an early support never builds the
+    rest."""
     k = len(required)
     reach = [req | 1 << j for j, req in enumerate(required)]
     for m in range(k):
         reach = [r | reach[m] if r >> m & 1 else r for r in reach]
-    dtype = np.int64 if k < 63 else object
 
     def chunks(free: int, fixed: int):
         # the closed supports that hold fixed and lie within free | fixed,
@@ -533,7 +526,7 @@ def _closed_supports(required: list):
             closed = {fixed}
             for closure in {reach[j] | fixed for j in range(k) if free >> j & 1}:
                 closed |= {c | closure for c in closed}
-            yield np.array(sorted(closed), dtype=dtype)
+            yield sorted(closed)
             return
         # those without the top free bit h, then those with it
         h = free.bit_length() - 1
@@ -543,76 +536,78 @@ def _closed_supports(required: list):
     yield from chunks((1 << k) - 1, 0)
 
 
-def _support_masks(dims: dict, maps, kernel_maps, image_maps):
-    """exact01's candidates over the dimension-one keys of dims, bit
-    pos[k] for key k (pos is returned first), where each map is given by
-    whether it is nonzero (see _nonzero): the 0/1 supports that every
-    nonzero map preserves, in increasing order as _closed_supports gives
-    them, and the bits that a support must avoid to lie in the kernel
-    maps' kernels and hold to contain the image maps' images."""
+def _support_bits(dims: dict, maps, kernel_maps, image_maps, links):
+    """exact01's data over the dimension-one keys of dims, bit pos[k] for key
+    k, each matrix read as nonzero or not at the scale of them all (one
+    _nonzero_flags call): pos; required[j], the bits that a support holding
+    bit j must hold; avoid and cover, the bits a support must avoid to lie in
+    the kernels and hold to contain the images; the (lo, hi) bits of the
+    nonzero links.
+
+    A link (lo, hi, A), with n the dimensions, restricts to an isomorphism on a
+    support s when s_lo = s_hi and (s_lo = 0 or A != 0), and descends to one on
+    the quotients when n_lo - s_lo = n_hi - s_hi and (that codimension is 0 or
+    A != 0).  So a link with A != 0, where n_lo = n_hi = 1, asks s_lo = s_hi of
+    both clauses, and one with A = 0 asks the kernel clause to avoid its
+    dimension-one keys and the image clause to hold them."""
     pos = {k: j for j, k in enumerate(k for k, n in dims.items() if n == 1)}
+    groups = (maps, kernel_maps, image_maps, links)
+    flags = iter(_nonzero_flags([item[-1] for group in groups for item in group]))
     # with every dimension <= 1, a nonzero matrix joins two dimension-one
     # keys, and a support holding its src must hold its dst
     required = [0] * len(pos)
-    for src, dst, nonzero in maps:
-        if src != dst and nonzero:
+    for src, dst, _ in maps:
+        if next(flags) and src != dst:
             required[pos[src]] |= 1 << pos[dst]
-    avoid = sum({1 << pos[key] for key, nonzero in kernel_maps if nonzero})
-    cover = sum({1 << pos[key] for key, nonzero in image_maps if nonzero})
-    return pos, _closed_supports(required), avoid, cover
+    avoid = sum({1 << pos[key] for key, _ in kernel_maps if next(flags)})
+    cover = sum({1 << pos[key] for key, _ in image_maps if next(flags)})
+    pairs = []
+    for src, dst, _ in links:
+        if next(flags):
+            pairs.append((pos[src], pos[dst]))
+        else:
+            ends = sum({1 << pos[k] for k in (src, dst) if k in pos})
+            avoid, cover = avoid | ends, cover | ends
+    return pos, required, avoid, cover, pairs
 
 
 def _exact01(dims: dict, maps, kernel_maps, image_maps, weights: dict, links,
              stable: bool) -> StabilityVerdict:
-    """find_destabilizer's verdict with every dimension <= 1, each map
-    read as whether it is nonzero once snapped (see _nonzero): the first
-    support of _support_masks that qualifies, for the kernel clause
-    before the image clause, by integer arithmetic over each array of
-    supports at once.
-
-    A support s is invariant by construction.  A link (lo, hi, A), with
-    n the dimensions, restricts to an isomorphism on s when s_lo = s_hi
-    and (s_lo = 0 or A != 0), and descends to one on the quotients when
-    n_lo - s_lo = n_hi - s_hi and (that codimension is 0 or A != 0).  So
-    a link with A != 0, where n_lo = n_hi = 1, asks s_lo = s_hi of both
-    clauses, and one with A = 0 asks the kernel clause to avoid its
-    dimension-one keys and the image clause to hold them.  The signs are
-    _destabilizes's: the pairing of 0 and the copairing of V are 0."""
-    maps, kernel_maps, image_maps, links = _nonzero((maps, kernel_maps, image_maps, links))
-    pos, chunks, avoid, cover = _support_masks(dims, maps, kernel_maps, image_maps)
-    lo, hi = [], []
-    for src, dst, nonzero in links:
-        if nonzero:
-            lo.append(pos[src])
-            hi.append(pos[dst])
-        else:
-            ends = sum({1 << pos[k] for k in (src, dst) if k in pos})
-            avoid, cover = avoid | ends, cover | ends
-    w = [weights[k] for k in pos]
-    # int64 is exact for integer weights whose absolute sum it holds
-    small = all(isinstance(x, (int, np.integer)) for x in w) and sum(map(abs, w)) < 1 << 62
-    w = np.array(w, dtype=np.int64 if small else object)
+    """find_destabilizer's verdict with every dimension <= 1, on the bits of
+    _support_bits: the first closed (so invariant) support that qualifies, 0
+    first, kernel clause first, each tested by int operations on its bitmask,
+    cheapest test first: the clause's bits and those its sign needs, the
+    pairing (per distinct weight, the weight times the support's count of its
+    bits: exact at any size), the signs of _destabilizes, then the links."""
+    pos, required, avoid, cover, pairs = _support_bits(dims, maps, kernel_maps, image_maps, links)
+    terms = [(w, sum(1 << j for k, j in pos.items() if weights[k] == w))
+             for w in dict.fromkeys(weights[k] for k in pos) if w]
+    plus, minus = (sum(bits for w, bits in terms if sign * w > 0) for sign in (1, -1))
+    total = sum(w * bits.bit_count() for w, bits in terms)   # the copairing of 0
     full = (1 << len(pos)) - 1
     searched = 0
-    for masks in chunks:
-        held = (masks[:, None] >> np.arange(len(pos)).astype(masks.dtype)) & 1
-        pairing = held @ w
-        copairing = w.sum() - pairing
-        if stable:
-            kernel = (pairing >= 0) & (masks != 0)
-            image = (copairing <= 0) & (masks != full)
-        else:
-            kernel, image = pairing > 0, copairing < 0
-        links_ok = (held[:, lo] == held[:, hi]).all(axis=1)
-        kernel &= links_ok & ((masks & avoid) == 0)
-        image &= links_ok & ((masks & cover) == cover)
-        hits = np.flatnonzero(kernel | image)
-        if hits.size:
-            i = int(hits[0])
-            witness = _support(dims, {k for k, s in zip(pos, held[i]) if s})
-            clause = "kernel" if kernel[i] else "image"
-            return StabilityVerdict("unstable", witness, clause, searched + i + 1)
-        searched += len(masks)
+    for chunk in _closed_supports(required):
+        for mask in chunk:
+            # a pairing > 0 needs a positive weight in S (>= 0: or no negative
+            # one), a copairing < 0 a negative one outside S (<= 0: or no positive)
+            kernel = not mask & avoid and (mask & plus or stable and not mask & minus)
+            image = (mask & cover == cover
+                     and (mask & minus != minus or stable and mask & plus == plus))
+            if not (kernel or image):
+                continue
+            pairing = 0
+            for w, bits in terms:
+                pairing += w * (mask & bits).bit_count()
+            if stable:
+                kernel = kernel and pairing >= 0 and mask != 0
+                image = image and pairing >= total and mask != full
+            else:
+                kernel, image = kernel and pairing > 0, image and pairing > total
+            if (kernel or image) and all(mask >> lo & 1 == mask >> hi & 1 for lo, hi in pairs):
+                witness = _support(dims, {k for k, j in pos.items() if mask >> j & 1})
+                return StabilityVerdict("unstable", witness, "kernel" if kernel else "image",
+                                        searched + chunk.index(mask) + 1)
+        searched += len(chunk)
     return StabilityVerdict("semistable", searched=searched)
 
 

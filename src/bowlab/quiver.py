@@ -169,7 +169,9 @@ def rep_semistable(p: QuiverRepPoint, theta: dict, mode: str = "heuristic") -> S
     from the dimension vectors alone when p lies on a fiber
     mu = lambda id; then a finite lattice of invariant subspaces is
     searched: "unstable" comes with a verified witness, "not-falsified"
-    is not a proof.  mode only checks the input, as in check_semistable.
+    is not a proof.  mode only checks the input, as in check_semistable:
+    exact01 raises Exact01Unavailable where some v_i > 1, except at
+    all-zero weights, which are "semistable" with no test.
 
     A vertex theta omits has weight 0, as an interval has in
     check_semistable; a key naming no vertex is an error.

@@ -795,8 +795,10 @@ def check_semistable(d: BowDiagram, p: TotalSpacePoint, theta: dict,
     quotient isomorphisms, copairing >= 0 (or > 0 unless full).
 
     theta is per interval (embedded onto first segments).  The
-    dimensions pick the test; mode only checks the input (exact01
-    raises Exact01Unavailable where some segment is above dimension 1).
+    dimensions pick the test; mode only checks the input: exact01
+    raises Exact01Unavailable where some segment is above dimension 1,
+    except at all-zero weights with stable off, which are "semistable"
+    with no test at any dimension.
     Where every segment has dimension <= 1 find_destabilizer decides
     exactly, over the 0/1 supports (see graded._exact01).
 

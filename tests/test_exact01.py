@@ -1,35 +1,39 @@
 """exact01: the closed supports and the integer decision over them.
 
-The decision over all supports at once is compared with a per-mask loop
-that builds each support as a graded subspace and tests it with the
-engine's rank-based clauses (_qualifies), on bows whose segments have
-dimension 0 or 1.  Zero-dimensional segments matter for the image
-clause: there a link's codimensions, not its subspace dimensions, must
-agree.
+The integer decision is compared with a per-mask loop that builds each
+support as a graded subspace and tests it with the engine's rank-based
+clauses (_qualifies), on bows whose segments have dimension 0 or 1 and
+on framed quiver points whose vertices do.  Zero-dimensional segments
+matter for the image clause: there a link's codimensions, not its
+subspace dimensions, must agree.  The framings give kernel and image
+maps of more than one entry.
 """
 
 import itertools
+import json
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from bowlab import graded
+from bowlab import cli, graded
 from bowlab.diagrams import parse_bow_diagram
 from bowlab.graded import (
     GradedSubspace,
+    StabilityVerdict,
     _closed_supports,
     _qualifies,
     _snapped,
     find_destabilizer,
 )
 from bowlab.linalg import Subspace
-from bowlab.quiver import _destabilizer, rep_semistable
+from bowlab.quiver import Exact01Unavailable, _destabilizer, rep_semistable
 from bowlab.reduction import gauge_fix_H, to_quiver_point
 from bowlab.total_space import (
     FiberSolveReport,
     TotalSpacePoint,
     check_semistable,
+    point_to_json_dict,
     random_point,
     solve_fiber,
 )
@@ -84,28 +88,39 @@ def _verdict(data, stable):
         k for k, part in v.witness.parts.items() if part.dim)
 
 
-@pytest.mark.parametrize("chunk_bits", (graded.CHUNK_BITS, 1))
-def test_exact01_matches_the_per_mask_loop_with_zero_dimensional_segments(monkeypatch,
-                                                                           chunk_bits):
-    # with one free bit per array, searched adds up over many arrays
-    monkeypatch.setattr(graded, "CHUNK_BITS", chunk_bits)
-    rng = np.random.default_rng(7)
-    kinds = []
+def _oracle_inputs(rng):
+    """(source, find_destabilizer's data) pairs: the masked bows of
+    ZERO_DIM_BOWS at every weight vector in [-2, 2], then random solved
+    0/1 framed quiver points at random weights, whose framing up to 2
+    gives kernel and image maps of up to two entries."""
     for text, zero_prob, _ in itertools.product(ZERO_DIM_BOWS, (0.0, 0.3, 0.6, 0.8), range(3)):
         d = parse_bow_diagram(text)
         p = _mask_point(d, rng, zero_prob)
         for values in itertools.product(range(-2, 3), repeat=len(d.bow.intervals)):
-            data = bow_data(d, p, dict(zip(d.bow.intervals, values)))
-            for stable in (False, True):
-                want = _per_mask(**data, stable=stable)
-                assert _verdict(data, stable) == want
-                kinds.append(want[:2])
-                # weights past int64 decide the same, exactly
-                big = dict(data, weights={k: w << 70 for k, w in data["weights"].items()})
-                assert _verdict(big, stable) == want
-    # the oracle is not vacuous: every outcome occurs often
+            yield "bow", bow_data(d, p, dict(zip(d.bow.intervals, values)))
+    for _ in range(300):
+        p = _solved_01_point(rng)
+        yield "quiver", _quiver_data(p, {i: int(rng.integers(-2, 3)) for i in p.quiver.vertices})
+
+
+@pytest.mark.parametrize("chunk_bits", (graded.CHUNK_BITS, 1))
+def test_exact01_matches_the_per_mask_loop_with_zero_dimensional_segments(monkeypatch,
+                                                                           chunk_bits):
+    # with one free bit per chunk, searched adds up over many chunks
+    monkeypatch.setattr(graded, "CHUNK_BITS", chunk_bits)
+    kinds = {"bow": [], "quiver": []}
+    for source, data in _oracle_inputs(np.random.default_rng(7)):
+        for stable in (False, True):
+            want = _per_mask(**data, stable=stable)
+            assert _verdict(data, stable) == want
+            kinds[source].append(want[:2])
+            # weights past int64 decide the same, exactly
+            big = dict(data, weights={k: w << 70 for k, w in data["weights"].items()})
+            assert _verdict(big, stable) == want
+    # the oracle is not vacuous: every outcome occurs often, on both sources
     for kind in (("unstable", "kernel"), ("unstable", "image"), ("semistable", None)):
-        assert kinds.count(kind) >= 50
+        assert kinds["bow"].count(kind) >= 50
+        assert kinds["quiver"].count(kind) >= 50
 
 
 def _required_tables():
@@ -121,7 +136,7 @@ def _required_tables():
 
 
 def _flat(chunks) -> list:
-    return [mask for chunk in chunks for mask in chunk.tolist()]
+    return [mask for chunk in chunks for mask in chunk]
 
 
 @pytest.mark.parametrize("chunk_bits", (graded.CHUNK_BITS, 3, 0))
@@ -159,7 +174,7 @@ def test_exact01_past_62_segments():
 @pytest.mark.parametrize("sign, clause, searched", ((-1, "image", 1), (1, "kernel", 2)))
 def test_exact01_stops_early_among_2_to_the_40_supports(sign, clause, searched):
     # 40 one-segment intervals and no map between them: every support is
-    # closed, and the search stops at the first array of them, S = 0
+    # closed, and the search stops in the first chunk of them, at S = 0
     # (copairing -40) or S = {first interval} (pairing 1)
     names = [f"i{j}" for j in range(40)]
     d = parse_bow_diagram("bow { " + " ".join(f"wavy {n} [1];" for n in names) + " }")
@@ -245,3 +260,37 @@ def test_the_route_case_the_closures_leave_undecided_is_semistable():
     theta = {"a": -1, "b": 1}
     assert check_semistable(d, report.point, theta).kind == "semistable"
     assert rep_semistable(to_quiver_point(gauge_fix_H(d, report.point)), theta).kind == "semistable"
+
+
+# --- mode exact01 above dimension 1 -----------------------------------------------
+
+
+def test_exact01_above_dimension_one_at_zero_weights_is_semistable_unless_stable(
+        capsys, tmp_path):
+    # all-zero weights decide "semistable" before any dimension is read, so
+    # mode exact01 does not refuse a dimension-2 point there; stable does
+    text = "bow { wavy a [2]; edge a -> a; }"
+    d = parse_bow_diagram(text)
+    report = solve_fiber(d, {"a": 0.0}, seed=0)
+    assert isinstance(report, FiberSolveReport)
+    assert check_semistable(d, report.point, {"a": 0}, mode="exact01") == StabilityVerdict(
+        "semistable")
+    with pytest.raises(Exact01Unavailable, match=r"segment a:0 has dimension 2$"):
+        check_semistable(d, report.point, {"a": 0}, mode="exact01", stable=True)
+    q = to_quiver_point(gauge_fix_H(d, report.point))
+    assert q.v == {"a": 2}
+    assert rep_semistable(q, {"a": 0}, mode="exact01") == StabilityVerdict("semistable")
+    with pytest.raises(Exact01Unavailable, match=r"vertex 'a' has dimension 2$"):
+        rep_semistable(q, {"a": 1}, mode="exact01")
+
+    diagram, point = tmp_path / "loop2.bow", tmp_path / "point.json"
+    diagram.write_text(text, encoding="utf-8")
+    point.write_text(json.dumps(point_to_json_dict(d, report.point)), encoding="utf-8")
+    argv = ["stability", str(diagram), str(point), "--mode", "exact01", "--theta", "0"]
+    assert cli.main(argv) == 0
+    out = capsys.readouterr()
+    assert json.loads(out.out)["kind"] == "semistable" and out.err == ""
+    assert cli.main(argv + ["--stable"]) == 1
+    out = capsys.readouterr()
+    assert out.out == ""
+    assert out.err == "error: exact01 requires every dimension <= 1; segment a:0 has dimension 2\n"

@@ -32,10 +32,10 @@ from bowlab.graded import (
     GradedSubspace,
     StabilityVerdict,
     _is_destabilizer,
+    _closed_supports,
     _lattice_search,
-    _nonzero,
     _snapped,
-    _support_masks,
+    _support_bits,
     candidate_lattice,
 )
 from bowlab.linalg import RANK_TOL, Subspace, image_basis, kernel_basis, matrix_from_json, rank
@@ -822,10 +822,10 @@ def test_support_masks_match_the_per_mask_loop():
         data = bow_data(d, p, theta)
         maps, kernel_maps, image_maps = _snapped(
             (data["maps"], data["kernel_maps"], data["image_maps"]))
-        flags = _nonzero((data["maps"], data["kernel_maps"], data["image_maps"]))
-        pos, chunks, avoid, cover = _support_masks(data["dims"], *flags)
+        pos, required, avoid, cover, _ = _support_bits(
+            data["dims"], data["maps"], data["kernel_maps"], data["image_maps"], ())
         got = []
-        for mask in itertools.chain.from_iterable(chunk.tolist() for chunk in chunks):
+        for mask in itertools.chain.from_iterable(_closed_supports(required)):
             support = frozenset(k for k, j in pos.items() if mask >> j & 1)
             got.append([(clause, support) for clause, ok in
                         (("kernel", not mask & avoid), ("image", mask & cover == cover)) if ok])

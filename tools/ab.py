@@ -10,9 +10,14 @@ prints one JSON object: the settings, and per metric of the runs' last
 lines (the end-to-end metrics with --trace 0, the per-layer ones with
 --trace 1) which way is better, as the change's BENCHMARK.json says,
 each side's per-pair values, median and quartiles, and in how many
-pairs the change was better, ties counting for neither.  Each run's
-`correct`, `attempted` and `failed` are listed too.  A run's progress
-goes to stderr.
+pairs the change was better, ties counting for neither.  Each
+end-to-end metric also gets the two acceptance rules: `gain_rule`, the
+change is better in at least 9 of 10 pairs and its median beats the
+parent's by more than the parent's interquartile range, and
+`within_bound`, the change's median is no worse than the parent's by
+more than the metric's `bound` fraction.  Each run's `correct`,
+`attempted` and `failed` are listed too.  A run's progress goes to
+stderr.
 
 The tool writes nothing itself; run.py writes a traced run's spans to
 .bench_out/ at the root of the tree it runs in.
@@ -28,11 +33,13 @@ import sys
 from pathlib import Path
 
 
-def summarize(pairs: list, better: dict) -> dict:
+def summarize(pairs: list, better: dict, bounds: dict | None = None) -> dict:
     """Per metric named in better (its value "lower" or "higher") and
     present on both sides of every pair, the change's wins and each
     side's values, median and quartiles (statistics.quantiles, inclusive
-    method).  pairs holds (parent, change) dicts of metric values."""
+    method).  pairs holds (parent, change) dicts of metric values.  A
+    metric with a bound (a fraction) in bounds also gets gain_rule and
+    within_bound, as the module docstring states them."""
     out = {}
     for name, way in better.items():
         if not pairs or any(name not in side for pair in pairs for side in pair):
@@ -40,8 +47,15 @@ def summarize(pairs: list, better: dict) -> dict:
         parent = [p[name] for p, _ in pairs]
         change = [c[name] for _, c in pairs]
         wins = sum(c < p if way == "lower" else c > p for p, c in zip(parent, change))
-        out[name] = {"better": way, "pairs": len(pairs), "change_wins": wins,
-                     "parent": _spread(parent), "change": _spread(change)}
+        out[name] = entry = {"better": way, "pairs": len(pairs), "change_wins": wins,
+                             "parent": _spread(parent), "change": _spread(change)}
+        if name in (bounds or {}):
+            p, c = entry["parent"], entry["change"]
+            sign = 1 if way == "lower" else -1   # a gap > 0 is a gain
+            entry["gain_rule"] = (10 * wins >= 9 * len(pairs)
+                                  and sign * (p["median"] - c["median"]) > p["q3"] - p["q1"])
+            entry["within_bound"] = sign * (c["median"] - p["median"]) <= bounds[name] * abs(
+                p["median"])
     return out
 
 
@@ -78,6 +92,7 @@ def main(argv=None) -> int:
 
     spec = json.loads((args.change / "BENCHMARK.json").read_text(encoding="utf-8"))
     better = {m["name"]: m["better"] for m in spec["end_to_end"] + spec["per_layer"]}
+    bounds = {m["name"]: m["bound"] for m in spec["end_to_end"]}
     pairs, runs = [], []
     for seed in args.seeds:
         order = ("parent", "change") if seed % 2 else ("change", "parent")
@@ -94,7 +109,7 @@ def main(argv=None) -> int:
     print(json.dumps({"workload": args.workload, "seconds": args.seconds, "trace": args.trace,
                       "seeds": args.seeds, "parent": str(args.parent),
                       "change": str(args.change), "runs": runs,
-                      "metrics": summarize(pairs, better)}, indent=1))
+                      "metrics": summarize(pairs, better, bounds)}, indent=1))
     return 0
 
 
