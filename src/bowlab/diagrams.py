@@ -119,11 +119,16 @@ class BowDiagram:
         return len(self.seg_dims[interval]) - 1
 
     def segments(self) -> list[SegmentRef]:
-        """All segments, intervals in declaration order, then by index."""
-        out = []
-        for name in self.bow.intervals:
-            out.extend(SegmentRef(name, j) for j in range(len(self.seg_dims[name])))
-        return out
+        """All segments, intervals in declaration order, then by index;
+        listed once, then memoised on the diagram."""
+        try:
+            segs = self._segments
+        except AttributeError:
+            segs = tuple(SegmentRef(name, j) for name in self.bow.intervals
+                         for j in range(len(self.seg_dims[name])))
+            # not a field: ==, repr and replace ignore it
+            object.__setattr__(self, "_segments", segs)
+        return list(segs)
 
     def x_points(self) -> list[tuple[str, int]]:
         out = []

@@ -101,7 +101,11 @@ class StabilityVerdict:
         trace certificate), "unstable" (witness attached), or
         "not-falsified" (the lattice search found no destabilizing
         subspace; NOT a proof of semistability).
-    witness: destabilizing graded subspace when kind == "unstable".
+    witness: destabilizing graded subspace when kind == "unstable".  A
+        lattice witness's part is one orthonormal basis of its subspace,
+        the first the search interned; when a search interns parts in
+        another order its bytes can change (a sign, a rotation), so
+        compare witnesses by their parts' projectors, not their bases.
     clause: "kernel" when the witness sits inside the kernel maps'
         kernels with positive pairing, "image" when it contains the
         image maps' images with negative copairing.
@@ -157,7 +161,10 @@ class _PartTable:
     known in advance need no SVD: the image of the zero part, the
     preimage of the full part, and sums and intersections with either.
     A map's spectral norm, the cutoff scale of its images and
-    preimages, is computed on its first image or preimage.
+    preimages, is computed on its first image or preimage.  Ids 0 and 1
+    at a key are its zero part and its whole space (one part, id 0, at
+    a key of dimension 0): the only subspaces of their dimensions, so
+    a part of either dimension is interned by its dimension alone.
     """
 
     def __init__(self, dims: dict, maps):
@@ -167,15 +174,19 @@ class _PartTable:
                      for src, dst, m in maps]
         self._norms = [None] * len(self.maps)
         self.ambient = sum(dims.values())
-        self._reps = [[] for _ in self.keys]
+        self._reps = [[Subspace.zero(n), Subspace.full(n)][:1 + (n > 0)] for n in dims.values()]
         self._rep_id = [{} for _ in self.keys]   # id(representative) -> part id
         self._by_dim = [{} for _ in self.keys]   # dim -> (part ids, their projectors)
         self._sums, self._meets, self._images, self._preimages = {}, {}, {}, {}
-        self.zero = self.ids(_support(dims, ()))
-        self.full = self.ids(_support(dims, dims))
+        self.zero = (0,) * len(self.keys)
+        self.full = tuple(len(reps) - 1 for reps in self._reps)
 
     def intern(self, j: int, s: Subspace) -> int:
         """The id of the part at position j equal to s, adding s if new."""
+        if s.dim == 0:
+            return 0
+        if s.dim == s.ambient_dim:
+            return self.full[j]
         known = self._rep_id[j].get(id(s))
         if known is not None:
             return known

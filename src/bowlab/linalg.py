@@ -161,13 +161,20 @@ def _largest_entry(*mats) -> float:
 def _nonzero_flags(mats) -> list:
     """Whether each matrix is nonzero at the scale of them all: whether
     its largest entry, read from one array of all their entries, lies
-    above zero_cutoff(largest entry of any of them).  An empty one is not."""
-    tops = np.zeros(len(mats))
-    full = [j for j, m in enumerate(mats) if m.size]
-    if full:
-        entries = np.abs(np.concatenate([mats[j].ravel() for j in full]))
+    above zero_cutoff(largest entry of any of them).  An empty one is not.
+
+    Where no matrix has more than one entry, as at a bow point whose
+    dimensions are all <= 1, that array is of their items, an empty
+    matrix's read as 0, with no concatenation or per-matrix maximum."""
+    sizes = [m.size for m in mats]
+    if max(sizes, default=0) <= 1:
+        tops = np.abs(np.array([m.item() if n else 0 for m, n in zip(mats, sizes)], dtype=complex))
+    else:
+        full = [j for j, n in enumerate(sizes) if n]
+        tops = np.zeros(len(mats))
         tops[full] = np.maximum.reduceat(
-            entries, list(accumulate((mats[j].size for j in full[:-1]), initial=0)))
+            np.abs(np.concatenate([mats[j].ravel() for j in full])),
+            list(accumulate((sizes[j] for j in full[:-1]), initial=0)))
     return (tops > zero_cutoff(float(tops.max(initial=0.0)))).tolist()
 
 

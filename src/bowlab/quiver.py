@@ -14,8 +14,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from itertools import accumulate
-from math import isfinite, lcm, prod
+from math import isfinite, lcm, prod, sqrt
 
 import numpy as np
 
@@ -29,6 +30,7 @@ from .linalg import (
     residual_cutoff,
     zero_cutoff,
 )
+from .solve import _norm
 
 __all__ = [
     "Quiver",
@@ -137,21 +139,23 @@ def integerize_weights(theta: dict) -> dict:
     """Scale rational weights to integers by the LCM of denominators.
 
     Accepts ints, Fractions, and finite floats, numpy's included (taken
-    at exact binary value).  Semistability is invariant under positive
-    rescaling, so the scaled weights decide the same condition.
+    at exact binary value); a bool, Python's or numpy's, is the int 0
+    or 1.  Semistability is invariant under positive rescaling, so the
+    scaled weights decide the same condition.
     """
-    if all(isinstance(val, (int, np.integer)) for val in theta.values()):
+    ints = (int, np.integer, np.bool_)
+    if all(isinstance(val, ints) for val in theta.values()):
         return {key: int(val) for key, val in theta.items()}
     fracs = {}
     for key, val in theta.items():
         # checked first: Fraction(val) would also parse a string such as "1/2"
-        if not isinstance(val, (int, np.integer, float, np.floating, Fraction)):
+        if not isinstance(val, (*ints, float, np.floating, Fraction)):
             raise TypeError(f"weight for {key!r} must be int, float, or Fraction")
         if isinstance(val, (float, np.floating)):
             if not isfinite(val):
                 raise ValueError(f"weight for {key!r} must be finite, got {val}")
             val = Fraction(*val.as_integer_ratio())   # exact for every float width
-        fracs[key] = Fraction(val)
+        fracs[key] = Fraction(int(val) if isinstance(val, np.bool_) else val)
     denom = lcm(*(f.denominator for f in fracs.values())) if fracs else 1
     return {key: int(f * denom) for key, f in fracs.items()}
 
@@ -208,28 +212,60 @@ def _trace_certificate(p: QuiverRepPoint, weights: dict, stable: bool) -> bool:
     weights, and stable when 0 is the only one left.
     """
     verts = [i for i in p.quiver.vertices if p.v[i]]
-    sizes = [p.v[i] + 1 for i in verts]
+    sizes = tuple(p.v[i] + 1 for i in verts)
     if prod(sizes) > CERTIFICATE_CAP:
         return False
-    mu = rep_moment_map(p)
-    lam = np.array([np.trace(mu[i]) / p.v[i] for i in verts], dtype=complex)
-    err = np.array([np.linalg.norm(mu[i] - lam_i * np.eye(p.v[i]))
-                    for i, lam_i in zip(verts, lam)])
+    lam, err = _fiber_scalars(p, verts)
     # the largest entry and the Frobenius norms from one array of every
     # matrix's entries; one zero stands in when all are empty
     mats = [m.ravel() for m in (*p.x, *p.y, *p.I.values(), *p.J.values()) if m.size]
     mats = mats or [np.zeros(1)]
     entries = np.abs(np.concatenate(mats))
-    if float(np.linalg.norm(err)) > residual_cutoff(float(entries.max())):
+    if sqrt(err.dot(err)) > residual_cutoff(float(entries.max())):
         return False
     starts = list(accumulate((m.size for m in mats[:-1]), initial=0))
     total = float(np.sqrt(np.add.reduceat(entries * entries, starts)).sum())
     slack = zero_cutoff(total) * total * sum(p.v[i] + p.w[i] for i in p.quiver.vertices)
-    # every 0 <= s <= v, one row each
-    s = np.indices(sizes).reshape(len(verts), -1).T if verts else np.zeros((1, 0), int)
-    kept = np.abs(s @ lam) <= s @ (err + slack)
+    s, s_real, s_complex = _dimension_vectors(sizes)
+    kept = np.abs(s_complex @ lam) <= s_real @ (err + slack)
     pairing = s @ np.array([weights[i] for i in verts])
-    return not (kept & ((pairing != 0) | (stable & s.any(axis=1)))).any()
+    # s = 0 is row 0, and every other row is a nonzero s
+    return not ((kept & (pairing != 0)).any() or stable and kept[1:].any())
+
+
+def _fiber_scalars(p: QuiverRepPoint, verts: list) -> tuple:
+    """(lam, err) over verts, vertices of nonzero dimension, as a complex
+    and a float array: lam_i = tr mu_i / v_i and err_i = |E_i|_F, with
+    E_i = mu_i - lam_i id, bit for bit np.trace(mu_i) / v_i and
+    np.linalg.norm(mu_i - lam_i * np.eye(v_i)) without their dispatch.
+    E_i is rep_moment_map's own array with lam_i taken off its diagonal;
+    it differs from that product at most in the sign of a zero, which
+    the norm squares away."""
+    mu = rep_moment_map(p)
+    lam, err = [], []
+    for i in verts:
+        n = p.v[i]
+        lam.append(mu[i].trace() / n)
+        e = mu[i].ravel()
+        e[::n + 1] -= lam[-1]
+        err.append(_norm(e))
+    return np.array(lam, dtype=complex), np.array(err)
+
+
+@lru_cache(maxsize=4)
+def _dimension_vectors(sizes: tuple) -> tuple:
+    """Every s with 0 <= s_j < sizes[j], one row each in np.indices'
+    order (s = 0 first), as read-only C-contiguous int, float and
+    complex arrays: the float and complex ones are what an int array
+    becomes in a product with a float or complex vector, so the
+    products have its bits.  Kept for the last four shapes, each of at
+    most CERTIFICATE_CAP rows."""
+    s = (np.ascontiguousarray(np.indices(sizes).reshape(len(sizes), -1).T) if sizes
+         else np.zeros((1, 0), int))
+    grids = (s, s.astype(float), s.astype(complex))
+    for g in grids:
+        g.flags.writeable = False
+    return grids
 
 
 def _destabilizer(p: QuiverRepPoint, weights: dict, stable: bool) -> StabilityVerdict:

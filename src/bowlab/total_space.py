@@ -503,6 +503,15 @@ def action_differential(d: BowDiagram, p: TotalSpacePoint) -> np.ndarray:
 
 @dataclass(frozen=True)
 class StartDiagnostic:
+    """How one solve_fiber start ended: residual_norm is |mu - nu| at its
+    last iterate.  For a start that used up its iteration budget (reason
+    "budget") that number is roundoff drift, not a property of the
+    fiber: such a start is still drifting toward a nonzero floor of the
+    residual when the budget ends, so where it stops depends on
+    roundoff, and noise in the last bits of the start moves the printed
+    value in its third decimal.  Only whether a start converged, and
+    whether its point was open, says something about the fiber."""
+
     start_index: int
     converged: bool
     residual_norm: float

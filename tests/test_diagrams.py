@@ -114,6 +114,12 @@ def test_segment_and_x_point_layout():
     d = parse_bow_diagram("bow { wavy a [1, 2, 3]; wavy b [4]; edge b -> a; }")
     assert d.segments() == [SegmentRef("a", 0), SegmentRef("a", 1),
                             SegmentRef("a", 2), SegmentRef("b", 0)]
+    # memoised on the diagram, yet every call hands out a list of its own,
+    # and == and repr do not see the memo
+    d.segments().clear()
+    assert len(d.segments()) == 4
+    fresh = parse_bow_diagram("bow { wavy a [1, 2, 3]; wavy b [4]; edge b -> a; }")
+    assert fresh == d and repr(fresh) == repr(d)
     assert d.x_points() == [("a", 0), ("a", 1)]
     assert d.x_point_count("b") == 0
     assert d.dim(SegmentRef("a", 1)) == 2

@@ -211,6 +211,23 @@ def test_closures_of_zero_and_the_whole_space_make_no_svd(monkeypatch):
     assert svds
 
 
+def test_a_zero_or_whole_part_is_interned_by_its_dimension(monkeypatch):
+    # ids 0 and 1 are each key's zero and whole space (one id at a key of
+    # dimension 0): any part of those dimensions is one of them, found
+    # with no projector and adding no representative
+    rng = np.random.default_rng(9)
+    table = _PartTable({"a": 3, "b": 0}, [])
+    assert table.zero == (0, 0) and table.full == (1, 0)
+    assert np.array_equal(table.graded(table.full).parts["a"].basis, np.eye(3))
+    projectors = []
+    monkeypatch.setattr(Subspace, "projector", lambda s: projectors.append(s))
+    rotated = image_basis(cgauss(rng, 3, 3))
+    assert rotated.dim == 3 and not np.array_equal(rotated.basis, np.eye(3))
+    assert table.intern(0, rotated) == 1 and table.intern(0, kernel_basis(np.eye(3))) == 0
+    assert table.intern(1, Subspace.full(0)) == 0
+    assert not projectors and [len(reps) for reps in table._reps] == [2, 1]
+
+
 def test_an_unstable_verdict_is_never_capped():
     # a random loop pair on C^3 grows a lattice past the cap, yet V
     # destabilizes at positive weight as its second element

@@ -264,6 +264,75 @@ def test_rank_tol_governs_every_cut(monkeypatch):
     assert answers() == (1, 1, 1, True, 1)
 
 
+def _reference_flags(mats) -> list:
+    """_nonzero_flags by its general read at every size: one
+    concatenation of all the entries and one maximum per matrix."""
+    tops = np.zeros(len(mats))
+    full = [j for j, m in enumerate(mats) if m.size]
+    if full:
+        entries = np.abs(np.concatenate([mats[j].ravel() for j in full]))
+        tops[full] = np.maximum.reduceat(
+            entries, list(itertools.accumulate((mats[j].size for j in full[:-1]), initial=0)))
+    return (tops > zero_cutoff(float(tops.max(initial=0.0)))).tolist()
+
+
+def _tiny_blocks(rng, count: int) -> list:
+    """count blocks, each 1 x 1 or empty (0 x 0, 0 x 1 or 1 x 0); a 1 x 1
+    one is an exact zero a fifth of the time, else a complex entry whose
+    modulus spans twenty decades."""
+    out = []
+    for _ in range(count):
+        if rng.random() < 0.3:
+            out.append(np.zeros(((0, 0), (0, 1), (1, 0))[rng.integers(3)], dtype=complex))
+        elif rng.random() < 0.2:
+            out.append(np.zeros((1, 1), dtype=complex))
+        else:
+            out.append(cgauss(rng, 1, 1) * 10.0 ** rng.uniform(-14, 6))
+    return out
+
+
+def _at_the_cut(rng, top: float) -> list:
+    """1 x 1 blocks around zero_cutoff(top): real entries at, one ulp above
+    and one below it, and complex ones of modulus the cut at random
+    phases, whose computed modulus rounds either way, with top itself as
+    the largest entry."""
+    cut = zero_cutoff(top)
+    reals = [cut, np.nextafter(cut, np.inf), np.nextafter(cut, 0.0), -cut]
+    phases = np.exp(1j * rng.uniform(0, 2 * np.pi, 12))
+    return [np.full((1, 1), top, dtype=complex)] + [
+        np.full((1, 1), z, dtype=complex) for z in (*reals, *(cut * phases))]
+
+
+def _flag_inputs(rng):
+    yield []
+    yield [np.zeros((1, 1), dtype=complex)] * 4   # every block an exact zero
+    yield [np.zeros((0, 1), dtype=complex), np.zeros((1, 0), dtype=complex)]
+    yield [np.zeros((1, 1), dtype=complex), np.ones((1, 1)), np.zeros((0, 0), dtype=complex)]
+    for top in (3.0, 0.25, 1.0, 7e5):
+        for _ in range(20):
+            yield _at_the_cut(rng, top)
+    for _ in range(2000):
+        yield _tiny_blocks(rng, int(rng.integers(0, 30)))
+    # one block of 4 x 4 sends the whole list to the general read
+    yield _tiny_blocks(rng, 12) + [cgauss(rng, 4, 4)] + _at_the_cut(rng, 2.0)
+
+
+def test_nonzero_flags_match_the_general_read(rng):
+    tiny = 0
+    for mats in _flag_inputs(rng):
+        flags = linalg._nonzero_flags(mats)
+        assert flags == _reference_flags(mats), mats
+        tiny += all(m.size <= 1 for m in mats)
+        # snap_roundoff keeps a matrix that is nonzero or empty, as it is,
+        # and replaces every other with exact zeros of its shape
+        for m, out, flag in zip(mats, linalg.snap_roundoff(mats), _reference_flags(mats)):
+            if flag or not m.size:
+                assert out is m
+            else:
+                assert out.shape == m.shape and out.dtype == m.dtype and not out.any()
+    assert tiny > 2000
+
+
 def test_matrix_json_round_trip(rng):
     m = cgauss(rng, 2, 3)
     back = matrix_from_json(matrix_to_json(m), 2, 3)

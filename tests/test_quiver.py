@@ -356,6 +356,11 @@ def test_integerize_weights_reads_numpy_scalars_and_bool():
     assert integerize_weights({"a": third, "b": 1}) == {"a": num, "b": den}
     assert all(type(n) is int for n in got.values())
     assert integerize_weights({"a": np.int32(-2), "b": False}) == {"a": -2, "b": 0}
+    # numpy's bool is read as Python's, with and without a fraction beside it
+    for flag in (np.True_, np.False_):
+        assert integerize_weights({"a": flag, "b": 3}) == {"a": int(flag), "b": 3}
+        assert integerize_weights({"a": flag, "b": 0.5}) == {"a": 2 * int(flag), "b": 1}
+    assert all(type(n) is int for n in integerize_weights({"a": np.True_, "b": 0.5}).values())
 
 
 @pytest.mark.parametrize("bad", ("1/2", "3", 1 + 0j, np.complex128(1)))

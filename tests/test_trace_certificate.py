@@ -12,14 +12,18 @@ the engine reads as roundoff.
 """
 
 import itertools
+from math import prod
 
 import numpy as np
 
+from bowlab.linalg import residual_cutoff, zero_cutoff
 from bowlab.quiver import (
     CERTIFICATE_CAP,
     Quiver,
     QuiverRepPoint,
     _destabilizer,
+    _dimension_vectors,
+    _fiber_scalars,
     _trace_certificate,
     rep_moment_map,
     rep_semistable,
@@ -136,12 +140,13 @@ def test_no_certificate_where_lambda_dot_s_is_roundoff():
     assert abs(mu["a"][0, 0] + mu["b"][0, 0] - 1e-10) < 1e-15
     weights = {"a": 2, "b": -1}
     for stable in (False, True):
-        assert not _trace_certificate(p, weights, stable)
+        assert not _certificate(p, weights, stable)
         assert _destabilizer(p, weights, stable).kind == "unstable"
     # away from roundoff the same dimension vector is ruled out
     far = QuiverRepPoint(q, p.v, p.w, p.x, p.y, p.I, {"a": np.full((1, 1), 0.1),
                                                       "b": np.zeros((0, 1))})
-    assert _trace_certificate(far, weights, False)
+    for stable in (False, True):
+        assert _certificate(far, weights, stable)
     assert _destabilizer(far, weights, False).kind == "semistable"
 
 
@@ -155,4 +160,131 @@ def test_no_certificate_past_the_cap():
         one = dict.fromkeys(vs, np.ones((1, 1)))
         p = QuiverRepPoint(Quiver(vs, []), dict.fromkeys(vs, 1), dict.fromkeys(vs, 1),
                            (), (), one, one)
-        assert _trace_certificate(p, dict.fromkeys(vs, 1), True) is certified
+        for stable in (False, True):
+            assert _certificate(p, dict.fromkeys(vs, 1), stable) is certified
+
+
+# --- parity with the certificate's reference arithmetic -----------------------
+
+
+def _reference_scalars(p: QuiverRepPoint, verts: list) -> tuple:
+    """_fiber_scalars by np.trace, np.eye and np.linalg.norm."""
+    mu = rep_moment_map(p)
+    lam = np.array([np.trace(mu[i]) / p.v[i] for i in verts], dtype=complex)
+    err = np.array([np.linalg.norm(mu[i] - lam_i * np.eye(p.v[i]))
+                    for i, lam_i in zip(verts, lam)])
+    return lam, err
+
+
+def _reference_certificate(p: QuiverRepPoint, weights: dict, stable: bool) -> bool:
+    """_trace_certificate written with numpy's generic calls: np.trace,
+    np.eye and np.linalg.norm per vertex, and a fresh np.indices grid
+    whose int rows are promoted in the final filter."""
+    verts = [i for i in p.quiver.vertices if p.v[i]]
+    sizes = [p.v[i] + 1 for i in verts]
+    if prod(sizes) > CERTIFICATE_CAP:
+        return False
+    lam, err = _reference_scalars(p, verts)
+    mats = [m.ravel() for m in (*p.x, *p.y, *p.I.values(), *p.J.values()) if m.size]
+    mats = mats or [np.zeros(1)]
+    entries = np.abs(np.concatenate(mats))
+    if float(np.linalg.norm(err)) > residual_cutoff(float(entries.max())):
+        return False
+    starts = list(itertools.accumulate((m.size for m in mats[:-1]), initial=0))
+    total = float(np.sqrt(np.add.reduceat(entries * entries, starts)).sum())
+    slack = zero_cutoff(total) * total * sum(p.v[i] + p.w[i] for i in p.quiver.vertices)
+    s = np.indices(sizes).reshape(len(verts), -1).T if verts else np.zeros((1, 0), int)
+    kept = np.abs(s @ lam) <= s @ (err + slack)
+    pairing = s @ np.array([weights[i] for i in verts])
+    return not (kept & ((pairing != 0) | (stable & s.any(axis=1)))).any()
+
+
+def _certificate(p: QuiverRepPoint, weights: dict, stable: bool) -> bool:
+    """_trace_certificate(p, weights, stable), checked against the
+    reference, and its lam and err against the reference's, byte for byte."""
+    verts = [i for i in p.quiver.vertices if p.v[i]]
+    for got, want in zip(_fiber_scalars(p, verts), _reference_scalars(p, verts)):
+        assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+    got = _trace_certificate(p, weights, stable)
+    assert got is _reference_certificate(p, weights, stable)
+    return got
+
+
+def _block(rng, rows: int, cols: int) -> np.ndarray:
+    """A random block: zero a fifth of the time, rank one a fifth, else
+    gaussian at a scale between 1e-3 and 1e3."""
+    u = rng.random()
+    if u < 0.2 or not (rows and cols):
+        return np.zeros((rows, cols), dtype=complex)
+    if u < 0.4:
+        return cgauss(rng, rows, 1) @ cgauss(rng, 1, cols)
+    return cgauss(rng, rows, cols, 10.0 ** rng.integers(-3, 4))
+
+
+def _solved_point(rng) -> QuiverRepPoint:
+    """A random framed quiver point with every v_i in 0..4.  The arrows
+    are drawn first; at a vertex with w_i >= v_i, I and J then solve
+    I J = lam_i id - (the arrows' part), lam_i from LAMBDAS, so that
+    lam . s = 0 happens on purpose; one solved vertex in ten gets a
+    strictly upper triangular part on top, off the fiber with its
+    diagonal on it.  One vertex in five has w_i drawn apart from v_i and
+    random I and J: off the fiber unless v_i = 0."""
+    vertices, arrows = SHAPES[rng.integers(len(SHAPES))]
+    v = {i: int(rng.integers(0, 5)) for i in vertices}
+    w = {i: v[i] + int(rng.integers(0, 2)) if rng.random() < 0.8 else int(rng.integers(0, 3))
+         for i in vertices}
+    x = tuple(_block(rng, v[h], v[t]) for t, h in arrows)
+    y = tuple(_block(rng, v[t], v[h]) for t, h in arrows)
+    I = {i: _block(rng, v[i], w[i]) for i in vertices}
+    J = {i: _block(rng, w[i], v[i]) for i in vertices}
+    q = Quiver(vertices, arrows)
+    arrows_part = rep_moment_map(QuiverRepPoint(q, v, dict.fromkeys(vertices, 0), x, y,
+                                                {i: np.zeros((v[i], 0)) for i in vertices},
+                                                {i: np.zeros((0, v[i])) for i in vertices}))
+    for i in vertices:
+        n = v[i]
+        if n and w[i] >= n and rng.random() < 0.8:
+            g = cgauss(rng, n, n)
+            need = LAMBDAS[rng.integers(len(LAMBDAS))] * np.eye(n) - arrows_part[i]
+            if rng.random() < 0.1:
+                # mu_i = lam_i id + a nilpotent part, at or far above roundoff
+                need = need + np.triu(cgauss(rng, n, n), 1) * 10.0 ** rng.choice([-13, -9, 0])
+            I[i] = np.hstack([need @ np.linalg.inv(g), np.zeros((n, w[i] - n))])
+            J[i] = np.vstack([g, cgauss(rng, w[i] - n, n)])
+    return QuiverRepPoint(q, v, w, x, y, I, J)
+
+
+def test_certificate_matches_the_reference_on_solved_points():
+    rng = np.random.default_rng(4471)
+    outcomes = {}   # (some v_i above 1, certified) -> count
+    for _ in range(3000):
+        p = _solved_point(rng)
+        weights = {i: int(rng.integers(-2, 3)) for i in p.quiver.vertices}
+        for stable in (False, True):
+            key = (max(p.v.values()) > 1, _certificate(p, weights, stable))
+            outcomes[key] = outcomes.get(key, 0) + 1
+    # both outcomes occur often, above dimension 1 too
+    assert min(outcomes.get((big, ok), 0) for big in (False, True) for ok in (False, True)) >= 200
+
+
+def test_certificate_matches_the_reference_on_01_points():
+    rng = np.random.default_rng(1729)
+    for _ in range(500):
+        p = _solved_01_point(rng)
+        weights = {i: int(rng.integers(-2, 3)) for i in p.quiver.vertices}
+        for stable in (False, True):
+            _certificate(p, weights, stable)
+
+
+def test_dimension_vectors_give_the_int_grids_products(rng):
+    # the certificate's filter multiplies the cached float and complex
+    # grids; an int grid's products with the same vectors have those bits
+    for sizes in ((), (5,), (5, 5), (3, 2, 4), (2,) * 6):
+        s, s_real, s_complex = _dimension_vectors(sizes)
+        grid = np.indices(sizes).reshape(len(sizes), -1).T if sizes else np.zeros((1, 0), int)
+        assert np.array_equal(s, grid) and not s.flags.writeable
+        for _ in range(50):
+            lam = cgauss(rng, len(sizes), 1)[:, 0] * 10.0 ** rng.uniform(-3, 3)
+            err = rng.random(len(sizes)) * 1e-9
+            assert (s_complex @ lam).tobytes() == (grid @ lam).tobytes()
+            assert (s_real @ err).tobytes() == (grid @ err).tobytes()
