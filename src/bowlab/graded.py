@@ -10,16 +10,15 @@ reads it as it grows and stops it at its first witness.
 
 The lattice and the closures work on interned parts.  A part table
 keeps, per key, one representative Subspace for each distinct subspace
-met during a search (two parts are one when their projectors differ by
-at most SAME_SUBSPACE_TOL), so a graded subspace is a tuple of part
-ids, deduplicated by hashing.  The table computes per-key sums and
-intersections, and per-map images and preimages cut at the map's
-spectral norm, once per pair of ids; one table serves the whole
-lattice search of a find_destabilizer call.  Work whose result is
-known in advance is skipped: both closures return 0 and V as they are,
-sums and intersections with a zero or full part are read off, and a
-map's spectral norm is taken only when an image or preimage first
-needs it.
+met during a search (two parts are one by linalg's same-subspace
+rule), so a graded subspace is a tuple of part ids, deduplicated by
+hashing.  The table computes per-key sums and intersections, and
+per-map images and preimages cut at the map's spectral norm, once per
+pair of ids; one table serves the whole lattice search of a
+find_destabilizer call.  Work whose result is known in advance is
+skipped: both closures return 0 and V as they are, sums and
+intersections with a zero or full part are read off, and a map's
+spectral norm is taken only when an image or preimage first needs it.
 
 find_destabilizer is the one kernel/image stability test.  Framed quiver
 points (Nakajima) and bow points both reduce to it: a bow adds, per
@@ -39,18 +38,18 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .linalg import (
-    EIGENVALUE_CLUSTER_TOL,
-    SAME_SUBSPACE_TOL,
     Subspace,
+    _eigenvalue_clusters,
+    _is_zero,
     _nonzero_flags,
     _op_norm,
+    _same_subspace,
     image_basis,
     kernel_basis,
     rank,
     snap_roundoff,
     subspace_intersection,
     subspace_sum,
-    zero_cutoff,
 )
 
 __all__ = [
@@ -96,9 +95,11 @@ class GradedSubspace:
 class StabilityVerdict:
     """Outcome of a (semi)stability test.
 
-    kind: "semistable" (definitive: from the 0/1 support enumeration
-        where every dimension is <= 1, or from the quiver's moment-map
-        trace certificate), "unstable" (witness attached), or
+    kind: "semistable" (definitive, from one of three sources: the
+        zero-weights shortcut, where every weight is 0 and stable is
+        off; the 0/1 support enumeration where every dimension is <= 1;
+        or the quiver's moment-map trace certificate), "unstable"
+        (witness attached), or
         "not-falsified" (the lattice search found no destabilizing
         subspace; NOT a proof of semistability).
     witness: destabilizing graded subspace when kind == "unstable".  A
@@ -146,7 +147,7 @@ def is_invariant(g: GradedSubspace, maps) -> bool:
             continue
         mapped = np.asarray(m, dtype=complex) @ basis
         resid = mapped - g.parts[dst].projector() @ mapped
-        if np.linalg.norm(resid) > zero_cutoff(float(np.linalg.norm(mapped))):
+        if not _is_zero(np.linalg.norm(resid), float(np.linalg.norm(mapped))):
             return False
     return True
 
@@ -193,7 +194,7 @@ class _PartTable:
         proj = s.projector()
         ids, projs = self._by_dim[j].get(s.dim, ((), None))
         if ids:
-            close = np.linalg.norm(projs - proj, axis=(1, 2)) <= SAME_SUBSPACE_TOL
+            close = _same_subspace(projs, proj)
             if close.any():
                 return ids[int(np.argmax(close))]
             projs = np.concatenate([projs, proj[None]])
@@ -329,31 +330,27 @@ def smallest_invariant_graded(w: GradedSubspace, maps,
 
 def _eigenspace_seeds(endos) -> list:
     """(key, generalized eigenspace) of each eigenvalue cluster of each
-    (key, endomorphism of that key's space)."""
+    (key, endomorphism of that key's space); a ValueError, before any
+    power is taken, where |m - lam|^n would overflow."""
     seeds = []
     for key, m in endos:
         m = np.asarray(m, dtype=complex)
         n = m.shape[0]
         if n == 0:
             continue
-        eigvals = np.linalg.eigvals(m)
-        scale = max(1.0, float(np.max(np.abs(eigvals))) if eigvals.size else 1.0)
-        clusters: list[list] = []
-        for ev in eigvals:
-            for c in clusters:
-                if abs(ev - c[0]) <= EIGENVALUE_CLUSTER_TOL * scale:
-                    c.append(ev)
-                    break
-            else:
-                clusters.append([ev])
-        for cluster in clusters:
+        for cluster in _eigenvalue_clusters(np.linalg.eigvals(m)):
             # roundoff splits a defective eigenvalue into roots around it
             # whose mean is accurate; the power is then pure roundoff on the
             # generalized eigenspace, so its cutoff is relative to the power's
             # honest scale |m - lam|^n, not to its own largest singular value
             shifted = m - np.mean(cluster) * np.eye(n)
-            seeds.append((key, kernel_basis(np.linalg.matrix_power(shifted, n),
-                                            scale=float(np.linalg.norm(shifted, 2)) ** n)))
+            norm = float(np.linalg.norm(shifted, 2))
+            try:
+                scale = norm ** n
+            except OverflowError:
+                raise ValueError(f"a map of norm {norm:.3e} is too large to take its "
+                                 f"generalized eigenspaces: its power {n} overflows") from None
+            seeds.append((key, kernel_basis(np.linalg.matrix_power(shifted, n), scale=scale)))
     return seeds
 
 
@@ -413,8 +410,8 @@ def candidate_lattice(dims: dict, maps, seeds, stop, table: _PartTable | None = 
     one-segment self-edges, a quiver's loops), and closes LATTICE_DEPTH
     rounds with LATTICE_CAP as a hard cap on the candidate count; the
     consumers are falsifiers, so an incomplete lattice is safe.
-    Elements whose parts all lie within SAME_SUBSPACE_TOL of an earlier
-    element's count once.
+    Elements whose parts are all an earlier element's, by linalg's
+    same-subspace rule, count once.
 
     stop is called on each element as it joins, in that order; the
     lattice grows only as far as stop reads it, and ends with the first
@@ -687,14 +684,14 @@ def find_destabilizer(dims: dict, maps, kernel_maps, image_maps, weights: dict,
     and the copairing sum_k weights[k] codim S_k is < 0, or <= 0 with
     S != V when stable.
 
-    Matrices with no entry above zero_cutoff(largest entry of any matrix
-    passed) read as exact zeros.  Where every dimension is <= 1 the
-    invariant 0/1 supports decide exactly.  Above, candidate_lattice is
-    searched, seeded with the generalized eigenspaces of the maps from a
-    key to itself, growing it only until an element yields a witness:
-    "unstable" comes with a checked witness, "not-falsified" is not a
-    proof.  The verdict records how much was searched and whether the
-    lattice was capped.
+    Matrices that linalg's zero rule reads as zero, at the largest entry
+    of any matrix passed, read as exact zeros.  Where every dimension is
+    <= 1 the invariant 0/1 supports decide exactly.  Above,
+    candidate_lattice is searched, seeded with the generalized
+    eigenspaces of the maps from a key to itself, growing it only until
+    an element yields a witness: "unstable" comes with a checked
+    witness, "not-falsified" is not a proof.  The verdict records how
+    much was searched and whether the lattice was capped.
     """
     if not stable and all(val == 0 for val in weights.values()):
         return StabilityVerdict("semistable")

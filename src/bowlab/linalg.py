@@ -1,11 +1,17 @@
 """Complex dense linear algebra and the package's one tolerance policy.
 
 Every numerical cutoff outside the solver's constants is written here,
-one rule per question: one singular-value cut, RANK_TOL, for `rank`,
-the bases, the subspace operations and the two closures; `zero_cutoff`
-and `residual_cutoff` for "this is zero" at a given scale;
-SAME_SUBSPACE_TOL and EIGENVALUE_CLUSTER_TOL; whether a matrix is pure
-roundoff among its problem's is _nonzero_flags.  No function takes a
+and so is every comparison against one: no other module compares a
+value with a tolerance.  One rule per question: one singular-value cut,
+RANK_TOL, for `rank`, the bases, the subspace operations and the two
+closures; _is_zero (at most zero_cutoff) and _is_zero_residual (at most
+residual_cutoff) for "this is zero" at a given scale, and _zero_slack
+for how much the first can let pass; _same_subspace and
+_eigenvalue_clusters for the stability lattice's parts and seeds;
+whether a matrix is pure roundoff among its problem's is
+_nonzero_flags, by _is_zero.  A NaN or an infinity is never zero, never
+the same subspace as another and never in an eigenvalue's cluster, so
+an overflowed value cannot pass a gate.  No function takes a
 tolerance.  _trusted is the package's one way to build a frozen
 dataclass past its public constructor's checks, on values it has just
 built: an SVD factor's basis, an assembled point, a framed quiver point.
@@ -19,6 +25,7 @@ The stability search cuts its own images and preimages (graded._PartTable).
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass
 from itertools import accumulate
 
@@ -153,6 +160,59 @@ def residual_cutoff(scale: float) -> float:
     return RESIDUAL_CUTOFF_TOL * max(1.0, scale)
 
 
+# The rules below are the only comparisons with a tolerance in the
+# package.  Each cut is clamped to the largest finite float, so a NaN
+# or an infinity is never within it, while at an infinite scale (the
+# size of data whose magnitude overflowed) every finite value still is.
+
+_FLOAT_MAX = sys.float_info.max
+
+
+def _is_zero(value, scale: float):
+    """linalg's zero rule: whether value, a norm or an entry's size (a
+    float, or an array of them read elementwise), is roundoff on data of
+    magnitude scale: finite and at most zero_cutoff(scale)."""
+    return value <= min(zero_cutoff(scale), _FLOAT_MAX)
+
+
+def _is_zero_residual(res: float, scale: float) -> bool:
+    """Whether a residual norm is zero on data of magnitude scale:
+    finite and at most residual_cutoff(scale)."""
+    return res <= min(residual_cutoff(scale), _FLOAT_MAX)
+
+
+def _zero_slack(norm: float, count: int) -> float:
+    """A bound on the trace error of what the zero rule lets pass in
+    count tests against maps of total Frobenius norm `norm`: a residual
+    of zero_cutoff(norm) per map, times norm, count times."""
+    return zero_cutoff(norm) * norm * count
+
+
+def _same_subspace(projs: np.ndarray, proj: np.ndarray) -> np.ndarray:
+    """Whether each projector stacked in projs projects onto proj's
+    subspace: their difference is at most SAME_SUBSPACE_TOL in
+    Frobenius norm."""
+    return np.linalg.norm(projs - proj, axis=(1, 2)) <= SAME_SUBSPACE_TOL
+
+
+def _eigenvalue_clusters(eigvals: np.ndarray) -> list:
+    """The eigenvalues grouped into clusters, lists in order of their
+    first members: each joins the first cluster whose first member lies
+    within EIGENVALUE_CLUSTER_TOL * max(1, spectral radius) of it, at a
+    finite distance, or starts a new one."""
+    radius = float(np.max(np.abs(eigvals))) if eigvals.size else 1.0
+    cut = min(EIGENVALUE_CLUSTER_TOL * max(1.0, radius), _FLOAT_MAX)
+    clusters: list[list] = []
+    for ev in eigvals:
+        for c in clusters:
+            if abs(ev - c[0]) <= cut:
+                c.append(ev)
+                break
+        else:
+            clusters.append([ev])
+    return clusters
+
+
 def _largest_entry(*mats) -> float:
     """Largest entry magnitude over the matrices; 0 when all are empty."""
     return max((float(np.abs(m).max()) for m in mats if m.size), default=0.0)
@@ -160,8 +220,9 @@ def _largest_entry(*mats) -> float:
 
 def _nonzero_flags(mats) -> list:
     """Whether each matrix is nonzero at the scale of them all: whether
-    its largest entry, read from one array of all their entries, lies
-    above zero_cutoff(largest entry of any of them).  An empty one is not.
+    its largest entry, read from one array of all their entries, is
+    not zero by _is_zero at the largest entry of any of them.  An empty
+    one is not.
 
     Where no matrix has more than one entry, as at a bow point whose
     dimensions are all <= 1, that array is of their items, an empty
@@ -175,7 +236,7 @@ def _nonzero_flags(mats) -> list:
         tops[full] = np.maximum.reduceat(
             np.abs(np.concatenate([mats[j].ravel() for j in full])),
             list(accumulate((sizes[j] for j in full[:-1]), initial=0)))
-    return (tops > zero_cutoff(float(tops.max(initial=0.0)))).tolist()
+    return (~_is_zero(tops, float(tops.max(initial=0.0)))).tolist()
 
 
 def snap_roundoff(mats) -> list:

@@ -23,12 +23,12 @@ import numpy as np
 from .graded import Exact01Unavailable, StabilityVerdict, _check_mode, find_destabilizer
 from .linalg import (
     _field,
+    _is_zero_residual,
     _largest_entry,
+    _zero_slack,
     as_matrix,
     matrix_from_json,
     matrix_to_json,
-    residual_cutoff,
-    zero_cutoff,
 )
 from .solve import _norm
 
@@ -200,16 +200,17 @@ def _trace_certificate(p: QuiverRepPoint, weights: dict, stable: bool) -> bool:
     of each arrow's commutator cancel and IJ vanishes on S.  One
     containing Im I has lam . codim S = 0 on the quotients
     (Crawley-Boevey, Compositio Math. 126, 2001).  lam_i is read as
-    tr mu_i / v_i and E_i = mu_i - lam_i id; past the residual cut of
-    the H-gauge walk there is no certificate.  Otherwise |lam . s| is at
+    tr mu_i / v_i and E_i = mu_i - lam_i id; where |E|, by linalg's
+    residual rule as in the H-gauge walk, is not zero (a NaN or infinite
+    one never is) there is no certificate.  Otherwise |lam . s| is at
     most sum_i s_i (|E_i|_F + slack), where the slack bounds the trace
-    error of what the engine's zero_cutoff lets pass as invariant or as
-    zero (a residual of zero_cutoff(N) per map against maps of total
-    Frobenius norm N, once per dimension of the framed space).  A
-    dimension vector past that bound is neither the dimension vector of
-    a kernel-clause witness nor the codimension vector of an image-clause
-    one.  So p is semistable when every vector left pairs to 0 with the
-    weights, and stable when 0 is the only one left.
+    error of what linalg's zero rule lets pass as invariant or as zero
+    (linalg._zero_slack of the maps' total Frobenius norm, once per
+    dimension of the framed space).  A dimension vector past that bound
+    is neither the dimension vector of a kernel-clause witness nor the
+    codimension vector of an image-clause one.  So p is semistable when
+    every vector left pairs to 0 with the weights, and stable when 0 is
+    the only one left.
     """
     verts = [i for i in p.quiver.vertices if p.v[i]]
     sizes = tuple(p.v[i] + 1 for i in verts)
@@ -221,11 +222,11 @@ def _trace_certificate(p: QuiverRepPoint, weights: dict, stable: bool) -> bool:
     mats = [m.ravel() for m in (*p.x, *p.y, *p.I.values(), *p.J.values()) if m.size]
     mats = mats or [np.zeros(1)]
     entries = np.abs(np.concatenate(mats))
-    if sqrt(err.dot(err)) > residual_cutoff(float(entries.max())):
+    if not _is_zero_residual(sqrt(err.dot(err)), float(entries.max())):
         return False
     starts = list(accumulate((m.size for m in mats[:-1]), initial=0))
     total = float(np.sqrt(np.add.reduceat(entries * entries, starts)).sum())
-    slack = zero_cutoff(total) * total * sum(p.v[i] + p.w[i] for i in p.quiver.vertices)
+    slack = _zero_slack(total, sum(p.v[i] + p.w[i] for i in p.quiver.vertices))
     s, s_real, s_complex = _dimension_vectors(sizes)
     kept = np.abs(s_complex @ lam) <= s_real @ (err + slack)
     pairing = s @ np.array([weights[i] for i in verts])

@@ -81,13 +81,13 @@ from .graded import (
 )
 from .linalg import (
     _field,
+    _is_zero_residual,
     _largest_entry,
     _trusted,
     as_matrix,
     matrix_from_json,
     matrix_to_json,
     rank,
-    residual_cutoff,
     subspace_image,
 )
 from .quiver import QuiverRepPoint, _destabilizer, integerize_weights
@@ -693,7 +693,9 @@ class SingularA(np.linalg.LinAlgError):
 
 class MuHNonzero(ValueError):
     """The point is not on the zero level of the non-first-segment moment
-    components, so no H-orbit representative with A = id exists."""
+    components by linalg's residual rule (a NaN or infinite residual, as
+    where the moments overflow, never is), so no H-orbit representative
+    with A = id can be built."""
 
 
 def _fix_H(c: _Compiled, blocks: list) -> list:
@@ -706,7 +708,7 @@ def _fix_H(c: _Compiled, blocks: list) -> list:
     flat = _join(blocks)
     mu2 = _moment(c, flat)[c.m - first.size:]
     res = float(np.linalg.norm(mu2[~first]))
-    if res > residual_cutoff(_largest_entry(flat)):
+    if not _is_zero_residual(res, _largest_entry(flat)):
         raise MuHNonzero(f"moment residual {res:.3e} on non-first segments")
 
     g = {j: np.eye(c.seg_dims[j], dtype=complex) for j, s in enumerate(c.segs) if s.index == 0}
@@ -825,8 +827,8 @@ def check_semistable(d: BowDiagram, p: TotalSpacePoint, theta: dict,
     lattice elements.  The bow's own lattice search runs instead when
     the diagram is not cobalanced (no framed quiver), p is off the zero
     level of the non-first-segment moment map (MuHNonzero, e.g. a
-    random point), some A is singular (SingularA), or the carried
-    witness fails the re-check.
+    random point or one whose moments overflow), some A is singular
+    (SingularA), or the carried witness fails the re-check.
     """
     blocks = check_shapes(d, p)
     c = _compiled(d)

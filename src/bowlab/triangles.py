@@ -36,12 +36,12 @@ import numpy as np
 from .linalg import (
     Subspace,
     _complement,
+    _is_zero_residual,
     _largest_entry,
     _sweep,
     as_matrix,
     image_basis,
     rank,
-    residual_cutoff,
     snap_roundoff,
 )
 
@@ -392,7 +392,7 @@ def hurtubise_to_triangle(f) -> TriangleData:
 
 def _require_triangle(t: TriangleData):
     res = condition_a_residual(t)
-    if res > residual_cutoff(t.scale()):
+    if not _is_zero_residual(res, t.scale()):
         raise NotATriangle(f"condition (a) residual {res:.3e} too large")
     s1 = check_S1(t)
     if not s1:

@@ -542,6 +542,33 @@ def test_a_point_file_integer_beyond_float_range_is_an_error_line(capsys, tmp_pa
                         "int too large to convert to float\n")
 
 
+def _scaled_entries(data, t: float):
+    """JSON point data with every [re, im] pair times t."""
+    if isinstance(data, dict):
+        return {k: _scaled_entries(v, t) for k, v in data.items()}
+    if isinstance(data, list) and len(data) == 2 and all(type(x) is float for x in data):
+        return [t * data[0], t * data[1]]
+    return [_scaled_entries(v, t) for v in data] if isinstance(data, list) else data
+
+
+def test_stability_on_a_point_too_large_to_decide_is_an_error_line(capsys, tmp_path):
+    # not cobalanced, so the bow's own lattice search runs; at 1e160 the
+    # power |B - lam|^2 of its eigenspace seed would overflow
+    diagram = tmp_path / "loop23.bow"
+    diagram.write_text("bow { wavy a [2, 3]; edge a -> a; }", encoding="utf-8")
+    code, out, _ = run_cli(capsys, ["solve", str(diagram), "--seed", "0"])
+    assert code == 0
+    data = json.loads(out)
+    data["point"] = _scaled_entries(data["point"], 1e160)
+    point = tmp_path / "big.json"
+    point.write_text(json.dumps(data), encoding="utf-8")
+    with np.errstate(all="ignore"):
+        code, out, err = run_cli(capsys, ["stability", str(diagram), str(point), "--theta", "1"])
+    assert (code, out) == (1, "")
+    assert len(err.splitlines()) == 1 and err.startswith("error: ")
+    assert "Traceback" not in err and err.endswith("overflows\n")
+
+
 def test_reduce_prints_the_quiver_point_where_the_lift_would_overflow(capsys, tmp_path):
     # off condition (a): every A = id and B = 0, each a b = 1e308, so the
     # quiver point is finite and the lift's B at s:0 would be 2e308

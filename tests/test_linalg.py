@@ -333,6 +333,25 @@ def test_nonzero_flags_match_the_general_read(rng):
     assert tiny > 2000
 
 
+@pytest.mark.parametrize("scale", (0.5, 1.0, 1e160, np.inf))
+def test_no_tolerance_rule_passes_a_non_finite_value(scale):
+    """A NaN or an infinity is never zero, never a zero residual and
+    never in another eigenvalue's cluster, at any scale; at an infinite
+    scale, the size of overflowed data, every finite value is zero."""
+    nan, inf = float("nan"), float("inf")
+    for bad in (nan, inf):
+        assert not linalg._is_zero(bad, scale)
+        assert not linalg._is_zero_residual(bad, scale)
+    flags = linalg._is_zero(np.array([0.0, nan, inf, 1e300]), scale)
+    assert flags.tolist() == [True, False, False, scale == inf]
+    assert linalg._is_zero_residual(1e300, scale) == (scale == inf)
+    with np.errstate(invalid="ignore"):   # inf - inf
+        clusters = linalg._eigenvalue_clusters(np.array([1.0, 1.0, inf, inf, nan]))
+    assert [len(c) for c in clusters] == [2, 1, 1, 1]
+    # an infinite radius: the finite eigenvalues are one cluster
+    assert [len(c) for c in linalg._eigenvalue_clusters(np.array([inf, 0.0, 1.0]))] == [1, 2]
+
+
 def test_matrix_json_round_trip(rng):
     m = cgauss(rng, 2, 3)
     back = matrix_from_json(matrix_to_json(m), 2, 3)

@@ -28,7 +28,6 @@ from bowlab.diagrams import (
 )
 from bowlab.graded import (
     LATTICE_CAP,
-    SAME_SUBSPACE_TOL,
     GradedSubspace,
     StabilityVerdict,
     _is_destabilizer,
@@ -38,7 +37,15 @@ from bowlab.graded import (
     _support_bits,
     candidate_lattice,
 )
-from bowlab.linalg import RANK_TOL, Subspace, image_basis, kernel_basis, matrix_from_json, rank
+from bowlab.linalg import (
+    RANK_TOL,
+    SAME_SUBSPACE_TOL,
+    Subspace,
+    image_basis,
+    kernel_basis,
+    matrix_from_json,
+    rank,
+)
 from bowlab.quiver import Exact01Unavailable, Quiver, QuiverRepPoint, rep_semistable
 from bowlab.solve import finite_diff_jacobian
 from bowlab.total_space import (

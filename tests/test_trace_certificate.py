@@ -150,6 +150,21 @@ def test_no_certificate_where_lambda_dot_s_is_roundoff():
     assert _destabilizer(far, weights, False).kind == "semistable"
 
 
+def test_no_certificate_where_the_moment_map_overflows():
+    # a loop with x = 1e160 id and y = 1e160 ones: [x, y] = 0 in exact
+    # arithmetic, but its entries are inf - inf = NaN, and the kernel
+    # witness V (J = 0, weight 1) is there at every scale
+    q = Quiver(["a"], [("a", "a")])
+    for scale in (1.0, 1e160):
+        p = QuiverRepPoint(q, {"a": 2}, {"a": 1}, (scale * np.eye(2),),
+                           (scale * np.ones((2, 2)),), {"a": np.zeros((2, 1))},
+                           {"a": np.zeros((1, 2))})
+        with np.errstate(all="ignore"):
+            assert not _trace_certificate(p, {"a": 1}, False)
+            verdict = rep_semistable(p, {"a": 1})
+        assert (verdict.kind, verdict.clause) == ("unstable", "kernel")
+
+
 def test_no_certificate_past_the_cap():
     # I = J = 1 at every one of n unlinked vertices puts lam_i = 1, so
     # only s = 0 has lam . s = 0 and the point is stable; n vertices

@@ -302,6 +302,16 @@ def test_rejects_non_triangles():
 
 
 
+def test_a_nan_condition_a_residual_is_not_a_triangle():
+    # B2 A = 1e309 and a b = -1e320 overflow to inf and -inf, so the
+    # residual of condition (a) is NaN, which is never zero
+    t = TriangleData(A=np.full((1, 1), 10.0), B1=np.zeros((1, 1)), B2=np.full((1, 1), 1e308),
+                     a=np.full((1, 1), 1e160), b=np.full((1, 1), -1e160))
+    with np.errstate(all="ignore"), pytest.raises(NotATriangle) as exc:
+        triangle_to_hurtubise(t)
+    assert str(exc.value) == "condition (a) residual nan too large"
+
+
 def test_chart_forms_are_checked():
     with pytest.raises(ValueError) as exc:
         RectForm(1, 1, np.eye(1), np.zeros((1, 1)))

@@ -25,6 +25,16 @@ moves.  The families:
                per-start decisions, iterations and residual bits, and
                the reported point's bits
     cli        exit code, stdout and stderr of the cli workload's argvs
+    scale      the verdict's kind (or the error's class) on each frozen
+               point at t = 1 beside its kind under the point's exact
+               scalings by each t in SCALES, at both stable settings:
+               the bow point's flat vector times t ** lam_power (the
+               weighted scaling of solve_fiber's rescaling, which sends
+               the fiber over lambda to the one over t lambda) by
+               check_semistable, and its reduced quiver point times t
+               by _quiver_verdict.  Neither scaling moves a kernel or
+               image clause, so a record whose two kinds differ is a
+               verdict that depends on the point's scale
 
 The inputs are read from benchmark/inputs.py, benchmark/workloads.py
 and benchmark/fixtures/points.json; nothing is written under
@@ -64,6 +74,7 @@ SWEEP_SEED = 20241020
 SWEEP_BOWS = 120
 SWEEP_STARTS = 5
 CLI_SEED = 1
+SCALES = (1e-12, 1e-9, 1e-6, 1e-3, 1e3, 1e6, 1e12)
 
 
 def _verdict(v) -> tuple:
@@ -112,6 +123,39 @@ def _verdicts(mode: str):
             if isinstance(q, quiver.QuiverRepPoint):
                 yield name, seed, stable, "quiver", _outcome(_quiver_verdict, q, theta,
                                                              mode, stable)
+
+
+def _scaled_bow(d, p, t: float):
+    """p under the weighted scaling by t: its flat vector times t ** lam_power."""
+    flat = total_space.flatten_point(d, p)
+    return total_space.unflatten_point(d, flat * t ** total_space._compiled(d).lam_power)
+
+
+def _scaled_quiver(q, t: float):
+    """q with every matrix times t."""
+    return quiver.QuiverRepPoint(q.quiver, q.v, q.w, [t * m for m in q.x], [t * m for m in q.y],
+                                 {i: t * m for i, m in q.I.items()},
+                                 {i: t * m for i, m in q.J.items()})
+
+
+def _scale_kinds(d, p, theta, t: float, stable: bool) -> tuple:
+    """The kind, or the error's class name (the first field of either
+    _outcome record), of the bow verdict on p scaled by t and of the
+    quiver verdict on p's reduced point scaled by t."""
+    bow = _outcome(lambda: _verdict(total_space.check_semistable(
+        d, _scaled_bow(d, p, t), theta, stable=stable)))
+    q = _scaled_quiver(inputs.reduced(d, p), t)
+    return bow[0], _outcome(_quiver_verdict, q, theta, "heuristic", stable)[0]
+
+
+def scale():
+    for name, (d, p, _lam, theta) in sorted(inputs.load_frozen(inputs.parse_all()).items()):
+        for stable in (False, True):
+            at_one = _scale_kinds(d, p, theta, 1.0, stable)
+            for t in SCALES:
+                for route, one, kind in zip(("bow", "quiver"), at_one,
+                                            _scale_kinds(d, p, theta, t, stable)):
+                    yield name, t, stable, route, one, kind
 
 
 def _random_bow(rng) -> str:
@@ -196,7 +240,7 @@ def cli_family():
 
 
 FAMILIES = {"heuristic": partial(_verdicts, "heuristic"), "exact01": partial(_verdicts, "exact01"),
-            "sweep": sweep, "reduce": reduce, "solve": solve, "cli": cli_family}
+            "sweep": sweep, "reduce": reduce, "solve": solve, "cli": cli_family, "scale": scale}
 
 
 def fingerprint(family: str) -> tuple:
